@@ -65,7 +65,7 @@ from .triangulation import (
     TriangulationError,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CLASS_ESSENTIAL",

@@ -85,7 +85,7 @@ def _add_dataset_args(sub):
                      choices=("ascii", "f32", "f64"),
                      help="field file encoding (default: ascii)")
     sub.add_argument("--threads", type=int, default=os.cpu_count(),
-                     help="worker threads for the gradient build")
+                     help="accepted for compatibility; has no effect")
 
 
 def _build_parser():

@@ -167,21 +167,23 @@ def match_critical_simplices(
         critical_points = extract_critical_points(tri, field)
     _precondition_for_matching(tri)
     matching = _Matching(tri, field, grad, critical_points)
-    report = ComplianceReport()
-    report.matched = matching.matched_dict()
-    # a point fails only if none of its copies found a simplex
-    empty = {k for k, v in report.matched.items() if not v}
-    seen = set()
+    return _report(tri, grad, matching, critical_points, [])
+
+
+def _report(tri, grad, matching, critical_points, cancelled):
+    """The report of a finished matching.
+
+    A point fails only if none of its copies found a simplex; it is
+    listed once, in ``critical_points`` order.
+    """
+    matched = matching.matched_dict()
+    empty = {k for k, v in matched.items() if not v}
+    failures = []
     for cp in critical_points:
-        if not cp.boundary and (cp.vertex, cp.index) in empty - seen:
-            report.match_failures.append(cp)
-            seen.add((cp.vertex, cp.index))
-    report.spurious = _spurious_sets(tri, grad, matching)
-    return report
-
-
-def _spurious_sets(tri, grad, matching):
-    return {
+        if not cp.boundary and (cp.vertex, cp.index) in empty:
+            failures.append(cp)
+            empty.discard((cp.vertex, cp.index))
+    spurious = {
         k: {
             s for s in grad.critical_ids(k)
             if not matching.is_matched(k, s)
@@ -189,6 +191,7 @@ def _spurious_sets(tri, grad, matching):
         }
         for k in range(tri.dim + 1)
     }
+    return ComplianceReport(matched, failures, spurious, cancelled)
 
 
 def _interior_ids(tri, grad, dim):
@@ -302,7 +305,6 @@ def enforce_compliance(
         critical_points = extract_critical_points(tri, field)
     _precondition_for_matching(tri)
     matching = _Matching(tri, field, grad, critical_points)
-    report = ComplianceReport()
     cancelled = list(_cancel_facet_pairs(grad, matching))
     if tri.dim == 3:
         more = _cancel_connector_pairs(grad, matching)
@@ -310,12 +312,4 @@ def enforce_compliance(
             cancelled.extend(more)
             more = _cancel_facet_pairs(grad, matching)
             more.extend(_cancel_connector_pairs(grad, matching))
-    report.cancelled = cancelled
-    report.matched = matching.matched_dict()
-    empty = {k for k, v in report.matched.items() if not v}
-    for cp in critical_points:
-        if not cp.boundary and (cp.vertex, cp.index) in empty:
-            report.match_failures.append(cp)
-            empty.discard((cp.vertex, cp.index))
-    report.spurious = _spurious_sets(tri, grad, matching)
-    return report
+    return _report(tri, grad, matching, critical_points, cancelled)

@@ -16,7 +16,6 @@ V-path between them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -109,7 +108,8 @@ def build_gradient(
 ) -> DiscreteGradient:
     """Construct the discrete gradient of ``field`` on ``tri``.
 
-    The result is deterministic and independent of ``threads``.
+    ``threads`` is accepted for compatibility and has no effect: a
+    thread pool gave no measured speed-up on this pure-Python loop.
     """
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
@@ -127,22 +127,11 @@ def build_gradient(
         n = tri.simplex_count(k)
         vl, vh = grad.verts[k], grad.verts[k + 1]
         already = grad.pair_down[k]
-        if threads > 1 and n > 4 * threads:
-            bounds = np.linspace(0, n, threads + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = [
-                    pool.submit(_assign_range, tri, ranks, vl, vh, k, a, b)
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                ]
-                results = [c.result() for c in chunks]
-        else:
-            results = [_assign_range(tri, ranks, vl, vh, k, 0, n)]
-        for chunk in results:
-            for sid, tid in chunk:
-                if already[sid] >= 0:
-                    continue
-                grad.pair_up[k][sid] = tid
-                grad.pair_down[k + 1][tid] = sid
+        for sid, tid in _assign_range(tri, ranks, vl, vh, k, 0, n):
+            if already[sid] >= 0:
+                continue
+            grad.pair_up[k][sid] = tid
+            grad.pair_down[k + 1][tid] = sid
     return grad
 
 

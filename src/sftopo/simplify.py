@@ -8,6 +8,12 @@ component (symmetrically for maxima), with offsets rewritten so the
 flattened region is ordered monotonically toward the saddle.  Every
 downstream abstraction computed from the edited field is then
 consistent with the simplification.
+
+The extrema are read from the merge trees (minima are the join tree's
+leaves, maxima the split tree's), and each removed extremum's saddle
+comes from the diagram's elder-rule sweep, run so that preserved
+extrema always survive a merge.  One flattening routine serves minima
+and maxima.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .critical import extract_critical_points
 from .order import OrderField
 from .trees import (
     CLASS_ESSENTIAL,
@@ -26,6 +31,7 @@ from .trees import (
     CLASS_SADDLE_SADDLE,
     PersistenceDiagram,
     build_merge_tree,
+    persistence_pairs_extrema,
 )
 from .triangulation import Triangulation
 
@@ -85,69 +91,19 @@ def _component(tri, field, seed, bound_rank, below):
     return seen
 
 
-def _preferred_pairs(tree, preserved):
-    """Elder-rule-style pairs where preserved extrema always survive.
+def _flatten(tri, field, m, saddle, below):
+    """Move the sub-level (``below``) or sur-level component of extremum
+    ``m`` to the saddle's value.
 
-    At each merge, the surviving extremum is the oldest preserved one
-    if any component carries one, otherwise the oldest; every other
-    component's extremum pairs with the merge vertex.
-    """
-    field = tree.field
-    ranks = field.ranks
-    ascending = tree.variant == "join"
-    children = {}
-    for v in range(len(field)):
-        s = tree.succ[v]
-        if s >= 0:
-            children.setdefault(int(s), []).append(v)
-    sweep = field.order if ascending else field.order[::-1]
-    best = {}
-    pairs = []
-    for v in sweep:
-        v = int(v)
-        ch = children.get(v, [])
-        if not ch:
-            best[v] = v
-            continue
-        extrema = sorted((best.pop(c) for c in ch), key=lambda x: ranks[x],
-                         reverse=not ascending)
-        keep = [e for e in extrema if e in preserved] or extrema
-        survivor = keep[0]
-        for e in extrema:
-            if e != survivor:
-                pairs.append((e, v))
-        best[v] = survivor
-    return pairs
-
-
-def _flatten_minimum(tri, field, m, saddle):
-    """Raise the sub-level component of ``m`` to the saddle's value.
-
-    The component's offsets are rewritten so it sits immediately above
-    the saddle in the total order, internally ordered by descending
-    original order (monotone toward the saddle).
+    The component's offsets are rewritten so it sits right next to the
+    saddle in the total order, on the side it came from, and is ordered
+    monotonically toward the saddle.
     """
     ranks = field.ranks
-    comp = _component(tri, field, m, ranks[saddle], below=True)
+    comp = _component(tri, field, m, ranks[saddle], below)
     order = [int(v) for v in field.order if int(v) not in comp]
-    pos = order.index(saddle)
-    inside = sorted(comp, key=lambda v: ranks[v], reverse=True)
-    order[pos + 1:pos + 1] = inside
-    values = field.values.copy()
-    values[list(comp)] = field.values[saddle]
-    offsets = np.empty(len(field), dtype=np.int64)
-    offsets[order] = np.arange(len(field))
-    return OrderField(values, offsets)
-
-
-def _flatten_maximum(tri, field, m, saddle):
-    """Lower the sur-level component of ``m`` to the saddle's value."""
-    ranks = field.ranks
-    comp = _component(tri, field, m, ranks[saddle], below=False)
-    order = [int(v) for v in field.order if int(v) not in comp]
-    pos = order.index(saddle)
-    inside = sorted(comp, key=lambda v: ranks[v])
-    order[pos:pos] = inside
+    pos = order.index(saddle) + below
+    order[pos:pos] = sorted(comp, key=lambda v: ranks[v], reverse=below)
     values = field.values.copy()
     values[list(comp)] = field.values[saddle]
     offsets = np.empty(len(field), dtype=np.int64)
@@ -156,10 +112,11 @@ def _flatten_maximum(tri, field, m, saddle):
 
 
 def _extrema(tri, field):
-    cps = extract_critical_points(tri, field)
-    mins = {cp.vertex for cp in cps if cp.index == 0}
-    maxs = {cp.vertex for cp in cps if cp.index == tri.dim}
-    return mins, maxs
+    """PL minima and maxima: a vertex with an empty lower (upper) link
+    has no lower (upper) neighbour, which makes it a join (split) tree
+    leaf."""
+    return (set(build_merge_tree(tri, field, "join").leaves),
+            set(build_merge_tree(tri, field, "split").leaves))
 
 
 _MAX_SWEEPS = 64
@@ -197,45 +154,27 @@ def simplify_field(
         )
     cur = field
     for _ in range(_MAX_SWEEPS):
-        mins, maxs = _extrema(tri, cur)
-        if mins | maxs == preserved:
-            return cur
-        values = cur.values
         progressed = False
-        # minima pass: repeatedly flatten the lowest-persistence
-        # non-preserved minimum
-        while mins - preserved:
-            join = build_merge_tree(tri, cur, "join")
-            cand = [
-                (float(values[s]) - float(values[m]), cur.ranks[s], m, s)
-                for m, s in _preferred_pairs(join, preserved)
-                if m not in preserved
-            ]
-            if not cand:
-                break
-            cand.sort()
-            _, _, m, s = cand[0]
-            cur = _flatten_minimum(tri, cur, m, s)
-            values = cur.values
-            progressed = True
-            mins, _ = _extrema(tri, cur)
-        # maxima pass, symmetric via the split tree
-        _, maxs = _extrema(tri, cur)
-        while maxs - preserved:
-            split = build_merge_tree(tri, cur, "split")
-            cand = [
-                (float(values[m]) - float(values[s]), -cur.ranks[s], m, s)
-                for m, s in _preferred_pairs(split, preserved)
-                if m not in preserved
-            ]
-            if not cand:
-                break
-            cand.sort()
-            _, _, m, s = cand[0]
-            cur = _flatten_maximum(tri, cur, m, s)
-            values = cur.values
-            progressed = True
-            _, maxs = _extrema(tri, cur)
+        # flatten the lowest-persistence non-preserved minimum until none
+        # is left, then the same for maxima via the split tree
+        for variant, below in (("join", True), ("split", False)):
+            sign = 1 if below else -1
+            while True:
+                tree = build_merge_tree(tri, cur, variant)
+                if not set(tree.leaves) - preserved:
+                    break
+                values = cur.values
+                cand = [
+                    (sign * (float(values[s]) - float(values[m])),
+                     sign * cur.ranks[s], m, s)
+                    for m, s in persistence_pairs_extrema(tree, preserved)
+                    if m not in preserved
+                ]
+                if not cand:
+                    break
+                _, _, m, s = min(cand)
+                cur = _flatten(tri, cur, m, s, below)
+                progressed = True
         if not progressed:
             break
     mins, maxs = _extrema(tri, cur)

@@ -13,6 +13,7 @@ times, reversing a connector after each pairing (on a scratch copy).
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field as dc_field
 
@@ -140,19 +141,19 @@ def build_merge_tree(
                      saddles)
 
 
-def persistence_pairs_extrema(tree: MergeTree) -> list:
+def persistence_pairs_extrema(tree: MergeTree,
+                              preserved=frozenset()) -> list:
     """Elder-rule pairs (extremum vertex, merge vertex) from a merge tree.
 
-    The globally extremal leaf stays unpaired; a saddle merging k
-    components emits k-1 pairs.
+    At each merge the oldest extremum survives, unless a component
+    carries an extremum in ``preserved``: then the oldest preserved one
+    survives.  Every other component's extremum pairs with the merge
+    vertex, so a saddle merging k components emits k-1 pairs and the
+    final survivor stays unpaired.
     """
     field = tree.field
     ranks = field.ranks
     ascending = tree.variant == "join"
-
-    def older(a, b):
-        return (ranks[a] < ranks[b]) == ascending
-
     children = {}
     for v in range(len(field)):
         s = tree.succ[v]
@@ -167,12 +168,11 @@ def persistence_pairs_extrema(tree: MergeTree) -> list:
         if not ch:
             best[v] = v
             continue
-        extrema = sorted((best.pop(c) for c in ch), key=lambda x: ranks[x])
-        if not ascending:
-            extrema.reverse()
-        for e in extrema[1:]:
-            pairs.append((e, v))
-        best[v] = extrema[0]
+        extrema = sorted((best.pop(c) for c in ch), key=lambda x: ranks[x],
+                         reverse=not ascending)
+        survivor = next((e for e in extrema if e in preserved), extrema[0])
+        pairs.extend((e, v) for e in extrema if e != survivor)
+        best[v] = survivor
     return pairs
 
 
@@ -465,10 +465,13 @@ def build_diagram(
 
 
 def persistence_curve(diagram: PersistenceDiagram) -> list:
-    """(threshold, pairs with persistence >= threshold), ascending."""
-    pers = sorted({p.persistence for p in diagram.pairs})
-    thresholds = [0.0] + [t for t in pers if t > 0.0]
-    out = []
-    for t in thresholds:
-        out.append((t, sum(1 for p in diagram.pairs if p.persistence >= t)))
-    return out
+    """(threshold, pairs with persistence >= threshold), ascending.
+
+    One sorted sweep: the count at ``t`` is the number of persistences
+    from ``t``'s insertion point on.  A NaN persistence is never >= a
+    threshold, so it is left out of the sweep.
+    """
+    pers = sorted(x for x in (p.persistence for p in diagram.pairs)
+                  if x == x)
+    thresholds = [0.0] + [t for t in sorted(set(pers)) if t > 0.0]
+    return [(t, len(pers) - bisect_left(pers, t)) for t in thresholds]

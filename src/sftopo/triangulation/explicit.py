@@ -28,6 +28,16 @@ def _row_keys(rows: np.ndarray, n_vertices: int) -> np.ndarray:
     return key
 
 
+def _unique_rows(rows: np.ndarray, n_vertices: int):
+    """Distinct sorted vertex rows in lexicographic order, and their keys.
+
+    Deduplicating the scalar keys is much cheaper than ``np.unique``
+    over rows, and orders them the same way.
+    """
+    keys, idx = np.unique(_row_keys(rows, n_vertices), return_index=True)
+    return rows[idx], keys
+
+
 def _group(keys: np.ndarray, values: np.ndarray, n_keys: int) -> list:
     """Per key in ``range(n_keys)``: the ascending list of its values.
 
@@ -90,17 +100,15 @@ class ExplicitTriangulation(Triangulation):
             pairs = {2: [(0, 1), (0, 2), (1, 2)],
                      3: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}[d]
             raw = self.cells[:, pairs].reshape(-1, 2)
-            edges = np.unique(raw, axis=0)
-            t["edges"] = edges
-            t["edge_keys"] = _row_keys(edges, nv)
+            t["edges"], t["edge_keys"] = _unique_rows(raw, nv)
         elif table == "triangles":
             if d == 2:
                 t["triangles"] = self.cells
+                t["triangle_keys"] = _row_keys(self.cells, nv)
             else:
                 trips = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
                 raw = self.cells[:, trips].reshape(-1, 3)
-                t["triangles"] = np.unique(raw, axis=0)
-            t["triangle_keys"] = _row_keys(t["triangles"], nv)
+                t["triangles"], t["triangle_keys"] = _unique_rows(raw, nv)
         elif table == "vertex_edges":
             self._build("edges")
             t["vertex_edges"] = _invert_membership(t["edges"], nv, 2)

@@ -63,16 +63,19 @@ class TestSimplify:
         simplify_field(grid33, f0, SimplificationRequest(frozenset({0, 8})))
         assert np.array_equal(f0.values, before)
 
-    def test_random_exactness(self):
-        tri = ImplicitGridTriangulation((8, 8))
+    def test_random_exactness(self, octahedron_sub2):
         rng = np.random.default_rng(41)
-        for _ in range(5):
-            f = OrderField(rng.random(64))
-            d = build_diagram(tri, f)
-            tau = rng.uniform(0.0, 1.0)
-            req = select_by_persistence(d, tau)
-            out = simplify_field(tri, f, req)
-            assert extrema(tri, out) == req.preserved
+        tris = [ImplicitGridTriangulation((8, 8)),
+                ImplicitGridTriangulation((4, 4, 4)), octahedron_sub2]
+        for tri in tris:
+            n = tri.simplex_count(0)
+            for _ in range(5):
+                f = OrderField(rng.random(n))
+                d = build_diagram(tri, f)
+                tau = rng.uniform(0.0, 1.0)
+                req = select_by_persistence(d, tau)
+                out = simplify_field(tri, f, req)
+                assert extrema(tri, out) == req.preserved
 
 
 class TestErrors:

@@ -17,6 +17,7 @@ from sftopo import (
     build_diagram,
     build_merge_tree,
     combine_contour_tree,
+    extract_critical_points,
     persistence_curve,
     persistence_pairs_extrema,
 )
@@ -38,6 +39,25 @@ class TestMergeTree:
     def test_f0_elder_pairs(self, grid33, f0):
         join = build_merge_tree(grid33, f0, "join")
         assert persistence_pairs_extrema(join) == [(2, 1)]
+        # a preserved extremum survives the merge even though it is younger
+        assert persistence_pairs_extrema(join, frozenset({2})) == [(0, 1)]
+
+    def test_leaves_are_pl_extrema(self, octahedron_sub2):
+        """Join (split) tree leaves are exactly the index-0 (index-d)
+        critical points: an empty lower link means no lower neighbour."""
+        rng = np.random.default_rng(28)
+        tris = [ImplicitGridTriangulation((9, 7)),
+                ImplicitGridTriangulation((4, 4, 4)), octahedron_sub2]
+        for tri in tris:
+            for _ in range(3):
+                f = random_field(tri, rng)
+                cps = extract_critical_points(tri, f)
+                join = build_merge_tree(tri, f, "join")
+                split = build_merge_tree(tri, f, "split")
+                assert set(join.leaves) == {
+                    cp.vertex for cp in cps if cp.index == 0}
+                assert set(split.leaves) == {
+                    cp.vertex for cp in cps if cp.index == tri.dim}
 
     def test_join_split_duality(self):
         tri = ImplicitGridTriangulation((8, 8))
@@ -129,5 +149,9 @@ class TestCurve:
     def test_non_increasing(self):
         tri = ImplicitGridTriangulation((12, 12))
         f = random_field(tri, np.random.default_rng(27))
-        counts = [c for _, c in persistence_curve(build_diagram(tri, f))]
+        d = build_diagram(tri, f)
+        curve = persistence_curve(d)
+        counts = [c for _, c in curve]
         assert counts == sorted(counts, reverse=True)
+        assert counts == [sum(p.persistence >= t for p in d.pairs)
+                          for t, _ in curve]
