@@ -30,8 +30,6 @@ from .triangulation import Triangulation, TriangulationError, \
     validate_pseudo_manifold
 from .triangulation.base import QUERY_KINDS
 
-_ACYCLICITY_LIMIT = 20000        # total simplices; the check is exhaustive
-
 
 @dataclass
 class CheckResult:
@@ -109,14 +107,8 @@ def run_checks(tri: Triangulation, field: OrderField,
     grad = build_gradient(tri, field, threads=threads)
     results.append(CheckResult("gradient pairing valid",
                                pairing_is_valid(grad)))
-    total = sum(tri.simplex_count(k) for k in range(d + 1))
-    if total <= _ACYCLICITY_LIMIT:
-        results.append(CheckResult("gradient acyclic (exhaustive)",
-                                   gradient_is_acyclic(grad)))
-    else:
-        results.append(CheckResult(
-            "gradient acyclic (exhaustive)", True,
-            f"skipped: {total} simplices exceed the exhaustive limit"))
+    results.append(CheckResult("gradient acyclic (exhaustive)",
+                               gradient_is_acyclic(grad)))
 
     report = enforce_compliance(tri, field, grad, cps)
     results.append(CheckResult(

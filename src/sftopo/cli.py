@@ -12,7 +12,9 @@ One subcommand per pipeline stage plus an invariant checker::
     sftopo check ...
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant
-failure.  Log verbosity via the SFTOPO_LOG environment variable.
+failure, 4 internal error (a fault in sftopo itself, reported as one
+line on stderr).  Log verbosity via the SFTOPO_LOG environment
+variable.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INVARIANT = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -251,6 +254,11 @@ def main(argv=None) -> int:
             SimplificationError, OSError) as exc:
         print(f"sftopo: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"sftopo: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

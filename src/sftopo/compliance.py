@@ -23,7 +23,6 @@ from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
     _descend_children,
-    count_vpaths,
     extract_vpath,
     reverse_vpath,
     trace_up_from_facet,

@@ -43,16 +43,7 @@ class DiscreteGradient:
         self.tri = tri
         self.field = field
         d = tri.dim
-        self.verts = []
-        for k in range(d + 1):
-            n = tri.simplex_count(k)
-            if k == 0:
-                self.verts.append(np.arange(n, dtype=np.int64)[:, None])
-            else:
-                self.verts.append(np.array(
-                    [tri.simplex_vertices(SimplexRef(k, i)) for i in range(n)],
-                    dtype=np.int64,
-                ))
+        self.verts = [tri.simplex_array(k) for k in range(d + 1)]
         self.pair_up = [
             np.full(tri.simplex_count(k), -1, dtype=np.int64)
             for k in range(d + 1)

@@ -9,7 +9,6 @@ line.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from .order import OrderField
 from .triangulation import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
-    SimplexRef,
     Triangulation,
 )
 
@@ -187,6 +185,12 @@ def load(spec: DatasetSpec):
     if spec.values is None:
         raise DataError("a scalar field file is required")
     values = read_field(spec.values, spec.fmt)
+    nan = np.flatnonzero(np.isnan(values))
+    if len(nan):
+        raise DataError(
+            f"{spec.values}: {len(nan)} NaN value(s), first at vertex "
+            f"{nan[0]}"
+        )
     if len(values) != tri.simplex_count(0):
         raise DataError(
             f"field length {len(values)} does not match vertex count "

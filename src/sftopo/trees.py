@@ -26,7 +26,7 @@ from .gradient import (
     reverse_vpath,
 )
 from .order import OrderField
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import Triangulation
 
 
 class DomainTopologyError(Exception):

@@ -75,12 +75,13 @@ class Triangulation:
         """Request a query kind; builds any lookup table it relies on."""
         raise NotImplementedError
 
-    def preconditioned_kinds(self) -> frozenset:
-        """Set of query kinds requested so far (introspection aid)."""
-        raise NotImplementedError
-
     # -- counts and identity --------------------------------------------
     def simplex_count(self, dim: int) -> int:
+        raise NotImplementedError
+
+    def simplex_array(self, k: int):
+        """``(simplex_count(k), k+1)`` int64 array: row ``i`` holds the
+        ascending vertex ids of k-simplex ``i``."""
         raise NotImplementedError
 
     def simplex_vertices(self, s: SimplexRef) -> tuple:

@@ -324,9 +324,6 @@ class ImplicitGridTriangulation(Triangulation):
         # stateless: every query is answered arithmetically
         return None
 
-    def preconditioned_kinds(self) -> frozenset:
-        return frozenset()
-
     def simplex_count(self, dim: int) -> int:
         if not 0 <= dim <= self.dim:
             raise TriangulationError(f"bad simplex dimension {dim}")
@@ -402,31 +399,16 @@ class ImplicitGridTriangulation(Triangulation):
         ci, *anchor = self._decode(1, e)
         return self.edge_class_name(ci), tuple(anchor[: self.dim])
 
-    def cell_array(self) -> np.ndarray:
-        """All d-cells as an array of ascending vertex ids, in id order."""
-        d = self.dim
-        rows = []
-        for ci, cls in enumerate(self._classes[d]):
-            shape = self._shapes[d][ci][:d]
-            grids = np.meshgrid(
-                *[np.arange(n) for n in shape], indexing="ij"
-            )
-            # ids run x fastest: sort the flat anchor index accordingly
-            anchors = np.stack([g.ravel() for g in grids], axis=-1)
-            order = np.zeros(len(anchors), dtype=np.int64)
-            for n, col in zip(reversed(shape), reversed(range(d))):
-                order = order * n + anchors[:, col]
-            anchors = anchors[np.argsort(order, kind="stable")]
-            verts = []
-            for off in cls.offsets:
-                coords = anchors + np.array(off)
-                vid = np.zeros(len(coords), dtype=np.int64)
-                for n, col in zip(reversed(self.dims), reversed(range(d))):
-                    vid = vid * n + coords[:, col]
-                verts.append(vid)
-            rows.append(np.stack(verts, axis=-1))
-        cells = np.concatenate(rows, axis=0)
-        return np.sort(cells, axis=1)
+    def simplex_array(self, k: int) -> np.ndarray:
+        if not 0 <= k <= self.dim:
+            raise TriangulationError(f"bad simplex dimension {k}")
+        blocks = []
+        for (n0, n1, n2), verts in zip(self._shapes[k], self._verts[k]):
+            # anchors of one class block in id order: a0 fastest
+            a2, a1, a0 = np.indices((n2, n1, n0)).reshape(3, -1)
+            base = self._dot((a0, a1, a2), self._vstrides)
+            blocks.append(base[:, None] + np.array(verts, dtype=np.int64))
+        return np.concatenate(blocks)
 
     def point_array(self) -> np.ndarray:
         """Vertex coordinates in id order, padded to 3D."""

@@ -63,7 +63,7 @@ def test_criterion_1_implicit_explicit_oracle():
     for dims in dims_list:
         g = ImplicitGridTriangulation(dims)
         ex = preconditioned(
-            ExplicitTriangulation(g.point_array(), g.cell_array()))
+            ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
         assert_equivalent(g, ex)
     assert time.perf_counter() - start < 60.0
 
@@ -212,7 +212,7 @@ def test_criterion_8_cached_speedup():
     """Cached lookup tables make a second traversal >= 2x faster."""
     start = time.perf_counter()
     g = ImplicitGridTriangulation((27, 27, 27))
-    ex = ExplicitTriangulation(g.point_array(), g.cell_array())
+    ex = ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim))
     assert ex.simplex_count(3) >= 100000
 
     t0 = time.perf_counter()

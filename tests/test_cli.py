@@ -7,6 +7,7 @@ from conftest import F0_VALUES
 from test_io import OCTA_OFF
 from sftopo import checks
 from sftopo.cli import main
+from sftopo.io import write_field
 
 F0_DIAGRAM_CSV = """birthVertex,deathVertex,birthValue,deathValue,persistence,pairClass
 2,1,2,4,2,0-1
@@ -65,6 +66,25 @@ class TestExitCodes:
         path = tmp_path / "short.txt"
         path.write_text("1\n2\n3\n")
         assert main(["info", "--grid", "3x3", "--values", str(path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ["ascii", "f64"])
+    def test_nan_field(self, tmp_path, fmt):
+        path = tmp_path / "nan.bin"
+        values = np.arange(25, dtype=np.float64)
+        values[12] = np.nan
+        write_field(str(path), values, fmt)
+        out = str(tmp_path / "d.csv")
+        assert main(["persistence-diagram", "--grid", "5x5", "--values",
+                     str(path), "--format", fmt, "-o", out]) == 2
+
+    def test_internal_error(self, f0_file, monkeypatch, capsys):
+        def broken(tri, field):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("sftopo.cli.extract_critical_points", broken)
+        out = f0_args(f0_file) + ["-o", "unused.csv"]
+        assert main(["critical-points"] + out) == 4
+        assert capsys.readouterr().err == \
+            "sftopo: internal error: RuntimeError: boom\n"
 
     def test_invariant_failure_exit_code(self, f0_file, monkeypatch):
         monkeypatch.setattr(

@@ -125,6 +125,15 @@ class TestLoad:
         with pytest.raises(DataError, match="injective"):
             load(DatasetSpec(grid=(3, 3), values=vals, offsets=str(offs)))
 
+    @pytest.mark.parametrize("fmt", ["ascii", "f64"])
+    def test_nan_rejected(self, tmp_path, fmt):
+        path = tmp_path / "vals.bin"
+        values = F0_VALUES.copy()
+        values[4] = np.nan
+        write_field(str(path), values, fmt)
+        with pytest.raises(DataError, match="NaN"):
+            load(DatasetSpec(grid=(3, 3), values=str(path), fmt=fmt))
+
     def test_source_required(self, tmp_path):
         vals = self.write_values(tmp_path, F0_VALUES)
         with pytest.raises(DataError):

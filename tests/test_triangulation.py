@@ -112,8 +112,21 @@ class TestExplicit:
 
     def test_requires_precondition(self):
         t = ExplicitTriangulation(*octahedron_mesh())
-        with pytest.raises(NotPreconditionedError):
+        with pytest.raises(NotPreconditionedError) as err:
             t.cofaces(SimplexRef(0, 0), 2)
+        assert err.value.kind == "vertex_stars"
+        with pytest.raises(NotPreconditionedError) as err:
+            t.simplex_array(1)
+        assert err.value.kind == "edge_list"
+        t.precondition("edge_list")
+        assert t.simplex_array(1).shape == (12, 2)
+
+    def test_requires_precondition_3d(self):
+        g = ImplicitGridTriangulation((2, 2, 2))
+        t = ExplicitTriangulation(g.point_array(), g.simplex_array(3))
+        with pytest.raises(NotPreconditionedError) as err:
+            t.faces(SimplexRef(2, 0), 1)
+        assert err.value.kind == "triangle_edges"
 
     def test_duplicate_cells_rejected(self):
         p, c = octahedron_mesh()
@@ -133,20 +146,37 @@ class TestExplicit:
         assert validate_pseudo_manifold(octahedron) == []
 
 
+EQUIVALENCE_DIMS = [(2, 2), (3, 5), (16, 2), (2, 2, 2), (3, 4, 2), (4, 4, 4)]
+
+
 class TestEquivalence:
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (16, 2),
-                                      (2, 2, 2), (3, 4, 2), (4, 4, 4)])
+    @pytest.mark.parametrize("dims", EQUIVALENCE_DIMS)
     def test_implicit_matches_explicit(self, dims):
         g = ImplicitGridTriangulation(dims)
         ex = precondition_all(
-            ExplicitTriangulation(g.point_array(), g.cell_array()))
+            ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
         assert_equivalent(g, ex)
+
+    @pytest.mark.parametrize("dims", EQUIVALENCE_DIMS)
+    def test_simplex_array(self, dims):
+        g = ImplicitGridTriangulation(dims)
+        ex = precondition_all(
+            ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
+        for k in range(g.dim + 1):
+            for tri in (g, ex):
+                rows = tri.simplex_array(k)
+                assert rows.dtype == np.int64
+                assert rows.shape == (tri.simplex_count(k), k + 1)
+                for i, row in enumerate(rows.tolist()):
+                    assert tuple(row) == tri.simplex_vertices(SimplexRef(k, i))
+            assert set(map(tuple, g.simplex_array(k).tolist())) \
+                == set(map(tuple, ex.simplex_array(k).tolist()))
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (2, 2, 2), (4, 3, 5)])
     def test_vertex_link_matches_star_walk(self, dims):
         g = ImplicitGridTriangulation(dims)
         ex = precondition_all(
-            ExplicitTriangulation(g.point_array(), g.cell_array()))
+            ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
         for tri in (g, ex):
             for v in range(tri.simplex_count(0)):
                 assert tri.vertex_link(v) == Triangulation.vertex_link(tri, v)
