@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
-    _descend_children,
+    _vpath_counts,
     extract_vpath,
     reverse_vpath,
     trace_up_from_facet,
@@ -232,24 +232,6 @@ def _cancel_facet_pairs(grad, matching) -> list:
             return cancelled
 
 
-def _connector_counts(grad, tau, targets, memo):
-    """V-path counts from critical triangle ``tau`` to each critical
-    edge in ``targets``; ``memo`` is shared across roots."""
-    got = memo.get(tau)
-    if got is not None:
-        return got
-    memo[tau] = {}
-    total = {}
-    for low, nxt in _descend_children(grad, 1, tau):
-        if low in targets:
-            total[low] = total.get(low, 0) + 1
-        elif nxt >= 0:
-            for e, c in _connector_counts(grad, nxt, targets, memo).items():
-                total[e] = total.get(e, 0) + c
-    memo[tau] = total
-    return total
-
-
 def _cancel_connector_pairs(grad, matching) -> list:
     """1-saddle/2-saddle cancellations (3D only)."""
     tri = grad.tri
@@ -263,8 +245,8 @@ def _cancel_connector_pairs(grad, matching) -> list:
             arcs = []
             for tau in _interior_ids(tri, grad, 2):
                 tau_matched = matching.is_matched(2, tau)
-                for e, mult in _connector_counts(
-                    grad, tau, edges, memo
+                for e, mult in _vpath_counts(
+                    grad, 1, tau, edges, memo
                 ).items():
                     if mult != 1:
                         continue

@@ -206,27 +206,29 @@ def _descend_children(grad, dim, high):
     return out
 
 
+def _vpath_counts(grad, dim, high, targets, memo):
+    """Descending V-path counts from (dim+1)-simplex ``high`` to each
+    dim-simplex in ``targets``; ``memo`` may be shared across roots."""
+    got = memo.get(high)
+    if got is not None:
+        return got
+    memo[high] = {}  # DFS guard; gradient acyclicity makes this safe
+    total = {}
+    for low, nxt in _descend_children(grad, dim, high):
+        if low in targets:
+            total[low] = total.get(low, 0) + 1
+        elif nxt >= 0:
+            for e, c in _vpath_counts(grad, dim, nxt, targets, memo).items():
+                total[e] = total.get(e, 0) + c
+    memo[high] = total
+    return total
+
+
 def count_vpaths(grad: DiscreteGradient, dim: int, upper: int,
                  lower: int) -> int:
     """Number of distinct descending V-paths from critical ``upper``
     ((dim+1)-simplex) to critical ``lower`` (dim-simplex)."""
-    memo = {}
-
-    def paths_from(high):
-        # number of walks from (dim+1)-simplex `high` that reach `lower`
-        if high in memo:
-            return memo[high]
-        memo[high] = 0  # DFS guard; gradient acyclicity makes this safe
-        total = 0
-        for low, nxt in _descend_children(grad, dim, high):
-            if low == lower:
-                total += 1
-            elif nxt >= 0:
-                total += paths_from(nxt)
-        memo[high] = total
-        return total
-
-    return paths_from(upper)
+    return _vpath_counts(grad, dim, upper, {lower}, {}).get(lower, 0)
 
 
 def extract_vpath(grad: DiscreteGradient, dim: int, upper: int,

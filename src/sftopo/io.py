@@ -185,11 +185,13 @@ def load(spec: DatasetSpec):
     if spec.values is None:
         raise DataError("a scalar field file is required")
     values = read_field(spec.values, spec.fmt)
-    nan = np.flatnonzero(np.isnan(values))
-    if len(nan):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        kinds = [k for k, hit in (("NaN", np.isnan), ("infinite", np.isinf))
+                 if hit(values[bad]).any()]
         raise DataError(
-            f"{spec.values}: {len(nan)} NaN value(s), first at vertex "
-            f"{nan[0]}"
+            f"{spec.values}: {len(bad)} {' or '.join(kinds)} value(s), "
+            f"first at vertex {bad[0]}"
         )
     if len(values) != tri.simplex_count(0):
         raise DataError(

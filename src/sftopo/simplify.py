@@ -2,23 +2,23 @@
 
 Given a set of extrema to preserve, the field and its tie-breaking
 offsets are minimally edited so that the edited field's extrema are
-exactly the preserved set: every other minimum's sub-level component is
-raised to the value of the saddle where it merges with a surviving
-component (symmetrically for maxima), with offsets rewritten so the
-flattened region is ordered monotonically toward the saddle.  Every
-downstream abstraction computed from the edited field is then
-consistent with the simplification.
-
-The extrema are read from the merge trees (minima are the join tree's
-leaves, maxima the split tree's), and each removed extremum's saddle
-comes from the diagram's elder-rule sweep, run so that preserved
-extrema always survive a merge.  One flattening routine serves minima
-and maxima.
+exactly the preserved set.  This is the sweep of Tierny & Pascucci,
+"Generalized Topological Simplification of Scalar Fields on Surfaces"
+(IEEE TVCG 18(12), 2012): a priority-queue flood grows from the
+preserved minima in ascending order, and every vertex it reaches below
+its current level is raised to that level, which is the value of the
+saddle through which the flood entered the vertex's basin.  A mirrored
+flood from the preserved maxima lowers the other side.  The pop order
+becomes the new offsets, so each flattened region sits right after its
+saddle.  One sweep is the minimum flood followed by the maximum flood;
+sweeps repeat until the extrema, read from the merge-tree leaves, equal
+the preserved set.  Every downstream abstraction computed from the
+edited field is then consistent with the simplification.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,7 +31,6 @@ from .trees import (
     CLASS_SADDLE_SADDLE,
     PersistenceDiagram,
     build_merge_tree,
-    persistence_pairs_extrema,
 )
 from .triangulation import Triangulation
 
@@ -74,40 +73,45 @@ def select_by_persistence(
     return SimplificationRequest(frozenset(preserved), conflicts)
 
 
-def _component(tri, field, seed, bound_rank, below):
-    """Connected set of vertices strictly below (or above) the bound
-    containing ``seed``, in the 1-skeleton."""
-    ranks = field.ranks
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        v = queue.popleft()
-        for u in tri.vertex_neighbors(v):
-            if u in seen:
-                continue
-            if (ranks[u] < bound_rank) == below and ranks[u] != bound_rank:
-                seen.add(u)
-                queue.append(u)
-    return seen
+def _flood(tri, field, keep, below):
+    """Flood the domain from the kept minima (``below``) or maxima.
 
-
-def _flatten(tri, field, m, saddle, below):
-    """Move the sub-level (``below``) or sur-level component of extremum
-    ``m`` to the saddle's value.
-
-    The component's offsets are rewritten so it sits right next to the
-    saddle in the total order, on the side it came from, and is ordered
-    monotonically toward the saddle.
+    Vertices leave a priority queue seeded at ``keep`` lowest first
+    (highest first for maxima).  A popped vertex beyond the flood level
+    becomes the new level; any other takes the level's value.  The pop
+    order becomes the offsets, so each flattened region sits next to
+    the saddle through which the flood entered it, and only the seeds
+    are extrema of this direction afterwards.
     """
-    ranks = field.ranks
-    comp = _component(tri, field, m, ranks[saddle], below)
-    order = [int(v) for v in field.order if int(v) not in comp]
-    pos = order.index(saddle) + below
-    order[pos:pos] = sorted(comp, key=lambda v: ranks[v], reverse=below)
+    n = len(field)
+    sign = 1 if below else -1   # heap keys: ranks, negated for maxima
+    ranks, order = field.ranks, field.order
     values = field.values.copy()
-    values[list(comp)] = field.values[saddle]
-    offsets = np.empty(len(field), dtype=np.int64)
-    offsets[order] = np.arange(len(field))
+    offsets = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[list(keep)] = True
+    heap = [sign * int(ranks[v]) for v in keep]
+    heapq.heapify(heap)
+    level = -n
+    popped = 0
+    while heap:
+        key = heapq.heappop(heap)
+        v = int(order[sign * key])
+        if key > level:
+            level, height = key, field.values[v]
+        else:
+            values[v] = height
+        offsets[v] = popped if below else n - 1 - popped
+        popped += 1
+        for u in tri.vertex_neighbors(v):
+            if not seen[u]:
+                seen[u] = True
+                heapq.heappush(heap, sign * int(ranks[u]))
+    if popped < n:
+        raise SimplificationError(
+            "a connected component of the domain holds no preserved "
+            f"{'minimum' if below else 'maximum'}"
+        )
     return OrderField(values, offsets)
 
 
@@ -128,9 +132,14 @@ def simplify_field(
     """Edit (values, offsets) so the PL extrema are exactly the
     preserved set; the input field is never modified.
 
+    Each sweep stops if the extrema equal the preserved set, else it
+    floods from the preserved minima and then from the preserved maxima
+    (see ``_flood``); at most ``_MAX_SWEEPS`` sweeps run.
+
     Raises SimplificationError for invalid requests (empty set, no
-    minimum/maximum, non-extremal vertices, saddle/saddle conflicts) or
-    if the flattening loop fails to stabilize.
+    minimum/maximum, non-extremal vertices, saddle/saddle conflicts), if
+    a connected component of the domain holds no preserved minimum or
+    maximum, or if the sweeps fail to stabilize.
     """
     if req.unremovable_conflicts:
         raise SimplificationError(
@@ -154,30 +163,11 @@ def simplify_field(
         )
     cur = field
     for _ in range(_MAX_SWEEPS):
-        progressed = False
-        # flatten the lowest-persistence non-preserved minimum until none
-        # is left, then the same for maxima via the split tree
-        for variant, below in (("join", True), ("split", False)):
-            sign = 1 if below else -1
-            while True:
-                tree = build_merge_tree(tri, cur, variant)
-                if not set(tree.leaves) - preserved:
-                    break
-                values = cur.values
-                cand = [
-                    (sign * (float(values[s]) - float(values[m])),
-                     sign * cur.ranks[s], m, s)
-                    for m, s in persistence_pairs_extrema(tree, preserved)
-                    if m not in preserved
-                ]
-                if not cand:
-                    break
-                _, _, m, s = min(cand)
-                cur = _flatten(tri, cur, m, s, below)
-                progressed = True
-        if not progressed:
-            break
-    mins, maxs = _extrema(tri, cur)
+        if mins | maxs == preserved:
+            return cur
+        cur = _flood(tri, cur, preserved & mins, True)
+        cur = _flood(tri, cur, preserved & maxs, False)
+        mins, maxs = _extrema(tri, cur)
     if mins | maxs != preserved:
         raise SimplificationError(
             "flattening did not stabilize on the preserved extremum set "

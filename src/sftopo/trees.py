@@ -21,7 +21,7 @@ import numpy as np
 
 from .gradient import (
     DiscreteGradient,
-    _descend_children,
+    _vpath_counts,
     extract_vpath,
     reverse_vpath,
 )
@@ -141,15 +141,13 @@ def build_merge_tree(
                      saddles)
 
 
-def persistence_pairs_extrema(tree: MergeTree,
-                              preserved=frozenset()) -> list:
+def persistence_pairs_extrema(tree: MergeTree) -> list:
     """Elder-rule pairs (extremum vertex, merge vertex) from a merge tree.
 
-    At each merge the oldest extremum survives, unless a component
-    carries an extremum in ``preserved``: then the oldest preserved one
-    survives.  Every other component's extremum pairs with the merge
-    vertex, so a saddle merging k components emits k-1 pairs and the
-    final survivor stays unpaired.
+    At each merge the oldest extremum survives and every other
+    component's extremum pairs with the merge vertex, so a saddle
+    merging k components emits k-1 pairs and the final survivor stays
+    unpaired.
     """
     field = tree.field
     ranks = field.ranks
@@ -170,9 +168,8 @@ def persistence_pairs_extrema(tree: MergeTree,
             continue
         extrema = sorted((best.pop(c) for c in ch), key=lambda x: ranks[x],
                          reverse=not ascending)
-        survivor = next((e for e in extrema if e in preserved), extrema[0])
-        pairs.extend((e, v) for e in extrema if e != survivor)
-        best[v] = survivor
+        pairs.extend((e, v) for e in extrema[1:])
+        best[v] = extrema[0]
     return pairs
 
 
@@ -385,7 +382,7 @@ def _saddle_saddle_pairs(grad: DiscreteGradient) -> tuple:
     try:
         for tau in taus:
             memo = {}
-            counts = _odd_connector_counts(scratch, tau, unpaired, memo)
+            counts = _vpath_counts(scratch, 1, tau, unpaired, memo)
             cands = [e for e, c in counts.items() if c % 2 == 1]
             if not cands:
                 leftover.append(tau)
@@ -398,23 +395,6 @@ def _saddle_saddle_pairs(grad: DiscreteGradient) -> tuple:
     finally:
         sys.setrecursionlimit(limit)
     return pairs, leftover
-
-
-def _odd_connector_counts(grad, tau, targets, memo):
-    got = memo.get(tau)
-    if got is not None:
-        return got
-    memo[tau] = {}
-    total = {}
-    for low, nxt in _descend_children(grad, 1, tau):
-        if low in targets:
-            total[low] = total.get(low, 0) + 1
-        elif nxt >= 0:
-            for e, c in _odd_connector_counts(grad, nxt, targets,
-                                              memo).items():
-                total[e] = total.get(e, 0) + c
-    memo[tau] = total
-    return total
 
 
 def build_diagram(

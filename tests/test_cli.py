@@ -77,6 +77,17 @@ class TestExitCodes:
         assert main(["persistence-diagram", "--grid", "5x5", "--values",
                      str(path), "--format", fmt, "-o", out]) == 2
 
+    @pytest.mark.parametrize("fmt", ["ascii", "f64"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_field(self, tmp_path, fmt, bad):
+        path = tmp_path / "inf.bin"
+        values = np.arange(25, dtype=np.float64)
+        values[[3, 12]] = bad
+        write_field(str(path), values, fmt)
+        out = str(tmp_path / "d.csv")
+        assert main(["persistence-diagram", "--grid", "5x5", "--values",
+                     str(path), "--format", fmt, "-o", out]) == 2
+
     def test_internal_error(self, f0_file, monkeypatch, capsys):
         def broken(tri, field):
             raise RuntimeError("boom")

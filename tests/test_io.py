@@ -134,6 +134,16 @@ class TestLoad:
         with pytest.raises(DataError, match="NaN"):
             load(DatasetSpec(grid=(3, 3), values=str(path), fmt=fmt))
 
+    @pytest.mark.parametrize("fmt", ["ascii", "f64"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_rejected(self, tmp_path, fmt, bad):
+        path = tmp_path / "vals.bin"
+        values = F0_VALUES.copy()
+        values[[3, 6]] = bad
+        write_field(str(path), values, fmt)
+        with pytest.raises(DataError, match="2 infinite value"):
+            load(DatasetSpec(grid=(3, 3), values=str(path), fmt=fmt))
+
     def test_source_required(self, tmp_path):
         vals = self.write_values(tmp_path, F0_VALUES)
         with pytest.raises(DataError):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import two_bump_field
+from conftest import octahedron_mesh, preconditioned, two_bump_field
 from sftopo import (
     CLASS_ESSENTIAL,
+    ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
     SimplificationError,
@@ -63,11 +64,14 @@ class TestSimplify:
         simplify_field(grid33, f0, SimplificationRequest(frozenset({0, 8})))
         assert np.array_equal(f0.values, before)
 
+    @staticmethod
+    def random_tris(octahedron_sub2):
+        return [ImplicitGridTriangulation((8, 8)),
+                ImplicitGridTriangulation((4, 4, 4)), octahedron_sub2]
+
     def test_random_exactness(self, octahedron_sub2):
         rng = np.random.default_rng(41)
-        tris = [ImplicitGridTriangulation((8, 8)),
-                ImplicitGridTriangulation((4, 4, 4)), octahedron_sub2]
-        for tri in tris:
+        for tri in self.random_tris(octahedron_sub2):
             n = tri.simplex_count(0)
             for _ in range(5):
                 f = OrderField(rng.random(n))
@@ -76,6 +80,36 @@ class TestSimplify:
                 req = select_by_persistence(d, tau)
                 out = simplify_field(tri, f, req)
                 assert extrema(tri, out) == req.preserved
+
+    def test_unchanged_vertices_keep_their_order(self, octahedron_sub2):
+        """Vertices whose value simplification leaves alone stay in the
+        same relative order."""
+        rng = np.random.default_rng(43)
+        for tri in self.random_tris(octahedron_sub2):
+            n = tri.simplex_count(0)
+            for _ in range(5):
+                f = OrderField(rng.random(n))
+                req = select_by_persistence(build_diagram(tri, f),
+                                            rng.uniform(0.0, 0.5))
+                out = simplify_field(tri, f, req)
+                kept = np.flatnonzero(out.values == f.values)
+                assert len(kept) < n
+                by_old = kept[np.argsort(f.ranks[kept])]
+                by_new = kept[np.argsort(out.ranks[kept])]
+                assert np.array_equal(by_old, by_new)
+
+    def test_disconnected_domain(self):
+        """Each connected component needs its own preserved minimum and
+        maximum."""
+        points, cells = octahedron_mesh()
+        tri = preconditioned(ExplicitTriangulation(
+            np.vstack([points, points + 3.0]), np.vstack([cells, cells + 6])))
+        f = OrderField(np.arange(12.0))
+        with pytest.raises(SimplificationError, match="component"):
+            simplify_field(tri, f, SimplificationRequest(frozenset({0, 11})))
+        keep = frozenset({0, 5, 6, 11})
+        out = simplify_field(tri, f, SimplificationRequest(keep))
+        assert extrema(tri, out) == keep
 
 
 class TestErrors:

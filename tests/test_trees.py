@@ -39,8 +39,6 @@ class TestMergeTree:
     def test_f0_elder_pairs(self, grid33, f0):
         join = build_merge_tree(grid33, f0, "join")
         assert persistence_pairs_extrema(join) == [(2, 1)]
-        # a preserved extremum survives the merge even though it is younger
-        assert persistence_pairs_extrema(join, frozenset({2})) == [(0, 1)]
 
     def test_leaves_are_pl_extrema(self, octahedron_sub2):
         """Join (split) tree leaves are exactly the index-0 (index-d)
