@@ -2,18 +2,18 @@
 
 Given a set of extrema to preserve, the field and its tie-breaking
 offsets are minimally edited so that the edited field's extrema are
-exactly the preserved set.  This is the sweep of Tierny & Pascucci,
+exactly the preserved set, by the sweep of Tierny & Pascucci,
 "Generalized Topological Simplification of Scalar Fields on Surfaces"
-(IEEE TVCG 18(12), 2012): a priority-queue flood grows from the
-preserved minima in ascending order, and every vertex it reaches below
-its current level is raised to that level, which is the value of the
-saddle through which the flood entered the vertex's basin.  A mirrored
-flood from the preserved maxima lowers the other side.  The pop order
-becomes the new offsets, so each flattened region sits right after its
-saddle.  One sweep is the minimum flood followed by the maximum flood;
-sweeps repeat until the extrema, read from the merge-tree leaves, equal
-the preserved set.  Every downstream abstraction computed from the
-edited field is then consistent with the simplification.
+(IEEE TVCG 18(12), 2012).  A priority-queue flood grows from the
+preserved minima in ascending order and raises every vertex it reaches
+below its current level to that level: the value of the saddle through
+which it entered the vertex's basin.  A mirrored flood from the
+preserved maxima lowers the other side.  The pop order becomes the new
+offsets, so each flattened region sits next to its saddle.  Sweeps of
+one minimum flood and one maximum flood repeat until the extrema, read
+from the merge-tree leaves, equal the preserved set.  Every downstream
+abstraction computed from the edited field is then consistent with the
+simplification.
 """
 
 from __future__ import annotations
