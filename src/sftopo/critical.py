@@ -6,11 +6,20 @@ the sub-complexes of its link spanned by vertices that come before
 lower and one upper component; minima have an empty lower link, maxima
 an empty upper link, and saddles have more than one component on at
 least one side.
+
+``extract_critical_points`` counts the components of every link in one
+array pass.  A link vertex ``u`` of ``v`` is the directed edge (v, u),
+and two link vertices are joined by a link edge exactly when the three
+vertices span a triangle, so the triangles alone give every link's
+1-skeleton, which decides its connectivity.  ``classify_vertex`` walks
+one vertex's link instead and serves as the per-vertex reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .order import OrderField
 from .triangulation import SimplexRef, Triangulation
@@ -78,14 +87,8 @@ def link_component_counts(tri: Triangulation, field: OrderField, v: int):
     return lower.count(), upper.count()
 
 
-def classify_vertex(tri: Triangulation, field: OrderField, v: int):
-    """Classify one vertex; return a list of PLCriticalPoint (0-2 items)."""
-    d = tri.dim
-    n_lower, n_upper = link_component_counts(tri, field, v)
-    if n_lower == 1 and n_upper == 1:
-        return []
-    boundary = tri.is_boundary(SimplexRef(0, v))
-    value = float(field.values[v])
+def _critical_points(d, v, n_lower, n_upper, value, boundary):
+    """The PLCriticalPoints of a vertex with the given link counts."""
     out = []
     if n_lower == 0:
         out.append(PLCriticalPoint(v, 0, 1, value, boundary))
@@ -102,17 +105,80 @@ def classify_vertex(tri: Triangulation, field: OrderField, v: int):
     return out
 
 
+def classify_vertex(tri: Triangulation, field: OrderField, v: int):
+    """Classify one vertex; return a list of PLCriticalPoint (0-2 items)."""
+    n_lower, n_upper = link_component_counts(tri, field, v)
+    if n_lower == 1 and n_upper == 1:
+        return []
+    return _critical_points(tri.dim, v, n_lower, n_upper,
+                            float(field.values[v]),
+                            tri.is_boundary(SimplexRef(0, v)))
+
+
+def _components(n, a, b):
+    """Component labels of the graph on ``n`` nodes with edges (a, b).
+
+    Min-label propagation with pointer jumping, run to a fixed point:
+    every node ends up labelled with the smallest node of its component.
+    An edge whose ends agree keeps agreeing, so it leaves the work list.
+    """
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            return label
+        a, b, la, lb = a[differ], b[differ], la[differ], lb[differ]
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
+def _link_component_arrays(tri: Triangulation, field: OrderField):
+    """Lower and upper link component counts of every vertex, as arrays.
+
+    Needs the edge and triangle rows (``edge_list``, ``triangle_list``).
+    """
+    n = tri.simplex_count(0)
+    ranks = field.ranks
+    offsets, ids = tri.neighbor_csr()
+    owner = np.repeat(np.arange(n), np.diff(offsets))
+    lower = ranks[ids] < ranks[owner]
+    keys = owner * n + ids      # ascending: by owner, then sorted rows
+
+    def node(v, u):             # position of the directed edge (v, u)
+        return np.searchsorted(keys, v * n + u)
+
+    tris = tri.simplex_array(2)
+    x, y, z = np.sort(ranks[tris], axis=1).T
+    x, y, z = field.order[x], field.order[y], field.order[z]
+    # z's lower link joins x and y; x's upper link joins y and z
+    a = np.concatenate((node(z, x), node(x, y)))
+    b = np.concatenate((node(z, y), node(x, z)))
+    roots = _components(len(ids), a, b) == np.arange(len(ids))
+    return (np.bincount(owner[roots & lower], minlength=n),
+            np.bincount(owner[roots & ~lower], minlength=n))
+
+
 def extract_critical_points(tri: Triangulation, field: OrderField):
     """All critical points, sorted by (vertex id, index).
 
-    Requests the preconditions it needs (vertex links, cell vertex
-    tables, boundary flags) on the triangulation.
+    Requests the preconditions it needs (edge and triangle rows,
+    boundary flags) on the triangulation.
     """
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
-    for kind in ("vertex_stars", "vertex_links", "boundary_vertices"):
+    for kind in ("edge_list", "triangle_list", "boundary_vertices"):
         tri.precondition(kind)
+    n_lower, n_upper = _link_component_arrays(tri, field)
     out = []
-    for v in range(tri.simplex_count(0)):
-        out.extend(classify_vertex(tri, field, v))
+    for v in np.flatnonzero((n_lower != 1) | (n_upper != 1)).tolist():
+        out.extend(_critical_points(
+            tri.dim, v, int(n_lower[v]), int(n_upper[v]),
+            float(field.values[v]), tri.is_boundary(SimplexRef(0, v))))
     return out

@@ -11,7 +11,7 @@ which it entered the vertex's basin.  A mirrored flood from the
 preserved maxima lowers the other side.  The pop order becomes the new
 offsets, so each flattened region sits next to its saddle.  Sweeps of
 one minimum flood and one maximum flood repeat until the extrema, read
-from the merge-tree leaves, equal the preserved set.  Every downstream
+from one pass over the edges, equal the preserved set.  Every downstream
 abstraction computed from the edited field is then consistent with the
 simplification.
 """
@@ -30,7 +30,6 @@ from .trees import (
     CLASS_SADDLE_MAX,
     CLASS_SADDLE_SADDLE,
     PersistenceDiagram,
-    build_merge_tree,
 )
 from .triangulation import Triangulation
 
@@ -94,6 +93,8 @@ def _flood(tri, field, keep, below):
     heapq.heapify(heap)
     level = -n
     popped = 0
+    nb_offsets, nb_ids = tri.neighbor_csr()
+    nb_offsets, nb_ids = nb_offsets.tolist(), nb_ids.tolist()
     while heap:
         key = heapq.heappop(heap)
         v = int(order[sign * key])
@@ -103,7 +104,7 @@ def _flood(tri, field, keep, below):
             values[v] = height
         offsets[v] = popped if below else n - 1 - popped
         popped += 1
-        for u in tri.vertex_neighbors(v):
+        for u in nb_ids[nb_offsets[v]:nb_offsets[v + 1]]:
             if not seen[u]:
                 seen[u] = True
                 heapq.heappush(heap, sign * int(ranks[u]))
@@ -117,10 +118,12 @@ def _flood(tri, field, keep, below):
 
 def _extrema(tri, field):
     """PL minima and maxima: a vertex with an empty lower (upper) link
-    has no lower (upper) neighbour, which makes it a join (split) tree
-    leaf."""
-    return (set(build_merge_tree(tri, field, "join").leaves),
-            set(build_merge_tree(tri, field, "split").leaves))
+    is never the higher (lower) end of an edge."""
+    edges = tri.simplex_array(1)
+    by_rank = np.argsort(field.ranks[edges], axis=1)
+    low, high = np.take_along_axis(edges, by_rank, axis=1).T
+    every = set(range(len(field)))
+    return every - set(high.tolist()), every - set(low.tolist())
 
 
 _MAX_SWEEPS = 64
@@ -148,6 +151,7 @@ def simplify_field(
             "problem is NP-hard) - raise the threshold or simplify "
             "extrema only"
         )
+    tri.precondition("edge_list")
     mins, maxs = _extrema(tri, field)
     preserved = set(req.preserved)
     if not preserved:

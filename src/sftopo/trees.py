@@ -98,13 +98,14 @@ def build_merge_tree(
         raise ValueError("variant must be 'join' or 'split'")
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
-    tri.precondition("vertex_edges")
     tri.precondition("edge_list")
     n = len(field)
     sweep = field.order if variant == "join" else field.order[::-1]
-    before = np.zeros(n, dtype=bool)
-    parent = np.arange(n)
-    head = np.arange(n)          # current head vertex per component root
+    offsets, ids = tri.neighbor_csr()
+    offsets, ids = offsets.tolist(), ids.tolist()
+    before = [False] * n
+    parent = list(range(n))
+    head = list(range(n))        # current head vertex per component root
 
     def find(x):
         root = x
@@ -114,13 +115,12 @@ def build_merge_tree(
             parent[x], x = root, parent[x]
         return root
 
-    succ = np.full(n, -1, dtype=np.int64)
-    n_children = np.zeros(n, dtype=np.int64)
+    succ = [-1] * n
+    n_children = [0] * n
     leaves, saddles = [], []
-    for v in sweep:
-        v = int(v)
+    for v in sweep.tolist():
         roots = []
-        for u in tri.vertex_neighbors(v):
+        for u in ids[offsets[v]:offsets[v + 1]]:
             if before[u]:
                 r = find(u)
                 if r not in roots:
@@ -136,9 +136,9 @@ def build_merge_tree(
             parent[r] = v
         head[v] = v
         before[v] = True
-    root = int(sweep[-1])
-    return MergeTree(variant, field, tri, succ, n_children, root, leaves,
-                     saddles)
+    return MergeTree(variant, field, tri, np.array(succ, dtype=np.int64),
+                     np.array(n_children, dtype=np.int64), int(sweep[-1]),
+                     leaves, saddles)
 
 
 def persistence_pairs_extrema(tree: MergeTree) -> list:

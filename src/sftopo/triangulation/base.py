@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 
 class SimplexRef(NamedTuple):
     """Handle to a simplex: its dimension and its index in that dimension."""
@@ -39,7 +41,7 @@ class NotPreconditionedError(TriangulationError):
 
 #: Recognized precondition kinds.  Implicit grids accept them all as
 #: no-ops.  ``vertex_links`` caches the full (d-1)-link of every vertex,
-#: the heaviest table, used by link-based classification loops.
+#: the heaviest table, used by the per-vertex ``classify_vertex``.
 QUERY_KINDS = (
     "vertex_neighbors",
     "vertex_edges",
@@ -112,6 +114,23 @@ class Triangulation:
             a, b = self.simplex_vertices(SimplexRef(1, e))
             out.add(b if a == v else a)
         return sorted(out)
+
+    def neighbor_csr(self):
+        """Vertex adjacency as ``(offsets, ids)`` int64 arrays.
+
+        Row ``v``, ``ids[offsets[v]:offsets[v + 1]]``, holds the
+        neighbours of ``v`` ascending, as ``vertex_neighbors(v)`` does.
+        Built from ``simplex_array(1)`` on every call and never stored,
+        so explicit meshes need ``precondition("edge_list")``.
+        """
+        n = self.simplex_count(0)
+        edges = self.simplex_array(1)
+        src = np.concatenate((edges[:, 0], edges[:, 1]))
+        dst = np.concatenate((edges[:, 1], edges[:, 0]))
+        ids = dst[np.lexsort((dst, src))]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        return offsets, ids
 
     def vertex_link(self, v: int) -> list:
         """(d-1)-simplices opposite ``v`` in its star, ids ascending."""

@@ -85,6 +85,14 @@ def random_field(tri, rng):
     return OrderField(rng.permutation(n).astype(np.float64))
 
 
+def tie_heavy_field(tri, rng):
+    """Values 0-2 with random injective offsets: many ties, so links
+    split often, on both sides at once included."""
+    n = tri.simplex_count(0)
+    return OrderField(rng.integers(0, 3, n).astype(np.float64),
+                      rng.permutation(n))
+
+
 def two_bump_field(dims, seed=0):
     """3D grid field shaped as the distance to a horizontal circle.
 

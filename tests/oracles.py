@@ -3,9 +3,12 @@
 Everything here recomputes results from first principles with
 deliberately simple (slow) algorithms: elder-rule pairing by direct
 union-find sweeps, persistent homology by full GF(2) boundary-matrix
-reduction, V-path acyclicity by explicit graph search, and a
-triangulation comparator keyed on vertex tuples rather than ids.
+reduction, V-path acyclicity by explicit graph search, level-set
+components by union-find over crossing edges, and a triangulation
+comparator keyed on vertex tuples rather than ids.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -90,6 +93,39 @@ def uf_extremum_pairs(tri, field, ascending):
             oldest[v] = oldest[winner]
         seen[v] = True
     return pairs
+
+
+# --------------------------------------------------------------------------
+# Level-set components by union-find over crossing edges
+# --------------------------------------------------------------------------
+
+
+def level_set_components(tri, field, t):
+    """Number of connected components of the level set at ``t``.
+
+    ``t`` is a level in rank units: vertex ``v`` lies below it iff
+    ``ranks[v] < t``.  The PL level set meets each edge with one end on
+    either side once, and is connected inside each d-cell, so crossing
+    edges that share a cell (a triangle in 2D, a tetrahedron in 3D) lie
+    on the same component.
+    """
+    below = field.ranks < t
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for cell in tri.simplex_array(tri.dim).tolist():
+        crossing = [(a, b) for a, b in combinations(cell, 2)
+                    if below[a] != below[b]]
+        for e in crossing:
+            parent.setdefault(e, e)
+        for e in crossing[1:]:
+            parent[find(e)] = find(crossing[0])
+    return len({find(e) for e in parent})
 
 
 # --------------------------------------------------------------------------

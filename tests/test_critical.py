@@ -2,8 +2,14 @@
 
 import numpy as np
 
-from conftest import random_field
-from sftopo import OrderField, classify_vertex, extract_critical_points
+from conftest import preconditioned, random_field, tie_heavy_field
+from sftopo import (
+    ExplicitTriangulation,
+    ImplicitGridTriangulation,
+    OrderField,
+    classify_vertex,
+    extract_critical_points,
+)
 
 
 def by_index(cps):
@@ -55,3 +61,30 @@ class TestOctahedron:
                 total = sum(
                     cp.multiplicity * (-1) ** cp.index for cp in cps)
                 assert total == 2
+
+
+def test_matches_per_vertex_classification(octahedron, octahedron_sub1,
+                                           octahedron_sub2):
+    """The one array pass equals a ``classify_vertex`` loop on tie-heavy
+    fields over both back ends, boundary vertices and 3D vertices whose
+    lower and upper links are both split included."""
+    rng = np.random.default_rng(61)
+    tris = [octahedron, octahedron_sub1, octahedron_sub2]
+    for dims in [(7, 5), (9, 9), (4, 4, 4), (5, 5, 5), (6, 4, 5)]:
+        g = ImplicitGridTriangulation(dims)
+        # a fresh mesh: extract_critical_points requests its own tables
+        tris += [g, ExplicitTriangulation(g.point_array(),
+                                          g.simplex_array(g.dim))]
+    boundary = both_sides = 0
+    for tri in tris:
+        for _ in range(4):
+            f = tie_heavy_field(tri, rng)
+            cps = extract_critical_points(tri, f)
+            preconditioned(tri)
+            assert cps == [cp for v in range(len(f))
+                           for cp in classify_vertex(tri, f, v)]
+            boundary += sum(cp.boundary for cp in cps)
+            saddle = [(cp.vertex, cp.index) for cp in cps]
+            both_sides += sum((v, 2) in saddle
+                              for v, i in saddle if i == 1 and tri.dim == 3)
+    assert boundary > 0 and both_sides > 0

@@ -1,10 +1,13 @@
 """Merge trees, contour tree, diagram, and persistence curve."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import random_field, torus_mesh, preconditioned
-from oracles import uf_extremum_pairs
+from conftest import random_field, tie_heavy_field, torus_mesh, \
+    preconditioned
+from oracles import level_set_components, uf_extremum_pairs
 from sftopo import (
     CLASS_ESSENTIAL,
     CLASS_MIN_SADDLE,
@@ -57,6 +60,23 @@ class TestMergeTree:
                 assert set(split.leaves) == {
                     cp.vertex for cp in cps if cp.index == tri.dim}
 
+    def test_leaves_and_saddles_match_oracle(self, octahedron_sub2):
+        """Leaves are the oracle's extrema plus the global one; a saddle
+        merging k components is where k - 1 oracle pairs die."""
+        rng = np.random.default_rng(29)
+        tris = [ImplicitGridTriangulation((9, 7)),
+                ImplicitGridTriangulation((4, 4, 4)), octahedron_sub2]
+        for tri in tris:
+            for f in (random_field(tri, rng), tie_heavy_field(tri, rng)):
+                for variant, ascending in (("join", True), ("split", False)):
+                    tree = build_merge_tree(tri, f, variant)
+                    pairs = uf_extremum_pairs(tri, f, ascending)
+                    first = int(f.order[0] if ascending else f.order[-1])
+                    assert sorted(tree.leaves) == sorted(
+                        {e for e, _ in pairs} | {first})
+                    assert sorted(tree.saddles) == sorted(
+                        Counter(s for _, s in pairs).items())
+
     def test_join_split_duality(self):
         tri = ImplicitGridTriangulation((8, 8))
         rng = np.random.default_rng(21)
@@ -91,6 +111,25 @@ class TestContourTree:
                                       build_merge_tree(tri, f, "split"))
             assert len(f) == len(ct.vertex_arc)
             assert all(0 <= a < len(ct.arcs) for a in ct.vertex_arc)
+
+    def test_arcs_count_level_set_components(self, octahedron,
+                                             octahedron_sub1,
+                                             octahedron_sub2):
+        """At every level between two consecutive ranks, the arcs whose
+        rank span contains it are the level set's components (Carr,
+        Snoeyink & Axen, CGTA 24(2), 2003)."""
+        rng = np.random.default_rng(30)
+        tris = [ImplicitGridTriangulation(dims) for dims in
+                [(9, 7), (12, 5), (3, 3, 3), (4, 4, 4), (5, 5, 5)]]
+        for tri in tris + [octahedron, octahedron_sub1, octahedron_sub2]:
+            for f in (random_field(tri, rng), tie_heavy_field(tri, rng)):
+                ct = combine_contour_tree(build_merge_tree(tri, f, "join"),
+                                          build_merge_tree(tri, f, "split"))
+                lo, hi = f.ranks[np.array(ct.arcs)].T
+                for r in range(len(f) - 1):
+                    t = r + 0.5
+                    assert ((lo < t) & (t < hi)).sum() \
+                        == level_set_components(tri, f, t)
 
     def test_torus_refused(self):
         tri = preconditioned(ExplicitTriangulation(*torus_mesh()))

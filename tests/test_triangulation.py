@@ -16,6 +16,18 @@ from sftopo.triangulation import Triangulation, validate_pseudo_manifold
 from sftopo.triangulation.base import QUERY_KINDS
 
 
+def assert_neighbor_csr(tri):
+    """Every CSR row equals ``vertex_neighbors``: ascending neighbours."""
+    offsets, ids = tri.neighbor_csr()
+    n = tri.simplex_count(0)
+    assert offsets.dtype == ids.dtype == np.int64
+    assert len(offsets) == n + 1 and offsets[0] == 0
+    assert offsets[-1] == len(ids) == 2 * tri.simplex_count(1)
+    for v in range(n):
+        assert ids[offsets[v]:offsets[v + 1]].tolist() \
+            == tri.vertex_neighbors(v)
+
+
 def precondition_all(tri):
     for kind in QUERY_KINDS:
         try:
@@ -141,6 +153,11 @@ class TestExplicit:
         t = precondition_all(ExplicitTriangulation(points, cells))
         assert validate_pseudo_manifold(t)
 
+    def test_neighbor_csr_spheres(self, octahedron, octahedron_sub1,
+                                  octahedron_sub2):
+        for tri in (octahedron, octahedron_sub1, octahedron_sub2):
+            assert_neighbor_csr(tri)
+
     def test_pseudo_manifold_ok(self, octahedron):
         precondition_all(octahedron)
         assert validate_pseudo_manifold(octahedron) == []
@@ -171,6 +188,14 @@ class TestEquivalence:
                     assert tuple(row) == tri.simplex_vertices(SimplexRef(k, i))
             assert set(map(tuple, g.simplex_array(k).tolist())) \
                 == set(map(tuple, ex.simplex_array(k).tolist()))
+
+    @pytest.mark.parametrize("dims", EQUIVALENCE_DIMS)
+    def test_neighbor_csr(self, dims):
+        g = ImplicitGridTriangulation(dims)
+        ex = precondition_all(
+            ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
+        for tri in (g, ex):
+            assert_neighbor_csr(tri)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (2, 2, 2), (4, 3, 5)])
     def test_vertex_link_matches_star_walk(self, dims):
