@@ -11,12 +11,41 @@ critical simplices joined by exactly one V-path, first saddle/maximum
 pairs, then (in 3D) saddle/saddle pairs.  A cancellation may consume a
 matched simplex as long as the owning critical point can be re-matched
 to another simplex of its star, so the matching is fluid during
-cleanup.
+cleanup.  A re-match that fails is rolled back from an undo log of the
+entries it changed.
+
+Saddle/maximum cancellations are driven by a heap of arcs keyed
+``(weight, facet, cell)``.  Each critical facet is traced once, and an
+index from every critical d-cell to the facets whose walks reach it
+names the facets to re-trace after a reversal.  Only walks through a
+reversed cell can change, and since the next step of a walk depends on
+its current cell alone, every walk through the reversed path ends at
+the cancelled cell.  Arcs of an older trace, or with an end that is no
+longer critical, are skipped when popped.
+
+Two facts let the heap drop an arc for good, so that popping arcs in
+order cancels the same pairs as a full rescan and sort after every
+cancellation would:
+
+- Matched status only grows.  ``_Matching.release`` unmatches just the
+  two simplices it cancels; the rest of an augmenting path hands each
+  simplex on to a new holder, so a critical simplex, once matched,
+  stays matched until it is cancelled.  An arc with both ends matched
+  never qualifies again.
+- A release that fails never succeeds later.  The matched slots never
+  change after the initial matching (a release re-matches every slot it
+  displaces, or rolls back), and Kuhn's search finds a re-match exactly
+  when some matching of the critical simplices, without the two
+  released ones, covers those slots.  Cancellations only remove
+  critical simplices, so if no such matching exists now, none exists
+  later.
 """
 
 from __future__ import annotations
 
+import heapq
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 from .critical import extract_critical_points
@@ -69,6 +98,9 @@ def _precondition_for_matching(tri: Triangulation) -> None:
         tri.precondition(kind)
 
 
+_MISSING = object()
+
+
 class _Matching:
     """Bipartite matching of critical-point slots to critical simplices.
 
@@ -95,8 +127,19 @@ class _Matching:
                 self.slots.append((cp, copy, star))
         self.slot_of = {}   # (dim, sid) -> slot index
         self.sid_of = {}    # slot index -> sid
+        self._undo = None   # (table, key, old value) while releasing
         for i in range(len(self.slots)):
             self._augment(i, set())
+
+    def _put(self, table, key, value):
+        if self._undo is not None:
+            self._undo.append((table, key, table.get(key, _MISSING)))
+        table[key] = value
+
+    def _drop(self, table, key):
+        old = table.pop(key)
+        if self._undo is not None:
+            self._undo.append((table, key, old))
 
     def _candidates(self, i):
         cp, _, star = self.slots[i]
@@ -114,9 +157,9 @@ class _Matching:
             if holder is None or self._augment(holder, banned, seen):
                 old = self.sid_of.get(i)
                 if old is not None and self.slot_of.get(old) == i:
-                    del self.slot_of[old]
-                self.slot_of[key] = i
-                self.sid_of[i] = key
+                    self._drop(self.slot_of, old)
+                self._put(self.slot_of, key, i)
+                self._put(self.sid_of, i, key)
                 return True
         return False
 
@@ -124,19 +167,28 @@ class _Matching:
         """Try to re-route the matching away from the given simplices.
 
         Returns True (and commits) if every displaced slot found a new
-        simplex; otherwise the matching is restored unchanged.
+        simplex; otherwise the logged changes are undone, newest first,
+        and the matching is restored unchanged.
         """
         banned = set(dims_sids)
-        saved = (dict(self.slot_of), dict(self.sid_of))
-        for key in banned:
-            i = self.slot_of.pop(key, None)
-            if i is None:
-                continue
-            del self.sid_of[i]
-            if not self._augment(i, banned):
-                self.slot_of, self.sid_of = saved
-                return False
-        return True
+        self._undo = []
+        try:
+            for key in banned:
+                i = self.slot_of.get(key)
+                if i is None:
+                    continue
+                self._drop(self.slot_of, key)
+                self._drop(self.sid_of, i)
+                if not self._augment(i, banned):
+                    for table, k, old in reversed(self._undo):
+                        if old is _MISSING:
+                            del table[k]
+                        else:
+                            table[k] = old
+                    return False
+            return True
+        finally:
+            self._undo = None
 
     def unmatched_slots(self):
         return [self.slots[i][0] for i in range(len(self.slots))
@@ -201,35 +253,63 @@ def _interior_ids(tri, grad, dim):
 def _cancel_facet_pairs(grad, matching) -> list:
     """Saddle/maximum cancellations; a pair qualifies when its two ends
     are joined by exactly one V-path, at least one end is spurious, and
-    any matched end can be re-matched elsewhere."""
+    any matched end can be re-matched elsewhere.
+
+    Pairs are cancelled lowest weight first, ties by facet then cell id,
+    from a heap (see the module docstring).
+    """
     tri, d = grad.tri, grad.tri.dim
+    version = defaultdict(int)    # facet -> traces so far
+    arcs_of = {}                  # facet -> {cell: path} of its last trace
+    ends_of = {}                  # facet -> critical cells its walks reach
+    reaching = defaultdict(set)   # critical d-cell -> facets reaching it
+    heap = []
+
+    def trace(sigma):
+        for tau in ends_of.pop(sigma, ()):
+            reaching[tau].discard(sigma)
+        version[sigma] += 1
+        arcs_of.pop(sigma, None)
+        if not grad.is_critical(d - 1, sigma):
+            return
+        ends = {}
+        for path in trace_up_from_facet(grad, sigma):
+            if path.upper is not None:
+                ends.setdefault(path.upper, []).append(path)
+                reaching[path.upper].add(sigma)
+        ends_of[sigma] = list(ends)
+        arcs = arcs_of[sigma] = {}
+        for tau, paths in ends.items():
+            if len(paths) > 1 or tri.is_boundary(SimplexRef(d, tau)):
+                continue
+            if matching.is_matched(d - 1, sigma) and \
+                    matching.is_matched(d, tau):
+                continue
+            arcs[tau] = paths[0]
+            w = abs(grad.simplex_value(d, tau)
+                    - grad.simplex_value(d - 1, sigma))
+            heapq.heappush(heap, (w, sigma, tau, version[sigma]))
+
+    for sigma in _interior_ids(tri, grad, d - 1):
+        trace(sigma)
     cancelled = []
-    while True:
-        arcs = []
-        for sigma in _interior_ids(tri, grad, d - 1):
-            ends = {}
-            for path in trace_up_from_facet(grad, sigma):
-                if path.upper is not None:
-                    ends.setdefault(path.upper, []).append(path)
-            for tau, paths in ends.items():
-                if len(paths) > 1 or tri.is_boundary(SimplexRef(d, tau)):
-                    continue
-                if matching.is_matched(d - 1, sigma) and \
-                        matching.is_matched(d, tau):
-                    continue
-                w = abs(grad.simplex_value(d, tau)
-                        - grad.simplex_value(d - 1, sigma))
-                arcs.append((w, sigma, tau, paths[0]))
-        arcs.sort(key=lambda a: (a[0], a[1], a[2]))
-        done = False
-        for w, sigma, tau, path in arcs:
-            if matching.release([(d - 1, sigma), (d, tau)]):
-                reverse_vpath(grad, path)
-                cancelled.append((d - 1, sigma, tau))
-                done = True
-                break
-        if not done:
-            return cancelled
+    while heap:
+        _, sigma, tau, ver = heapq.heappop(heap)
+        if ver != version[sigma] or not grad.is_critical(d - 1, sigma) \
+                or not grad.is_critical(d, tau):
+            continue
+        if matching.is_matched(d - 1, sigma) and matching.is_matched(d, tau):
+            continue
+        if not matching.release([(d - 1, sigma), (d, tau)]):
+            continue            # for good: see the module docstring
+        reverse_vpath(grad, arcs_of[sigma][tau])
+        cancelled.append((d - 1, sigma, tau))
+        # the reversal re-pairs the cells of the path and tau; a walk is
+        # fixed by the cell it enters, so every walk through the path
+        # ends at tau, and only the facets reaching tau need a re-trace
+        for s in sorted(reaching[tau]):
+            trace(s)
+    return cancelled
 
 
 def _cancel_connector_pairs(grad, matching) -> list:

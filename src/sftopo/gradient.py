@@ -7,11 +7,21 @@ dimension: an unpaired i-simplex pairs with the steepest admissible
 before every vertex of the simplex in the total order (so the i-simplex
 is the highest i-face of the co-face).  Among admissible co-faces the
 one whose extra vertex is lowest wins, which makes the construction
-order-independent and embarrassingly parallel.
+order-independent.
+
+The construction is an array kernel.  A co-face admits exactly one of
+its faces, the one opposite its lowest vertex, so each pass reads that
+face from ``Triangulation.facet_ids`` for every co-face at once, sorts
+the (face, co-face minimum, co-face id) triples and keeps the first
+co-face of every face that is not already paired down.  Ties on the
+co-face minimum cannot occur (two admissible co-faces of one face differ
+in their extra vertex), and would go to the lowest co-face id, the
+order ``Triangulation.cofaces`` lists them in.
 
 V-paths (alternating face/pair sequences) are the discrete integral
 lines; cancelling a pair of critical simplices reverses the unique
-V-path between them.
+V-path between them.  Ascending (d-1, d) walks read the ``cofacets``
+array that the gradient keeps beside its vertex rows.
 """
 
 from __future__ import annotations
@@ -22,6 +32,23 @@ import numpy as np
 
 from .order import OrderField
 from .triangulation import SimplexRef, Triangulation
+
+
+def _cofacet_array(facets: np.ndarray, n_faces: int) -> np.ndarray:
+    """Invert a ``facet_ids`` array: row ``f`` holds the ascending ids of
+    the simplices that have face ``f``, padded with -1 to the widest
+    row and to at least two columns."""
+    ids = facets.ravel()
+    owners = np.repeat(np.arange(len(facets), dtype=np.int64),
+                       facets.shape[1])
+    order = np.lexsort((owners, ids))
+    ids, owners = ids[order], owners[order]
+    counts = np.bincount(ids, minlength=n_faces)
+    starts = np.cumsum(counts) - counts
+    out = np.full((n_faces, max(2, int(counts.max(initial=0)))), -1,
+                  dtype=np.int64)
+    out[ids, np.arange(len(ids)) - starts[ids]] = owners
+    return out
 
 
 class DiscreteGradient:
@@ -37,6 +64,16 @@ class DiscreteGradient:
         or -1.  ``pair_down[0]`` is all -1.
     verts:
         ``verts[k]`` is the ``(n_k, k+1)`` array of simplex vertex ids.
+    simplex_values:
+        ``simplex_values[k][s]`` is the field value at the order-highest
+        vertex of k-simplex ``s``.
+    cofacets:
+        ``(n_{d-1}, 2)`` array: row ``f`` holds the ascending d-co-face
+        ids of (d-1)-simplex ``f``, padded with -1 (a boundary facet has
+        one).  A facet of a non-pseudo-manifold widens every row.
+
+    ``verts``, ``simplex_values`` and ``cofacets`` depend only on the
+    triangulation and the field; copies share them.
     """
 
     def __init__(self, tri: Triangulation, field: OrderField):
@@ -44,6 +81,14 @@ class DiscreteGradient:
         self.field = field
         d = tri.dim
         self.verts = [tri.simplex_array(k) for k in range(d + 1)]
+        ranks = field.ranks
+        self.simplex_values = [
+            field.values[rows[np.arange(len(rows)),
+                              np.argmax(ranks[rows], axis=1)]]
+            for rows in self.verts
+        ]
+        self.cofacets = _cofacet_array(tri.facet_ids(d),
+                                       tri.simplex_count(d - 1))
         self.pair_up = [
             np.full(tri.simplex_count(k), -1, dtype=np.int64)
             for k in range(d + 1)
@@ -65,7 +110,7 @@ class DiscreteGradient:
         return {k: self.critical_ids(k) for k in range(self.tri.dim + 1)}
 
     def simplex_value(self, dim: int, sid: int) -> float:
-        return float(self.field.values[self.max_vertex(dim, sid)])
+        return float(self.simplex_values[dim][sid])
 
     def max_vertex(self, dim: int, sid: int) -> int:
         row = self.verts[dim][sid]
@@ -74,24 +119,10 @@ class DiscreteGradient:
     def copy(self) -> "DiscreteGradient":
         g = object.__new__(DiscreteGradient)
         g.tri, g.field, g.verts = self.tri, self.field, self.verts
+        g.simplex_values, g.cofacets = self.simplex_values, self.cofacets
         g.pair_up = [a.copy() for a in self.pair_up]
         g.pair_down = [a.copy() for a in self.pair_down]
         return g
-
-
-def _assign_range(tri, ranks, verts_low, verts_high, dim, lo, hi):
-    """Pair unpaired dim-simplices in [lo, hi); returns [(sid, tid), ...]."""
-    out = []
-    for sid in range(lo, hi):
-        low_min = ranks[verts_low[sid]].min()
-        best_rank, best_tid = None, -1
-        for tid in tri.cofaces(SimplexRef(dim, sid), dim + 1):
-            extra = ranks[verts_high[tid]].min()
-            if extra < low_min and (best_rank is None or extra < best_rank):
-                best_rank, best_tid = extra, tid
-        if best_tid >= 0:
-            out.append((sid, best_tid))
-    return out
 
 
 def build_gradient(
@@ -99,8 +130,8 @@ def build_gradient(
 ) -> DiscreteGradient:
     """Construct the discrete gradient of ``field`` on ``tri``.
 
-    ``threads`` is accepted for compatibility and has no effect: a
-    thread pool gave no measured speed-up on this pure-Python loop.
+    ``threads`` is accepted for compatibility and has no effect: the
+    construction is a handful of numpy passes.
     """
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
@@ -113,16 +144,23 @@ def build_gradient(
         tri.precondition(kind)
     grad = DiscreteGradient(tri, field)
     ranks = field.ranks
-    d = tri.dim
-    for k in range(d):
-        n = tri.simplex_count(k)
-        vl, vh = grad.verts[k], grad.verts[k + 1]
-        already = grad.pair_down[k]
-        for sid, tid in _assign_range(tri, ranks, vl, vh, k, 0, n):
-            if already[sid] >= 0:
-                continue
-            grad.pair_up[k][sid] = tid
-            grad.pair_down[k + 1][tid] = sid
+    for k in range(tri.dim):
+        high = grad.verts[k + 1]
+        ids = np.arange(len(high), dtype=np.int64)
+        low_col = np.argmin(ranks[high], axis=1)
+        # only the face opposite a co-face's lowest vertex lies wholly
+        # above that vertex, so the co-face is admissible for it alone
+        face = tri.facet_ids(k + 1)[ids, low_col]
+        coface_min = ranks[high[ids, low_col]]
+        order = np.lexsort((ids, coface_min, face))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = face[order[1:]] != face[order[:-1]]
+        tid = order[first]
+        sid = face[tid]
+        free = grad.pair_down[k][sid] < 0
+        sid, tid = sid[free], tid[free]
+        grad.pair_up[k][sid] = tid
+        grad.pair_down[k + 1][tid] = sid
     return grad
 
 
@@ -153,25 +191,26 @@ def trace_up_from_facet(grad: DiscreteGradient, sigma: int) -> list:
 
     Returns one VPath per d-co-face of ``sigma`` (at most two); the
     walks are deterministic because a (d-1)-simplex of a pseudo-manifold
-    has at most two d-co-faces.
+    has at most two d-co-faces.  The walks read ``grad.cofacets``.
     """
-    tri, d = grad.tri, grad.tri.dim
+    d = grad.tri.dim
+    cof, down = grad.cofacets, grad.pair_down[d]
     out = []
-    for start in tri.cofaces(SimplexRef(d - 1, sigma), d):
+    for start in cof[sigma].tolist():
+        if start < 0:
+            break
         pairs = []
-        tau, prev = start, sigma
-        upper = None
+        tau, upper = start, None
         while True:
-            low = grad.pair_down[d][tau]
+            low = int(down[tau])
             if low < 0:
-                upper = int(tau)
+                upper = tau
                 break
-            pairs.append((int(low), int(tau)))
-            nxt = [c for c in tri.cofaces(SimplexRef(d - 1, low), d)
-                   if c != tau]
-            if not nxt:      # boundary facet: the walk leaves the domain
+            pairs.append((low, tau))
+            first = int(cof[low, 0])
+            tau = int(cof[low, 1]) if first == tau else first
+            if tau < 0:      # boundary facet: the walk leaves the domain
                 break
-            prev, tau = low, nxt[0]
         pairs.reverse()
         out.append(VPath(d - 1, upper, int(sigma), pairs))
     return out
@@ -306,17 +345,23 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
 
 def pairing_is_valid(grad: DiscreteGradient) -> bool:
     """Each simplex is critical or in exactly one face/co-face pair."""
-    tri = grad.tri
-    for k in range(tri.dim + 1):
+    tri, d = grad.tri, grad.tri.dim
+    for k in range(d + 1):
         up, down = grad.pair_up[k], grad.pair_down[k]
         if np.any((up >= 0) & (down >= 0)):
             return False
-        for sid in np.nonzero(up >= 0)[0]:
-            if grad.pair_down[k + 1][up[sid]] != sid:
+        sids = np.nonzero(up >= 0)[0]
+        if len(sids):
+            if k == d:
                 return False
-            if int(sid) not in tri.faces(SimplexRef(k + 1, int(up[sid])), k):
+            tids = up[sids]
+            if np.any(grad.pair_down[k + 1][tids] != sids):
                 return False
-        for sid in np.nonzero(down >= 0)[0]:
-            if grad.pair_up[k - 1][down[sid]] != sid:
+            if not (tri.facet_ids(k + 1)[tids] == sids[:, None]).any(
+                    axis=1).all():
+                return False
+        sids = np.nonzero(down >= 0)[0]
+        if len(sids):
+            if k == 0 or np.any(grad.pair_up[k - 1][down[sids]] != sids):
                 return False
     return True

@@ -20,29 +20,28 @@ from .gradient import (
     trace_down_from_edge,
     trace_up_from_facet,
 )
-from .triangulation import SimplexRef
 
 
 def descending_segmentation(grad: DiscreteGradient) -> np.ndarray:
     """Per-vertex label: the critical vertex its descending path reaches."""
-    tri = grad.tri
-    n = tri.simplex_count(0)
-    labels = np.full(n, -1, dtype=np.int64)
+    n = grad.tri.simplex_count(0)
+    up = grad.pair_up[0].tolist()
+    edges = grad.verts[1].tolist()
+    labels = [-1] * n
     for v in range(n):
         if labels[v] >= 0:
             continue
         path = []
         cur = v
-        while labels[cur] < 0 and grad.pair_up[0][cur] >= 0:
+        while labels[cur] < 0 and up[cur] >= 0:
             path.append(cur)
-            e = int(grad.pair_up[0][cur])
-            a, b = tri.simplex_vertices(SimplexRef(1, e))
-            cur = int(b if a == cur else a)
+            a, b = edges[up[cur]]
+            cur = b if a == cur else a
         dest = labels[cur] if labels[cur] >= 0 else cur
         labels[cur] = dest
         for u in path:
             labels[u] = dest
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
@@ -50,30 +49,31 @@ def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
 
     Walks that exit through a boundary facet get label -1.
     """
-    tri, d = grad.tri, grad.tri.dim
-    n = tri.simplex_count(d)
-    labels = np.full(n, -2, dtype=np.int64)
+    d = grad.tri.dim
+    n = grad.tri.simplex_count(d)
+    down = grad.pair_down[d].tolist()
+    cof = grad.cofacets[:, :2].tolist()
+    labels = [-2] * n
     for y in range(n):
         if labels[y] != -2:
             continue
         path = []
         cur = y
         while labels[cur] == -2:
-            if grad.pair_down[d][cur] < 0:      # critical cell
+            if down[cur] < 0:                   # critical cell
                 labels[cur] = cur
                 break
             path.append(cur)
-            low = int(grad.pair_down[d][cur])
-            nxt = [c for c in tri.cofaces(SimplexRef(d - 1, low), d)
-                   if c != cur]
-            if not nxt:                          # drains through the boundary
+            a, b = cof[down[cur]]
+            nxt = b if a == cur else a
+            if nxt < 0:                          # drains through the boundary
                 labels[cur] = -1
                 break
-            cur = nxt[0]
+            cur = nxt
         dest = labels[cur]
         for u in path:
             labels[u] = dest
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 @dataclass
@@ -91,9 +91,16 @@ class Separatrix:
     points: np.ndarray
 
 
-def _barycenter(tri, dim, sid) -> np.ndarray:
-    verts = tri.simplex_vertices(SimplexRef(dim, sid))
-    return np.mean([tri.vertex_point(v) for v in verts], axis=0)
+def _polyline(head, odd, even, tail=None) -> np.ndarray:
+    """Rows ``head, odd[0], even[0], odd[1], even[1], ..., tail``."""
+    m = len(odd)
+    out = np.empty((2 * m + 1 + (tail is not None), 3))
+    out[0] = head
+    out[1:2 * m:2] = odd
+    out[2:2 * m + 1:2] = even
+    if tail is not None:
+        out[-1] = tail
+    return out
 
 
 def extract_separatrices(grad: DiscreteGradient) -> list:
@@ -103,41 +110,44 @@ def extract_separatrices(grad: DiscreteGradient) -> list:
     critical (d-1)-simplex (up) and critical edge (down); in 3D one
     representative connector polyline is emitted per critical
     triangle/edge V-path family (the first path in depth-first order).
+    Polyline points are vertex positions and simplex barycenters, the
+    latter taken for every simplex at once from ``point_array``.
     """
-    tri, d = grad.tri, grad.tri.dim
+    d = grad.tri.dim
+    points = grad.tri.point_array()
+    center = [points] + [points[rows].mean(axis=1) for rows in grad.verts[1:]]
+
+    def ids(seq):
+        return np.array(seq, dtype=np.int64)
+
     out = []
     for e in grad.critical_ids(1):
         for path in trace_down_from_edge(grad, e):
-            pts = [_barycenter(tri, 1, e)]
-            for v, ee in path.pairs:
-                pts.append(tri.vertex_point(v))
-                pts.append(_barycenter(tri, 1, ee))
-            pts.append(tri.vertex_point(path.lower))
-            out.append(Separatrix("min-saddle", (1, e), (0, path.lower),
-                                  np.array(pts)))
+            lows, highs = ids(path.pairs).reshape(-1, 2).T
+            out.append(Separatrix(
+                "min-saddle", (1, e), (0, path.lower),
+                _polyline(center[1][e], points[lows], center[1][highs],
+                          points[path.lower])))
     for s in grad.critical_ids(d - 1):
         for path in trace_up_from_facet(grad, s):
-            pts = [_barycenter(tri, d - 1, s)]
-            for low, high in reversed(path.pairs):
-                pts.append(_barycenter(tri, d, high))
-                pts.append(_barycenter(tri, d - 1, low))
-            target = None
+            lows, highs = ids(path.pairs[::-1]).reshape(-1, 2).T
+            target = tail = None
             if path.upper is not None:
-                pts.append(_barycenter(tri, d, path.upper))
                 target = (d, path.upper)
-            out.append(Separatrix("saddle-max", (d - 1, s), target,
-                                  np.array(pts)))
+                tail = center[d][path.upper]
+            out.append(Separatrix(
+                "saddle-max", (d - 1, s), target,
+                _polyline(center[d - 1][s], center[d][highs],
+                          center[d - 1][lows], tail)))
     if d == 3:
         targets = set(grad.critical_ids(1))
         for tau in grad.critical_ids(2):
             for e, pairs in _first_connectors(grad, tau, targets).items():
-                pts = [_barycenter(tri, 2, tau)]
-                for low, high in pairs:
-                    pts.append(_barycenter(tri, 1, low))
-                    pts.append(_barycenter(tri, 2, high))
-                pts.append(_barycenter(tri, 1, e))
-                out.append(Separatrix("saddle-saddle", (2, tau), (1, e),
-                                      np.array(pts)))
+                lows, highs = ids(pairs).reshape(-1, 2).T
+                out.append(Separatrix(
+                    "saddle-saddle", (2, tau), (1, e),
+                    _polyline(center[2][tau], center[1][lows],
+                              center[2][highs], center[1][e])))
     return out
 
 

@@ -63,6 +63,14 @@ QUERY_KINDS = (
 )
 
 
+def _row_keys(rows: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Collapse sorted vertex rows into scalar keys for fast lookup."""
+    key = rows[:, 0].astype(np.int64)
+    for c in range(1, rows.shape[1]):
+        key = key * n_vertices + rows[:, c]
+    return key
+
+
 class Triangulation:
     """Abstract 2D/3D simplicial triangulation with face/co-face queries.
 
@@ -92,6 +100,11 @@ class Triangulation:
 
     def vertex_point(self, v: int):
         """3D coordinates of vertex ``v``."""
+        raise NotImplementedError
+
+    def point_array(self) -> np.ndarray:
+        """``(simplex_count(0), 3)`` float array of the vertex coordinates
+        in id order; row ``v`` equals ``vertex_point(v)``."""
         raise NotImplementedError
 
     # -- traversal ------------------------------------------------------
@@ -132,6 +145,31 @@ class Triangulation:
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         return offsets, ids
 
+    def facet_ids(self, k: int) -> np.ndarray:
+        """``(simplex_count(k), k+1)`` int64 array of the (k-1)-face ids
+        of every k-simplex, for ``1 <= k <= dim``.
+
+        Column ``j`` of row ``s`` is the face opposite vertex
+        ``simplex_array(k)[s, j]``, so a row holds ``faces(s, k-1)`` up
+        to column order.  Built from ``simplex_array(k-1)`` and
+        ``simplex_array(k)`` with one row-key ``searchsorted`` on every
+        call and never stored, so explicit meshes need the row
+        preconditions of both dimensions.  The keys need
+        ``simplex_count(0) ** k <= 2**63`` (up to 2**21 vertices in 3D).
+        """
+        if not 1 <= k <= self.dim:
+            raise TriangulationError(f"bad simplex dimension {k}")
+        nv = self.simplex_count(0)
+        if nv ** k > 1 << 63:
+            raise TriangulationError(
+                f"{nv} vertices overflow the int64 keys of facet_ids({k})")
+        keys = _row_keys(self.simplex_array(k - 1), nv)
+        order = np.argsort(keys)
+        cols = [[c for c in range(k + 1) if c != j] for j in range(k + 1)]
+        faces = self.simplex_array(k)[:, cols].reshape(-1, k)
+        pos = np.searchsorted(keys, _row_keys(faces, nv), sorter=order)
+        return order[pos].reshape(-1, k + 1)
+
     def vertex_link(self, v: int) -> list:
         """(d-1)-simplices opposite ``v`` in its star, ids ascending."""
         d = self.dim
@@ -156,8 +194,6 @@ def validate_pseudo_manifold(t: Triangulation) -> list:
     required by the downstream gradient and tree modules.
     """
     d = t.dim
-    bad = []
-    for i in range(t.simplex_count(d - 1)):
-        if len(t.cofaces(SimplexRef(d - 1, i), d)) > 2:
-            bad.append(SimplexRef(d - 1, i))
-    return bad
+    counts = np.bincount(t.facet_ids(d).ravel(),
+                         minlength=t.simplex_count(d - 1))
+    return [SimplexRef(d - 1, i) for i in np.nonzero(counts > 2)[0].tolist()]

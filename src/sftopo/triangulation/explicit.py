@@ -36,6 +36,7 @@ from .base import (
     SimplexRef,
     Triangulation,
     TriangulationError,
+    _row_keys,
 )
 
 #: The table each query kind builds; "d" is the cell dimension.
@@ -58,14 +59,6 @@ _KIND_KEYS = {
     "boundary_triangles": ("boundary", 2),
     "boundary_cells": ("boundary", "d"),
 }
-
-
-def _row_keys(rows: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Collapse sorted vertex rows into scalar keys for fast lookup."""
-    key = rows[:, 0].astype(np.int64)
-    for c in range(1, rows.shape[1]):
-        key = key * n_vertices + rows[:, c]
-    return key
 
 
 def _group(keys: np.ndarray, values: np.ndarray, n_keys: int) -> list:
@@ -222,6 +215,11 @@ class ExplicitTriangulation(Triangulation):
 
     def vertex_point(self, v: int):
         return self.points[v]
+
+    def point_array(self) -> np.ndarray:
+        pts = self.points.view()
+        pts.flags.writeable = False
+        return pts
 
     def faces(self, s: SimplexRef, k: int) -> list:
         dim, sid = s

@@ -412,8 +412,8 @@ class ImplicitGridTriangulation(Triangulation):
 
     def point_array(self) -> np.ndarray:
         """Vertex coordinates in id order, padded to 3D."""
-        n = self.simplex_count(0)
-        pts = np.zeros((n, 3))
-        coords = [self.vertex_coords(v) for v in range(n)]
-        pts[:, : self.dim] = np.array(coords, dtype=float)
+        pts = np.zeros((self.simplex_count(0), 3))
+        # np.indices over reversed dims: the first axis varies fastest
+        coords = np.indices(self.dims[::-1]).reshape(self.dim, -1)
+        pts[:, : self.dim] = coords[::-1].T
         return pts

@@ -66,6 +66,10 @@ def octahedron_sub2():
     return preconditioned(ExplicitTriangulation(*midpoint_subdivide(p, c)))
 
 
+#: Grid dims on which implicit grids are compared with explicit rebuilds.
+EQUIVALENCE_DIMS = [(2, 2), (3, 5), (16, 2), (2, 2, 2), (3, 4, 2), (4, 4, 4)]
+
+
 F0_VALUES = np.array([0, 4, 2, 5, 6, 7, 8, 9, 10], dtype=np.float64)
 
 

@@ -4,8 +4,10 @@ Everything here recomputes results from first principles with
 deliberately simple (slow) algorithms: elder-rule pairing by direct
 union-find sweeps, persistent homology by full GF(2) boundary-matrix
 reduction, V-path acyclicity by explicit graph search, level-set
-components by union-find over crossing edges, and a triangulation
-comparator keyed on vertex tuples rather than ids.
+components by union-find over crossing edges, a triangulation
+comparator keyed on vertex tuples rather than ids, the discrete
+gradient by a per-simplex co-face scan, and saddle/maximum cancellation
+by a full rescan and sort of every arc after each cancellation.
 """
 
 from itertools import combinations
@@ -13,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from sftopo import SimplexRef
+from sftopo.gradient import VPath, reverse_vpath
 
 
 # --------------------------------------------------------------------------
@@ -235,3 +238,130 @@ def vpath_graph_acyclic(tri, grad):
                     state[v] = 2
                     stack.pop()
     return True
+
+
+# --------------------------------------------------------------------------
+# Discrete gradient by a per-simplex steepest co-face scan
+# --------------------------------------------------------------------------
+
+
+def steepest_coface_gradient(tri, field):
+    """(pair_up, pair_down) lists of arrays, built simplex by simplex.
+
+    An unpaired k-simplex pairs with the admissible (k+1)-co-face (its
+    extra vertex below every vertex of the simplex) whose lowest vertex
+    is lowest; ``tri.cofaces`` lists co-faces by ascending id, so a tie
+    would go to the lowest id.  A simplex already paired down is skipped.
+    """
+    d = tri.dim
+    ranks = field.ranks
+    up = [np.full(tri.simplex_count(k), -1, dtype=np.int64)
+          for k in range(d + 1)]
+    down = [np.full(tri.simplex_count(k), -1, dtype=np.int64)
+            for k in range(d + 1)]
+    for k in range(d):
+        for sid in range(tri.simplex_count(k)):
+            if down[k][sid] >= 0:
+                continue
+            low_min = min(ranks[v] for v in
+                          tri.simplex_vertices(SimplexRef(k, sid)))
+            best_rank, best_tid = None, -1
+            for tid in tri.cofaces(SimplexRef(k, sid), k + 1):
+                extra = min(ranks[v] for v in
+                            tri.simplex_vertices(SimplexRef(k + 1, tid)))
+                if extra < low_min and (best_rank is None
+                                        or extra < best_rank):
+                    best_rank, best_tid = extra, tid
+            if best_tid >= 0:
+                up[k][sid] = best_tid
+                down[k + 1][best_tid] = sid
+    return up, down
+
+
+# --------------------------------------------------------------------------
+# Saddle/maximum cancellation by rescanning every arc
+# --------------------------------------------------------------------------
+
+
+def _walks_up(grad, sigma):
+    """Ascending (d-1, d) V-paths from facet ``sigma``, one per co-face,
+    walked with ``tri.cofaces``."""
+    tri, d = grad.tri, grad.tri.dim
+    out = []
+    for start in tri.cofaces(SimplexRef(d - 1, sigma), d):
+        pairs = []
+        tau, upper = start, None
+        while True:
+            low = grad.pair_down[d][tau]
+            if low < 0:
+                upper = int(tau)
+                break
+            pairs.append((int(low), int(tau)))
+            nxt = [c for c in tri.cofaces(SimplexRef(d - 1, low), d)
+                   if c != tau]
+            if not nxt:
+                break
+            tau = nxt[0]
+        pairs.reverse()
+        out.append(VPath(d - 1, upper, int(sigma), pairs))
+    return out
+
+
+def _value(grad, dim, sid):
+    verts = grad.tri.simplex_vertices(SimplexRef(dim, sid))
+    return grad.field.simplex_value(verts)
+
+
+def _copying_release(matching, dims_sids):
+    """``_Matching.release`` that saves both dicts and restores them on
+    failure, instead of undoing its logged changes."""
+    banned = set(dims_sids)
+    saved = (dict(matching.slot_of), dict(matching.sid_of))
+    for key in banned:
+        i = matching.slot_of.pop(key, None)
+        if i is None:
+            continue
+        del matching.sid_of[i]
+        if not matching._augment(i, banned):
+            matching.slot_of, matching.sid_of = saved
+            return False
+    return True
+
+
+def rescan_facet_cancellation(grad, matching):
+    """Saddle/maximum cancellations, one full rescan per cancellation.
+
+    Every round traces every interior critical facet, keeps each cell
+    it reaches by exactly one walk unless both ends are matched, sorts
+    the arcs by (weight, facet, cell) and cancels the first arc whose
+    ends the matching can release, restoring copies of the matching
+    after every release that fails.  Stops when no arc can be cancelled.
+    Same contract as ``sftopo.compliance._cancel_facet_pairs``.
+    """
+    tri, d = grad.tri, grad.tri.dim
+    cancelled = []
+    while True:
+        arcs = []
+        for sigma in grad.critical_ids(d - 1):
+            if tri.is_boundary(SimplexRef(d - 1, sigma)):
+                continue
+            ends = {}
+            for path in _walks_up(grad, sigma):
+                if path.upper is not None:
+                    ends.setdefault(path.upper, []).append(path)
+            for tau, paths in ends.items():
+                if len(paths) > 1 or tri.is_boundary(SimplexRef(d, tau)):
+                    continue
+                if matching.is_matched(d - 1, sigma) and \
+                        matching.is_matched(d, tau):
+                    continue
+                w = abs(_value(grad, d, tau) - _value(grad, d - 1, sigma))
+                arcs.append((w, sigma, tau, paths[0]))
+        arcs.sort(key=lambda a: a[:3])
+        for w, sigma, tau, path in arcs:
+            if _copying_release(matching, [(d - 1, sigma), (d, tau)]):
+                reverse_vpath(grad, path)
+                cancelled.append((d - 1, sigma, tau))
+                break
+        else:
+            return cancelled

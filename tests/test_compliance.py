@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from conftest import random_field
+import oracles
+from conftest import random_field, tie_heavy_field
 from sftopo import (
     ImplicitGridTriangulation,
+    compliance,
     SimplexRef,
     build_gradient,
     enforce_compliance,
@@ -80,3 +82,67 @@ class TestEnforcement:
         assert not report.match_failures
         assert n_after <= n_before
         assert gradient_is_acyclic(g)
+
+
+def assert_heap_matches_rescan(monkeypatch, tri, f):
+    """``enforce_compliance`` cancels the same pairs in the same order,
+    and leaves the same gradient and report, as it does with the
+    rescan-and-sort facet cancellation of ``tests/oracles.py``."""
+    g = build_gradient(tri, f)
+    ref = g.copy()
+    got = enforce_compliance(tri, f, g)
+    with monkeypatch.context() as m:
+        m.setattr(compliance, "_cancel_facet_pairs",
+                  oracles.rescan_facet_cancellation)
+        want = enforce_compliance(tri, f, ref)
+    assert got.cancelled == want.cancelled
+    for k in range(tri.dim + 1):
+        assert np.array_equal(g.pair_up[k], ref.pair_up[k])
+        assert np.array_equal(g.pair_down[k], ref.pair_down[k])
+    assert repr(got) == repr(want)
+    return len(got.cancelled)
+
+
+class TestHeapCancellation:
+    def test_grids_match_rescan(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        cancelled = 0
+        for dims, fields in (((9, 7), 6), ((16, 16), 3), ((4, 4, 4), 4)):
+            tri = ImplicitGridTriangulation(dims)
+            for make in (random_field, tie_heavy_field):
+                for _ in range(fields):
+                    cancelled += assert_heap_matches_rescan(
+                        monkeypatch, tri, make(tri, rng))
+        assert cancelled > 0
+
+    def test_spheres_match_rescan(self, monkeypatch, octahedron,
+                                  octahedron_sub1, octahedron_sub2):
+        rng = np.random.default_rng(17)
+        for tri in (octahedron, octahedron_sub1, octahedron_sub2):
+            for _ in range(4):
+                assert_heap_matches_rescan(
+                    monkeypatch, tri, random_field(tri, rng))
+
+    def test_failed_release_never_succeeds_later(self, monkeypatch):
+        """The heap drops an arc whose release fails; a later attempt,
+        after every cancellation, fails too and changes nothing."""
+        release = compliance._Matching.release
+        failed = []
+
+        def logged(matching, dims_sids):
+            ok = release(matching, dims_sids)
+            if not ok:
+                failed.append((matching, list(dims_sids)))
+            return ok
+
+        monkeypatch.setattr(compliance._Matching, "release", logged)
+        tri = ImplicitGridTriangulation((16, 16))
+        rng = np.random.default_rng(18)
+        for make in (random_field, tie_heavy_field):
+            g = build_gradient(tri, make(tri, rng))
+            enforce_compliance(tri, g.field, g)
+        assert len(failed) > 20
+        for matching, dims_sids in failed:
+            before = (dict(matching.slot_of), dict(matching.sid_of))
+            assert not release(matching, dims_sids)
+            assert (matching.slot_of, matching.sid_of) == before

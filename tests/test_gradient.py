@@ -1,10 +1,13 @@
 """Discrete gradient construction, V-paths, and reversal."""
 
 import numpy as np
+import pytest
 
-from conftest import random_field
-from oracles import vpath_graph_acyclic
+from conftest import EQUIVALENCE_DIMS, preconditioned, random_field, \
+    tie_heavy_field
+from oracles import steepest_coface_gradient, vpath_graph_acyclic
 from sftopo import (
+    ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
     SimplexRef,
@@ -59,6 +62,51 @@ class TestBuild:
         g = build_gradient(tri, f)
         assert pairing_is_valid(g)
         assert gradient_is_acyclic(g)
+
+
+def assert_matches_scan(tri, f):
+    g = build_gradient(tri, f)
+    up, down = steepest_coface_gradient(tri, f)
+    for k in range(tri.dim + 1):
+        assert np.array_equal(g.pair_up[k], up[k]), k
+        assert np.array_equal(g.pair_down[k], down[k]), k
+
+
+class TestArrayKernel:
+    """``build_gradient`` equals the per-simplex steepest co-face scan."""
+
+    @pytest.mark.parametrize("dims", EQUIVALENCE_DIMS)
+    def test_matches_steepest_coface_scan(self, dims):
+        g = ImplicitGridTriangulation(dims)
+        ex = preconditioned(
+            ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
+        rng = np.random.default_rng(list(dims))
+        for tri in (g, ex):
+            for make in (random_field, tie_heavy_field):
+                for _ in range(3):
+                    assert_matches_scan(tri, make(tri, rng))
+
+    def test_matches_steepest_coface_scan_spheres(
+            self, octahedron, octahedron_sub1, octahedron_sub2):
+        rng = np.random.default_rng(6)
+        for tri in (octahedron, octahedron_sub1, octahedron_sub2):
+            for make in (random_field, tie_heavy_field):
+                for _ in range(3):
+                    assert_matches_scan(tri, make(tri, rng))
+
+    def test_pairing_with_a_non_face_is_invalid(self):
+        tri = ImplicitGridTriangulation((4, 4))
+        g = build_gradient(tri, random_field(tri, np.random.default_rng(7)))
+        assert pairing_is_valid(g)
+        # re-pair a paired vertex with an edge that does not contain it
+        v = int(np.nonzero(g.pair_up[0] >= 0)[0][0])
+        e = next(i for i in range(tri.simplex_count(1))
+                 if v not in tri.simplex_vertices(SimplexRef(1, i))
+                 and g.pair_down[1][i] < 0 and g.pair_up[1][i] < 0)
+        g.pair_down[1][g.pair_up[0][v]] = -1
+        g.pair_up[0][v] = e
+        g.pair_down[1][e] = v
+        assert not pairing_is_valid(g)
 
 
 class TestVPaths:

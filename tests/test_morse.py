@@ -1,8 +1,10 @@
 """Morse-Smale segmentations and separatrix geometry."""
 
+import time
+
 import numpy as np
 
-from conftest import two_bump_field
+from conftest import random_field, two_bump_field
 from sftopo import (
     ImplicitGridTriangulation,
     OrderField,
@@ -81,3 +83,18 @@ class TestSeparatrices:
         for s in seps:
             if s.kind == "saddle-saddle":
                 assert s.source[0] == 2 and s.target[0] == 1
+
+
+def test_pipeline_scales_to_64x64():
+    """Gradient, compliance, separatrices and both segmentations of a
+    random 64x64 field stay well within seconds."""
+    tri = ImplicitGridTriangulation((64, 64))
+    f = random_field(tri, np.random.default_rng(64))
+    start = time.perf_counter()
+    g = compliant(tri, f)
+    seps = extract_separatrices(g)
+    desc = descending_segmentation(g)
+    asc = ascending_segmentation(g)
+    elapsed = time.perf_counter() - start
+    assert seps and len(desc) == 64 * 64 and len(asc) == 2 * 63 * 63
+    assert elapsed < 10.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import octahedron_mesh
+from conftest import EQUIVALENCE_DIMS, octahedron_mesh
 from oracles import assert_equivalent
 from sftopo import (
     ExplicitTriangulation,
@@ -26,6 +26,20 @@ def assert_neighbor_csr(tri):
     for v in range(n):
         assert ids[offsets[v]:offsets[v + 1]].tolist() \
             == tri.vertex_neighbors(v)
+
+
+def assert_facet_ids(tri):
+    """Every ``facet_ids`` row holds ``tri.faces`` up to column order,
+    column j being the face opposite vertex j."""
+    for k in range(1, tri.dim + 1):
+        ids = tri.facet_ids(k)
+        assert ids.dtype == np.int64
+        assert ids.shape == (tri.simplex_count(k), k + 1)
+        for s, row in enumerate(ids.tolist()):
+            assert sorted(row) == tri.faces(SimplexRef(k, s), k - 1)
+        rows, faces = tri.simplex_array(k), tri.simplex_array(k - 1)
+        for j in range(k + 1):
+            assert np.array_equal(faces[ids[:, j]], np.delete(rows, j, 1))
 
 
 def precondition_all(tri):
@@ -97,6 +111,11 @@ class TestImplicitGrid:
         assert size(vars(ImplicitGridTriangulation(small))) \
             == size(vars(ImplicitGridTriangulation(large)))
 
+    def test_facet_ids_refuses_overflowing_keys(self):
+        t = ImplicitGridTriangulation((2048, 2048, 2))    # 2**23 vertices
+        with pytest.raises(TriangulationError):
+            t.facet_ids(3)
+
     def test_bad_query_dims(self):
         t = ImplicitGridTriangulation((3, 3))
         with pytest.raises(TriangulationError):
@@ -158,12 +177,14 @@ class TestExplicit:
         for tri in (octahedron, octahedron_sub1, octahedron_sub2):
             assert_neighbor_csr(tri)
 
+    def test_facet_ids_spheres(self, octahedron, octahedron_sub1,
+                               octahedron_sub2):
+        for tri in (octahedron, octahedron_sub1, octahedron_sub2):
+            assert_facet_ids(tri)
+
     def test_pseudo_manifold_ok(self, octahedron):
         precondition_all(octahedron)
         assert validate_pseudo_manifold(octahedron) == []
-
-
-EQUIVALENCE_DIMS = [(2, 2), (3, 5), (16, 2), (2, 2, 2), (3, 4, 2), (4, 4, 4)]
 
 
 class TestEquivalence:
@@ -196,6 +217,14 @@ class TestEquivalence:
             ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
         for tri in (g, ex):
             assert_neighbor_csr(tri)
+
+    @pytest.mark.parametrize("dims", EQUIVALENCE_DIMS)
+    def test_facet_ids(self, dims):
+        g = ImplicitGridTriangulation(dims)
+        ex = precondition_all(
+            ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
+        for tri in (g, ex):
+            assert_facet_ids(tri)
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (2, 2, 2), (4, 3, 5)])
     def test_vertex_link_matches_star_walk(self, dims):
