@@ -258,15 +258,14 @@ def write_separatrices_obj(path: str, separatrices) -> None:
     with open(path, "w") as fh:
         base = 1
         for i, sep in enumerate(separatrices):
+            points = np.asarray(sep.points).ravel().tolist()
+            m = len(points) // 3
             fh.write("o %s_%d\n" % (sep.kind.replace("-", "_"), i))
-            for p in sep.points:
-                fh.write("v %.17g %.17g %.17g\n" % tuple(p))
-            idx = " ".join(str(base + j) for j in range(len(sep.points)))
-            fh.write("l %s\n" % idx)
-            base += len(sep.points)
+            fh.write(("v %.17g %.17g %.17g\n" * m) % tuple(points))
+            fh.write("l %s\n" % " ".join(map(str, range(base, base + m))))
+            base += m
 
 
 def write_labels(path: str, labels: np.ndarray) -> None:
     with open(path, "w") as fh:
-        for v in labels:
-            fh.write("%d\n" % v)
+        fh.write("".join("%d\n" % v for v in np.asarray(labels).tolist()))

@@ -1,9 +1,11 @@
 """Merge trees, contour tree, and persistence diagram/curve.
 
 Join (sub-level) and split (sur-level) trees are computed by a
-union-find sweep over the total vertex order; the contour tree combines
-them by leaf pruning.  Persistence pairs follow the elder rule: when
-two components merge, the younger extremum dies at the merge vertex.
+union-find sweep over the total vertex order.  The same sweep records
+the elder-rule persistence pairs: when components merge, the oldest
+extremum survives and each younger one dies at the merge vertex.  The
+contour tree combines the two trees by leaf pruning on flat per-vertex
+arrays (Carr, Snoeyink & Axen, CGTA 24(2), 2003).
 In 3D, saddle-saddle pairs are extracted from a discrete gradient by
 visiting critical triangles in ascending order and pairing each with
 the highest critical edge its saddle-connectors reach an odd number of
@@ -51,14 +53,8 @@ def _check_simply_connected(tri: Triangulation) -> None:
     else:
         # closed 3-manifolds always have characteristic 0 (test blind);
         # any 3D domain with boundary must look like a ball
-        d = tri.dim
-        tri.precondition("boundary_triangles")
-        from .triangulation import SimplexRef
-        has_boundary = any(
-            tri.is_boundary(SimplexRef(d - 1, i))
-            for i in range(tri.simplex_count(d - 1))
-        )
-        ok = (1,) if has_boundary else (0,)
+        facets = np.bincount(tri.facet_ids(tri.dim).ravel())
+        ok = (1,) if (facets == 1).any() else (0,)
     if chi not in ok:
         raise DomainTopologyError(
             f"domain is not simply connected (Euler characteristic {chi}); "
@@ -73,7 +69,9 @@ class MergeTree:
     ``succ[v]`` is the vertex at which the component headed by ``v``
     was absorbed (the parent toward the root; -1 for the root) and
     ``n_children[v]`` the number of components that merged at ``v``
-    (0 for leaves, >= 2 for merge saddles).
+    (0 for leaves, >= 2 for merge saddles).  ``pairs`` lists the
+    elder-rule (extremum, merge vertex) pairs in sweep order, the
+    extrema of one merge from oldest to youngest.
     """
 
     variant: str                 # "join" or "split"
@@ -84,6 +82,7 @@ class MergeTree:
     root: int
     leaves: list
     saddles: list                # (vertex, multiplicity = k - 1)
+    pairs: list                  # (extremum, merge vertex)
 
 
 def build_merge_tree(
@@ -92,7 +91,9 @@ def build_merge_tree(
     """Union-find sweep building the join or split tree.
 
     The join tree sweeps ascending and its leaves are the minima; the
-    split tree sweeps descending with leaves at the maxima.
+    split tree sweeps descending with leaves at the maxima.  Each
+    component root keeps its oldest extremum; at a merge the oldest of
+    them survives and the others pair with the merge vertex.
     """
     if variant not in ("join", "split"):
         raise ValueError("variant must be 'join' or 'split'")
@@ -100,12 +101,16 @@ def build_merge_tree(
         raise ValueError("field length does not match vertex count")
     tri.precondition("edge_list")
     n = len(field)
-    sweep = field.order if variant == "join" else field.order[::-1]
+    ascending = variant == "join"
+    sweep = field.order if ascending else field.order[::-1]
+    age = field.ranks.tolist() if ascending else (-field.ranks).tolist()
     offsets, ids = tri.neighbor_csr()
     offsets, ids = offsets.tolist(), ids.tolist()
     before = [False] * n
+    # a root is always the last vertex swept into its component, so it
+    # heads the component and is its succ-tree node
     parent = list(range(n))
-    head = list(range(n))        # current head vertex per component root
+    oldest = list(range(n))      # oldest extremum per component root
 
     def find(x):
         root = x
@@ -117,7 +122,7 @@ def build_merge_tree(
 
     succ = [-1] * n
     n_children = [0] * n
-    leaves, saddles = [], []
+    leaves, saddles, pairs = [], [], []
     for v in sweep.tolist():
         roots = []
         for u in ids[offsets[v]:offsets[v + 1]]:
@@ -129,48 +134,32 @@ def build_merge_tree(
         n_children[v] = k
         if k == 0:
             leaves.append(v)
-        elif k >= 2:
+        elif k == 1:
+            oldest[v] = oldest[roots[0]]
+        else:
             saddles.append((v, k - 1))
+            extrema = sorted((oldest[r] for r in roots), key=age.__getitem__)
+            oldest[v] = extrema[0]
+            pairs.extend((e, v) for e in extrema[1:])
         for r in roots:
-            succ[head[r]] = v
+            succ[r] = v
             parent[r] = v
-        head[v] = v
         before[v] = True
     return MergeTree(variant, field, tri, np.array(succ, dtype=np.int64),
                      np.array(n_children, dtype=np.int64), int(sweep[-1]),
-                     leaves, saddles)
+                     leaves, saddles, pairs)
 
 
 def persistence_pairs_extrema(tree: MergeTree) -> list:
-    """Elder-rule pairs (extremum vertex, merge vertex) from a merge tree.
+    """Elder-rule pairs (extremum vertex, merge vertex) of a merge tree.
 
     At each merge the oldest extremum survives and every other
     component's extremum pairs with the merge vertex, so a saddle
     merging k components emits k-1 pairs and the final survivor stays
-    unpaired.
+    unpaired.  The pairs are the ones the tree's sweep recorded, in
+    sweep order and from oldest to youngest within one merge.
     """
-    field = tree.field
-    ranks = field.ranks
-    ascending = tree.variant == "join"
-    children = {}
-    for v in range(len(field)):
-        s = tree.succ[v]
-        if s >= 0:
-            children.setdefault(int(s), []).append(v)
-    sweep = field.order if ascending else field.order[::-1]
-    best = {}                    # head vertex -> surviving extremum
-    pairs = []
-    for v in sweep:
-        v = int(v)
-        ch = children.get(v, [])
-        if not ch:
-            best[v] = v
-            continue
-        extrema = sorted((best.pop(c) for c in ch), key=lambda x: ranks[x],
-                         reverse=not ascending)
-        pairs.extend((e, v) for e in extrema[1:])
-        best[v] = extrema[0]
-    return pairs
+    return list(tree.pairs)
 
 
 # --------------------------------------------------------------------------
@@ -196,6 +185,14 @@ class ContourTree:
 def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
     """Leaf-pruning combination of the join and split trees.
 
+    A lower leaf (a join-tree leaf with at most one split-tree child)
+    and an upper leaf (the mirror case) are pruned by one routine with
+    the two trees' roles swapped.  Each tree keeps per-vertex child
+    counts and child-id sums, so a vertex with one child left names it
+    by its sum.  Every pruned vertex records the one augmented arc to
+    its successor; the regular chains of that augmented tree are then
+    reduced to arcs between nodes.
+
     Raises DomainTopologyError when the domain is not simply connected,
     detected through the Euler characteristic (2 for a closed surface,
     1 for a domain with boundary) or, as a backstop, a pruning stall.
@@ -204,79 +201,54 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
     field = join.field
     n = len(field)
     ranks = field.ranks
-    jup = join.succ.copy()
-    sdown = split.succ.copy()
-    jd = join.n_children.copy()
-    sd = split.n_children.copy()
-    jch = [set() for _ in range(n)]
-    sch = [set() for _ in range(n)]
-    for v in range(n):
-        if jup[v] >= 0:
-            jch[jup[v]].add(v)
-        if sdown[v] >= 0:
-            sch[sdown[v]].add(v)
-    removed = np.zeros(n, dtype=bool)
+    # index 0 is the join tree (succ points up), 1 the split tree
+    succ, n_ch, ch_sum = [], [], []
+    for tree in (join, split):
+        has = tree.succ >= 0
+        sums = np.zeros(n, dtype=np.int64)
+        np.add.at(sums, tree.succ[has], np.flatnonzero(has))
+        succ.append(tree.succ.tolist())
+        n_ch.append(tree.n_children.tolist())
+        ch_sum.append(sums.tolist())
+    removed = [False] * n
     alive = n
-    up_arcs = [[] for _ in range(n)]     # arcs (v, w) stored at v
-    down_arcs = [[] for _ in range(n)]
+    lo, hi = [-1] * n, [-1] * n          # the augmented arc of each pruned x
 
-    def is_lower_leaf(x):
-        return jd[x] == 0 and sd[x] <= 1 and jup[x] >= 0
+    def leaf_kind(x):
+        """0 for a lower leaf, 1 for an upper leaf, else None."""
+        for a in (0, 1):
+            if n_ch[a][x] == 0 and n_ch[1 - a][x] <= 1 and succ[a][x] >= 0:
+                return a
+        return None
 
-    def is_upper_leaf(x):
-        return sd[x] == 0 and jd[x] <= 1 and sdown[x] >= 0
-
-    queue = deque(
-        x for x in map(int, field.order)
-        if is_lower_leaf(x) or is_upper_leaf(x)
-    )
+    queue = deque(x for x in field.order.tolist() if leaf_kind(x) is not None)
     while queue and alive > 1:
         x = queue.popleft()
-        if removed[x]:
+        a = None if removed[x] else leaf_kind(x)
+        if a is None:
             continue
-        if is_lower_leaf(x):
-            y = int(jup[x])
-            up_arcs[x].append(y)
-            down_arcs[y].append(x)
-            jch[y].discard(x)
-            jd[y] -= 1
-            z = int(sdown[x])
-            if sd[x] == 1:
-                (c,) = sch[x]
-                sdown[c] = z
-                if z >= 0:
-                    sch[z].discard(x)
-                    sch[z].add(c)
-                queue.append(int(c))
-            elif z >= 0:
-                sch[z].discard(x)
-                sd[z] -= 1
-            touched = (y, z) if z >= 0 else (y,)
-        elif is_upper_leaf(x):
-            y = int(sdown[x])
-            down_arcs[x].append(y)
-            up_arcs[y].append(x)
-            sch[y].discard(x)
-            sd[y] -= 1
-            z = int(jup[x])
-            if jd[x] == 1:
-                (c,) = jch[x]
-                jup[c] = z
-                if z >= 0:
-                    jch[z].discard(x)
-                    jch[z].add(c)
-                queue.append(int(c))
-            elif z >= 0:
-                jch[z].discard(x)
-                jd[z] -= 1
-            touched = (y, z) if z >= 0 else (y,)
-        else:
-            continue
+        b = 1 - a
+        # x leaves tree a, whose edge to y becomes an arc ...
+        y = succ[a][x]
+        lo[x], hi[x] = (x, y) if a == 0 else (y, x)
+        n_ch[a][y] -= 1
+        ch_sum[a][y] -= x
+        # ... and is spliced out of tree b
+        z = succ[b][x]
+        if n_ch[b][x] == 1:
+            c = ch_sum[b][x]
+            succ[b][c] = z
+            if z >= 0:
+                ch_sum[b][z] += c - x
+            queue.append(c)
+        elif z >= 0:
+            n_ch[b][z] -= 1
+            ch_sum[b][z] -= x
         removed[x] = True
         alive -= 1
-        for t in touched:
-            if not removed[t] and (is_lower_leaf(t) or is_upper_leaf(t)):
-                queue.append(int(t))
+        for t in (y, z):
+            if t >= 0 and not removed[t] and leaf_kind(t) is not None:
+                queue.append(t)
     if alive > 1:
         raise DomainTopologyError(
             "contour tree combination stalled: the domain is not simply "
@@ -284,40 +256,37 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
             "more than once)"
         )
 
-    # up_arcs/down_arcs describe the augmented tree; reduce regular chains
-    up_deg = np.array([len(a) for a in up_arcs])
-    down_deg = np.array([len(a) for a in down_arcs])
-    is_node = (up_deg != 1) | (down_deg != 1)
-    node_list = sorted(np.nonzero(is_node)[0], key=lambda v: ranks[v])
-    node_types = {}
-    for v in node_list:
-        v = int(v)
-        if down_deg[v] == 0:
-            node_types[v] = "min"
-        elif up_deg[v] == 0:
-            node_types[v] = "max"
-        else:
-            node_types[v] = "saddle"
+    # (lo, hi) is the augmented tree; reduce its regular chains
+    lo, hi = np.array(lo), np.array(hi)
+    pruned = lo >= 0
+    lo, hi = lo[pruned], hi[pruned]
+    up_deg = np.bincount(lo, minlength=n)
+    down_deg = np.bincount(hi, minlength=n)
+    is_node = ((up_deg != 1) | (down_deg != 1)).tolist()
+    up = np.full(n, -1, dtype=np.int64)
+    up[lo] = hi                  # the one upper neighbour of a regular vertex
+    up = up.tolist()
     arcs = []
-    vertex_arc = np.full(n, -1, dtype=np.int64)
-    for v in node_list:
-        for w in up_arcs[int(v)]:
-            interior = []
-            while not is_node[w]:
-                interior.append(int(w))
-                w = up_arcs[int(w)][0]
-            arcs.append((int(v), int(w), interior))
-    arcs.sort(key=lambda a: (ranks[a[0]], ranks[a[1]]))
-    for i, (lo, hi, interior) in enumerate(arcs):
-        for v in interior:
-            vertex_arc[v] = i
+    for v, w in zip(lo.tolist(), hi.tolist()):
+        if not is_node[v]:
+            continue
+        interior = []
+        while not is_node[w]:
+            interior.append(w)
+            w = up[w]
+        arcs.append((v, w, interior))
+    arcs.sort(key=lambda arc: (ranks[arc[0]], ranks[arc[1]]))
+    vertex_arc = np.full(n, len(arcs), dtype=np.int64)
+    for i, (_, _, interior) in enumerate(arcs):
+        vertex_arc[interior] = i
     # nodes map to their lowest incident arc (by arc index)
-    for i, (lo, hi, _) in enumerate(arcs):
-        for v in (lo, hi):
-            if vertex_arc[v] < 0:
-                vertex_arc[v] = i
-    arcs = [(lo, hi) for lo, hi, _ in arcs]
-    return ContourTree([int(v) for v in node_list], node_types, arcs,
+    ends = np.array([arc[:2] for arc in arcs], dtype=np.int64).reshape(-1, 2)
+    np.minimum.at(vertex_arc, ends, np.arange(len(arcs))[:, None])
+    nodes = np.flatnonzero(is_node)
+    nodes = nodes[np.argsort(ranks[nodes])].tolist()
+    node_types = {v: "min" if down_deg[v] == 0 else
+                  "max" if up_deg[v] == 0 else "saddle" for v in nodes}
+    return ContourTree(nodes, node_types, [arc[:2] for arc in arcs],
                        vertex_arc)
 
 

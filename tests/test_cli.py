@@ -109,6 +109,30 @@ class TestExitCodes:
         assert main(["info"] + f0_args(f0_file)) == 0
 
 
+F0_INFO = """dimension: 2
+vertices: 9
+edges: 16
+triangles: 8
+boundary facets: 8
+field range: [0, 10]
+"""
+
+
+class TestInfo:
+    def test_grid(self, f0_file, capsys):
+        assert main(["info"] + f0_args(f0_file)) == 0
+        assert capsys.readouterr().out == F0_INFO
+
+    def test_closed_mesh(self, tmp_path, capsys):
+        off = tmp_path / "octa.off"
+        off.write_text(OCTA_OFF)
+        vals = tmp_path / "octa_vals.txt"
+        vals.write_text("2\n5\n3\n4\n0\n1\n")
+        assert main(["info", "--mesh", str(off),
+                     "--values", str(vals)]) == 0
+        assert "boundary facets: 0\n" in capsys.readouterr().out
+
+
 class TestGoldenOutputs:
     def run_to(self, tmp_path, f0_file, sub, *extra):
         out = str(tmp_path / "out")

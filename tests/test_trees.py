@@ -76,6 +76,18 @@ class TestMergeTree:
                         {e for e, _ in pairs} | {first})
                     assert sorted(tree.saddles) == sorted(
                         Counter(s for _, s in pairs).items())
+                    assert sorted(tree.pairs) == sorted(pairs)
+
+    def test_three_way_merge_pair_order(self, grid33):
+        """Vertex 4 merges the components of minima 1, 3 and 8 (found
+        in that order); the oldest, 8, survives and the others die at 4
+        from oldest to youngest."""
+        values = np.array([4, 2, 5, 1, 3, 6, 7, 8, 0], dtype=np.float64)
+        join = build_merge_tree(grid33, OrderField(values), "join")
+        assert join.saddles == [(4, 2)]
+        assert persistence_pairs_extrema(join) == [(3, 4), (1, 4)]
+        split = build_merge_tree(grid33, OrderField(-values), "split")
+        assert persistence_pairs_extrema(split) == [(3, 4), (1, 4)]
 
     def test_join_split_duality(self):
         tri = ImplicitGridTriangulation((8, 8))
@@ -125,6 +137,13 @@ class TestContourTree:
             for f in (random_field(tri, rng), tie_heavy_field(tri, rng)):
                 ct = combine_contour_tree(build_merge_tree(tri, f, "join"),
                                           build_merge_tree(tri, f, "split"))
+                # a node maps to its lowest-indexed incident arc
+                first = {}
+                for i, arc in enumerate(ct.arcs):
+                    for v in arc:
+                        first.setdefault(v, i)
+                assert sorted(first) == sorted(ct.nodes)
+                assert all(ct.vertex_arc[v] == first[v] for v in ct.nodes)
                 lo, hi = f.ranks[np.array(ct.arcs)].T
                 for r in range(len(f) - 1):
                     t = r + 0.5
