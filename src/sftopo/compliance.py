@@ -14,14 +14,27 @@ to another simplex of its star, so the matching is fluid during
 cleanup.  A re-match that fails is rolled back from an undo log of the
 entries it changed.
 
-Saddle/maximum cancellations are driven by a heap of arcs keyed
-``(weight, facet, cell)``.  Each critical facet is traced once, and an
-index from every critical d-cell to the facets whose walks reach it
-names the facets to re-trace after a reversal.  Only walks through a
-reversed cell can change, and since the next step of a walk depends on
-its current cell alone, every walk through the reversed path ends at
-the cancelled cell.  Arcs of an older trace, or with an end that is no
-longer critical, are skipped when popped.
+Both pair classes are cancelled from one heap of arcs keyed
+``(weight, lower id, upper id, trace version)``.  Each root is traced
+once, and an index from every end to the roots whose last trace
+reached it names the roots to re-trace after a cancellation.  Arcs of
+an older trace, or with an end that is no longer critical, are skipped
+when popped.  Only the trace differs by class:
+
+- Saddle/maximum: a root is a critical (d-1)-simplex, traced by its
+  ascending walks to the critical d-cells.  Only walks through a
+  reversed cell can change, and since the next step of a walk depends
+  on its current cell alone, every walk through the reversed path ends
+  at the cancelled cell.
+- Saddle/saddle (3D): a root is an interior critical triangle, traced
+  by counting its descending (1, 2) V-paths to the interior critical
+  edges, with one memo of per-triangle counts shared by all roots.
+  After the path ``tau, l1, h1, ..., lr, hr, e`` is reversed, a memo
+  entry is stale exactly when it counts ``e``: a walk enters ``h_i``
+  only through ``l_i``, and the old walk from ``l_i`` runs on to
+  ``e``, while ``e`` itself stops being a target.  Dropping those
+  entries leaves a memo that is exact for the new gradient, and the
+  roots to re-trace are the triangles that reached ``e``.
 
 Two facts let the heap drop an arc for good, so that popping arcs in
 order cancels the same pairs as a full rescan and sort after every
@@ -39,20 +52,25 @@ cancellation would:
   released ones, covers those slots.  Cancellations only remove
   critical simplices, so if no such matching exists now, none exists
   later.
+
+The facts hold across both classes, which share one matching, and a
+(1, 2) reversal changes only ``pair_up[1]`` and ``pair_down[2]``, which
+no (2, 3) walk reads.  So once the saddle/saddle pass has run, a
+saddle/maximum pass would find no arc it did not already drop, and one
+pass per class, saddle/maximum first, is enough.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
 from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
+    _first_vpath,
     _vpath_counts,
-    extract_vpath,
     reverse_vpath,
     trace_up_from_facet,
 )
@@ -250,104 +268,114 @@ def _interior_ids(tri, grad, dim):
             if not tri.is_boundary(SimplexRef(dim, s))]
 
 
+def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
+    """Cancel (lo, lo+1) pairs from a heap of arcs, lowest weight first,
+    ties by lower then upper id (see the module docstring).
+
+    ``roots`` are the simplices of dimension ``root_dim`` that walks
+    start from; the other end of an arc has the other dimension.
+    ``trace(root)`` returns the critical ends the root's walks reach and
+    those of them that qualify (joined to it by exactly one V-path).
+    ``cancel(root, end)`` reverses the path between the two.
+    """
+    end_dim = 2 * lo + 1 - root_dim
+    version = defaultdict(int)    # root -> traces so far
+    ends_of = {}                  # root -> ends its last trace reached
+    reaching = defaultdict(set)   # end -> roots whose last trace reached it
+    heap = []
+
+    def retrace(root):
+        for end in ends_of.pop(root, ()):
+            reaching[end].discard(root)
+        version[root] += 1
+        if not grad.is_critical(root_dim, root):
+            return
+        ends, single = trace(root)
+        ends_of[root] = ends
+        for end in ends:
+            reaching[end].add(root)
+        for end in single:
+            if matching.is_matched(root_dim, root) and \
+                    matching.is_matched(end_dim, end):
+                continue
+            w = abs(grad.simplex_value(end_dim, end)
+                    - grad.simplex_value(root_dim, root))
+            pair = (root, end) if root_dim == lo else (end, root)
+            heapq.heappush(heap, (w, *pair, version[root]))
+
+    for root in roots:
+        retrace(root)
+    cancelled = []
+    while heap:
+        _, lower, upper, ver = heapq.heappop(heap)
+        root, end = (lower, upper) if root_dim == lo else (upper, lower)
+        if ver != version[root] or not grad.is_critical(lo, lower) \
+                or not grad.is_critical(lo + 1, upper):
+            continue
+        if matching.is_matched(lo, lower) and \
+                matching.is_matched(lo + 1, upper):
+            continue
+        if not matching.release([(lo, lower), (lo + 1, upper)]):
+            continue            # for good: see the module docstring
+        cancel(root, end)
+        cancelled.append((lo, lower, upper))
+        for r in sorted(reaching[end]):
+            retrace(r)
+    return cancelled
+
+
 def _cancel_facet_pairs(grad, matching) -> list:
     """Saddle/maximum cancellations; a pair qualifies when its two ends
     are joined by exactly one V-path, at least one end is spurious, and
     any matched end can be re-matched elsewhere.
 
-    Pairs are cancelled lowest weight first, ties by facet then cell id,
-    from a heap (see the module docstring).
+    Roots are the interior critical facets, traced by their ascending
+    walks; the path of each single arc is kept from the last trace.
     """
     tri, d = grad.tri, grad.tri.dim
-    version = defaultdict(int)    # facet -> traces so far
-    arcs_of = {}                  # facet -> {cell: path} of its last trace
-    ends_of = {}                  # facet -> critical cells its walks reach
-    reaching = defaultdict(set)   # critical d-cell -> facets reaching it
-    heap = []
+    paths_of = {}                 # facet -> {cell: path} of its last trace
 
     def trace(sigma):
-        for tau in ends_of.pop(sigma, ()):
-            reaching[tau].discard(sigma)
-        version[sigma] += 1
-        arcs_of.pop(sigma, None)
-        if not grad.is_critical(d - 1, sigma):
-            return
         ends = {}
         for path in trace_up_from_facet(grad, sigma):
             if path.upper is not None:
                 ends.setdefault(path.upper, []).append(path)
-                reaching[path.upper].add(sigma)
-        ends_of[sigma] = list(ends)
-        arcs = arcs_of[sigma] = {}
-        for tau, paths in ends.items():
-            if len(paths) > 1 or tri.is_boundary(SimplexRef(d, tau)):
-                continue
-            if matching.is_matched(d - 1, sigma) and \
-                    matching.is_matched(d, tau):
-                continue
-            arcs[tau] = paths[0]
-            w = abs(grad.simplex_value(d, tau)
-                    - grad.simplex_value(d - 1, sigma))
-            heapq.heappush(heap, (w, sigma, tau, version[sigma]))
+        paths = paths_of[sigma] = {
+            tau: p[0] for tau, p in ends.items()
+            if len(p) == 1 and not tri.is_boundary(SimplexRef(d, tau))}
+        return list(ends), list(paths)
 
-    for sigma in _interior_ids(tri, grad, d - 1):
-        trace(sigma)
-    cancelled = []
-    while heap:
-        _, sigma, tau, ver = heapq.heappop(heap)
-        if ver != version[sigma] or not grad.is_critical(d - 1, sigma) \
-                or not grad.is_critical(d, tau):
-            continue
-        if matching.is_matched(d - 1, sigma) and matching.is_matched(d, tau):
-            continue
-        if not matching.release([(d - 1, sigma), (d, tau)]):
-            continue            # for good: see the module docstring
-        reverse_vpath(grad, arcs_of[sigma][tau])
-        cancelled.append((d - 1, sigma, tau))
-        # the reversal re-pairs the cells of the path and tau; a walk is
-        # fixed by the cell it enters, so every walk through the path
-        # ends at tau, and only the facets reaching tau need a re-trace
-        for s in sorted(reaching[tau]):
-            trace(s)
-    return cancelled
+    def cancel(sigma, tau):
+        reverse_vpath(grad, paths_of[sigma][tau])
+
+    return _cancel_by_heap(grad, matching, d - 1, d - 1,
+                           _interior_ids(tri, grad, d - 1), trace, cancel)
 
 
 def _cancel_connector_pairs(grad, matching) -> list:
-    """1-saddle/2-saddle cancellations (3D only)."""
+    """1-saddle/2-saddle cancellations (3D only), with the same
+    qualification as ``_cancel_facet_pairs``.
+
+    Roots are the interior critical triangles, traced by counting their
+    descending V-paths to the interior critical edges in one shared
+    memo; a cancelled path is read from that memo.
+    """
     tri = grad.tri
-    cancelled = []
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100000))
-    try:
-        while True:
-            edges = set(_interior_ids(tri, grad, 1))
-            memo = {}
-            arcs = []
-            for tau in _interior_ids(tri, grad, 2):
-                tau_matched = matching.is_matched(2, tau)
-                for e, mult in _vpath_counts(
-                    grad, 1, tau, edges, memo
-                ).items():
-                    if mult != 1:
-                        continue
-                    if tau_matched and matching.is_matched(1, e):
-                        continue
-                    w = abs(grad.simplex_value(2, tau)
-                            - grad.simplex_value(1, e))
-                    arcs.append((w, e, tau))
-            arcs.sort(key=lambda a: (a[0], a[1], a[2]))
-            done = False
-            for w, e, tau in arcs:
-                if matching.release([(1, e), (2, tau)]):
-                    path = extract_vpath(grad, 1, tau, e)
-                    reverse_vpath(grad, path)
-                    cancelled.append((1, e, tau))
-                    done = True
-                    break
-            if not done:
-                return cancelled
-    finally:
-        sys.setrecursionlimit(limit)
+    edges = set(_interior_ids(tri, grad, 1))
+    memo = {}                     # triangle -> {edge: V-path count}
+
+    def trace(tau):
+        counts = _vpath_counts(grad, 1, tau, edges, memo)
+        return list(counts), [e for e, n in counts.items() if n == 1]
+
+    def cancel(tau, e):
+        reverse_vpath(grad, _first_vpath(grad, 1, tau, e, memo))
+        edges.discard(e)
+        for h in [h for h, counts in memo.items() if e in counts]:
+            del memo[h]
+
+    return _cancel_by_heap(grad, matching, 1, 2,
+                           _interior_ids(tri, grad, 2), trace, cancel)
 
 
 def enforce_compliance(
@@ -358,9 +386,9 @@ def enforce_compliance(
 ) -> ComplianceReport:
     """Cancel spurious critical simplices in place.
 
-    Alternates saddle/maximum and (3D) saddle/saddle cancellation until
-    no pair qualifies; whatever remains unmatched is reported in
-    ``spurious``.
+    One saddle/maximum pass, then in 3D one saddle/saddle pass (see the
+    module docstring for why no pass needs repeating); whatever remains
+    unmatched is reported in ``spurious``.
     """
     if critical_points is None:
         critical_points = extract_critical_points(tri, field)
@@ -368,9 +396,5 @@ def enforce_compliance(
     matching = _Matching(tri, field, grad, critical_points)
     cancelled = list(_cancel_facet_pairs(grad, matching))
     if tri.dim == 3:
-        more = _cancel_connector_pairs(grad, matching)
-        while more:
-            cancelled.extend(more)
-            more = _cancel_facet_pairs(grad, matching)
-            more.extend(_cancel_connector_pairs(grad, matching))
+        cancelled += _cancel_connector_pairs(grad, matching)
     return _report(tri, grad, matching, critical_points, cancelled)

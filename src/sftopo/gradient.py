@@ -21,7 +21,10 @@ order ``Triangulation.cofaces`` lists them in.
 V-paths (alternating face/pair sequences) are the discrete integral
 lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  Ascending (d-1, d) walks read the ``cofacets``
-array that the gradient keeps beside its vertex rows.
+array that the gradient keeps beside its vertex rows; descending walks
+read its ``facet_rows``.  Descending V-paths are counted by an
+explicit-stack post-order, and the first path to a given end is read
+from those counts, so walks of any length need no recursion.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ class DiscreteGradient:
         ids of (d-1)-simplex ``f``, padded with -1 (a boundary facet has
         one).  A facet of a non-pseudo-manifold widens every row.
 
-    ``verts``, ``simplex_values`` and ``cofacets`` depend only on the
-    triangulation and the field; copies share them.
+    ``verts``, ``simplex_values``, ``cofacets`` and the ``facet_rows``
+    cache depend only on the triangulation and the field; copies share
+    them.
     """
 
     def __init__(self, tri: Triangulation, field: OrderField):
@@ -89,6 +93,7 @@ class DiscreteGradient:
         ]
         self.cofacets = _cofacet_array(tri.facet_ids(d),
                                        tri.simplex_count(d - 1))
+        self._facet_rows = {}
         self.pair_up = [
             np.full(tri.simplex_count(k), -1, dtype=np.int64)
             for k in range(d + 1)
@@ -112,6 +117,15 @@ class DiscreteGradient:
     def simplex_value(self, dim: int, sid: int) -> float:
         return float(self.simplex_values[dim][sid])
 
+    def facet_rows(self, k: int) -> np.ndarray:
+        """``tri.facet_ids(k)`` with every row ascending, as ``faces``
+        lists them; built on first use."""
+        rows = self._facet_rows.get(k)
+        if rows is None:
+            rows = self._facet_rows[k] = np.sort(self.tri.facet_ids(k),
+                                                 axis=1)
+        return rows
+
     def max_vertex(self, dim: int, sid: int) -> int:
         row = self.verts[dim][sid]
         return int(row[np.argmax(self.field.ranks[row])])
@@ -120,6 +134,7 @@ class DiscreteGradient:
         g = object.__new__(DiscreteGradient)
         g.tri, g.field, g.verts = self.tri, self.field, self.verts
         g.simplex_values, g.cofacets = self.simplex_values, self.cofacets
+        g._facet_rows = self._facet_rows
         g.pair_up = [a.copy() for a in self.pair_up]
         g.pair_down = [a.copy() for a in self.pair_down]
         return g
@@ -233,34 +248,53 @@ def trace_down_from_edge(grad: DiscreteGradient, e: int) -> list:
 
 
 def _descend_children(grad, dim, high):
-    """(low, next_high) continuations of a descending (dim, dim+1) walk."""
-    tri = grad.tri
+    """(low, next_high) continuations of a descending (dim, dim+1) walk,
+    in ascending ``low`` order."""
     paired = grad.pair_down[dim + 1][high]
-    out = []
-    for low in tri.faces(SimplexRef(dim + 1, high), dim):
-        if low == paired:
-            continue
-        nxt = grad.pair_up[dim][low]
-        out.append((int(low), int(nxt)))
-    return out
+    up = grad.pair_up[dim]
+    return [(low, int(up[low]))
+            for low in grad.facet_rows(dim + 1)[high].tolist()
+            if low != paired]
+
+
+def _add_counts(total, counts):
+    for e, c in counts.items():
+        total[e] = total.get(e, 0) + c
 
 
 def _vpath_counts(grad, dim, high, targets, memo):
     """Descending V-path counts from (dim+1)-simplex ``high`` to each
-    dim-simplex in ``targets``; ``memo`` may be shared across roots."""
+    dim-simplex in ``targets``; ``memo`` may be shared across roots.
+
+    A post-order over an explicit stack: the counts of a simplex sum
+    those of its children in child order, and a walk stops at a target.
+    An entry is ``{}`` while its simplex is on the stack, so a walk that
+    loops back adds nothing (gradient acyclicity makes this safe).
+    """
     got = memo.get(high)
     if got is not None:
         return got
-    memo[high] = {}  # DFS guard; gradient acyclicity makes this safe
-    total = {}
-    for low, nxt in _descend_children(grad, dim, high):
-        if low in targets:
-            total[low] = total.get(low, 0) + 1
-        elif nxt >= 0:
-            for e, c in _vpath_counts(grad, dim, nxt, targets, memo).items():
-                total[e] = total.get(e, 0) + c
-    memo[high] = total
-    return total
+    memo[high] = {}
+    stack = [(high, {}, iter(_descend_children(grad, dim, high)))]
+    while stack:
+        h, total, children = stack[-1]
+        for low, nxt in children:
+            if low in targets:
+                total[low] = total.get(low, 0) + 1
+            elif nxt >= 0:
+                got = memo.get(nxt)
+                if got is None:
+                    memo[nxt] = {}
+                    stack.append(
+                        (nxt, {}, iter(_descend_children(grad, dim, nxt))))
+                    break
+                _add_counts(total, got)
+        else:
+            stack.pop()
+            memo[h] = total
+            if stack:
+                _add_counts(stack[-1][1], total)
+    return memo[high]
 
 
 def count_vpaths(grad: DiscreteGradient, dim: int, upper: int,
@@ -270,9 +304,36 @@ def count_vpaths(grad: DiscreteGradient, dim: int, upper: int,
     return _vpath_counts(grad, dim, upper, {lower}, {}).get(lower, 0)
 
 
+def _first_vpath(grad, dim, upper, lower, memo) -> VPath | None:
+    """First descending V-path from ``upper`` to ``lower`` in depth-first
+    order, read from the counts ``_vpath_counts`` left in ``memo``.
+
+    The walk steps into the first child that is ``lower`` or whose
+    counts include it; on an acyclic gradient that child starts the
+    depth-first path.
+    """
+    pairs, high = [], upper
+    while True:
+        for low, nxt in _descend_children(grad, dim, high):
+            if low == lower:
+                return VPath(dim, int(upper), int(lower), pairs)
+            if nxt >= 0 and lower in memo.get(nxt, ()):
+                pairs.append((low, nxt))
+                high = nxt
+                break
+        else:
+            return None
+
+
 def extract_vpath(grad: DiscreteGradient, dim: int, upper: int,
                   lower: int) -> VPath | None:
-    """First descending V-path from ``upper`` to ``lower`` (DFS order)."""
+    """First descending V-path from ``upper`` to ``lower`` (DFS order).
+
+    Recursive, one frame per pair of the path, and with no guard against
+    a closed V-path.  It serves only the persistence diagram's
+    saddle/saddle walk, until that walk is replaced (ROADMAP item 1);
+    other callers read ``_first_vpath`` from ``_vpath_counts``.
+    """
 
     def dfs(high, acc):
         for low, nxt in _descend_children(grad, dim, high):

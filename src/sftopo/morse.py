@@ -16,7 +16,8 @@ import numpy as np
 
 from .gradient import (
     DiscreteGradient,
-    _descend_children,
+    _first_vpath,
+    _vpath_counts,
     trace_down_from_edge,
     trace_up_from_facet,
 )
@@ -141,8 +142,10 @@ def extract_separatrices(grad: DiscreteGradient) -> list:
                           center[d - 1][lows], tail)))
     if d == 3:
         targets = set(grad.critical_ids(1))
+        memo = {}
         for tau in grad.critical_ids(2):
-            for e, pairs in _first_connectors(grad, tau, targets).items():
+            for e in sorted(_vpath_counts(grad, 1, tau, targets, memo)):
+                pairs = _first_vpath(grad, 1, tau, e, memo).pairs
                 lows, highs = ids(pairs).reshape(-1, 2).T
                 out.append(Separatrix(
                     "saddle-saddle", (2, tau), (1, e),
@@ -150,18 +153,3 @@ def extract_separatrices(grad: DiscreteGradient) -> list:
                               center[2][highs], center[1][e])))
     return out
 
-
-def _first_connectors(grad, tau, targets):
-    """First (1,2) V-path from ``tau`` to each reachable critical edge."""
-    found = {}
-
-    def dfs(high, acc, seen):
-        for low, nxt in _descend_children(grad, 1, high):
-            if low in targets:
-                found.setdefault(low, list(acc))
-            elif nxt >= 0 and nxt not in seen:
-                seen.add(nxt)
-                dfs(nxt, acc + [(low, nxt)], seen)
-
-    dfs(tau, [], {tau})
-    return dict(sorted(found.items()))

@@ -6,16 +6,19 @@ union-find sweeps, persistent homology by full GF(2) boundary-matrix
 reduction, V-path acyclicity by explicit graph search, level-set
 components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, the discrete
-gradient by a per-simplex co-face scan, and saddle/maximum cancellation
-by a full rescan and sort of every arc after each cancellation.
+gradient by a per-simplex co-face scan, and compliance by a full rescan
+and sort of every arc after each cancellation, alternating the
+saddle/maximum and saddle/saddle passes until neither cancels anything.
 """
 
+import sys
 from itertools import combinations
 
 import numpy as np
 
-from sftopo import SimplexRef
-from sftopo.gradient import VPath, reverse_vpath
+from sftopo import SimplexRef, compliance, extract_critical_points
+from sftopo.gradient import VPath, _vpath_counts, extract_vpath, \
+    reverse_vpath
 
 
 # --------------------------------------------------------------------------
@@ -365,3 +368,63 @@ def rescan_facet_cancellation(grad, matching):
                 break
         else:
             return cancelled
+
+
+def rescan_connector_cancellation(grad, matching):
+    """Saddle/saddle cancellations (3D), one full rescan per cancellation.
+
+    Every round counts the descending V-paths of every interior critical
+    triangle to the interior critical edges with a fresh memo, keeps the
+    edges reached by exactly one path unless both ends are matched,
+    sorts the arcs by (weight, edge, triangle) and cancels the first arc
+    whose ends the matching can release, reversing the depth-first path
+    of the recursive ``extract_vpath``.  Same contract as
+    ``sftopo.compliance._cancel_connector_pairs``.
+    """
+    tri = grad.tri
+    cancelled = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 100000))
+    try:
+        while True:
+            edges = {e for e in grad.critical_ids(1)
+                     if not tri.is_boundary(SimplexRef(1, e))}
+            memo = {}
+            arcs = []
+            for tau in grad.critical_ids(2):
+                if tri.is_boundary(SimplexRef(2, tau)):
+                    continue
+                for e, mult in _vpath_counts(grad, 1, tau, edges,
+                                             memo).items():
+                    if mult != 1 or (matching.is_matched(2, tau)
+                                     and matching.is_matched(1, e)):
+                        continue
+                    w = abs(_value(grad, 2, tau) - _value(grad, 1, e))
+                    arcs.append((w, e, tau))
+            arcs.sort()
+            for w, e, tau in arcs:
+                if _copying_release(matching, [(1, e), (2, tau)]):
+                    reverse_vpath(grad, extract_vpath(grad, 1, tau, e))
+                    cancelled.append((1, e, tau))
+                    break
+            else:
+                return cancelled
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def alternating_compliance(tri, field, grad):
+    """``enforce_compliance`` by rescans: a saddle/maximum pass, then in
+    3D a saddle/saddle pass, repeating both until the saddle/saddle pass
+    cancels nothing; returns the same report."""
+    cps = extract_critical_points(tri, field)
+    compliance._precondition_for_matching(tri)
+    matching = compliance._Matching(tri, field, grad, cps)
+    cancelled = rescan_facet_cancellation(grad, matching)
+    more = rescan_connector_cancellation(grad, matching) \
+        if tri.dim == 3 else []
+    while more:
+        cancelled += more
+        more = rescan_facet_cancellation(grad, matching)
+        more += rescan_connector_cancellation(grad, matching)
+    return compliance._report(tri, grad, matching, cps, cancelled)

@@ -1,9 +1,11 @@
 """Matching of critical points to critical simplices and cancellation."""
 
+import time
+
 import numpy as np
 
 import oracles
-from conftest import random_field, tie_heavy_field
+from conftest import random_field, tie_heavy_field, two_bump_field
 from sftopo import (
     ImplicitGridTriangulation,
     compliance,
@@ -84,6 +86,15 @@ class TestEnforcement:
         assert gradient_is_acyclic(g)
 
 
+def assert_same_outcome(got, g, want, ref):
+    """Same pairs cancelled in the same order, same gradient, same report."""
+    assert got.cancelled == want.cancelled
+    for k in range(len(g.pair_up)):
+        assert np.array_equal(g.pair_up[k], ref.pair_up[k])
+        assert np.array_equal(g.pair_down[k], ref.pair_down[k])
+    assert repr(got) == repr(want)
+
+
 def assert_heap_matches_rescan(monkeypatch, tri, f):
     """``enforce_compliance`` cancels the same pairs in the same order,
     and leaves the same gradient and report, as it does with the
@@ -95,11 +106,7 @@ def assert_heap_matches_rescan(monkeypatch, tri, f):
         m.setattr(compliance, "_cancel_facet_pairs",
                   oracles.rescan_facet_cancellation)
         want = enforce_compliance(tri, f, ref)
-    assert got.cancelled == want.cancelled
-    for k in range(tri.dim + 1):
-        assert np.array_equal(g.pair_up[k], ref.pair_up[k])
-        assert np.array_equal(g.pair_down[k], ref.pair_down[k])
-    assert repr(got) == repr(want)
+    assert_same_outcome(got, g, want, ref)
     return len(got.cancelled)
 
 
@@ -122,6 +129,28 @@ class TestHeapCancellation:
             for _ in range(4):
                 assert_heap_matches_rescan(
                     monkeypatch, tri, random_field(tri, rng))
+
+    def test_3d_matches_alternating_rescan(self):
+        """One heap pass per pair class gives what the alternating
+        rescans of ``tests/oracles.py`` give, saddle/saddle pairs
+        included."""
+        rng = np.random.default_rng(19)
+        fields = []
+        for dims in ((4, 4, 4), (5, 5, 5)):
+            tri = ImplicitGridTriangulation(dims)
+            for make in (random_field, tie_heavy_field):
+                fields += [(tri, make(tri, rng)) for _ in range(3)]
+        fields.append((ImplicitGridTriangulation((6, 6, 6)),
+                       two_bump_field((6, 6, 6))))
+        connectors = 0
+        for tri, f in fields:
+            g = build_gradient(tri, f)
+            ref = g.copy()
+            got = enforce_compliance(tri, f, g)
+            want = oracles.alternating_compliance(tri, f, ref)
+            assert_same_outcome(got, g, want, ref)
+            connectors += sum(k == 1 for k, _, _ in got.cancelled)
+        assert connectors > 100
 
     def test_failed_release_never_succeeds_later(self, monkeypatch):
         """The heap drops an arc whose release fails; a later attempt,
@@ -146,3 +175,17 @@ class TestHeapCancellation:
             before = (dict(matching.slot_of), dict(matching.sid_of))
             assert not release(matching, dims_sids)
             assert (matching.slot_of, matching.sid_of) == before
+
+
+def test_3d_compliance_scales_to_12_cubed():
+    """Both cancellation passes on a random 12x12x12 field, about 2,100
+    cancellations, stay well within seconds."""
+    tri = ImplicitGridTriangulation((12, 12, 12))
+    f = random_field(tri, np.random.default_rng(19))
+    g = build_gradient(tri, f)
+    start = time.perf_counter()
+    report = enforce_compliance(tri, f, g)
+    elapsed = time.perf_counter() - start
+    assert sum(k == 1 for k, _, _ in report.cancelled) > 500
+    assert not report.match_failures
+    assert elapsed < 10.0

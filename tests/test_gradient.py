@@ -1,5 +1,7 @@
 """Discrete gradient construction, V-paths, and reversal."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from sftopo import (
     trace_down_from_edge,
     trace_up_from_facet,
 )
+from sftopo import gradient
 
 # minima at poles 4/5, saddle at equator vertex 0, maximum at 1
 TWO_MINIMA = np.array([2.0, 5.0, 3.0, 4.0, 0.0, 1.0])
@@ -163,3 +166,44 @@ class TestVPaths:
                 assert (got is not None) == (n > 0)
                 if got is not None:
                     assert got.upper == t and got.lower == e
+
+    def test_deep_walks_need_no_recursion(self):
+        """Counting and the first-path read follow V-paths longer than
+        the recursion limit, without raising it.  On a long strip with
+        minima at both ends, the saddle edges descend to each minimum by
+        one walk of about half the strip's length."""
+        limit = sys.getrecursionlimit()
+        n = 2 * limit + 400
+        tri = ImplicitGridTriangulation((n, 2))
+        x = np.tile(np.arange(n), 2)
+        g = build_gradient(tri, OrderField(-np.abs(x - n // 2) * 1.0))
+        lows = g.critical_ids(0)
+        assert lows == [0, n - 1] and g.critical_ids(1)
+        for e in g.critical_ids(1):
+            for v in lows:
+                assert count_vpaths(g, 0, e, v) == 1
+            memo = {}
+            assert gradient._vpath_counts(g, 0, e, set(lows), memo) == \
+                {0: 1, n - 1: 1}
+            for walk in trace_down_from_edge(g, e):
+                path = gradient._first_vpath(g, 0, e, walk.lower, memo)
+                assert len(path.pairs) > limit
+                assert path.pairs == walk.pairs
+        assert sys.getrecursionlimit() == limit
+
+    def test_first_path_is_the_depth_first_path(self):
+        """The first-path read from the counts equals ``extract_vpath``
+        on every connected (triangle, edge) pair of random 3D fields."""
+        tri = ImplicitGridTriangulation((4, 4, 4))
+        rng = np.random.default_rng(6)
+        paths = 0
+        for make in (random_field, tie_heavy_field):
+            g = build_gradient(tri, make(tri, rng))
+            edges = set(g.critical_ids(1))
+            memo = {}
+            for t in g.critical_ids(2):
+                for e in gradient._vpath_counts(g, 1, t, edges, memo):
+                    got = gradient._first_vpath(g, 1, t, e, memo)
+                    assert got == extract_vpath(g, 1, t, e)
+                    paths += 1
+        assert paths > 20
