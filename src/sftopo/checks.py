@@ -42,11 +42,11 @@ class CheckResult:
 def _uf_extremum_pairs(tri, field, ascending):
     """Union-find sweep pairing extrema with merge vertices (Elder rule)."""
     n = len(field)
-    ranks = field.ranks
+    ranks = field.ranks.tolist()
     sweep = field.order if ascending else field.order[::-1]
-    parent = np.arange(n)
-    oldest = np.arange(n)
-    before = np.zeros(n, dtype=bool)
+    parent = list(range(n))
+    oldest = list(range(n))
+    before = [False] * n
     offsets, ids = tri.neighbor_csr()
     offsets, ids = offsets.tolist(), ids.tolist()
 
@@ -60,8 +60,7 @@ def _uf_extremum_pairs(tri, field, ascending):
         return (ranks[a] < ranks[b]) == ascending
 
     pairs = []
-    for v in sweep:
-        v = int(v)
+    for v in sweep.tolist():
         roots = []
         for u in ids[offsets[v]:offsets[v + 1]]:
             if before[u]:
@@ -75,7 +74,7 @@ def _uf_extremum_pairs(tri, field, ascending):
                     winner = r
             for r in roots:
                 if r != winner:
-                    pairs.append((int(oldest[r]), v))
+                    pairs.append((oldest[r], v))
                 parent[r] = v
             oldest[v] = oldest[winner]
         before[v] = True

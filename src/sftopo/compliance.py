@@ -34,7 +34,14 @@ when popped.  Only the trace differs by class:
   only through ``l_i``, and the old walk from ``l_i`` runs on to
   ``e``, while ``e`` itself stops being a target.  Dropping those
   entries leaves a memo that is exact for the new gradient, and the
-  roots to re-trace are the triangles that reached ``e``.
+  roots to re-trace are the triangles that reached ``e``.  The stale
+  entries are found by walking back from ``e`` over the old gradient
+  before the reversal: from the triangles that have ``e`` as a face,
+  and from each reached triangle ``h`` paired below with edge ``l``, to
+  the other triangles that have ``l`` as a face, since a walk enters
+  ``h`` only through ``l``.  The triangles this reaches are exactly
+  those whose walks reach ``e``, so the walk costs what the stale
+  entries do rather than a scan of the whole memo.
 
 Two facts let the heap drop an arc for good, so that popping arcs in
 order cancels the same pairs as a full rescan and sort after every
@@ -69,6 +76,7 @@ from dataclasses import dataclass, field as dc_field
 from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
+    _cofacet_array,
     _first_vpath,
     _vpath_counts,
     reverse_vpath,
@@ -363,16 +371,31 @@ def _cancel_connector_pairs(grad, matching) -> list:
     tri = grad.tri
     edges = set(_interior_ids(tri, grad, 1))
     memo = {}                     # triangle -> {edge: V-path count}
+    # row e: the ascending ids of the triangles with face e, -1 padded
+    triangles_of = _cofacet_array(grad.facet_rows(2), tri.simplex_count(1))
+    paired_below = grad.pair_down[2]
 
     def trace(tau):
         counts = _vpath_counts(grad, 1, tau, edges, memo)
         return list(counts), [e for e, n in counts.items() if n == 1]
 
     def cancel(tau, e):
-        reverse_vpath(grad, _first_vpath(grad, 1, tau, e, memo))
+        path = _first_vpath(grad, 1, tau, e, memo)
+        # drop the triangles whose walks reach e, walking back from it
+        stack = [h for h in triangles_of[e].tolist() if h >= 0]
+        seen = set(stack)
+        while stack:
+            h = stack.pop()
+            memo.pop(h, None)
+            low = paired_below[h]
+            if low < 0:
+                continue
+            for x in triangles_of[low].tolist():
+                if x >= 0 and x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        reverse_vpath(grad, path)
         edges.discard(e)
-        for h in [h for h, counts in memo.items() if e in counts]:
-            del memo[h]
 
     return _cancel_by_heap(grad, matching, 1, 2,
                            _interior_ids(tri, grad, 2), trace, cancel)

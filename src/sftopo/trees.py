@@ -1,9 +1,20 @@
 """Merge trees, contour tree, and persistence diagram/curve.
 
-Join (sub-level) and split (sur-level) trees are computed by a
-union-find sweep over the total vertex order.  The same sweep records
-the elder-rule persistence pairs: when components merge, the oldest
-extremum survives and each younger one dies at the merge vertex.  The
+Join (sub-level) and split (sur-level) trees are built from arrays,
+after the monotone paths and pointer doubling of Carr, Weber, Sewell &
+Ahrens (IEEE LDAV 2016).  Every vertex points to its lowest lower
+neighbour, and pointer doubling labels it with the minimum its steepest
+descent ends at; these regions are then joined by one Kruskal pass over
+the edges between them.  The construction is exact because a descent
+path stays below the vertex it starts from: at every level t, each
+vertex of the sub-level set is joined inside it to its region's
+minimum, so the sub-level components at t are the regions joined by
+the crossing edges whose higher end is at most t.  Once two regions are
+joined, a later edge between them joins nothing new, so the union-find
+keeps only the lowest-ended edge of each region pair.  The same pass
+records the elder-rule persistence pairs: when components merge, the
+oldest extremum survives and each younger one dies at the merge vertex.
+The split tree is the same construction on the reversed order.  The
 contour tree combines the two trees by leaf pruning on flat per-vertex
 arrays (Carr, Snoeyink & Axen, CGTA 24(2), 2003).
 In 3D, saddle-saddle pairs are extracted from a discrete gradient by
@@ -88,12 +99,28 @@ class MergeTree:
 def build_merge_tree(
     tri: Triangulation, field: OrderField, variant: str
 ) -> MergeTree:
-    """Union-find sweep building the join or split tree.
+    """The join or split tree, from steepest-descent regions.
 
-    The join tree sweeps ascending and its leaves are the minima; the
-    split tree sweeps descending with leaves at the maxima.  Each
-    component root keeps its oldest extremum; at a merge the oldest of
-    them survives and the others pair with the merge vertex.
+    The join tree's leaves are the minima; the split tree is the same
+    construction on the reversed order, with leaves at the maxima.
+
+    1. Every vertex points to its lowest lower neighbour (a vertex with
+       none is a leaf), and pointer doubling labels it with the leaf its
+       steepest descent ends at, its region.
+    2. Of the edges between two regions only the one with the lowest
+       higher end is kept: it joins them, and later ones join nothing.
+    3. A union-find over regions runs over the kept edges, grouped by
+       higher end in sweep order.  A vertex whose edges meet k >= 2
+       components is a saddle.  Each component keeps its oldest
+       extremum; at a merge the oldest of them survives and the others
+       pair with the merge vertex, from oldest to youngest.
+    4. The leaves and saddles form a merge forest.  A vertex's node is
+       the highest forest ancestor of its region's leaf that is not
+       above the vertex, found by binary lifting; its ``succ`` is the
+       next vertex of that node, or after the last one the saddle the
+       node merges into (-1 at a root).
+
+    Python loops only over the kept edges; the rest is numpy.
     """
     if variant not in ("join", "split"):
         raise ValueError("variant must be 'join' or 'split'")
@@ -101,16 +128,44 @@ def build_merge_tree(
         raise ValueError("field length does not match vertex count")
     tri.precondition("edge_list")
     n = len(field)
-    ascending = variant == "join"
-    sweep = field.order if ascending else field.order[::-1]
-    age = field.ranks.tolist() if ascending else (-field.ranks).tolist()
-    offsets, ids = tri.neighbor_csr()
-    offsets, ids = offsets.tolist(), ids.tolist()
-    before = [False] * n
-    # a root is always the last vertex swept into its component, so it
-    # heads the component and is its succ-tree node
-    parent = list(range(n))
-    oldest = list(range(n))      # oldest extremum per component root
+    if variant == "join":
+        sweep, rank = field.order, field.ranks
+    else:
+        sweep, rank = field.order[::-1], n - 1 - field.ranks
+    a, b = tri.simplex_array(1).T
+    a_high = rank[a] > rank[b]
+    high, low = np.where(a_high, a, b), np.where(a_high, b, a)
+
+    # steepest descent, then each vertex's region minimum
+    below = np.full(n, n, dtype=np.int64)
+    np.minimum.at(below, high, rank[low])
+    is_leaf = below == n
+    label = np.arange(n, dtype=np.int64)
+    label[~is_leaf] = sweep[below[~is_leaf]]
+    while True:
+        nxt = label[label]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+
+    # per region pair, the crossing edge with the lowest higher end
+    leaves = sweep[is_leaf[sweep]]
+    region = np.full(n, -1, dtype=np.int64)
+    region[leaves] = np.arange(len(leaves))   # ascending age
+    r_low, r_high = region[label[low]], region[label[high]]
+    cross = r_low != r_high
+    high, r_low, r_high = high[cross], r_low[cross], r_high[cross]
+    pair = np.minimum(r_low, r_high) * n + np.maximum(r_low, r_high)
+    first = np.lexsort((rank[high], pair))
+    kept = first[np.diff(pair[first], prepend=-1) != 0]
+    kept = kept[np.argsort(rank[high[kept]], kind="stable")]
+
+    # union-find over regions; forest nodes are the leaves, then saddles
+    leaves = leaves.tolist()
+    node_vertex = list(leaves)
+    parent = list(range(len(leaves)))
+    head = list(range(len(leaves)))     # current node of each root
+    oldest = list(range(len(leaves)))   # oldest extremum of each root
 
     def find(x):
         root = x
@@ -120,33 +175,62 @@ def build_merge_tree(
             parent[x], x = root, parent[x]
         return root
 
-    succ = [-1] * n
-    n_children = [0] * n
-    leaves, saddles, pairs = [], [], []
-    for v in sweep.tolist():
+    saddles, pairs, below_node, above_node = [], [], [], []
+    kept_high = high[kept]
+    ends_group = np.append(kept_high[1:] != kept_high[:-1], True)
+    roots = []
+    for v, rh, rl, ends in zip(kept_high.tolist(), r_high[kept].tolist(),
+                               r_low[kept].tolist(), ends_group.tolist()):
+        if not roots:
+            roots.append(find(rh))
+        r = find(rl)
+        if r not in roots:
+            roots.append(r)
+        if not ends:
+            continue            # more kept edges end at v
+        if len(roots) > 1:
+            node = len(node_vertex)
+            node_vertex.append(v)
+            saddles.append((v, len(roots) - 1))
+            extrema = sorted(oldest[r] for r in roots)
+            pairs.extend((leaves[e], v) for e in extrema[1:])
+            for r in roots:
+                below_node.append(head[r])
+                above_node.append(node)
+                parent[r] = roots[0]
+            head[roots[0]], oldest[roots[0]] = node, extrema[0]
         roots = []
-        for u in ids[offsets[v]:offsets[v + 1]]:
-            if before[u]:
-                r = find(u)
-                if r not in roots:
-                    roots.append(r)
-        k = len(roots)
-        n_children[v] = k
-        if k == 0:
-            leaves.append(v)
-        elif k == 1:
-            oldest[v] = oldest[roots[0]]
-        else:
-            saddles.append((v, k - 1))
-            extrema = sorted((oldest[r] for r in roots), key=age.__getitem__)
-            oldest[v] = extrema[0]
-            pairs.extend((e, v) for e in extrema[1:])
-        for r in roots:
-            succ[r] = v
-            parent[r] = v
-        before[v] = True
-    return MergeTree(variant, field, tri, np.array(succ, dtype=np.int64),
-                     np.array(n_children, dtype=np.int64), int(sweep[-1]),
+
+    # component node of every vertex by binary lifting up the forest
+    node_vertex = np.array(node_vertex, dtype=np.int64)
+    node_rank = rank[node_vertex]
+    up = np.arange(len(node_vertex), dtype=np.int64)
+    up[below_node] = above_node
+    jumps = [up]
+    while True:
+        nxt = jumps[-1][jumps[-1]]
+        if np.array_equal(nxt, jumps[-1]):
+            break
+        jumps.append(nxt)
+    comp = region[label]
+    for jump in reversed(jumps):
+        cand = jump[comp]
+        comp = np.where(node_rank[cand] <= rank, cand, comp)
+
+    # succ: the next vertex of the same node, else the node's parent
+    by_node = np.lexsort((rank, comp))
+    same = comp[by_node[1:]] == comp[by_node[:-1]]
+    succ = np.empty(n, dtype=np.int64)
+    succ[by_node[:-1]] = np.where(same, by_node[1:], -1)
+    tail = by_node[np.append(~same, True)]
+    top = up[comp[tail]]
+    succ[tail] = np.where(top == comp[tail], -1, node_vertex[top])
+    n_children = np.ones(n, dtype=np.int64)
+    n_children[is_leaf] = 0
+    if saddles:
+        v, k = np.array(saddles, dtype=np.int64).T
+        n_children[v] = k + 1
+    return MergeTree(variant, field, tri, succ, n_children, int(sweep[-1]),
                      leaves, saddles, pairs)
 
 

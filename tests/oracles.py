@@ -2,9 +2,10 @@
 
 Everything here recomputes results from first principles with
 deliberately simple (slow) algorithms: elder-rule pairing by direct
-union-find sweeps, persistent homology by full GF(2) boundary-matrix
-reduction, V-path acyclicity by explicit graph search, level-set
-components by union-find over crossing edges, a triangulation
+union-find sweeps, augmented merge trees by a union-find sweep over
+every vertex and neighbour, persistent homology by full GF(2)
+boundary-matrix reduction, V-path acyclicity by explicit graph search,
+level-set components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, the discrete
 gradient by a per-simplex co-face scan, and compliance by a full rescan
 and sort of every arc after each cancellation, alternating the
@@ -16,7 +17,8 @@ from itertools import combinations
 
 import numpy as np
 
-from sftopo import SimplexRef, compliance, extract_critical_points
+from sftopo import MergeTree, SimplexRef, compliance, \
+    extract_critical_points
 from sftopo.gradient import VPath, _vpath_counts, extract_vpath, \
     reverse_vpath
 
@@ -99,6 +101,70 @@ def uf_extremum_pairs(tri, field, ascending):
             oldest[v] = oldest[winner]
         seen[v] = True
     return pairs
+
+
+# --------------------------------------------------------------------------
+# Augmented merge tree by a union-find sweep over every vertex
+# --------------------------------------------------------------------------
+
+
+def sweep_merge_tree(tri, field, variant):
+    """The join or split tree by a union-find sweep in vertex order.
+
+    Each swept vertex finds the distinct components of its already
+    swept neighbours: none makes it a leaf, two or more a saddle.  Each
+    component root keeps its oldest extremum; at a merge the oldest of
+    them survives and the others pair with the merge vertex, from
+    oldest to youngest.  A root is always the last vertex swept into
+    its component, so it is its own succ-tree node.  Same contract as
+    ``sftopo.build_merge_tree``.
+    """
+    n = len(field)
+    ascending = variant == "join"
+    sweep = field.order if ascending else field.order[::-1]
+    age = field.ranks.tolist() if ascending else (-field.ranks).tolist()
+    offsets, ids = tri.neighbor_csr()
+    offsets, ids = offsets.tolist(), ids.tolist()
+    before = [False] * n
+    parent = list(range(n))
+    oldest = list(range(n))      # oldest extremum per component root
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    succ = [-1] * n
+    n_children = [0] * n
+    leaves, saddles, pairs = [], [], []
+    for v in sweep.tolist():
+        roots = []
+        for u in ids[offsets[v]:offsets[v + 1]]:
+            if before[u]:
+                r = find(u)
+                if r not in roots:
+                    roots.append(r)
+        k = len(roots)
+        n_children[v] = k
+        if k == 0:
+            leaves.append(v)
+        elif k == 1:
+            oldest[v] = oldest[roots[0]]
+        else:
+            saddles.append((v, k - 1))
+            extrema = sorted((oldest[r] for r in roots), key=age.__getitem__)
+            oldest[v] = extrema[0]
+            pairs.extend((e, v) for e in extrema[1:])
+        for r in roots:
+            succ[r] = v
+            parent[r] = v
+        before[v] = True
+    return MergeTree(variant, field, tri, np.array(succ, dtype=np.int64),
+                     np.array(n_children, dtype=np.int64), int(sweep[-1]),
+                     leaves, saddles, pairs)
 
 
 # --------------------------------------------------------------------------
@@ -295,11 +361,11 @@ def _walks_up(grad, sigma):
         pairs = []
         tau, upper = start, None
         while True:
-            low = grad.pair_down[d][tau]
+            low = int(grad.pair_down[d][tau])
             if low < 0:
                 upper = int(tau)
                 break
-            pairs.append((int(low), int(tau)))
+            pairs.append((low, int(tau)))
             nxt = [c for c in tri.cofaces(SimplexRef(d - 1, low), d)
                    if c != tau]
             if not nxt:

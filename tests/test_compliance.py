@@ -152,6 +152,22 @@ class TestHeapCancellation:
             connectors += sum(k == 1 for k, _, _ in got.cancelled)
         assert connectors > 100
 
+    def test_3d_longer_chains_match_alternating_rescan(self):
+        """The walk back from a cancelled edge drops the same memo
+        entries as a full scan would, on fields whose descending
+        V-paths are longer: a random 8x8x8 and a tie-heavy 6x6x6."""
+        rng = np.random.default_rng(20)
+        fields = [(ImplicitGridTriangulation(dims), make) for dims, make in
+                  (((8, 8, 8), random_field), ((6, 6, 6), tie_heavy_field))]
+        for tri, make in fields:
+            f = make(tri, rng)
+            g = build_gradient(tri, f)
+            ref = g.copy()
+            got = enforce_compliance(tri, f, g)
+            want = oracles.alternating_compliance(tri, f, ref)
+            assert_same_outcome(got, g, want, ref)
+            assert sum(k == 1 for k, _, _ in got.cancelled) > 50
+
     def test_failed_release_never_succeeds_later(self, monkeypatch):
         """The heap drops an arc whose release fails; a later attempt,
         after every cancellation, fails too and changes nothing."""

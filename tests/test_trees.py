@@ -5,9 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_field, tie_heavy_field, torus_mesh, \
-    preconditioned
-from oracles import level_set_components, uf_extremum_pairs
+from conftest import midpoint_subdivide, octahedron_mesh, random_field, \
+    tie_heavy_field, torus_mesh, preconditioned
+from oracles import level_set_components, sweep_merge_tree, \
+    uf_extremum_pairs
 from sftopo import (
     CLASS_ESSENTIAL,
     CLASS_MIN_SADDLE,
@@ -102,6 +103,60 @@ class TestMergeTree:
     def test_bad_variant(self, grid33, f0):
         with pytest.raises(ValueError):
             build_merge_tree(grid33, f0, "other")
+
+
+def _identity_cases():
+    """(name, triangulation, field) inputs for the sweep comparison."""
+    rng = np.random.default_rng(31)
+    grids = [(3, 3), (9, 7), (12, 5), (48, 48), (3, 3, 3), (4, 4, 4),
+             (5, 5, 5), (6, 6, 6), (5, 4, 3)]
+    for dims in grids:
+        tri = ImplicitGridTriangulation(dims)
+        n = tri.simplex_count(0)
+        yield f"random {dims}", tri, random_field(tri, rng)
+        yield f"tie-heavy {dims}", tri, tie_heavy_field(tri, rng)
+        yield f"constant {dims}", tri, OrderField(np.zeros(n))
+    # a 2400 x 2 strip: monotone fields descend along chains of 4800
+    strip = ImplicitGridTriangulation((2400, 2))
+    ramp = np.arange(strip.simplex_count(0), dtype=np.float64)
+    yield "increasing strip", strip, OrderField(ramp)
+    yield "decreasing strip", strip, OrderField(-ramp)
+    yield "random strip", strip, random_field(strip, rng)
+    points, cells = octahedron_mesh()
+    for level in range(4):
+        tri = preconditioned(ExplicitTriangulation(points, cells))
+        yield f"sphere level {level}", tri, random_field(tri, rng)
+        yield f"tie-heavy sphere level {level}", tri, \
+            tie_heavy_field(tri, rng)
+        points, cells = midpoint_subdivide(points, cells)
+    points, cells = octahedron_mesh()
+    two = preconditioned(ExplicitTriangulation(
+        np.vstack([points, points + 5.0]), np.vstack([cells, cells + 6])))
+    yield "two spheres", two, random_field(two, rng)
+    lone = preconditioned(ExplicitTriangulation(
+        np.vstack([points, [[9.0, 9.0, 9.0]]]), cells))
+    yield "sphere and a lone vertex", lone, random_field(lone, rng)
+
+
+def test_merge_tree_matches_vertex_sweep():
+    """The region construction returns the vertex sweep's tree, element
+    for element, on grids, long descent chains, spheres, a domain with
+    two components and one with an isolated vertex."""
+    for name, tri, f in _identity_cases():
+        for variant in ("join", "split"):
+            got = build_merge_tree(tri, f, variant)
+            want = sweep_merge_tree(tri, f, variant)
+            where = f"{name}, {variant}"
+            assert np.array_equal(got.succ, want.succ), where
+            assert np.array_equal(got.n_children, want.n_children), where
+            assert got.root == want.root, where
+            assert got.leaves == want.leaves, where
+            assert got.saddles == want.saddles, where
+            assert got.pairs == want.pairs, where
+        if name == "two spheres":
+            assert (got.succ < 0).sum() == 2
+        if name == "sphere and a lone vertex":
+            assert 6 in got.leaves and got.succ[6] == -1
 
 
 class TestContourTree:
