@@ -15,8 +15,13 @@ keeps only the lowest-ended edge of each region pair.  The same pass
 records the elder-rule persistence pairs: when components merge, the
 oldest extremum survives and each younger one dies at the merge vertex.
 The split tree is the same construction on the reversed order.  The
-contour tree combines the two trees by leaf pruning on flat per-vertex
-arrays (Carr, Snoeyink & Axen, CGTA 24(2), 2003).
+contour tree combines the two trees by leaf pruning (Carr, Snoeyink &
+Axen, CGTA 24(2), 2003) in batched rounds on arrays, after the same
+LDAV paper: each round prunes every lower (then every upper) leaf at
+once, extends each up its chain of one-child vertices and splices the
+pruned chains out of the other tree, all by pointer doubling.  Zigzag
+trees lose only their two ends per round, so once a round pass prunes
+too little the rest is pruned one leaf at a time from a queue.
 In 3D, saddle-saddle pairs are extracted from a discrete gradient by
 visiting critical triangles in ascending order and pairing each with
 the highest critical edge its saddle-connectors reach an odd number of
@@ -25,6 +30,7 @@ times, reversing a connector after each pairing (on a scratch copy).
 
 from __future__ import annotations
 
+import logging
 import sys
 from bisect import bisect_left
 from collections import deque
@@ -40,6 +46,8 @@ from .gradient import (
 )
 from .order import OrderField
 from .triangulation import Triangulation
+
+log = logging.getLogger(__name__)
 
 
 class DomainTopologyError(Exception):
@@ -266,37 +274,107 @@ class ContourTree:
     vertex_arc: np.ndarray
 
 
-def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
-    """Leaf-pruning combination of the join and split trees.
+#: A batched round pass that prunes fewer than this many vertices plus
+#: 1/128 of those alive hands the rest to the sequential queue.  Zigzag
+#: trees lose only their two ends per round, and each round scans every
+#: vertex still alive, so this bounds the batched work.
+_BATCH_MIN = 32
 
-    A lower leaf (a join-tree leaf with at most one split-tree child)
-    and an upper leaf (the mirror case) are pruned by one routine with
-    the two trees' roles swapped.  Each tree keeps per-vertex child
-    counts and child-id sums, so a vertex with one child left names it
-    by its sum.  Every pruned vertex records the one augmented arc to
-    its successor; the regular chains of that augmented tree are then
-    reduced to arcs between nodes.
 
-    Raises DomainTopologyError when the domain is not simply connected,
-    detected through the Euler characteristic (2 for a closed surface,
-    1 for a domain with boundary) or, as a backstop, a pruning stall.
+def _chain_last(first, pos):
+    """Pointer doubling along chains through a vertex set.
+
+    ``pos[v]`` is ``v``'s index in the set, -1 outside it (``pos[-1]``
+    must be -1 so that -1 passes as a vertex outside it), and
+    ``first[k]`` the vertex after the set's k-th one on its chain.
+    Returns for every member the index of the last member on its
+    chain, whose ``first`` is the chain's first vertex outside the set.
     """
-    _check_simply_connected(join.tri)
-    field = join.field
-    n = len(field)
-    ranks = field.ranks
-    # index 0 is the join tree (succ points up), 1 the split tree
-    succ, n_ch, ch_sum = [], [], []
-    for tree in (join, split):
-        has = tree.succ >= 0
-        sums = np.zeros(n, dtype=np.int64)
-        np.add.at(sums, tree.succ[has], np.flatnonzero(has))
-        succ.append(tree.succ.tolist())
-        n_ch.append(tree.n_children.tolist())
+    step = pos[first]
+    last = step < 0
+    step[last] = np.flatnonzero(last)
+    while True:
+        nxt = step[step]
+        if np.array_equal(nxt, step):
+            return step
+        step = nxt
+
+
+def _prune_round(a, succ, n_ch, ids, lo, hi, pos):
+    """Prune every current leaf of tree ``a`` (0 lower, 1 upper) at once.
+
+    A leaf is a vertex with no child in tree ``a``, a successor there,
+    and at most one child in the other tree ``b``.  Pruning one leaves
+    the others leaves, and a vertex whose one child in ``a`` is pruned
+    becomes one if it has at most one child in ``b``, so each leaf is
+    extended up its chain of such vertices.  Every pruned vertex records
+    its augmented arc to its successor in ``a``; in ``b`` the pruned
+    vertices form chains, each spliced out by linking its one outside
+    child, if any, to the chain's first ancestor outside it.  ``pos`` is
+    scratch space, -1 everywhere on entry and on return, so that a round
+    costs time in the vertices ``ids`` alive only.  Returns the
+    vertices still alive.
+    """
+    b = 1 - a
+    sa, sb, na, nb = succ[a], succ[b], n_ch[a], n_ch[b]
+    up = sa[ids]
+    ok = (up >= 0) & (nb[ids] <= 1)
+    kids = na[ids]
+    leaf = ids[ok & (kids == 0)]
+    chain = ids[ok & (kids == 1)]
+    pos[chain] = np.arange(len(chain))
+    below = ids[pos[up] >= 0]            # the one child of each chain vertex
+    first = np.empty(len(chain), dtype=np.int64)
+    first[pos[sa[below]]] = below
+    ends = first[_chain_last(first, pos)]
+    pos[chain] = -1
+    pos[leaf] = 0                        # marks the leaves a chain may end at
+    p = np.concatenate([leaf, chain[pos[ends] == 0]])
+    pos[leaf] = -1
+
+    y = sa[p]
+    lo[p], hi[p] = (p, y) if a == 0 else (y, p)
+    np.subtract.at(na, y, 1)
+    pos[p] = np.arange(len(p))
+    first = sb[p]
+    top = first[_chain_last(first, pos)]
+    gone = pos[ids] >= 0
+    hang = ids[~gone & (pos[sb[ids]] >= 0)]
+    sb[hang] = top[pos[sb[hang]]]
+    pos[p] = -1
+    np.subtract.at(nb, top[nb[p] == 0], 1)   # top -1 hits the spare slot
+    return ids[~gone]
+
+
+def _prune_queue(succ, n_ch, ids, ranks, lo, hi):
+    """Prune the vertices ``ids`` left alive one leaf at a time.
+
+    The leaves wait in a queue, in ascending order, and a pruned leaf
+    queues the neighbours it may have turned into leaves.  Each tree
+    keeps per-vertex child counts and child-id sums, so a vertex with
+    one child left names it by its sum.  Runs on Python lists over
+    ``ids`` renumbered from 0.
+    """
+    m = len(ids)
+    new = np.full(len(succ[0]), -1, dtype=np.int64)
+    new[ids] = np.arange(m)
+    succ = [new[s[ids]] for s in succ]
+    n_ch = [c[ids] for c in n_ch]
+    leaf = np.zeros(m, dtype=bool)
+    ch_sum = []
+    for a in (0, 1):
+        leaf |= (n_ch[a] == 0) & (n_ch[1 - a] <= 1) & (succ[a] >= 0)
+        has = succ[a] >= 0
+        sums = np.zeros(m, dtype=np.int64)
+        np.add.at(sums, succ[a][has], np.flatnonzero(has))
         ch_sum.append(sums.tolist())
-    removed = [False] * n
-    alive = n
-    lo, hi = [-1] * n, [-1] * n          # the augmented arc of each pruned x
+    succ = [s.tolist() for s in succ]
+    n_ch = [c.tolist() for c in n_ch]
+    order = np.argsort(ranks[ids])
+    queue = deque(order[leaf[order]].tolist())
+    removed = [False] * m
+    alive = m
+    x_lo, x_hi = [-1] * m, [-1] * m
 
     def leaf_kind(x):
         """0 for a lower leaf, 1 for an upper leaf, else None."""
@@ -305,7 +383,6 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
                 return a
         return None
 
-    queue = deque(x for x in field.order.tolist() if leaf_kind(x) is not None)
     while queue and alive > 1:
         x = queue.popleft()
         a = None if removed[x] else leaf_kind(x)
@@ -314,7 +391,7 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
         b = 1 - a
         # x leaves tree a, whose edge to y becomes an arc ...
         y = succ[a][x]
-        lo[x], hi[x] = (x, y) if a == 0 else (y, x)
+        x_lo[x], x_hi[x] = (x, y) if a == 0 else (y, x)
         n_ch[a][y] -= 1
         ch_sum[a][y] -= x
         # ... and is spliced out of tree b
@@ -339,38 +416,92 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
             "connected (a sub-level and sur-level component pair meets "
             "more than once)"
         )
+    x_lo, x_hi = np.array(x_lo), np.array(x_hi)
+    done = x_lo >= 0
+    lo[ids[done]], hi[ids[done]] = ids[x_lo[done]], ids[x_hi[done]]
+
+
+def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
+    """Leaf-pruning combination of the join and split trees.
+
+    A lower leaf (a join-tree leaf with at most one split-tree child)
+    is pruned into an augmented arc to its join-tree successor and
+    spliced out of the split tree; an upper leaf is the mirror case.
+    Rounds prune every lower leaf at once, then every upper leaf, each
+    by pointer doubling (``_prune_round``).  Once a lower and an upper
+    round together prune fewer than ``_BATCH_MIN`` plus 1/128 of the
+    vertices alive, as on zigzag trees, which lose only their ends per
+    round, the rest is pruned one leaf at a time (``_prune_queue``).
+    The regular chains of the augmented tree are then reduced to arcs
+    between nodes by pointer doubling, and arcs sorted by their (lower,
+    upper) ranks.
+
+    Raises DomainTopologyError when the domain is not simply connected,
+    detected through the Euler characteristic (2 for a closed surface,
+    1 for a domain with boundary) or, as a backstop, a pruning stall.
+    """
+    _check_simply_connected(join.tri)
+    field = join.field
+    n = len(field)
+    ranks = field.ranks
+    # index 0 is the join tree (succ points up), 1 the split tree; a
+    # spare last slot lets -1 index a vertex that is never read
+    succ = [np.append(t.succ, -1) for t in (join, split)]
+    n_ch = [np.append(t.n_children, 0) for t in (join, split)]
+    lo = np.full(n, -1, dtype=np.int64)     # augmented arc of each pruned x
+    hi = np.full(n, -1, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)      # vertices alive
+    pos = np.full(n + 1, -1, dtype=np.int64)
+    rounds = 0
+    while len(ids) > 1:
+        alive = len(ids)
+        for a in (0, 1):
+            ids = _prune_round(a, succ, n_ch, ids, lo, hi, pos)
+        rounds += 2
+        if alive - len(ids) < _BATCH_MIN + alive // 128:
+            break
+    left = len(ids) if len(ids) > 1 else 0
+    log.debug("contour tree: %d vertices, %d batched rounds, "
+              "%d vertices left to the sequential queue", n, rounds, left)
+    if left:
+        _prune_queue(succ, n_ch, ids, ranks, lo, hi)
 
     # (lo, hi) is the augmented tree; reduce its regular chains
-    lo, hi = np.array(lo), np.array(hi)
-    pruned = lo >= 0
-    lo, hi = lo[pruned], hi[pruned]
+    done = lo >= 0
+    lo, hi = lo[done], hi[done]
     up_deg = np.bincount(lo, minlength=n)
     down_deg = np.bincount(hi, minlength=n)
-    is_node = ((up_deg != 1) | (down_deg != 1)).tolist()
-    up = np.full(n, -1, dtype=np.int64)
-    up[lo] = hi                  # the one upper neighbour of a regular vertex
-    up = up.tolist()
-    arcs = []
-    for v, w in zip(lo.tolist(), hi.tolist()):
-        if not is_node[v]:
-            continue
-        interior = []
-        while not is_node[w]:
-            interior.append(w)
-            w = up[w]
-        arcs.append((v, w, interior))
-    arcs.sort(key=lambda arc: (ranks[arc[0]], ranks[arc[1]]))
-    vertex_arc = np.full(n, len(arcs), dtype=np.int64)
-    for i, (_, _, interior) in enumerate(arcs):
-        vertex_arc[interior] = i
+    is_node = (up_deg != 1) | (down_deg != 1)
+    reg = np.flatnonzero(~is_node)
+    pos[reg] = np.arange(len(reg))
+    up = np.empty(n, dtype=np.int64)
+    down = np.empty(n, dtype=np.int64)
+    up[lo], down[hi] = hi, lo    # read only at regular vertices
+    top = np.arange(n)
+    first = up[reg]
+    top[reg] = first[_chain_last(first, pos)]
+    # an arc starts with the augmented arc above its lower node, so the
+    # lowest regular vertex of each chain names its arc
+    start = is_node[lo]
+    arc_lo, arc_hi, arc_first = lo[start], top[hi[start]], hi[start]
+    order = np.argsort(ranks[arc_lo] * n + ranks[arc_hi])
+    arc_lo, arc_hi = arc_lo[order], arc_hi[order]
+    arc_of = np.empty(n, dtype=np.int64)
+    arc_of[arc_first[order]] = np.arange(len(order))
+    vertex_arc = np.full(n, len(order), dtype=np.int64)
+    vertex_arc[reg] = arc_of[reg[_chain_last(down[reg], pos)]]
     # nodes map to their lowest incident arc (by arc index)
-    ends = np.array([arc[:2] for arc in arcs], dtype=np.int64).reshape(-1, 2)
-    np.minimum.at(vertex_arc, ends, np.arange(len(arcs))[:, None])
+    np.minimum.at(vertex_arc, np.stack([arc_lo, arc_hi], axis=1),
+                  np.arange(len(order))[:, None])
     nodes = np.flatnonzero(is_node)
-    nodes = nodes[np.argsort(ranks[nodes])].tolist()
-    node_types = {v: "min" if down_deg[v] == 0 else
-                  "max" if up_deg[v] == 0 else "saddle" for v in nodes}
-    return ContourTree(nodes, node_types, [arc[:2] for arc in arcs],
+    nodes = nodes[np.argsort(ranks[nodes])]
+    types = np.full(len(nodes), "saddle", dtype=object)
+    types[up_deg[nodes] == 0] = "max"
+    types[down_deg[nodes] == 0] = "min"
+    nodes = nodes.tolist()
+    node_types = dict(zip(nodes, types.tolist()))
+    return ContourTree(nodes, node_types,
+                       list(zip(arc_lo.tolist(), arc_hi.tolist())),
                        vertex_arc)
 
 

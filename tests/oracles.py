@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles with
 deliberately simple (slow) algorithms: elder-rule pairing by direct
 union-find sweeps, augmented merge trees by a union-find sweep over
-every vertex and neighbour, persistent homology by full GF(2)
+every vertex and neighbour, the contour tree by pruning one leaf at
+a time from a queue, persistent homology by full GF(2)
 boundary-matrix reduction, V-path acyclicity by explicit graph search,
 level-set components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, the discrete
@@ -13,14 +14,16 @@ saddle/maximum and saddle/saddle passes until neither cancels anything.
 """
 
 import sys
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
-from sftopo import MergeTree, SimplexRef, compliance, \
-    extract_critical_points
+from sftopo import ContourTree, DomainTopologyError, MergeTree, \
+    SimplexRef, compliance, extract_critical_points
 from sftopo.gradient import VPath, _vpath_counts, extract_vpath, \
     reverse_vpath
+from sftopo.trees import _check_simply_connected
 
 
 # --------------------------------------------------------------------------
@@ -165,6 +168,121 @@ def sweep_merge_tree(tri, field, variant):
     return MergeTree(variant, field, tri, np.array(succ, dtype=np.int64),
                      np.array(n_children, dtype=np.int64), int(sweep[-1]),
                      leaves, saddles, pairs)
+
+
+# --------------------------------------------------------------------------
+# Contour tree by a sequential leaf-pruning queue
+# --------------------------------------------------------------------------
+
+
+def prune_contour_tree(join, split):
+    """Leaf-pruning combination of the join and split trees, one
+    vertex at a time from a queue.  Same contract as
+    ``sftopo.combine_contour_tree``.
+
+    A lower leaf (a join-tree leaf with at most one split-tree child)
+    and an upper leaf (the mirror case) are pruned by one routine with
+    the two trees' roles swapped.  Each tree keeps per-vertex child
+    counts and child-id sums, so a vertex with one child left names it
+    by its sum.  Every pruned vertex records the one augmented arc to
+    its successor; the regular chains of that augmented tree are then
+    reduced to arcs between nodes.
+
+    Raises DomainTopologyError when the domain is not simply connected,
+    detected through the Euler characteristic (2 for a closed surface,
+    1 for a domain with boundary) or, as a backstop, a pruning stall.
+    """
+    _check_simply_connected(join.tri)
+    field = join.field
+    n = len(field)
+    ranks = field.ranks
+    # index 0 is the join tree (succ points up), 1 the split tree
+    succ, n_ch, ch_sum = [], [], []
+    for tree in (join, split):
+        has = tree.succ >= 0
+        sums = np.zeros(n, dtype=np.int64)
+        np.add.at(sums, tree.succ[has], np.flatnonzero(has))
+        succ.append(tree.succ.tolist())
+        n_ch.append(tree.n_children.tolist())
+        ch_sum.append(sums.tolist())
+    removed = [False] * n
+    alive = n
+    lo, hi = [-1] * n, [-1] * n          # the augmented arc of each pruned x
+
+    def leaf_kind(x):
+        """0 for a lower leaf, 1 for an upper leaf, else None."""
+        for a in (0, 1):
+            if n_ch[a][x] == 0 and n_ch[1 - a][x] <= 1 and succ[a][x] >= 0:
+                return a
+        return None
+
+    queue = deque(x for x in field.order.tolist() if leaf_kind(x) is not None)
+    while queue and alive > 1:
+        x = queue.popleft()
+        a = None if removed[x] else leaf_kind(x)
+        if a is None:
+            continue
+        b = 1 - a
+        # x leaves tree a, whose edge to y becomes an arc ...
+        y = succ[a][x]
+        lo[x], hi[x] = (x, y) if a == 0 else (y, x)
+        n_ch[a][y] -= 1
+        ch_sum[a][y] -= x
+        # ... and is spliced out of tree b
+        z = succ[b][x]
+        if n_ch[b][x] == 1:
+            c = ch_sum[b][x]
+            succ[b][c] = z
+            if z >= 0:
+                ch_sum[b][z] += c - x
+            queue.append(c)
+        elif z >= 0:
+            n_ch[b][z] -= 1
+            ch_sum[b][z] -= x
+        removed[x] = True
+        alive -= 1
+        for t in (y, z):
+            if t >= 0 and not removed[t] and leaf_kind(t) is not None:
+                queue.append(t)
+    if alive > 1:
+        raise DomainTopologyError(
+            "contour tree combination stalled: the domain is not simply "
+            "connected (a sub-level and sur-level component pair meets "
+            "more than once)"
+        )
+
+    # (lo, hi) is the augmented tree; reduce its regular chains
+    lo, hi = np.array(lo), np.array(hi)
+    pruned = lo >= 0
+    lo, hi = lo[pruned], hi[pruned]
+    up_deg = np.bincount(lo, minlength=n)
+    down_deg = np.bincount(hi, minlength=n)
+    is_node = ((up_deg != 1) | (down_deg != 1)).tolist()
+    up = np.full(n, -1, dtype=np.int64)
+    up[lo] = hi                  # the one upper neighbour of a regular vertex
+    up = up.tolist()
+    arcs = []
+    for v, w in zip(lo.tolist(), hi.tolist()):
+        if not is_node[v]:
+            continue
+        interior = []
+        while not is_node[w]:
+            interior.append(w)
+            w = up[w]
+        arcs.append((v, w, interior))
+    arcs.sort(key=lambda arc: (ranks[arc[0]], ranks[arc[1]]))
+    vertex_arc = np.full(n, len(arcs), dtype=np.int64)
+    for i, (_, _, interior) in enumerate(arcs):
+        vertex_arc[interior] = i
+    # nodes map to their lowest incident arc (by arc index)
+    ends = np.array([arc[:2] for arc in arcs], dtype=np.int64).reshape(-1, 2)
+    np.minimum.at(vertex_arc, ends, np.arange(len(arcs))[:, None])
+    nodes = np.flatnonzero(is_node)
+    nodes = nodes[np.argsort(ranks[nodes])].tolist()
+    node_types = {v: "min" if down_deg[v] == 0 else
+                  "max" if up_deg[v] == 0 else "saddle" for v in nodes}
+    return ContourTree(nodes, node_types, [arc[:2] for arc in arcs],
+                       vertex_arc)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Merge trees, contour tree, diagram, and persistence curve."""
 
+import logging
+import time
 from collections import Counter
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 
 from conftest import midpoint_subdivide, octahedron_mesh, random_field, \
     tie_heavy_field, torus_mesh, preconditioned
-from oracles import level_set_components, sweep_merge_tree, \
-    uf_extremum_pairs
+from oracles import level_set_components, prune_contour_tree, \
+    sweep_merge_tree, uf_extremum_pairs
 from sftopo import (
     CLASS_ESSENTIAL,
     CLASS_MIN_SADDLE,
@@ -159,6 +161,37 @@ def test_merge_tree_matches_vertex_sweep():
             assert 6 in got.leaves and got.succ[6] == -1
 
 
+def _contour_or_error(combine, join, split):
+    try:
+        return combine(join, split)
+    except DomainTopologyError as exc:
+        return str(exc)
+
+
+def test_contour_tree_matches_vertex_pruning():
+    """The batched rounds and their sequential tail return the queue's
+    contour tree, element for element, or the same refusal, on the
+    merge-tree identity inputs (the monotone and random strips among
+    them) and on two random 128 x 128 fields."""
+    cases = list(_identity_cases())
+    tri = ImplicitGridTriangulation((128, 128))
+    rng = np.random.default_rng(32)
+    cases += [("random (128, 128)", tri, random_field(tri, rng))
+              for _ in range(2)]
+    for name, tri, f in cases:
+        join = build_merge_tree(tri, f, "join")
+        split = build_merge_tree(tri, f, "split")
+        got = _contour_or_error(combine_contour_tree, join, split)
+        want = _contour_or_error(prune_contour_tree, join, split)
+        if isinstance(want, str):
+            assert got == want, name
+            continue
+        assert got.nodes == want.nodes, name
+        assert got.node_types == want.node_types, name
+        assert got.arcs == want.arcs, name
+        assert np.array_equal(got.vertex_arc, want.vertex_arc), name
+
+
 class TestContourTree:
     def test_f0_nodes_and_arcs(self, grid33, f0):
         join = build_merge_tree(grid33, f0, "join")
@@ -212,6 +245,58 @@ class TestContourTree:
         split = build_merge_tree(tri, f, "split")
         with pytest.raises(DomainTopologyError):
             combine_contour_tree(join, split)
+
+    def test_pruning_stall_refused(self):
+        """A torus beside an octahedron has Euler characteristic 2, so
+        only the pruning stall can refuse it."""
+        tp, tc = torus_mesh()
+        op, oc = octahedron_mesh()
+        tri = preconditioned(ExplicitTriangulation(
+            np.vstack([tp, op + 10.0]), np.vstack([tc, oc + len(tp)])))
+        stalled = 0
+        for seed in range(5):
+            f = random_field(tri, np.random.default_rng(seed))
+            join = build_merge_tree(tri, f, "join")
+            split = build_merge_tree(tri, f, "split")
+            got = _contour_or_error(combine_contour_tree, join, split)
+            want = _contour_or_error(prune_contour_tree, join, split)
+            assert got == want
+            stalled += isinstance(got, str) and "stalled" in got
+        assert stalled >= 3
+
+    def test_zigzag_strip_not_quadratic(self):
+        """A random 9600 x 2 strip has a zigzag contour tree that loses
+        only its two ends per round; batched rounds over every vertex
+        left would take several times the queue's time, the sequential
+        tail keeps within 1.5x of it (best of 3, same process)."""
+        tri = ImplicitGridTriangulation((9600, 2))
+        f = random_field(tri, np.random.default_rng(33))
+        join = build_merge_tree(tri, f, "join")
+        split = build_merge_tree(tri, f, "split")
+
+        def best(combine):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                combine(join, split)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(combine_contour_tree) <= 1.5 * best(prune_contour_tree)
+
+    def test_debug_line(self, caplog):
+        tri = ImplicitGridTriangulation((128, 128))
+        f = random_field(tri, np.random.default_rng(34))
+        join = build_merge_tree(tri, f, "join")
+        split = build_merge_tree(tri, f, "split")
+        with caplog.at_level(logging.DEBUG, logger="sftopo.trees"):
+            combine_contour_tree(join, split)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "sftopo.trees"]
+        assert len(lines) == 1
+        assert lines[0].startswith("contour tree: 16384 vertices, ")
+        rounds = int(lines[0].split(", ")[1].split()[0])
+        assert 0 < rounds <= 20
 
 
 class TestDiagram:
