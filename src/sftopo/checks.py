@@ -122,8 +122,7 @@ def _contour_tree_faults(ct, ranks):
     return faults
 
 
-def run_checks(tri: Triangulation, field: OrderField,
-               threads: int = 1) -> list:
+def run_checks(tri: Triangulation, field: OrderField) -> list:
     """Run every invariant check; returns a list of CheckResult."""
     results = []
     d = tri.dim
@@ -147,7 +146,7 @@ def run_checks(tri: Triangulation, field: OrderField,
         "critical points include a minimum and a maximum", ok,
         f"counts per index: {dict(sorted(per_index.items()))}"))
 
-    grad = build_gradient(tri, field, threads=threads)
+    grad = build_gradient(tri, field)
     results.append(CheckResult("gradient pairing valid",
                                pairing_is_valid(grad)))
     results.append(CheckResult("gradient acyclic (exhaustive)",

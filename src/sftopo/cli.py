@@ -134,14 +134,14 @@ def _load(args):
     return sfio.load(spec)
 
 
-def _compliant_gradient(tri, field, threads):
-    grad = build_gradient(tri, field, threads=threads)
+def _compliant_gradient(tri, field):
+    grad = build_gradient(tri, field)
     enforce_compliance(tri, field, grad)
     return grad
 
 
-def _diagram(tri, field, threads):
-    grad = _compliant_gradient(tri, field, threads) if tri.dim == 3 else None
+def _diagram(tri, field):
+    grad = _compliant_gradient(tri, field) if tri.dim == 3 else None
     return build_diagram(tri, field, grad)
 
 
@@ -170,13 +170,13 @@ def _cmd_critical_points(args):
 
 def _cmd_persistence_diagram(args):
     tri, field = _load(args)
-    sfio.write_diagram_csv(args.output, _diagram(tri, field, args.threads))
+    sfio.write_diagram_csv(args.output, _diagram(tri, field))
     return EXIT_OK
 
 
 def _cmd_persistence_curve(args):
     tri, field = _load(args)
-    curve = persistence_curve(_diagram(tri, field, args.threads))
+    curve = persistence_curve(_diagram(tri, field))
     sfio.write_curve_csv(args.output, curve)
     return EXIT_OK
 
@@ -192,7 +192,7 @@ def _cmd_contour_tree(args):
 
 def _cmd_morse_smale(args):
     tri, field = _load(args)
-    grad = _compliant_gradient(tri, field, args.threads)
+    grad = _compliant_gradient(tri, field)
     sfio.write_separatrices_obj(args.output, extract_separatrices(grad))
     sfio.write_labels(args.output + ".desc.labels",
                       descending_segmentation(grad))
@@ -203,7 +203,7 @@ def _cmd_morse_smale(args):
 
 def _cmd_simplify(args):
     tri, field = _load(args)
-    req = select_by_persistence(_diagram(tri, field, args.threads),
+    req = select_by_persistence(_diagram(tri, field),
                                 args.threshold)
     out = simplify_field(tri, field, req)
     sfio.write_field(args.output, out.values, args.format)
@@ -213,7 +213,7 @@ def _cmd_simplify(args):
 
 def _cmd_check(args):
     tri, field = _load(args)
-    results = run_checks(tri, field, threads=args.threads)
+    results = run_checks(tri, field)
     failed = 0
     for r in results:
         status = "pass" if r.ok else "FAIL"

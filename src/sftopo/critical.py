@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order import OrderField
+from .order import OrderField, _pointer_jump
 from .triangulation import SimplexRef, Triangulation
 
 
@@ -132,11 +132,7 @@ def _components(n, a, b):
         low = np.minimum(la, lb)
         np.minimum.at(label, la, low)
         np.minimum.at(label, lb, low)
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
+        label = _pointer_jump(label)
 
 
 def _link_component_arrays(tri: Triangulation, field: OrderField):

@@ -21,10 +21,13 @@ order ``Triangulation.cofaces`` lists them in.
 V-paths (alternating face/pair sequences) are the discrete integral
 lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  Ascending (d-1, d) walks read the ``cofacets``
-array that the gradient keeps beside its vertex rows; descending walks
-read its ``facet_rows``.  Descending V-paths are counted by an
-explicit-stack post-order, and the first path to a given end is read
-from those counts, so walks of any length need no recursion.
+array that the gradient keeps beside its vertex rows; descending (0, 1)
+walks read its edge rows, and other descending walks its
+``facet_rows``, so no walk queries the triangulation per simplex.
+Descending V-paths are counted by an explicit-stack post-order, and the
+first path to a given end is read from those counts, so walks of any
+length need no recursion.  Acyclicity is checked on the same arrays, by
+peeling each V-path digraph from its sources.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .order import OrderField
-from .triangulation import SimplexRef, Triangulation
+from .triangulation import Triangulation
 
 
 def _cofacet_array(facets: np.ndarray, n_faces: int) -> np.ndarray:
@@ -140,22 +143,15 @@ class DiscreteGradient:
         return g
 
 
-def build_gradient(
-    tri: Triangulation, field: OrderField, threads: int = 1
-) -> DiscreteGradient:
+def build_gradient(tri: Triangulation, field: OrderField) -> DiscreteGradient:
     """Construct the discrete gradient of ``field`` on ``tri``.
 
-    ``threads`` is accepted for compatibility and has no effect: the
-    construction is a handful of numpy passes.
+    Requests the only preconditions it reads, the edge and triangle
+    rows (``edge_list``, ``triangle_list``).
     """
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
-    for kind in (
-        "edge_list", "triangle_list", "vertex_edges", "edge_stars",
-        "cell_edges", "cell_triangles", "triangle_edges",
-        "vertex_triangles", "edge_triangles", "triangle_stars",
-        "vertex_stars",
-    ):
+    for kind in ("edge_list", "triangle_list"):
         tri.precondition(kind)
     grad = DiscreteGradient(tri, field)
     ranks = field.ranks
@@ -232,17 +228,17 @@ def trace_up_from_facet(grad: DiscreteGradient, sigma: int) -> list:
 
 
 def trace_down_from_edge(grad: DiscreteGradient, e: int) -> list:
-    """Descending (0, 1) V-paths from critical edge ``e`` (one per endpoint)."""
-    tri = grad.tri
+    """Descending (0, 1) V-paths from critical edge ``e`` (one per
+    endpoint).  The walks read the edge rows ``grad.verts[1]``."""
+    edges, up = grad.verts[1], grad.pair_up[0]
     out = []
-    for v in tri.simplex_vertices(SimplexRef(1, e)):
+    for cur in edges[e].tolist():
         pairs = []
-        cur = int(v)
-        while grad.pair_up[0][cur] >= 0:
-            nxt_e = int(grad.pair_up[0][cur])
+        while up[cur] >= 0:
+            nxt_e = int(up[cur])
             pairs.append((cur, nxt_e))
-            a, b = tri.simplex_vertices(SimplexRef(1, nxt_e))
-            cur = int(b if a == cur else a)
+            a, b = edges[nxt_e].tolist()
+            cur = b if a == cur else a
         out.append(VPath(0, int(e), cur, pairs))
     return out
 
@@ -365,42 +361,28 @@ def reverse_vpath(grad: DiscreteGradient, path: VPath) -> None:
 
 
 def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
-    """Exhaustive check that no V-path loops back on itself."""
-    d = grad.tri.dim
-    for k in range(d):
-        n = grad.tri.simplex_count(k + 1)
-        state = np.zeros(n, dtype=np.int8)  # 0 new, 1 active, 2 done
+    """Exhaustive check that no V-path loops back on itself.
 
-        def visit(high):
-            stack = [(high, None)]
-            while stack:
-                h, it = stack[-1]
-                if it is None:
-                    if state[h] == 1:
-                        return False
-                    if state[h] == 2:
-                        stack.pop()
-                        continue
-                    state[h] = 1
-                    it = iter(_descend_children(grad, k, h))
-                    stack[-1] = (h, it)
-                advanced = False
-                for low, nxt in it:
-                    if nxt >= 0:
-                        if state[nxt] == 1:
-                            return False
-                        if state[nxt] == 0:
-                            stack.append((nxt, None))
-                            advanced = True
-                            break
-                if not advanced:
-                    state[h] = 2
-                    stack.pop()
-            return True
-
-        for h in range(n):
-            if state[h] == 0 and not visit(h):
-                return False
+    For each k, the V-path digraph on the (k+1)-simplices has an edge
+    ``h -> pair_up[k][low]`` for every facet ``low`` of ``h`` other than
+    ``pair_down[k+1][h]``.  Kahn's algorithm peels it one frontier of
+    in-degree-0 nodes at a time; it is acyclic iff every node is peeled.
+    """
+    for k in range(grad.tri.dim):
+        rows = grad.facet_rows(k + 1)
+        succ = grad.pair_up[k][rows]
+        succ[rows == grad.pair_down[k + 1][:, None]] = -1
+        indeg = np.bincount(succ[succ >= 0], minlength=len(rows))
+        frontier = np.flatnonzero(indeg == 0)
+        peeled = 0
+        while len(frontier):
+            peeled += len(frontier)
+            nxt = succ[frontier].ravel()
+            nxt = nxt[nxt >= 0]
+            np.subtract.at(indeg, nxt, 1)
+            frontier = np.unique(nxt[indeg[nxt] == 0])
+        if peeled < len(rows):
+            return False
     return True
 
 

@@ -3,9 +3,12 @@
 The descending segmentation labels every vertex with the minimum its
 gradient path reaches; the ascending segmentation labels every d-cell
 with the maximum its inverse path reaches (cells whose walk drains
-through the boundary get label -1).  Separatrices are emitted as
-barycentric polylines: minimum/saddle curves, saddle/maximum curves,
-and (3D) saddle/saddle connectors.
+through the boundary get label -1).  Both are pointer doubling over one
+step per simplex, read from the gradient's arrays: a paired vertex
+steps to the other end of its edge, a paired d-cell to the other
+co-face of its facet, and a critical simplex to itself.  Separatrices
+are emitted as barycentric polylines: minimum/saddle curves,
+saddle/maximum curves, and (3D) saddle/saddle connectors.
 """
 
 from __future__ import annotations
@@ -21,28 +24,17 @@ from .gradient import (
     trace_down_from_edge,
     trace_up_from_facet,
 )
+from .order import _pointer_jump
 
 
 def descending_segmentation(grad: DiscreteGradient) -> np.ndarray:
     """Per-vertex label: the critical vertex its descending path reaches."""
-    n = grad.tri.simplex_count(0)
-    up = grad.pair_up[0].tolist()
-    edges = grad.verts[1].tolist()
-    labels = [-1] * n
-    for v in range(n):
-        if labels[v] >= 0:
-            continue
-        path = []
-        cur = v
-        while labels[cur] < 0 and up[cur] >= 0:
-            path.append(cur)
-            a, b = edges[up[cur]]
-            cur = b if a == cur else a
-        dest = labels[cur] if labels[cur] >= 0 else cur
-        labels[cur] = dest
-        for u in path:
-            labels[u] = dest
-    return np.array(labels, dtype=np.int64)
+    up = grad.pair_up[0]
+    nxt = np.arange(len(up), dtype=np.int64)
+    v = np.flatnonzero(up >= 0)
+    a, b = grad.verts[1][up[v]].T
+    nxt[v] = np.where(a == v, b, a)
+    return _pointer_jump(nxt)
 
 
 def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
@@ -50,31 +42,16 @@ def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
 
     Walks that exit through a boundary facet get label -1.
     """
-    d = grad.tri.dim
-    n = grad.tri.simplex_count(d)
-    down = grad.pair_down[d].tolist()
-    cof = grad.cofacets[:, :2].tolist()
-    labels = [-2] * n
-    for y in range(n):
-        if labels[y] != -2:
-            continue
-        path = []
-        cur = y
-        while labels[cur] == -2:
-            if down[cur] < 0:                   # critical cell
-                labels[cur] = cur
-                break
-            path.append(cur)
-            a, b = cof[down[cur]]
-            nxt = b if a == cur else a
-            if nxt < 0:                          # drains through the boundary
-                labels[cur] = -1
-                break
-            cur = nxt
-        dest = labels[cur]
-        for u in path:
-            labels[u] = dest
-    return np.array(labels, dtype=np.int64)
+    down = grad.pair_down[grad.tri.dim]
+    n = len(down)
+    nxt = np.arange(n + 1, dtype=np.int64)      # slot n: the boundary
+    c = np.flatnonzero(down >= 0)
+    a, b = grad.cofacets[down[c], :2].T
+    other = np.where(a == c, b, a)
+    nxt[c] = np.where(other < 0, n, other)
+    labels = _pointer_jump(nxt)[:n]
+    labels[labels == n] = -1
+    return labels
 
 
 @dataclass

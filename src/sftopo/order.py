@@ -4,12 +4,29 @@ A scalar field is made injective by pairing each value with an integer
 offset: ``u < v`` iff ``f(u) < f(v)``, or ``f(u) == f(v)`` and
 ``O(u) < O(v)``.  All downstream algorithms consume only the resulting
 rank permutation, so simplifying a field amounts to rewriting values and
-offsets while keeping this interface stable.
+offsets while keeping this interface stable.  The module also holds the
+pointer-doubling step shared by the array passes that follow chains to
+their ends (link components, merge and contour trees, segmentations).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _pointer_jump(ptr: np.ndarray) -> np.ndarray:
+    """Follow every pointer chain to its end by pointer doubling.
+
+    ``ptr[i]`` is the next index after ``i``, and ``i`` itself at a
+    chain's end.  Repeats ``ptr = ptr[ptr]`` until nothing changes and
+    returns the result, which maps every index to its chain's end.  The
+    chains must not cycle.
+    """
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            return ptr
+        ptr = nxt
 
 
 class OrderField:

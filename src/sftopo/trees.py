@@ -44,7 +44,7 @@ from .gradient import (
     extract_vpath,
     reverse_vpath,
 )
-from .order import OrderField
+from .order import OrderField, _pointer_jump
 from .triangulation import Triangulation
 
 log = logging.getLogger(__name__)
@@ -150,11 +150,7 @@ def build_merge_tree(
     is_leaf = below == n
     label = np.arange(n, dtype=np.int64)
     label[~is_leaf] = sweep[below[~is_leaf]]
-    while True:
-        nxt = label[label]
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
+    label = _pointer_jump(label)
 
     # per region pair, the crossing edge with the lowest higher end
     leaves = sweep[is_leaf[sweep]]
@@ -293,11 +289,7 @@ def _chain_last(first, pos):
     step = pos[first]
     last = step < 0
     step[last] = np.flatnonzero(last)
-    while True:
-        nxt = step[step]
-        if np.array_equal(nxt, step):
-            return step
-        step = nxt
+    return _pointer_jump(step)
 
 
 def _prune_round(a, succ, n_ch, ids, lo, hi, pos):

@@ -23,6 +23,7 @@ its vertices do, which is when it has a boundary facet.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -299,7 +300,8 @@ class ImplicitGridTriangulation(Triangulation):
     # -- identifier layout ----------------------------------------------
 
     def _decode(self, dim, sid):
-        """(class, a0, a1, a2) of a dim-simplex id."""
+        """(class, a0, a1, a2) of a dim-simplex id, as Python ints."""
+        sid = operator.index(sid)
         starts = self._starts[dim]
         if not 0 <= sid < starts[-1]:
             raise TriangulationError(f"{dim}-simplex id {sid} out of range")

@@ -6,6 +6,7 @@ union-find sweeps, augmented merge trees by a union-find sweep over
 every vertex and neighbour, the contour tree by pruning one leaf at
 a time from a queue, persistent homology by full GF(2)
 boundary-matrix reduction, V-path acyclicity by explicit graph search,
+Morse-Smale segmentations by walking every simplex's V-path,
 level-set components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, the discrete
 gradient by a per-simplex co-face scan, and compliance by a full rescan
@@ -425,6 +426,38 @@ def vpath_graph_acyclic(tri, grad):
                     state[v] = 2
                     stack.pop()
     return True
+
+
+# --------------------------------------------------------------------------
+# Morse-Smale segmentations by per-simplex walks
+# --------------------------------------------------------------------------
+
+
+def walk_segmentations(tri, grad):
+    """(descending, ascending) segmentations, one walk per simplex.
+
+    Each vertex walks its (0, 1) V-path through ``tri.simplex_vertices``
+    and each d-cell its (d-1, d) V-path through ``tri.cofaces``, one
+    step at a time, with no memo; neither reads ``grad.verts`` or
+    ``grad.cofacets``.  A d-cell whose walk leaves through a boundary
+    facet is labelled -1.
+    """
+    d = tri.dim
+    up, down = grad.pair_up[0], grad.pair_down[d]
+    desc = []
+    for v in range(tri.simplex_count(0)):
+        while up[v] >= 0:
+            a, b = tri.simplex_vertices(SimplexRef(1, int(up[v])))
+            v = b if a == v else a
+        desc.append(v)
+    asc = []
+    for c in range(tri.simplex_count(d)):
+        while c >= 0 and down[c] >= 0:
+            facet = SimplexRef(d - 1, int(down[c]))
+            others = [t for t in tri.cofaces(facet, d) if t != c]
+            c = others[0] if others else -1
+        asc.append(c)
+    return np.array(desc, dtype=np.int64), np.array(asc, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------

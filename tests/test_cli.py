@@ -100,7 +100,7 @@ class TestExitCodes:
     def test_invariant_failure_exit_code(self, f0_file, monkeypatch):
         monkeypatch.setattr(
             "sftopo.cli.run_checks",
-            lambda tri, field, threads=1: [
+            lambda tri, field: [
                 checks.CheckResult("forced failure", False)],
         )
         assert main(["check"] + f0_args(f0_file)) == 3

@@ -4,8 +4,11 @@ import time
 
 import numpy as np
 
-from conftest import random_field, two_bump_field
+from conftest import preconditioned, random_field, tie_heavy_field, \
+    two_bump_field
+from oracles import walk_segmentations
 from sftopo import (
+    ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
     build_gradient,
@@ -42,6 +45,41 @@ class TestSegmentation:
         labels = ascending_segmentation(g)
         assert len(labels) == 8
         assert set(labels) <= set(g.critical_ids(2)) | {-1}
+
+
+def assert_segmentations_match_walks(tri, f):
+    """Both segmentations equal the per-simplex walks, before and after
+    compliance; returns the ascending labels of the compliant one."""
+    g = build_gradient(tri, f)
+    for cancel in (False, True):
+        if cancel:
+            enforce_compliance(tri, f, g)
+        desc, asc = walk_segmentations(tri, g)
+        assert np.array_equal(descending_segmentation(g), desc)
+        assert np.array_equal(ascending_segmentation(g), asc)
+    return asc
+
+
+class TestSegmentationMatchesWalks:
+    def test_grids_and_explicit_copies(self):
+        rng = np.random.default_rng(12)
+        for dims in ((12, 9), (5, 4, 4)):
+            grid = ImplicitGridTriangulation(dims)
+            copy = preconditioned(ExplicitTriangulation(
+                grid.point_array(), grid.simplex_array(grid.dim)))
+            for make in (random_field, tie_heavy_field):
+                f = make(grid, rng)
+                for tri in (grid, copy):
+                    # the grids have a boundary that some walks drain to
+                    assert (assert_segmentations_match_walks(tri, f)
+                            == -1).any()
+
+    def test_closed_sphere(self, octahedron_sub2):
+        rng = np.random.default_rng(13)
+        for make in (random_field, tie_heavy_field):
+            asc = assert_segmentations_match_walks(
+                octahedron_sub2, make(octahedron_sub2, rng))
+            assert (asc >= 0).all()
 
 
 class TestSeparatrices:

@@ -91,6 +91,31 @@ class TestImplicitGrid:
             for f in t.faces(SimplexRef(3, c), 2):
                 assert c in t.cofaces(SimplexRef(2, f), 3)
 
+    @pytest.mark.parametrize("dims", [(4, 3), (3, 3, 3)])
+    def test_numpy_ids_answer_as_ints(self, dims):
+        """A numpy integer id gets the same answer as a Python int, in
+        Python ints, from every per-simplex query."""
+        t = ImplicitGridTriangulation(dims)
+        d = t.dim
+
+        def answers(k, sid):
+            s = SimplexRef(k, sid)
+            out = [list(t.simplex_vertices(s)), [t.is_boundary(s)]]
+            out += [t.faces(s, j) for j in range(k)]
+            out += [t.cofaces(s, l) for l in range(k + 1, d + 1)]
+            if k == 0:
+                out += [t.vertex_link(sid), t.vertex_neighbors(sid)]
+            return out
+
+        for k in range(d + 1):
+            for sid in range(t.simplex_count(k)):
+                want = answers(k, sid)
+                got = answers(k, np.int64(sid))
+                assert got == want
+                assert all(type(x) is int for row in got[:1] + got[2:]
+                           for x in row)
+                assert type(got[1][0]) is bool
+
     def test_bad_dims(self):
         with pytest.raises(TriangulationError):
             ImplicitGridTriangulation((1, 5))
