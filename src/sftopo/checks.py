@@ -27,9 +27,7 @@ from .trees import (
     combine_contour_tree,
     persistence_curve,
 )
-from .triangulation import Triangulation, TriangulationError, \
-    validate_pseudo_manifold
-from .triangulation.base import QUERY_KINDS
+from .triangulation import Triangulation, validate_pseudo_manifold
 
 
 @dataclass
@@ -126,11 +124,8 @@ def run_checks(tri: Triangulation, field: OrderField) -> list:
     """Run every invariant check; returns a list of CheckResult."""
     results = []
     d = tri.dim
-    for kind in QUERY_KINDS:
-        try:
-            tri.precondition(kind)
-        except TriangulationError:
-            pass                # kind not applicable in this dimension
+    for kind in ("edge_list", "triangle_list"):
+        tri.precondition(kind)
 
     bad = validate_pseudo_manifold(tri)
     results.append(CheckResult(

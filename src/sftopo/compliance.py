@@ -14,6 +14,12 @@ to another simplex of its star, so the matching is fluid during
 cleanup.  A re-match that fails is rolled back from an undo log of the
 entries it changed.
 
+The stage reads only the gradient's arrays.  The candidates of a slot
+are its vertex's critical simplices, grouped from ``grad.verts`` once,
+in descending ``simplex_key`` order (sorted vertex ranks, highest
+first).  Cancellations only remove critical simplices, so filtering
+these lists by ``is_critical`` gives what the whole star would.
+
 Both pair classes are cancelled from one heap of arcs keyed
 ``(weight, lower id, upper id, trace version)``.  Each root is traced
 once, and an index from every end to the roots whose last trace
@@ -73,6 +79,8 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
@@ -83,7 +91,7 @@ from .gradient import (
     trace_up_from_facet,
 )
 from .order import OrderField
-from .triangulation import SimplexRef, Triangulation
+from .triangulation import Triangulation
 
 
 @dataclass
@@ -104,24 +112,34 @@ class ComplianceReport:
 
     @property
     def compliant(self) -> bool:
-        return not self.match_failures and not any(
-            self.spurious.get(k) for k in self.spurious
-        )
+        return not self.match_failures and not any(self.spurious.values())
 
 
-def _star_simplices(tri: Triangulation, v: int, dim: int) -> list:
-    if dim == 0:
-        return [v]
-    return [int(s) for s in tri.cofaces(SimplexRef(0, v), dim)]
+def _boundary_flags(grad: DiscreteGradient) -> list:
+    """``Triangulation.is_boundary`` of every simplex, per dimension:
+    the facets with a single co-face, that co-face, and their vertices
+    and (3D) edges."""
+    d, cof = grad.tri.dim, grad.cofacets
+    facets = cof[:, 1] < 0
+    flags = [np.zeros(len(rows), dtype=bool) for rows in grad.verts]
+    flags[d - 1] = facets
+    flags[d][cof[facets, 0]] = True
+    flags[0][grad.verts[d - 1][facets]] = True
+    if d == 3:
+        flags[1][grad.facet_rows(2)[facets]] = True
+    return flags
 
 
-def _precondition_for_matching(tri: Triangulation) -> None:
-    kinds = ["boundary_vertices", "boundary_edges", "boundary_cells",
-             "vertex_edges", "vertex_stars"]
-    if tri.dim == 3:
-        kinds += ["boundary_triangles", "vertex_triangles"]
-    for kind in kinds:
-        tri.precondition(kind)
+def _critical_stars(grad: DiscreteGradient, k: int):
+    """``(flat, bounds)``: ``flat[bounds[v]:bounds[v + 1]]`` lists the
+    critical k-simplices of vertex ``v`` by descending simplex key."""
+    sids = np.flatnonzero((grad.pair_up[k] < 0) & (grad.pair_down[k] < 0))
+    rows = grad.verts[k][sids]
+    member = np.repeat(np.arange(len(sids)), k + 1)
+    keys = np.sort(grad.field.ranks[rows], axis=1)[member]
+    order = np.lexsort(np.vstack((-keys.T, rows.ravel())))  # owner first
+    ends = np.cumsum(np.bincount(rows.ravel(), minlength=len(grad.verts[0])))
+    return sids[member[order]].tolist(), [0] + ends.tolist()
 
 
 _MISSING = object()
@@ -130,27 +148,24 @@ _MISSING = object()
 class _Matching:
     """Bipartite matching of critical-point slots to critical simplices.
 
-    Slots are (vertex, index, copy) triples, one copy per unit of
+    Slots are (critical point, star) pairs, one per unit of
     multiplicity.  Candidates for a slot are the critical simplices of
     the right dimension in the vertex's star, preferred in descending
     simplex-key order.  Kuhn's augmenting-path algorithm keeps the
     matching maximum as simplices are consumed by cancellations.
     """
 
-    def __init__(self, tri, field, grad, critical_points):
-        self.tri, self.field, self.grad = tri, field, grad
+    def __init__(self, grad, critical_points):
+        self.grad, self.boundary = grad, _boundary_flags(grad)
+        interior = sorted((c for c in critical_points if not c.boundary),
+                          key=lambda c: grad.field.ranks[c.vertex])
+        stars = {k: _critical_stars(grad, k)
+                 for k in {c.index for c in interior}}
         self.slots = []
-        for cp in sorted(
-            (c for c in critical_points if not c.boundary),
-            key=lambda c: field.ranks[c.vertex],
-        ):
-            star = _star_simplices(tri, cp.vertex, cp.index)
-            star.sort(
-                key=lambda s: field.simplex_key(grad.verts[cp.index][s]),
-                reverse=True,
-            )
-            for copy in range(cp.multiplicity):
-                self.slots.append((cp, copy, star))
+        for cp in interior:
+            flat, bounds = stars[cp.index]
+            star = flat[bounds[cp.vertex]:bounds[cp.vertex + 1]]
+            self.slots += [(cp, star)] * cp.multiplicity
         self.slot_of = {}   # (dim, sid) -> slot index
         self.sid_of = {}    # slot index -> sid
         self._undo = None   # (table, key, old value) while releasing
@@ -168,7 +183,7 @@ class _Matching:
             self._undo.append((table, key, old))
 
     def _candidates(self, i):
-        cp, _, star = self.slots[i]
+        cp, star = self.slots[i]
         return [(cp.index, s) for s in star
                 if self.grad.is_critical(cp.index, s)]
 
@@ -216,19 +231,6 @@ class _Matching:
         finally:
             self._undo = None
 
-    def unmatched_slots(self):
-        return [self.slots[i][0] for i in range(len(self.slots))
-                if i not in self.sid_of]
-
-    def matched_dict(self):
-        out = {}
-        for i, (cp, _, _) in enumerate(self.slots):
-            out.setdefault((cp.vertex, cp.index), [])
-            key = self.sid_of.get(i)
-            if key is not None:
-                out[(cp.vertex, cp.index)].append(key[1])
-        return out
-
     def is_matched(self, dim, sid) -> bool:
         return (dim, sid) in self.slot_of
 
@@ -242,18 +244,20 @@ def match_critical_simplices(
     """Match interior critical points to critical simplices of their star."""
     if critical_points is None:
         critical_points = extract_critical_points(tri, field)
-    _precondition_for_matching(tri)
-    matching = _Matching(tri, field, grad, critical_points)
-    return _report(tri, grad, matching, critical_points, [])
+    return _report(_Matching(grad, critical_points), critical_points, [])
 
 
-def _report(tri, grad, matching, critical_points, cancelled):
+def _report(matching, critical_points, cancelled):
     """The report of a finished matching.
 
     A point fails only if none of its copies found a simplex; it is
     listed once, in ``critical_points`` order.
     """
-    matched = matching.matched_dict()
+    matched = {}
+    for i, (cp, _) in enumerate(matching.slots):
+        sids = matched.setdefault((cp.vertex, cp.index), [])
+        if i in matching.sid_of:
+            sids.append(matching.sid_of[i][1])
     empty = {k for k, v in matched.items() if not v}
     failures = []
     for cp in critical_points:
@@ -261,19 +265,18 @@ def _report(tri, grad, matching, critical_points, cancelled):
             failures.append(cp)
             empty.discard((cp.vertex, cp.index))
     spurious = {
-        k: {
-            s for s in grad.critical_ids(k)
-            if not matching.is_matched(k, s)
-            and not tri.is_boundary(SimplexRef(k, s))
-        }
-        for k in range(tri.dim + 1)
+        k: {s for s in _interior_ids(matching, k)
+            if not matching.is_matched(k, s)}
+        for k in range(len(matching.boundary))
     }
     return ComplianceReport(matched, failures, spurious, cancelled)
 
 
-def _interior_ids(tri, grad, dim):
-    return [s for s in grad.critical_ids(dim)
-            if not tri.is_boundary(SimplexRef(dim, s))]
+def _interior_ids(matching, dim):
+    """Ascending ids of the critical dim-simplices off the boundary."""
+    up, down = matching.grad.pair_up[dim], matching.grad.pair_down[dim]
+    return np.flatnonzero((up < 0) & (down < 0)
+                          & ~matching.boundary[dim]).tolist()
 
 
 def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
@@ -340,7 +343,7 @@ def _cancel_facet_pairs(grad, matching) -> list:
     Roots are the interior critical facets, traced by their ascending
     walks; the path of each single arc is kept from the last trace.
     """
-    tri, d = grad.tri, grad.tri.dim
+    d = grad.tri.dim
     paths_of = {}                 # facet -> {cell: path} of its last trace
 
     def trace(sigma):
@@ -350,14 +353,14 @@ def _cancel_facet_pairs(grad, matching) -> list:
                 ends.setdefault(path.upper, []).append(path)
         paths = paths_of[sigma] = {
             tau: p[0] for tau, p in ends.items()
-            if len(p) == 1 and not tri.is_boundary(SimplexRef(d, tau))}
+            if len(p) == 1 and not matching.boundary[d][tau]}
         return list(ends), list(paths)
 
     def cancel(sigma, tau):
         reverse_vpath(grad, paths_of[sigma][tau])
 
     return _cancel_by_heap(grad, matching, d - 1, d - 1,
-                           _interior_ids(tri, grad, d - 1), trace, cancel)
+                           _interior_ids(matching, d - 1), trace, cancel)
 
 
 def _cancel_connector_pairs(grad, matching) -> list:
@@ -368,11 +371,10 @@ def _cancel_connector_pairs(grad, matching) -> list:
     descending V-paths to the interior critical edges in one shared
     memo; a cancelled path is read from that memo.
     """
-    tri = grad.tri
-    edges = set(_interior_ids(tri, grad, 1))
+    edges = set(_interior_ids(matching, 1))
     memo = {}                     # triangle -> {edge: V-path count}
     # row e: the ascending ids of the triangles with face e, -1 padded
-    triangles_of = _cofacet_array(grad.facet_rows(2), tri.simplex_count(1))
+    triangles_of = _cofacet_array(grad.facet_rows(2), len(grad.verts[1]))
     paired_below = grad.pair_down[2]
 
     def trace(tau):
@@ -398,7 +400,7 @@ def _cancel_connector_pairs(grad, matching) -> list:
         edges.discard(e)
 
     return _cancel_by_heap(grad, matching, 1, 2,
-                           _interior_ids(tri, grad, 2), trace, cancel)
+                           _interior_ids(matching, 2), trace, cancel)
 
 
 def enforce_compliance(
@@ -415,9 +417,8 @@ def enforce_compliance(
     """
     if critical_points is None:
         critical_points = extract_critical_points(tri, field)
-    _precondition_for_matching(tri)
-    matching = _Matching(tri, field, grad, critical_points)
+    matching = _Matching(grad, critical_points)
     cancelled = list(_cancel_facet_pairs(grad, matching))
     if tri.dim == 3:
         cancelled += _cancel_connector_pairs(grad, matching)
-    return _report(tri, grad, matching, critical_points, cancelled)
+    return _report(matching, critical_points, cancelled)

@@ -15,18 +15,22 @@ import numpy as np
 
 
 def _pointer_jump(ptr: np.ndarray) -> np.ndarray:
-    """Follow every pointer chain to its end by pointer doubling.
+    """Map every index to the end of its pointer chain by doubling.
 
     ``ptr[i]`` is the next index after ``i``, and ``i`` itself at a
-    chain's end.  Repeats ``ptr = ptr[ptr]`` until nothing changes and
-    returns the result, which maps every index to its chain's end.  The
-    chains must not cycle.
+    chain's end.  ``ptr = ptr[ptr]`` runs until nothing changes, or
+    ``len(ptr).bit_length() + 1`` times; a chain that closes into a
+    cycle then ends on no end, and raises ``ValueError``.
     """
-    while True:
+    step = ptr
+    for _ in range(len(ptr).bit_length() + 1):
         nxt = ptr[ptr]
         if np.array_equal(nxt, ptr):
-            return ptr
+            break
         ptr = nxt
+    if not np.array_equal(step[ptr], ptr):
+        raise ValueError("pointer chains close into a cycle")
+    return ptr
 
 
 class OrderField:

@@ -9,7 +9,8 @@ boundary-matrix reduction, V-path acyclicity by explicit graph search,
 Morse-Smale segmentations by walking every simplex's V-path,
 level-set components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, the discrete
-gradient by a per-simplex co-face scan, and compliance by a full rescan
+gradient by a per-simplex co-face scan, the compliance matching's
+candidates by per-vertex star queries, and compliance by a full rescan
 and sort of every arc after each cancellation, alternating the
 saddle/maximum and saddle/saddle passes until neither cancels anything.
 """
@@ -499,6 +500,20 @@ def steepest_coface_gradient(tri, field):
 
 
 # --------------------------------------------------------------------------
+# Compliance matching candidates by per-vertex star queries
+# --------------------------------------------------------------------------
+
+
+def star_simplices(tri, field, v, dim):
+    """The dim-simplices in the star of vertex ``v``, from
+    ``tri.cofaces``, in descending ``field.simplex_key`` order of their
+    ``tri.simplex_vertices``."""
+    star = [v] if dim == 0 else tri.cofaces(SimplexRef(0, v), dim)
+    return sorted(star, reverse=True, key=lambda s: field.simplex_key(
+        tri.simplex_vertices(SimplexRef(dim, s))))
+
+
+# --------------------------------------------------------------------------
 # Saddle/maximum cancellation by rescanning every arc
 # --------------------------------------------------------------------------
 
@@ -635,8 +650,13 @@ def alternating_compliance(tri, field, grad):
     3D a saddle/saddle pass, repeating both until the saddle/saddle pass
     cancels nothing; returns the same report."""
     cps = extract_critical_points(tri, field)
-    compliance._precondition_for_matching(tri)
-    matching = compliance._Matching(tri, field, grad, cps)
+    # the tables the rescans query: facet co-faces and boundary flags
+    kinds = ["boundary_edges", "boundary_cells"]
+    kinds += ["triangle_stars", "boundary_triangles"] if tri.dim == 3 \
+        else ["edge_stars"]
+    for kind in kinds:
+        tri.precondition(kind)
+    matching = compliance._Matching(grad, cps)
     cancelled = rescan_facet_cancellation(grad, matching)
     more = rescan_connector_cancellation(grad, matching) \
         if tri.dim == 3 else []
@@ -644,4 +664,4 @@ def alternating_compliance(tri, field, grad):
         cancelled += more
         more = rescan_facet_cancellation(grad, matching)
         more += rescan_connector_cancellation(grad, matching)
-    return compliance._report(tri, grad, matching, cps, cancelled)
+    return compliance._report(matching, cps, cancelled)

@@ -1,12 +1,14 @@
 """Invariant suite: every check runs whatever the input size, and the
 contour-tree check tests invariants that hold on every contour tree."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
 
-from conftest import random_field
+from conftest import midpoint_subdivide, octahedron_mesh, random_field
 from sftopo import (
+    ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
     build_merge_tree,
@@ -25,6 +27,35 @@ def test_acyclicity_runs_on_large_grid():
     results = {r.name: r for r in run_checks(tri, field)}
     acyclic = results["gradient acyclic (exhaustive)"]
     assert acyclic.ok and acyclic.detail == ""
+
+
+def test_run_checks_requests_only_the_tables_it_reads():
+    """On fresh explicit meshes every check passes without the vertex
+    co-face and link tables that no stage reads."""
+    grid = ImplicitGridTriangulation((5, 4, 4))
+    meshes = [
+        ExplicitTriangulation(grid.point_array(), grid.simplex_array(3)),
+        ExplicitTriangulation(
+            *midpoint_subdivide(*midpoint_subdivide(*octahedron_mesh()))),
+    ]
+    rng = np.random.default_rng(33)
+    for tri in meshes:
+        results = run_checks(tri, random_field(tri, rng))
+        assert all(r.ok for r in results), [r.name for r in results
+                                            if not r.ok]
+        assert "links" not in tri._tables
+        assert not [key for key in tri._tables if key[:2] == ("cofaces", 0)]
+
+
+def test_run_checks_128_squared_in_seconds():
+    """The whole suite on a random 128x128 field takes about 1 s on a
+    2-core VM."""
+    tri = ImplicitGridTriangulation((128, 128))
+    f = random_field(tri, np.random.default_rng(34))
+    start = time.perf_counter()
+    results = run_checks(tri, f)
+    assert time.perf_counter() - start < 5.0
+    assert all(r.ok for r in results)
 
 
 def test_contour_tree_check_allows_arcs_without_vertices(octahedron_sub2):

@@ -5,8 +5,10 @@ import time
 import numpy as np
 
 import oracles
-from conftest import random_field, tie_heavy_field, two_bump_field
+from conftest import preconditioned, random_field, tie_heavy_field, \
+    two_bump_field
 from sftopo import (
+    ExplicitTriangulation,
     ImplicitGridTriangulation,
     compliance,
     SimplexRef,
@@ -84,6 +86,82 @@ class TestEnforcement:
         assert not report.match_failures
         assert n_after <= n_before
         assert gradient_is_acyclic(g)
+
+
+def array_cases(sphere):
+    """(triangulation, field) pairs: a random and a tie-heavy field on
+    12x9 and 5x4x4 grids, each also on an explicit copy of its grid,
+    and the same two kinds of field on the closed ``sphere``."""
+    rng = np.random.default_rng(21)
+    for dims in ((12, 9), (5, 4, 4)):
+        grid = ImplicitGridTriangulation(dims)
+        copy = preconditioned(ExplicitTriangulation(
+            grid.point_array(), grid.simplex_array(grid.dim)))
+        for make in (random_field, tie_heavy_field):
+            f = make(grid, rng)
+            yield grid, f
+            yield copy, f
+    for make in (random_field, tie_heavy_field):
+        yield sphere, make(sphere, rng)
+
+
+class TestArrayMatching:
+    """The matching's candidate lists and boundary flags, built from the
+    gradient's arrays, equal what per-simplex queries give."""
+
+    def test_slot_lists_match_star_queries(self, octahedron_sub2):
+        """Each slot lists the critical simplices of its vertex's star in
+        descending simplex-key order, and its candidates stay exactly
+        those still critical after the saddle/maximum cancellations."""
+        cancelled = 0
+        for tri, f in array_cases(octahedron_sub2):
+            g = build_gradient(tri, f)
+            matching = compliance._Matching(
+                g, extract_critical_points(tri, f))
+            stars = [oracles.star_simplices(tri, f, cp.vertex, cp.index)
+                     for cp, _ in matching.slots]
+            for (cp, got), star in zip(matching.slots, stars):
+                assert got == [s for s in star
+                               if g.is_critical(cp.index, s)]
+            cancelled += len(compliance._cancel_facet_pairs(g, matching))
+            for i, ((cp, _), star) in enumerate(zip(matching.slots, stars)):
+                assert matching._candidates(i) == [
+                    (cp.index, s) for s in star
+                    if g.is_critical(cp.index, s)]
+        assert cancelled > 0
+
+    def test_boundary_flags_match_queries(self, octahedron_sub2):
+        for tri, f in array_cases(octahedron_sub2):
+            flags = compliance._boundary_flags(build_gradient(tri, f))
+            assert len(flags) == tri.dim + 1
+            for k, got in enumerate(flags):
+                assert got.tolist() == [
+                    tri.is_boundary(SimplexRef(k, s))
+                    for s in range(tri.simplex_count(k))]
+                # every grid dimension has boundary simplices, the
+                # closed sphere none
+                assert got.any() == (tri is not octahedron_sub2)
+
+    def test_compliance_builds_only_rows_tables(self):
+        """On a fresh explicit mesh, compliance after ``build_gradient``
+        reads the gradient's arrays and requests no further table."""
+        rng = np.random.default_rng(22)
+        for dims in ((12, 9), (5, 4, 4)):
+            grid = ImplicitGridTriangulation(dims)
+            f = random_field(grid, rng)
+
+            def fresh():
+                return ExplicitTriangulation(grid.point_array(),
+                                             grid.simplex_array(grid.dim))
+
+            # critical points request boundary tables: take them from a twin
+            cps = extract_critical_points(fresh(), f)
+            tri = fresh()
+            g = build_gradient(tri, f)
+            report = enforce_compliance(tri, f, g, cps)
+            assert report.cancelled
+            assert sorted(tri._tables) == [
+                ("rows", k) for k in range(tri.dim + 1)]
 
 
 def assert_same_outcome(got, g, want, ref):

@@ -3,10 +3,12 @@
 import time
 
 import numpy as np
+import pytest
 
 from conftest import preconditioned, random_field, tie_heavy_field, \
     two_bump_field
 from oracles import walk_segmentations
+from test_gradient import closed_vpath, edge_id, ring
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
@@ -80,6 +82,18 @@ class TestSegmentationMatchesWalks:
             asc = assert_segmentations_match_walks(
                 octahedron_sub2, make(octahedron_sub2, rng))
             assert (asc >= 0).all()
+
+
+def test_segmentations_refuse_closed_vpaths():
+    """A (0, 1) loop around a triangle and a (1, 2) loop around the
+    interior vertex of a 3x3 grid raise instead of never returning."""
+    tri = ImplicitGridTriangulation((3, 3))
+    loop = closed_vpath(tri, 0, [edge_id(tri, 0, 1), edge_id(tri, 1, 4),
+                                 edge_id(tri, 0, 4)])
+    with pytest.raises(ValueError):
+        descending_segmentation(loop)
+    with pytest.raises(ValueError):
+        ascending_segmentation(closed_vpath(tri, 1, ring(tri, 1, 4)))
 
 
 class TestSeparatrices:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sftopo import OrderField
+from sftopo.order import _pointer_jump
 
 
 class TestOrderField:
@@ -45,3 +46,15 @@ class TestOrderField:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             OrderField(np.zeros(3), np.array([0, 1]))
+
+
+class TestPointerJump:
+    def test_cycles_raise(self):
+        """Cycles of every length raise, those whose length is a power
+        of two (which doubling maps onto themselves) included, with or
+        without a chain leading into them."""
+        for n in (2, 3, 4, 6, 8):
+            with pytest.raises(ValueError):
+                _pointer_jump(np.roll(np.arange(n), -1))
+        with pytest.raises(ValueError):
+            _pointer_jump(np.array([1, 2, 3, 4, 1, 5]))
