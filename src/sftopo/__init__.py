@@ -59,7 +59,6 @@ from .trees import (
 from .triangulation import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
-    NotPreconditionedError,
     SimplexRef,
     Triangulation,
     TriangulationError,
@@ -81,7 +80,6 @@ __all__ = [
     "ExplicitTriangulation",
     "ImplicitGridTriangulation",
     "MergeTree",
-    "NotPreconditionedError",
     "OrderField",
     "PLCriticalPoint",
     "PersistenceDiagram",

@@ -24,8 +24,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import io as sfio
 from .checks import run_checks
 from .compliance import enforce_compliance
@@ -147,15 +145,11 @@ def _diagram(tri, field):
 
 def _cmd_info(args):
     tri, field = _load(args)
-    for kind in ("edge_list", "triangle_list"):
-        tri.precondition(kind)
     names = ["vertices", "edges", "triangles", "tetrahedra"]
     print(f"dimension: {tri.dim}")
     for k in range(tri.dim + 1):
         print(f"{names[k]}: {tri.simplex_count(k)}")
-    # a boundary facet is a face of exactly one cell
-    boundary = (np.bincount(tri.facet_ids(tri.dim).ravel()) == 1).sum()
-    print(f"boundary facets: {boundary}")
+    print(f"boundary facets: {tri.boundary_facets().sum()}")
     print(f"field range: [{field.values.min():.17g}, "
           f"{field.values.max():.17g}]")
     return EXIT_OK

@@ -136,10 +136,7 @@ def _components(n, a, b):
 
 
 def _link_component_arrays(tri: Triangulation, field: OrderField):
-    """Lower and upper link component counts of every vertex, as arrays.
-
-    Needs the edge and triangle rows (``edge_list``, ``triangle_list``).
-    """
+    """Lower and upper link component counts of every vertex, as arrays."""
     n = tri.simplex_count(0)
     ranks = field.ranks
     offsets, ids = tri.neighbor_csr()
@@ -162,19 +159,16 @@ def _link_component_arrays(tri: Triangulation, field: OrderField):
 
 
 def extract_critical_points(tri: Triangulation, field: OrderField):
-    """All critical points, sorted by (vertex id, index).
-
-    Requests the preconditions it needs (edge and triangle rows,
-    boundary flags) on the triangulation.
-    """
+    """All critical points, sorted by (vertex id, index)."""
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
-    for kind in ("edge_list", "triangle_list", "boundary_vertices"):
-        tri.precondition(kind)
     n_lower, n_upper = _link_component_arrays(tri, field)
+    # the boundary vertices are the vertices of the boundary facets
+    boundary = np.zeros(len(field), dtype=bool)
+    boundary[tri.simplex_array(tri.dim - 1)[tri.boundary_facets()]] = True
     out = []
     for v in np.flatnonzero((n_lower != 1) | (n_upper != 1)).tolist():
         out.extend(_critical_points(
             tri.dim, v, int(n_lower[v]), int(n_upper[v]),
-            float(field.values[v]), tri.is_boundary(SimplexRef(0, v))))
+            float(field.values[v]), bool(boundary[v])))
     return out

@@ -144,15 +144,9 @@ class DiscreteGradient:
 
 
 def build_gradient(tri: Triangulation, field: OrderField) -> DiscreteGradient:
-    """Construct the discrete gradient of ``field`` on ``tri``.
-
-    Requests the only preconditions it reads, the edge and triangle
-    rows (``edge_list``, ``triangle_list``).
-    """
+    """Construct the discrete gradient of ``field`` on ``tri``."""
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
-    for kind in ("edge_list", "triangle_list"):
-        tri.precondition(kind)
     grad = DiscreteGradient(tri, field)
     ranks = field.ranks
     for k in range(tri.dim):

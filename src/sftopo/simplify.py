@@ -151,7 +151,6 @@ def simplify_field(
             "problem is NP-hard) - raise the threshold or simplify "
             "extrema only"
         )
-    tri.precondition("edge_list")
     mins, maxs = _extrema(tri, field)
     preserved = set(req.preserved)
     if not preserved:

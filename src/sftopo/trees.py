@@ -62,8 +62,6 @@ def _check_simply_connected(tri: Triangulation) -> None:
     Closed 3-manifolds all have characteristic 0, where this test is
     uninformative and the pruning stall acts as the only backstop.
     """
-    for kind in ("edge_list", "triangle_list"):
-        tri.precondition(kind)
     chi = sum(
         (-1) ** k * tri.simplex_count(k) for k in range(tri.dim + 1)
     )
@@ -72,8 +70,7 @@ def _check_simply_connected(tri: Triangulation) -> None:
     else:
         # closed 3-manifolds always have characteristic 0 (test blind);
         # any 3D domain with boundary must look like a ball
-        facets = np.bincount(tri.facet_ids(tri.dim).ravel())
-        ok = (1,) if (facets == 1).any() else (0,)
+        ok = (1,) if tri.boundary_facets().any() else (0,)
     if chi not in ok:
         raise DomainTopologyError(
             f"domain is not simply connected (Euler characteristic {chi}); "
@@ -134,7 +131,6 @@ def build_merge_tree(
         raise ValueError("variant must be 'join' or 'split'")
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
-    tri.precondition("edge_list")
     n = len(field)
     if variant == "join":
         sweep, rank = field.order, field.ranks

@@ -1,7 +1,6 @@
 """Cached 2D/3D triangulation data structures (explicit and implicit)."""
 
 from .base import (
-    NotPreconditionedError,
     QUERY_KINDS,
     SimplexRef,
     Triangulation,
@@ -14,7 +13,6 @@ from .implicit import ImplicitGridTriangulation
 __all__ = [
     "ExplicitTriangulation",
     "ImplicitGridTriangulation",
-    "NotPreconditionedError",
     "QUERY_KINDS",
     "SimplexRef",
     "Triangulation",

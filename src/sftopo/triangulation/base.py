@@ -2,14 +2,13 @@
 
 All traversal queries operate on ``SimplexRef`` handles, a ``(dim, id)``
 pair where ``id`` indexes the simplices of that dimension.  Explicit
-triangulations answer queries from lookup tables that must be requested
-up front through :meth:`Triangulation.precondition`; implicit grids
-answer every query arithmetically and treat preconditioning as a no-op.
+triangulations answer queries from lookup tables built the first time a
+query reads them; implicit grids answer every query arithmetically.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,23 +24,8 @@ class TriangulationError(Exception):
     """Base class for triangulation construction and query errors."""
 
 
-class NotPreconditionedError(TriangulationError):
-    """A query was issued before its precondition call.
-
-    Raised only by explicit triangulations; carries the name of the
-    precondition kind that should have been requested.
-    """
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        super().__init__(
-            f"query requires precondition({kind!r}) to be called first"
-        )
-
-
-#: Recognized precondition kinds.  Implicit grids accept them all as
-#: no-ops.  ``vertex_links`` caches the full (d-1)-link of every vertex,
-#: the heaviest table, used by the per-vertex ``classify_vertex``.
+#: Kinds accepted by :meth:`Triangulation.precondition`.  Implicit grids
+#: accept them all as no-ops.
 QUERY_KINDS = (
     "vertex_neighbors",
     "vertex_edges",
@@ -82,7 +66,8 @@ class Triangulation:
 
     # -- preconditioning ------------------------------------------------
     def precondition(self, kind: str) -> None:
-        """Request a query kind; builds any lookup table it relies on."""
+        """Build the lookup tables of a query kind now instead of on the
+        first query that reads them; optional."""
         raise NotImplementedError
 
     # -- counts and identity --------------------------------------------
@@ -133,8 +118,7 @@ class Triangulation:
 
         Row ``v``, ``ids[offsets[v]:offsets[v + 1]]``, holds the
         neighbours of ``v`` ascending, as ``vertex_neighbors(v)`` does.
-        Built from ``simplex_array(1)`` on every call and never stored,
-        so explicit meshes need ``precondition("edge_list")``.
+        Built from ``simplex_array(1)`` on every call and never stored.
         """
         n = self.simplex_count(0)
         edges = self.simplex_array(1)
@@ -153,8 +137,7 @@ class Triangulation:
         ``simplex_array(k)[s, j]``, so a row holds ``faces(s, k-1)`` up
         to column order.  Built from ``simplex_array(k-1)`` and
         ``simplex_array(k)`` with one row-key ``searchsorted`` on every
-        call and never stored, so explicit meshes need the row
-        preconditions of both dimensions.  The keys need
+        call and never stored.  The keys need
         ``simplex_count(0) ** k <= 2**63`` (up to 2**21 vertices in 3D).
         """
         if not 1 <= k <= self.dim:
@@ -170,6 +153,14 @@ class Triangulation:
         pos = np.searchsorted(keys, _row_keys(faces, nv), sorter=order)
         return order[pos].reshape(-1, k + 1)
 
+    def boundary_facets(self) -> np.ndarray:
+        """``(simplex_count(d-1),)`` bool array: whether each
+        (d-1)-simplex is a face of exactly one d-cell, i.e. a boundary
+        facet.  Built from ``facet_ids(d)`` on every call."""
+        d = self.dim
+        return np.bincount(self.facet_ids(d).ravel(),
+                           minlength=self.simplex_count(d - 1)) == 1
+
     def vertex_link(self, v: int) -> list:
         """(d-1)-simplices opposite ``v`` in its star, ids ascending."""
         d = self.dim
@@ -182,9 +173,6 @@ class Triangulation:
                     link.append(f)
                     break
         return sorted(link)
-
-    def all_simplices(self, dim: int) -> Iterable[SimplexRef]:
-        return (SimplexRef(dim, i) for i in range(self.simplex_count(dim)))
 
 
 def validate_pseudo_manifold(t: Triangulation) -> list:

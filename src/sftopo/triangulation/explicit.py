@@ -1,13 +1,12 @@
 """Explicit cached triangulation built from a cell-based representation.
 
 Only points and d-cells are stored at construction.  Every traversal
-query is served by a lookup table that must be requested beforehand via
-``precondition(kind)``; querying without the matching precondition is an
-error, which keeps the memory footprint equal to exactly the tables the
-callers asked for.
+query is served by a lookup table built, with the tables it is derived
+from, the first time a query reads it, so the memory footprint is
+exactly the tables the callers read.  ``precondition(kind)`` builds a
+kind's table ahead of its first query.
 
-Tables are keyed by simplex dimensions and built lazily, each with the
-tables it is derived from:
+Tables are keyed by simplex dimensions:
 
 - ``("rows", k)``: the ``(n_k, k+1)`` array of ascending vertex ids of
   the k-simplices, rows in lexicographic order.  Rows 0 and d always
@@ -16,7 +15,7 @@ tables it is derived from:
 - ``("cofaces", j, l)``: per j-simplex, the ascending list of its
   l-co-face ids, inverted from ``("faces", l, j)``.
 - ``("boundary", k)``: per k-simplex, whether it lies on the boundary,
-  derived from the (d-1)-simplices that have a single d-co-face.
+  derived from ``boundary_facets()``.
 - ``"links"``: per vertex, the ascending (d-1)-simplices opposite it in
   its star.
 
@@ -31,7 +30,6 @@ from itertools import combinations
 import numpy as np
 
 from .base import (
-    NotPreconditionedError,
     QUERY_KINDS,
     SimplexRef,
     Triangulation,
@@ -106,10 +104,6 @@ class ExplicitTriangulation(Triangulation):
             ("rows", 0): np.arange(len(self.points), dtype=np.int64)[:, None],
             ("rows", d): self.cells,
         }
-        # the kind that builds each table; later kinds win, so a 2D
-        # table shared by a triangle kind and a cell kind names the latter
-        self._kind_of = {self._resolve(key): kind
-                         for kind, key in _KIND_KEYS.items()}
 
     # -- table construction ---------------------------------------------
 
@@ -168,8 +162,7 @@ class ExplicitTriangulation(Triangulation):
         # boundary: the facets with a single co-face, and their faces
         (k,) = dims
         if k == d - 1:
-            cofaces = self._get(("cofaces", d - 1, d))
-            return np.array([len(c) for c in cofaces]) == 1
+            return self.boundary_facets()
         facets = self._get(("boundary", d - 1))
         if k == d:
             return facets[self._get(("faces", d, d - 1))].any(axis=1)
@@ -187,19 +180,10 @@ class ExplicitTriangulation(Triangulation):
 
     def _lookup(self, key):
         tab = self._tables.get(key)
-        if tab is None:     # not built, or stored under its canonical key
-            key = self._resolve(key)
-            tab = self._tables.get(key)
-            if tab is None:
-                raise NotPreconditionedError(self._kind_of[key])
-        return tab
+        return self._get(key) if tab is None else tab
 
     def simplex_array(self, k: int) -> np.ndarray:
-        """The rows table of the k-simplices, read-only.
-
-        Needs ``precondition("edge_list")`` for edges and, in 3D,
-        ``precondition("triangle_list")`` for triangles.
-        """
+        """The rows table of the k-simplices, read-only."""
         if not 0 <= k <= self.dim:
             raise TriangulationError(f"bad simplex dimension {k}")
         rows = self._lookup(("rows", k)).view()

@@ -331,12 +331,6 @@ class ImplicitGridTriangulation(Triangulation):
             raise TriangulationError(f"bad simplex dimension {dim}")
         return self._starts[dim][-1]
 
-    def vertex_id(self, coords) -> int:
-        idx = 0
-        for n, c in zip(reversed(self.dims), reversed(tuple(coords))):
-            idx = idx * n + c
-        return idx
-
     def vertex_coords(self, v: int) -> tuple:
         out = []
         for n in self.dims:

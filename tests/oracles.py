@@ -650,12 +650,6 @@ def alternating_compliance(tri, field, grad):
     3D a saddle/saddle pass, repeating both until the saddle/saddle pass
     cancels nothing; returns the same report."""
     cps = extract_critical_points(tri, field)
-    # the tables the rescans query: facet co-faces and boundary flags
-    kinds = ["boundary_edges", "boundary_cells"]
-    kinds += ["triangle_stars", "boundary_triangles"] if tri.dim == 3 \
-        else ["edge_stars"]
-    for kind in kinds:
-        tri.precondition(kind)
     matching = compliance._Matching(grad, cps)
     cancelled = rescan_facet_cancellation(grad, matching)
     more = rescan_connector_cancellation(grad, matching) \

@@ -143,20 +143,15 @@ class TestArrayMatching:
                 assert got.any() == (tri is not octahedron_sub2)
 
     def test_compliance_builds_only_rows_tables(self):
-        """On a fresh explicit mesh, compliance after ``build_gradient``
-        reads the gradient's arrays and requests no further table."""
+        """On a fresh explicit mesh, critical points, ``build_gradient``
+        and compliance build no table beyond the simplex rows."""
         rng = np.random.default_rng(22)
         for dims in ((12, 9), (5, 4, 4)):
             grid = ImplicitGridTriangulation(dims)
             f = random_field(grid, rng)
-
-            def fresh():
-                return ExplicitTriangulation(grid.point_array(),
-                                             grid.simplex_array(grid.dim))
-
-            # critical points request boundary tables: take them from a twin
-            cps = extract_critical_points(fresh(), f)
-            tri = fresh()
+            tri = ExplicitTriangulation(grid.point_array(),
+                                        grid.simplex_array(grid.dim))
+            cps = extract_critical_points(tri, f)
             g = build_gradient(tri, f)
             report = enforce_compliance(tri, f, g, cps)
             assert report.cancelled

@@ -3,15 +3,28 @@
 import numpy as np
 import pytest
 
-from conftest import EQUIVALENCE_DIMS, octahedron_mesh
+from conftest import EQUIVALENCE_DIMS, midpoint_subdivide, \
+    octahedron_mesh, random_field
 from oracles import assert_equivalent
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
-    NotPreconditionedError,
     SimplexRef,
     TriangulationError,
+    ascending_segmentation,
+    build_diagram,
+    build_gradient,
+    build_merge_tree,
+    combine_contour_tree,
+    descending_segmentation,
+    enforce_compliance,
+    extract_critical_points,
+    extract_separatrices,
+    persistence_curve,
+    select_by_persistence,
+    simplify_field,
 )
+from sftopo.checks import run_checks
 from sftopo.triangulation import Triangulation, validate_pseudo_manifold
 from sftopo.triangulation.base import QUERY_KINDS
 
@@ -166,23 +179,51 @@ class TestExplicit:
         assert octahedron_sub2.simplex_count(0) == 66
         assert octahedron_sub2.simplex_count(2) == 128
 
-    def test_requires_precondition(self):
-        t = ExplicitTriangulation(*octahedron_mesh())
-        with pytest.raises(NotPreconditionedError) as err:
-            t.cofaces(SimplexRef(0, 0), 2)
-        assert err.value.kind == "vertex_stars"
-        with pytest.raises(NotPreconditionedError) as err:
-            t.simplex_array(1)
-        assert err.value.kind == "edge_list"
-        t.precondition("edge_list")
-        assert t.simplex_array(1).shape == (12, 2)
-
-    def test_requires_precondition_3d(self):
+    def test_query_builds_its_table_on_first_use(self):
+        """A query on a fresh mesh answers as on a preconditioned twin,
+        and adds only its own table and the tables it is built from."""
         g = ImplicitGridTriangulation((2, 2, 2))
-        t = ExplicitTriangulation(g.point_array(), g.simplex_array(3))
-        with pytest.raises(NotPreconditionedError) as err:
-            t.faces(SimplexRef(2, 0), 1)
-        assert err.value.kind == "triangle_edges"
+        cases = [
+            (octahedron_mesh(), lambda t: t.cofaces(SimplexRef(0, 0), 2),
+             [("cofaces", 0, 2)]),
+            ((g.point_array(), g.simplex_array(3)),
+             lambda t: t.faces(SimplexRef(2, 0), 1),
+             [("faces", 2, 1), ("rows", 1), ("rows", 2)]),
+        ]
+        for mesh, query, built in cases:
+            tri = ExplicitTriangulation(*mesh)
+            before = set(tri._tables)
+            twin = precondition_all(ExplicitTriangulation(*mesh))
+            assert query(tri) == query(twin)
+            assert sorted(set(tri._tables) - before) == built
+
+    def test_stages_read_only_row_tables(self):
+        """Every public stage on a fresh explicit mesh, with no
+        precondition call, builds no table beyond the simplex rows."""
+        rng = np.random.default_rng(14)
+        meshes = [midpoint_subdivide(*midpoint_subdivide(*octahedron_mesh()))]
+        for dims in ((12, 9), (5, 4, 4)):
+            g = ImplicitGridTriangulation(dims)
+            meshes.append((g.point_array(), g.simplex_array(g.dim)))
+        for mesh in meshes:
+            tri = ExplicitTriangulation(*mesh)
+            f = random_field(tri, rng)
+            cps = extract_critical_points(tri, f)
+            grad = build_gradient(tri, f)
+            enforce_compliance(tri, f, grad, cps)
+            combine_contour_tree(build_merge_tree(tri, f, "join"),
+                                 build_merge_tree(tri, f, "split"))
+            diagram = build_diagram(tri, f)
+            persistence_curve(diagram)
+            extract_separatrices(grad)
+            descending_segmentation(grad)
+            ascending_segmentation(grad)
+            if tri.dim == 2:
+                simplify_field(tri, f, select_by_persistence(
+                    diagram, len(f) / 4))
+            run_checks(tri, f)
+            assert sorted(tri._tables) == [
+                ("rows", k) for k in range(tri.dim + 1)]
 
     def test_duplicate_cells_rejected(self):
         p, c = octahedron_mesh()
@@ -250,6 +291,20 @@ class TestEquivalence:
             ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
         for tri in (g, ex):
             assert_facet_ids(tri)
+
+    @pytest.mark.parametrize("dims", EQUIVALENCE_DIMS)
+    def test_boundary_facets(self, dims):
+        """The facet count of ``facet_ids`` equals ``is_boundary`` per
+        facet on the grid and on its explicit copy."""
+        g = ImplicitGridTriangulation(dims)
+        ex = ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim))
+        d = g.dim
+        for tri in (g, ex):
+            flags = tri.boundary_facets()
+            assert flags.dtype == bool
+            assert flags.tolist() == [
+                tri.is_boundary(SimplexRef(d - 1, f))
+                for f in range(tri.simplex_count(d - 1))]
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (2, 2, 2), (4, 3, 5)])
     def test_vertex_link_matches_star_walk(self, dims):
