@@ -14,11 +14,13 @@ to another simplex of its star, so the matching is fluid during
 cleanup.  A re-match that fails is rolled back from an undo log of the
 entries it changed.
 
-The stage reads only the gradient's arrays.  The candidates of a slot
-are its vertex's critical simplices, grouped from ``grad.verts`` once,
-in descending ``simplex_key`` order (sorted vertex ranks, highest
-first).  Cancellations only remove critical simplices, so filtering
-these lists by ``is_critical`` gives what the whole star would.
+The stage reads only arrays: the gradient's, and the boundary flags
+and triangle co-faces that the triangulation stores for every field.
+The candidates of a slot are its vertex's critical simplices, grouped
+from ``grad.verts`` once, in descending ``simplex_key`` order (sorted
+vertex ranks, highest first).  Cancellations only remove critical
+simplices, so filtering these lists by ``is_critical`` gives what the
+whole star would.
 
 Both pair classes are cancelled from one heap of arcs keyed
 ``(weight, lower id, upper id, trace version)``.  Each root is traced
@@ -84,7 +86,6 @@ import numpy as np
 from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
-    _cofacet_array,
     _first_vpath,
     _vpath_counts,
     reverse_vpath,
@@ -115,21 +116,6 @@ class ComplianceReport:
         return not self.match_failures and not any(self.spurious.values())
 
 
-def _boundary_flags(grad: DiscreteGradient) -> list:
-    """``Triangulation.is_boundary`` of every simplex, per dimension:
-    the facets with a single co-face, that co-face, and their vertices
-    and (3D) edges."""
-    d, cof = grad.tri.dim, grad.cofacets
-    facets = cof[:, 1] < 0
-    flags = [np.zeros(len(rows), dtype=bool) for rows in grad.verts]
-    flags[d - 1] = facets
-    flags[d][cof[facets, 0]] = True
-    flags[0][grad.verts[d - 1][facets]] = True
-    if d == 3:
-        flags[1][grad.facet_rows(2)[facets]] = True
-    return flags
-
-
 def _critical_stars(grad: DiscreteGradient, k: int):
     """``(flat, bounds)``: ``flat[bounds[v]:bounds[v + 1]]`` lists the
     critical k-simplices of vertex ``v`` by descending simplex key."""
@@ -156,7 +142,7 @@ class _Matching:
     """
 
     def __init__(self, grad, critical_points):
-        self.grad, self.boundary = grad, _boundary_flags(grad)
+        self.grad, self.boundary = grad, grad.tri.boundary_flags()
         interior = sorted((c for c in critical_points if not c.boundary),
                           key=lambda c: grad.field.ranks[c.vertex])
         stars = {k: _critical_stars(grad, k)
@@ -374,7 +360,7 @@ def _cancel_connector_pairs(grad, matching) -> list:
     edges = set(_interior_ids(matching, 1))
     memo = {}                     # triangle -> {edge: V-path count}
     # row e: the ascending ids of the triangles with face e, -1 padded
-    triangles_of = _cofacet_array(grad.facet_rows(2), len(grad.verts[1]))
+    triangles_of = grad.tri.cofacet_ids(1)
     paired_below = grad.pair_down[2]
 
     def trace(tau):

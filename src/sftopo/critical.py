@@ -163,9 +163,7 @@ def extract_critical_points(tri: Triangulation, field: OrderField):
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
     n_lower, n_upper = _link_component_arrays(tri, field)
-    # the boundary vertices are the vertices of the boundary facets
-    boundary = np.zeros(len(field), dtype=bool)
-    boundary[tri.simplex_array(tri.dim - 1)[tri.boundary_facets()]] = True
+    boundary = tri.boundary_flags()[0]
     out = []
     for v in np.flatnonzero((n_lower != 1) | (n_upper != 1)).tolist():
         out.extend(_critical_points(

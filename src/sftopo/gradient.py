@@ -22,7 +22,7 @@ V-paths (alternating face/pair sequences) are the discrete integral
 lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  Ascending (d-1, d) walks read the ``cofacets``
 array that the gradient keeps beside its vertex rows; descending (0, 1)
-walks read its edge rows, and other descending walks its
+walks read its edge rows, and other descending walks the triangulation's
 ``facet_rows``, so no walk queries the triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
@@ -38,23 +38,6 @@ import numpy as np
 
 from .order import OrderField
 from .triangulation import Triangulation
-
-
-def _cofacet_array(facets: np.ndarray, n_faces: int) -> np.ndarray:
-    """Invert a ``facet_ids`` array: row ``f`` holds the ascending ids of
-    the simplices that have face ``f``, padded with -1 to the widest
-    row and to at least two columns."""
-    ids = facets.ravel()
-    owners = np.repeat(np.arange(len(facets), dtype=np.int64),
-                       facets.shape[1])
-    order = np.lexsort((owners, ids))
-    ids, owners = ids[order], owners[order]
-    counts = np.bincount(ids, minlength=n_faces)
-    starts = np.cumsum(counts) - counts
-    out = np.full((n_faces, max(2, int(counts.max(initial=0)))), -1,
-                  dtype=np.int64)
-    out[ids, np.arange(len(ids)) - starts[ids]] = owners
-    return out
 
 
 class DiscreteGradient:
@@ -78,9 +61,10 @@ class DiscreteGradient:
         ids of (d-1)-simplex ``f``, padded with -1 (a boundary facet has
         one).  A facet of a non-pseudo-manifold widens every row.
 
-    ``verts``, ``simplex_values``, ``cofacets`` and the ``facet_rows``
-    cache depend only on the triangulation and the field; copies share
-    them.
+    ``verts`` and ``cofacets`` are the triangulation's stored arrays
+    (``simplex_array`` and ``cofacet_ids(d-1)``), shared by every field
+    and read-only; ``simplex_values`` depends on the field too.  Copies
+    share all three.
     """
 
     def __init__(self, tri: Triangulation, field: OrderField):
@@ -94,9 +78,7 @@ class DiscreteGradient:
                               np.argmax(ranks[rows], axis=1)]]
             for rows in self.verts
         ]
-        self.cofacets = _cofacet_array(tri.facet_ids(d),
-                                       tri.simplex_count(d - 1))
-        self._facet_rows = {}
+        self.cofacets = tri.cofacet_ids(d - 1)
         self.pair_up = [
             np.full(tri.simplex_count(k), -1, dtype=np.int64)
             for k in range(d + 1)
@@ -120,15 +102,6 @@ class DiscreteGradient:
     def simplex_value(self, dim: int, sid: int) -> float:
         return float(self.simplex_values[dim][sid])
 
-    def facet_rows(self, k: int) -> np.ndarray:
-        """``tri.facet_ids(k)`` with every row ascending, as ``faces``
-        lists them; built on first use."""
-        rows = self._facet_rows.get(k)
-        if rows is None:
-            rows = self._facet_rows[k] = np.sort(self.tri.facet_ids(k),
-                                                 axis=1)
-        return rows
-
     def max_vertex(self, dim: int, sid: int) -> int:
         row = self.verts[dim][sid]
         return int(row[np.argmax(self.field.ranks[row])])
@@ -137,7 +110,6 @@ class DiscreteGradient:
         g = object.__new__(DiscreteGradient)
         g.tri, g.field, g.verts = self.tri, self.field, self.verts
         g.simplex_values, g.cofacets = self.simplex_values, self.cofacets
-        g._facet_rows = self._facet_rows
         g.pair_up = [a.copy() for a in self.pair_up]
         g.pair_down = [a.copy() for a in self.pair_down]
         return g
@@ -243,7 +215,7 @@ def _descend_children(grad, dim, high):
     paired = grad.pair_down[dim + 1][high]
     up = grad.pair_up[dim]
     return [(low, int(up[low]))
-            for low in grad.facet_rows(dim + 1)[high].tolist()
+            for low in grad.tri.facet_rows(dim + 1)[high].tolist()
             if low != paired]
 
 
@@ -321,7 +293,7 @@ def extract_vpath(grad: DiscreteGradient, dim: int, upper: int,
 
     Recursive, one frame per pair of the path, and with no guard against
     a closed V-path.  It serves only the persistence diagram's
-    saddle/saddle walk, until that walk is replaced (ROADMAP item 1);
+    saddle/saddle walk, until that walk is replaced (ROADMAP item 2);
     other callers read ``_first_vpath`` from ``_vpath_counts``.
     """
 
@@ -363,7 +335,7 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
     in-degree-0 nodes at a time; it is acyclic iff every node is peeled.
     """
     for k in range(grad.tri.dim):
-        rows = grad.facet_rows(k + 1)
+        rows = grad.tri.facet_rows(k + 1)
         succ = grad.pair_up[k][rows]
         succ[rows == grad.pair_down[k + 1][:, None]] = -1
         indeg = np.bincount(succ[succ >= 0], minlength=len(rows))

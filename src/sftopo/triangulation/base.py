@@ -4,10 +4,16 @@ All traversal queries operate on ``SimplexRef`` handles, a ``(dim, id)``
 pair where ``id`` indexes the simplices of that dimension.  Explicit
 triangulations answer queries from lookup tables built the first time a
 query reads them; implicit grids answer every query arithmetically.
+
+The array queries that the pipeline stages read (``facet_ids``,
+``neighbor_csr``, the boundary flags, ...) depend on the triangulation
+alone.  Each is built the first time it is asked for and kept, read-only,
+in the triangulation's store, so later stages and later fields share it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +61,29 @@ def _row_keys(rows: np.ndarray, n_vertices: int) -> np.ndarray:
     return key
 
 
+def stored(build):
+    """Make ``build`` an array query kept in the triangulation's store.
+
+    The first call with given arguments builds the array (or tuple of
+    arrays) and marks it read-only; every later call returns the same
+    objects.
+    """
+    name = build.__name__
+
+    @functools.wraps(build)
+    def query(self, *args):
+        key = (name, *args)
+        got = self._store.get(key)
+        if got is None:
+            got = build(self, *args)
+            for arr in got if isinstance(got, tuple) else (got,):
+                arr.flags.writeable = False
+            self._store[key] = got
+        return got
+
+    return query
+
+
 class Triangulation:
     """Abstract 2D/3D simplicial triangulation with face/co-face queries.
 
@@ -63,6 +92,9 @@ class Triangulation:
     """
 
     dim: int  # dimensionality of the complex (2 or 3)
+
+    def __init__(self):
+        self._store = {}    # (query name, *args) -> arrays; see ``stored``
 
     # -- preconditioning ------------------------------------------------
     def precondition(self, kind: str) -> None:
@@ -75,8 +107,8 @@ class Triangulation:
         raise NotImplementedError
 
     def simplex_array(self, k: int):
-        """``(simplex_count(k), k+1)`` int64 array: row ``i`` holds the
-        ascending vertex ids of k-simplex ``i``."""
+        """``(simplex_count(k), k+1)`` read-only int64 array: row ``i``
+        holds the ascending vertex ids of k-simplex ``i``."""
         raise NotImplementedError
 
     def simplex_vertices(self, s: SimplexRef) -> tuple:
@@ -113,12 +145,13 @@ class Triangulation:
             out.add(b if a == v else a)
         return sorted(out)
 
+    @stored
     def neighbor_csr(self):
         """Vertex adjacency as ``(offsets, ids)`` int64 arrays.
 
         Row ``v``, ``ids[offsets[v]:offsets[v + 1]]``, holds the
         neighbours of ``v`` ascending, as ``vertex_neighbors(v)`` does.
-        Built from ``simplex_array(1)`` on every call and never stored.
+        Built from ``simplex_array(1)`` on the first call and stored.
         """
         n = self.simplex_count(0)
         edges = self.simplex_array(1)
@@ -129,6 +162,7 @@ class Triangulation:
         np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
         return offsets, ids
 
+    @stored
     def facet_ids(self, k: int) -> np.ndarray:
         """``(simplex_count(k), k+1)`` int64 array of the (k-1)-face ids
         of every k-simplex, for ``1 <= k <= dim``.
@@ -136,8 +170,8 @@ class Triangulation:
         Column ``j`` of row ``s`` is the face opposite vertex
         ``simplex_array(k)[s, j]``, so a row holds ``faces(s, k-1)`` up
         to column order.  Built from ``simplex_array(k-1)`` and
-        ``simplex_array(k)`` with one row-key ``searchsorted`` on every
-        call and never stored.  The keys need
+        ``simplex_array(k)`` with one row-key ``searchsorted`` on the
+        first call and stored.  The keys need
         ``simplex_count(0) ** k <= 2**63`` (up to 2**21 vertices in 3D).
         """
         if not 1 <= k <= self.dim:
@@ -153,13 +187,56 @@ class Triangulation:
         pos = np.searchsorted(keys, _row_keys(faces, nv), sorter=order)
         return order[pos].reshape(-1, k + 1)
 
+    @stored
+    def facet_rows(self, k: int) -> np.ndarray:
+        """``facet_ids(k)`` with every row ascending, as ``faces``
+        lists them; stored."""
+        return np.sort(self.facet_ids(k), axis=1)
+
+    @stored
+    def cofacet_ids(self, k: int) -> np.ndarray:
+        """Int64 array inverting ``facet_ids(k+1)``: row ``f`` holds the
+        ascending ids of the (k+1)-simplices that have k-simplex ``f``
+        as a face, padded with -1 to the widest row and to at least two
+        columns; stored."""
+        facets = self.facet_ids(k + 1)
+        ids = facets.ravel()
+        owners = np.repeat(np.arange(len(facets), dtype=np.int64),
+                           facets.shape[1])
+        order = np.lexsort((owners, ids))
+        ids, owners = ids[order], owners[order]
+        counts = np.bincount(ids, minlength=self.simplex_count(k))
+        starts = np.cumsum(counts) - counts
+        out = np.full((len(counts), max(2, int(counts.max(initial=0)))),
+                      -1, dtype=np.int64)
+        out[ids, np.arange(len(ids)) - starts[ids]] = owners
+        return out
+
+    @stored
     def boundary_facets(self) -> np.ndarray:
         """``(simplex_count(d-1),)`` bool array: whether each
         (d-1)-simplex is a face of exactly one d-cell, i.e. a boundary
-        facet.  Built from ``facet_ids(d)`` on every call."""
+        facet.  Built from ``facet_ids(d)`` on the first call and
+        stored."""
         d = self.dim
         return np.bincount(self.facet_ids(d).ravel(),
                            minlength=self.simplex_count(d - 1)) == 1
+
+    @stored
+    def boundary_flags(self) -> tuple:
+        """``is_boundary`` of every simplex, as one bool array per
+        dimension: the boundary facets, the cell of each, and their
+        vertices and (3D) edges; stored."""
+        d = self.dim
+        facets = self.boundary_facets()
+        flags = [np.zeros(self.simplex_count(k), dtype=bool)
+                 for k in range(d + 1)]
+        flags[d - 1] = facets
+        flags[d][self.cofacet_ids(d - 1)[facets, 0]] = True
+        flags[0][self.simplex_array(d - 1)[facets]] = True
+        if d == 3:
+            flags[1][self.facet_ids(2)[facets]] = True
+        return tuple(flags)
 
     def vertex_link(self, v: int) -> list:
         """(d-1)-simplices opposite ``v`` in its star, ids ascending."""

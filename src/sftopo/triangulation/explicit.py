@@ -15,7 +15,7 @@ Tables are keyed by simplex dimensions:
 - ``("cofaces", j, l)``: per j-simplex, the ascending list of its
   l-co-face ids, inverted from ``("faces", l, j)``.
 - ``("boundary", k)``: per k-simplex, whether it lies on the boundary,
-  derived from ``boundary_facets()``.
+  read from ``boundary_flags()``.
 - ``"links"``: per vertex, the ascending (d-1)-simplices opposite it in
   its star.
 
@@ -79,6 +79,7 @@ class ExplicitTriangulation(Triangulation):
     """
 
     def __init__(self, points, cells):
+        super().__init__()
         self.points = np.asarray(points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[1] not in (2, 3):
             raise TriangulationError("points must be an (n, 2|3) array")
@@ -159,17 +160,7 @@ class ExplicitTriangulation(Triangulation):
             owners = np.repeat(np.arange(len(faces), dtype=np.int64),
                                faces.shape[1])
             return _group(faces.ravel(), owners, len(self._get(("rows", j))))
-        # boundary: the facets with a single co-face, and their faces
-        (k,) = dims
-        if k == d - 1:
-            return self.boundary_facets()
-        facets = self._get(("boundary", d - 1))
-        if k == d:
-            return facets[self._get(("faces", d, d - 1))].any(axis=1)
-        faces = self._get(("faces", d - 1, k))
-        flags = np.zeros(len(self._get(("rows", k))), dtype=bool)
-        flags[faces[facets].ravel()] = True
-        return flags
+        return self.boundary_flags()[dims[0]]      # ("boundary", k)
 
     def precondition(self, kind: str) -> None:
         if kind not in QUERY_KINDS:
@@ -191,7 +182,9 @@ class ExplicitTriangulation(Triangulation):
         return rows
 
     def simplex_count(self, dim: int) -> int:
-        return len(self.simplex_array(dim))
+        if not 0 <= dim <= self.dim:
+            raise TriangulationError(f"bad simplex dimension {dim}")
+        return len(self._lookup(("rows", dim)))
 
     def simplex_vertices(self, s: SimplexRef) -> tuple:
         dim, sid = s

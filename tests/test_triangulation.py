@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import EQUIVALENCE_DIMS, midpoint_subdivide, \
-    octahedron_mesh, random_field
+    octahedron_mesh, random_field, tie_heavy_field, two_bump_field
 from oracles import assert_equivalent
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
+    OrderField,
     SimplexRef,
     TriangulationError,
     ascending_segmentation,
@@ -314,3 +315,84 @@ class TestEquivalence:
         for tri in (g, ex):
             for v in range(tri.simplex_count(0)):
                 assert tri.vertex_link(v) == Triangulation.vertex_link(tri, v)
+
+
+def store_cases():
+    """(fresh-triangulation factory, two fields) on the 12x9 and 5x4x4
+    grids, their explicit copies and the twice-subdivided octahedron.
+
+    The 3D fields are the ring field of criterion 6 under the two noise
+    levels of the grid3d-diagram benchmark; the 2D ones are a random and
+    a tie-heavy field."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for dims in ((12, 9), (5, 4, 4)):
+        g = ImplicitGridTriangulation(dims)
+        if g.dim == 3:
+            ring = two_bump_field(dims).values
+            fields = [OrderField(ring + rng.normal(0.0, s, ring.size))
+                      for s in (0.05, 0.3)]
+        else:
+            fields = [random_field(g, rng), tie_heavy_field(g, rng)]
+        mesh = (g.point_array(), g.simplex_array(g.dim))
+        cases.append((lambda dims=dims: ImplicitGridTriangulation(dims),
+                      fields))
+        cases.append((lambda mesh=mesh: ExplicitTriangulation(*mesh),
+                      fields))
+    sphere = midpoint_subdivide(*midpoint_subdivide(*octahedron_mesh()))
+    tri = ExplicitTriangulation(*sphere)
+    cases.append((lambda: ExplicitTriangulation(*sphere),
+                  [random_field(tri, rng), tie_heavy_field(tri, rng)]))
+    return cases
+
+
+def stage_outputs(tri, f):
+    """The output of every stage on ``f``, as comparable values."""
+    cps = extract_critical_points(tri, f)
+    grad = build_gradient(tri, f)
+    report = enforce_compliance(tri, f, grad, cps)
+    diagram = build_diagram(tri, f, grad)
+    seps = [(s.kind, s.source, s.target, s.points.tolist())
+            for s in extract_separatrices(grad)]
+    return [cps, [a.tolist() for a in grad.pair_up + grad.pair_down],
+            report, diagram, seps,
+            descending_segmentation(grad).tolist(),
+            ascending_segmentation(grad).tolist(), run_checks(tri, f)]
+
+
+def arrays(got):
+    return got if isinstance(got, tuple) else (got,)
+
+
+class TestStore:
+    """The field-independent arrays a triangulation keeps for its
+    lifetime and shares across stages and fields."""
+
+    def test_stored_arrays_are_read_only_and_fresh(self):
+        for make, fields in store_cases():
+            tri = make()
+            stage_outputs(tri, fields[0])
+            assert {name for name, *_ in tri._store} >= {
+                "neighbor_csr", "facet_ids", "facet_rows", "cofacet_ids",
+                "boundary_facets", "boundary_flags"}
+            for (name, *args), got in tri._store.items():
+                want = arrays(getattr(make(), name)(*args))
+                assert len(arrays(got)) == len(want)
+                for a, b in zip(arrays(got), want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                    with pytest.raises(ValueError):
+                        a[...] = 0
+
+    def test_fields_in_a_row_share_the_store(self):
+        """A second field on one triangulation adds nothing to the store,
+        reads the same arrays, and gives what a fresh one gives."""
+        for make, fields in store_cases():
+            tri = make()
+            first = stage_outputs(tri, fields[0])
+            kept = dict(tri._store)
+            second = stage_outputs(tri, fields[1])
+            assert tri._store.keys() == kept.keys()
+            for (name, *args), got in kept.items():
+                assert getattr(tri, name)(*args) is got
+            assert first == stage_outputs(make(), fields[0])
+            assert second == stage_outputs(make(), fields[1])
