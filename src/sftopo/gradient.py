@@ -23,7 +23,7 @@ lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  Ascending (d-1, d) walks read the ``cofacets``
 array that the gradient keeps beside its vertex rows; descending (0, 1)
 walks read its edge rows, and other descending walks the triangulation's
-``facet_rows``, so no walk queries the triangulation per simplex.
+``face_rows``, so no walk queries the triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion.  Acyclicity is checked on the same arrays, by
@@ -215,7 +215,7 @@ def _descend_children(grad, dim, high):
     paired = grad.pair_down[dim + 1][high]
     up = grad.pair_up[dim]
     return [(low, int(up[low]))
-            for low in grad.tri.facet_rows(dim + 1)[high].tolist()
+            for low in grad.tri.face_rows(dim + 1, dim)[high].tolist()
             if low != paired]
 
 
@@ -335,7 +335,7 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
     in-degree-0 nodes at a time; it is acyclic iff every node is peeled.
     """
     for k in range(grad.tri.dim):
-        rows = grad.tri.facet_rows(k + 1)
+        rows = grad.tri.face_rows(k + 1, k)
         succ = grad.pair_up[k][rows]
         succ[rows == grad.pair_down[k + 1][:, None]] = -1
         indeg = np.bincount(succ[succ >= 0], minlength=len(rows))

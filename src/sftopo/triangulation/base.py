@@ -1,14 +1,15 @@
 """Common query interface shared by explicit meshes and implicit grids.
 
 All traversal queries operate on ``SimplexRef`` handles, a ``(dim, id)``
-pair where ``id`` indexes the simplices of that dimension.  Explicit
-triangulations answer queries from lookup tables built the first time a
-query reads them; implicit grids answer every query arithmetically.
+pair where ``id`` indexes the simplices of that dimension.  Implicit
+grids answer every per-simplex query arithmetically; explicit meshes
+read the answer from a row of an array query.
 
-The array queries that the pipeline stages read (``facet_ids``,
+The array queries (``simplex_array``, ``facet_ids``, ``face_rows``,
 ``neighbor_csr``, the boundary flags, ...) depend on the triangulation
 alone.  Each is built the first time it is asked for and kept, read-only,
-in the triangulation's store, so later stages and later fields share it.
+in the triangulation's one store, so later queries, later stages and
+later fields share it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class TriangulationError(Exception):
 
 
 #: Kinds accepted by :meth:`Triangulation.precondition`.  Implicit grids
-#: accept them all as no-ops.
+#: accept them all and build nothing.
 QUERY_KINDS = (
     "vertex_neighbors",
     "vertex_edges",
@@ -59,6 +60,16 @@ def _row_keys(rows: np.ndarray, n_vertices: int) -> np.ndarray:
     for c in range(1, rows.shape[1]):
         key = key * n_vertices + rows[:, c]
     return key
+
+
+def _group(keys: np.ndarray, values: np.ndarray, n_keys: int) -> tuple:
+    """``values`` grouped by ``keys`` in ``range(n_keys)``, as CSR int64
+    ``(offsets, ids)``: row ``i``, ``ids[offsets[i]:offsets[i + 1]]``,
+    holds the values whose key is ``i``, ascending."""
+    ids = values[np.lexsort((values, keys))]
+    offsets = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=offsets[1:])
+    return offsets, ids
 
 
 def stored(build):
@@ -98,9 +109,11 @@ class Triangulation:
 
     # -- preconditioning ------------------------------------------------
     def precondition(self, kind: str) -> None:
-        """Build the lookup tables of a query kind now instead of on the
-        first query that reads them; optional."""
-        raise NotImplementedError
+        """Build the arrays that the queries of ``kind`` read now instead
+        of on first use; optional.  A kind outside ``QUERY_KINDS`` raises
+        ``TriangulationError``.  This base version builds nothing."""
+        if kind not in QUERY_KINDS:
+            raise TriangulationError(f"unknown query kind {kind!r}")
 
     # -- counts and identity --------------------------------------------
     def simplex_count(self, dim: int) -> int:
@@ -133,6 +146,10 @@ class Triangulation:
         """All l-co-faces of ``s``, ids ascending."""
         raise NotImplementedError
 
+    def vertex_link(self, v: int) -> list:
+        """(d-1)-simplices opposite ``v`` in its star, ids ascending."""
+        raise NotImplementedError
+
     def is_boundary(self, s: SimplexRef) -> bool:
         raise NotImplementedError
 
@@ -153,14 +170,10 @@ class Triangulation:
         neighbours of ``v`` ascending, as ``vertex_neighbors(v)`` does.
         Built from ``simplex_array(1)`` on the first call and stored.
         """
-        n = self.simplex_count(0)
         edges = self.simplex_array(1)
-        src = np.concatenate((edges[:, 0], edges[:, 1]))
-        dst = np.concatenate((edges[:, 1], edges[:, 0]))
-        ids = dst[np.lexsort((dst, src))]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-        return offsets, ids
+        return _group(np.concatenate((edges[:, 0], edges[:, 1])),
+                      np.concatenate((edges[:, 1], edges[:, 0])),
+                      self.simplex_count(0))
 
     @stored
     def facet_ids(self, k: int) -> np.ndarray:
@@ -171,11 +184,14 @@ class Triangulation:
         ``simplex_array(k)[s, j]``, so a row holds ``faces(s, k-1)`` up
         to column order.  Built from ``simplex_array(k-1)`` and
         ``simplex_array(k)`` with one row-key ``searchsorted`` on the
-        first call and stored.  The keys need
+        first call and stored; the edges' facets are the column-reversed
+        ``simplex_array(1)`` itself.  The keys need
         ``simplex_count(0) ** k <= 2**63`` (up to 2**21 vertices in 3D).
         """
         if not 1 <= k <= self.dim:
             raise TriangulationError(f"bad simplex dimension {k}")
+        if k == 1:
+            return self.simplex_array(1)[:, ::-1]
         nv = self.simplex_count(0)
         if nv ** k > 1 << 63:
             raise TriangulationError(
@@ -188,10 +204,25 @@ class Triangulation:
         return order[pos].reshape(-1, k + 1)
 
     @stored
-    def facet_rows(self, k: int) -> np.ndarray:
-        """``facet_ids(k)`` with every row ascending, as ``faces``
-        lists them; stored."""
-        return np.sort(self.facet_ids(k), axis=1)
+    def face_rows(self, k: int, j: int) -> np.ndarray:
+        """Int64 array of the j-faces of every k-simplex, for
+        ``0 <= j < k <= dim``: row ``s`` holds ``faces(s, j)``, ascending;
+        stored.
+
+        The 0-faces are ``simplex_array(k)`` itself and the (k-1)-faces
+        ``facet_ids(k)`` with each row sorted.  Lower faces are gathered
+        from the facets' rows: a j-face lies in k-j facets, so each
+        sorted gather holds it k-j times in a row.
+        """
+        if not 0 <= j < k <= self.dim:
+            raise TriangulationError(f"bad face dimension {j} for dim {k}")
+        if j == 0:
+            return self.simplex_array(k)
+        if j == k - 1:
+            return np.sort(self.facet_ids(k), axis=1)
+        lower = self.face_rows(k - 1, j)[self.face_rows(k, k - 1)]
+        lower = np.sort(lower.reshape(len(lower), -1), axis=1)
+        return np.ascontiguousarray(lower[:, ::k - j])
 
     @stored
     def cofacet_ids(self, k: int) -> np.ndarray:
@@ -200,16 +231,14 @@ class Triangulation:
         as a face, padded with -1 to the widest row and to at least two
         columns; stored."""
         facets = self.facet_ids(k + 1)
-        ids = facets.ravel()
         owners = np.repeat(np.arange(len(facets), dtype=np.int64),
                            facets.shape[1])
-        order = np.lexsort((owners, ids))
-        ids, owners = ids[order], owners[order]
-        counts = np.bincount(ids, minlength=self.simplex_count(k))
-        starts = np.cumsum(counts) - counts
+        offsets, ids = _group(facets.ravel(), owners, self.simplex_count(k))
+        counts = np.diff(offsets)
+        rows = np.repeat(np.arange(len(counts)), counts)
         out = np.full((len(counts), max(2, int(counts.max(initial=0)))),
                       -1, dtype=np.int64)
-        out[ids, np.arange(len(ids)) - starts[ids]] = owners
+        out[rows, np.arange(len(ids)) - offsets[rows]] = ids
         return out
 
     @stored
@@ -237,19 +266,6 @@ class Triangulation:
         if d == 3:
             flags[1][self.facet_ids(2)[facets]] = True
         return tuple(flags)
-
-    def vertex_link(self, v: int) -> list:
-        """(d-1)-simplices opposite ``v`` in its star, ids ascending."""
-        d = self.dim
-        link = []
-        for c in self.cofaces(SimplexRef(0, v), d):
-            verts = self.simplex_vertices(SimplexRef(d, c))
-            opp = tuple(u for u in verts if u != v)
-            for f in self.faces(SimplexRef(d, c), d - 1):
-                if self.simplex_vertices(SimplexRef(d - 1, f)) == opp:
-                    link.append(f)
-                    break
-        return sorted(link)
 
 
 def validate_pseudo_manifold(t: Triangulation) -> list:

@@ -1,26 +1,22 @@
-"""Explicit cached triangulation built from a cell-based representation.
+"""Explicit triangulation built from a cell-based representation.
 
-Only points and d-cells are stored at construction.  Every traversal
-query is served by a lookup table built, with the tables it is derived
-from, the first time a query reads it, so the memory footprint is
-exactly the tables the callers read.  ``precondition(kind)`` builds a
-kind's table ahead of its first query.
+Only points and d-cells are kept at construction.  Every other array
+lives in the triangulation's store (see ``stored`` in ``base.py``) and
+is built, with the arrays it derives from, the first time a query reads
+it, so a mesh holds exactly the arrays its callers read.  Each
+per-simplex query reads one row of a stored array:
 
-Tables are keyed by simplex dimensions:
+- ``simplex_vertices``: ``simplex_array(k)``, whose rows 0 and d are
+  ``arange`` and the cells, and whose other rows are the distinct
+  sorted vertex combinations of the cells, in lexicographic order;
+- ``faces``: ``face_rows(k, j)``;
+- ``cofaces``: the CSR ``coface_csr(j, l)``, inverted from
+  ``face_rows(l, j)``;
+- ``vertex_link``: the CSR ``link_csr()``, grouped from ``facet_ids(d)``;
+- ``is_boundary``: ``boundary_flags()``.
 
-- ``("rows", k)``: the ``(n_k, k+1)`` array of ascending vertex ids of
-  the k-simplices, rows in lexicographic order.  Rows 0 and d always
-  exist; a 2D triangle is a cell.
-- ``("faces", k, j)``: per k-simplex, its ascending j-face ids.
-- ``("cofaces", j, l)``: per j-simplex, the ascending list of its
-  l-co-face ids, inverted from ``("faces", l, j)``.
-- ``("boundary", k)``: per k-simplex, whether it lies on the boundary,
-  read from ``boundary_flags()``.
-- ``"links"``: per vertex, the ascending (d-1)-simplices opposite it in
-  its star.
-
-A faces or co-faces key whose dimensions are equal, and a 0-faces key,
-resolves to the rows table.
+``precondition(kind)`` builds the array of a kind's queries ahead of
+their first use.
 """
 
 from __future__ import annotations
@@ -30,44 +26,35 @@ from itertools import combinations
 import numpy as np
 
 from .base import (
-    QUERY_KINDS,
     SimplexRef,
     Triangulation,
     TriangulationError,
+    _group,
     _row_keys,
+    stored,
 )
 
-#: The table each query kind builds; "d" is the cell dimension.
-_KIND_KEYS = {
-    "vertex_neighbors": ("cofaces", 0, 1),
-    "vertex_edges": ("cofaces", 0, 1),
-    "vertex_triangles": ("cofaces", 0, 2),
-    "vertex_stars": ("cofaces", 0, "d"),
-    "vertex_links": "links",
-    "edge_list": ("rows", 1),
-    "triangle_list": ("rows", 2),
-    "edge_triangles": ("cofaces", 1, 2),
-    "edge_stars": ("cofaces", 1, "d"),
-    "triangle_stars": ("cofaces", 2, "d"),
-    "triangle_edges": ("faces", 2, 1),
-    "cell_edges": ("faces", "d", 1),
-    "cell_triangles": ("faces", "d", 2),
-    "boundary_vertices": ("boundary", 0),
-    "boundary_edges": ("boundary", 1),
-    "boundary_triangles": ("boundary", 2),
-    "boundary_cells": ("boundary", "d"),
+#: The stored query whose array each ``precondition`` kind builds, with
+#: its simplex dimensions; "d" is the cell dimension.
+_KIND_QUERIES = {
+    "vertex_neighbors": ("coface_csr", 0, 1),
+    "vertex_edges": ("coface_csr", 0, 1),
+    "vertex_triangles": ("coface_csr", 0, 2),
+    "vertex_stars": ("coface_csr", 0, "d"),
+    "vertex_links": ("link_csr",),
+    "edge_list": ("simplex_array", 1),
+    "triangle_list": ("simplex_array", 2),
+    "edge_triangles": ("coface_csr", 1, 2),
+    "edge_stars": ("coface_csr", 1, "d"),
+    "triangle_stars": ("coface_csr", 2, "d"),
+    "triangle_edges": ("face_rows", 2, 1),
+    "cell_edges": ("face_rows", "d", 1),
+    "cell_triangles": ("face_rows", "d", 2),
+    "boundary_vertices": ("boundary_flags",),
+    "boundary_edges": ("boundary_flags",),
+    "boundary_triangles": ("boundary_flags",),
+    "boundary_cells": ("boundary_flags",),
 }
-
-
-def _group(keys: np.ndarray, values: np.ndarray, n_keys: int) -> list:
-    """Per key in ``range(n_keys)``: the ascending list of its values.
-
-    The lists hold Python ints, which hash faster than numpy scalars.
-    """
-    order = np.lexsort((values, keys))
-    flat = values[order].tolist()
-    ends = np.cumsum(np.bincount(keys, minlength=n_keys)).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
 class ExplicitTriangulation(Triangulation):
@@ -100,95 +87,60 @@ class ExplicitTriangulation(Triangulation):
         keys = _row_keys(self.cells, len(self.points))
         if len(np.unique(keys)) != len(keys):
             raise TriangulationError("duplicate cells in input")
-        self.dim = d = cells.shape[1] - 1
-        self._tables: dict = {
-            ("rows", 0): np.arange(len(self.points), dtype=np.int64)[:, None],
-            ("rows", d): self.cells,
-        }
-
-    # -- table construction ---------------------------------------------
-
-    def _resolve(self, key):
-        """Canonical table key: "d" replaced, shared tables merged."""
-        if isinstance(key, str):
-            return key
-        name, *dims = key
-        dims = [self.dim if x == "d" else x for x in dims]
-        if name in ("faces", "cofaces") and (
-                dims[0] == dims[1] or name == "faces" and dims[1] == 0):
-            return ("rows", dims[0])
-        return (name, *dims)
-
-    def _get(self, key):
-        """The table under ``key``, built with its sources if missing."""
-        key = self._resolve(key)
-        tab = self._tables.get(key)
-        if tab is None:
-            tab = self._tables[key] = self._make(key)
-        return tab
-
-    def _ids(self, k: int, rows: np.ndarray) -> np.ndarray:
-        """Ids of the k-simplices with the given sorted vertex rows."""
-        nv = len(self.points)
-        keys = _row_keys(self._get(("rows", k)), nv)
-        return np.searchsorted(keys, _row_keys(rows, nv))
-
-    def _make(self, key):
-        d, nv = self.dim, len(self.points)
-        if key == "links":
-            # the facet opposite each cell vertex, grouped by that vertex;
-            # the i-th combination of d columns leaves out column d - i
-            combos = list(combinations(range(d + 1), d))
-            facets = self._ids(d - 1, self.cells[:, combos].reshape(-1, d))
-            return _group(self.cells[:, ::-1].ravel(), facets, nv)
-        name, *dims = key
-        if name == "rows":
-            (k,) = dims
-            combos = list(combinations(range(d + 1), k + 1))
-            raw = self.cells[:, combos].reshape(-1, k + 1)
-            _, idx = np.unique(_row_keys(raw, nv), return_index=True)
-            return raw[idx]
-        if name == "faces":
-            k, j = dims
-            rows = self._get(("rows", k))
-            combos = list(combinations(range(k + 1), j + 1))
-            ids = self._ids(j, rows[:, combos].reshape(-1, j + 1))
-            return np.sort(ids.reshape(len(rows), -1), axis=1)
-        if name == "cofaces":
-            j, l = dims
-            faces = self._get(("faces", l, j))
-            owners = np.repeat(np.arange(len(faces), dtype=np.int64),
-                               faces.shape[1])
-            return _group(faces.ravel(), owners, len(self._get(("rows", j))))
-        return self.boundary_flags()[dims[0]]      # ("boundary", k)
+        self.dim = cells.shape[1] - 1
 
     def precondition(self, kind: str) -> None:
-        if kind not in QUERY_KINDS:
-            raise TriangulationError(f"unknown query kind {kind!r}")
-        self._get(_KIND_KEYS[kind])
+        super().precondition(kind)
+        name, *dims = _KIND_QUERIES[kind]
+        dims = [self.dim if x == "d" else x for x in dims]
+        # a 2D triangle is a cell, its own only face and co-face
+        if len(set(dims)) == len(dims):
+            getattr(self, name)(*dims)
+
+    # -- stored arrays ---------------------------------------------------
+
+    @stored
+    def simplex_array(self, k: int) -> np.ndarray:
+        if not 0 <= k <= self.dim:
+            raise TriangulationError(f"bad simplex dimension {k}")
+        if k == 0:
+            return np.arange(len(self.points), dtype=np.int64)[:, None]
+        if k == self.dim:
+            return self.cells
+        combos = list(combinations(range(self.dim + 1), k + 1))
+        raw = self.cells[:, combos].reshape(-1, k + 1)
+        _, idx = np.unique(_row_keys(raw, len(self.points)),
+                           return_index=True)
+        return raw[idx]
+
+    @stored
+    def coface_csr(self, j: int, l: int) -> tuple:
+        """The l-co-faces of every j-simplex as CSR int64 ``(offsets,
+        ids)``: row ``s`` holds ``cofaces(s, l)``, ascending; inverted
+        from ``face_rows(l, j)`` and stored."""
+        faces = self.face_rows(l, j)
+        owners = np.repeat(np.arange(len(faces), dtype=np.int64),
+                           faces.shape[1])
+        return _group(faces.ravel(), owners, self.simplex_count(j))
+
+    @stored
+    def link_csr(self) -> tuple:
+        """The link of every vertex as CSR int64 ``(offsets, ids)``: row
+        ``v`` holds ``vertex_link(v)``, ascending; stored.  Column ``j``
+        of ``facet_ids(d)`` is the facet opposite vertex
+        ``simplex_array(d)[:, j]``, so one is grouped by the other."""
+        d = self.dim
+        return _group(self.simplex_array(d).ravel(),
+                      self.facet_ids(d).ravel(), self.simplex_count(0))
 
     # -- queries ---------------------------------------------------------
 
-    def _lookup(self, key):
-        tab = self._tables.get(key)
-        return self._get(key) if tab is None else tab
-
-    def simplex_array(self, k: int) -> np.ndarray:
-        """The rows table of the k-simplices, read-only."""
-        if not 0 <= k <= self.dim:
-            raise TriangulationError(f"bad simplex dimension {k}")
-        rows = self._lookup(("rows", k)).view()
-        rows.flags.writeable = False
-        return rows
-
     def simplex_count(self, dim: int) -> int:
-        if not 0 <= dim <= self.dim:
-            raise TriangulationError(f"bad simplex dimension {dim}")
-        return len(self._lookup(("rows", dim)))
+        return len(self.simplex_array(dim))
 
     def simplex_vertices(self, s: SimplexRef) -> tuple:
         dim, sid = s
-        return tuple(self._lookup(("rows", dim))[sid].tolist())
+        return tuple(self.simplex_array(dim)[sid].tolist())
 
     def vertex_point(self, v: int):
         return self.points[v]
@@ -202,17 +154,19 @@ class ExplicitTriangulation(Triangulation):
         dim, sid = s
         if not 0 <= k < dim:
             raise TriangulationError(f"bad face dimension {k} for dim {dim}")
-        return self._lookup(("faces", dim, k))[sid].tolist()
+        return self.face_rows(dim, k)[sid].tolist()
 
     def cofaces(self, s: SimplexRef, l: int) -> list:
         dim, sid = s
         if not dim < l <= self.dim:
             raise TriangulationError(f"bad co-face dimension {l} for dim {dim}")
-        return list(self._lookup(("cofaces", dim, l))[sid])
+        offsets, ids = self.coface_csr(dim, l)
+        return ids[offsets[sid]:offsets[sid + 1]].tolist()
 
     def is_boundary(self, s: SimplexRef) -> bool:
         dim, sid = s
-        return bool(self._lookup(("boundary", dim))[sid])
+        return bool(self.boundary_flags()[dim][sid])
 
     def vertex_link(self, v: int) -> list:
-        return list(self._lookup("links")[v])
+        offsets, ids = self.link_csr()
+        return ids[offsets[v]:offsets[v + 1]].tolist()

@@ -187,10 +187,11 @@ class ImplicitGridTriangulation(Triangulation):
 
     Per-simplex queries need O(1) memory in the vertex count: besides
     the dims, they read only per-class block layouts and stencil
-    formulas.  The array queries keep what they build in the store,
-    linear in the simplex count: 0.31 MB at 6x6x6 after critical
-    points, compliance, the diagram and separatrices, and 30.8 MB at
-    24x24x24 after the stages of ``check`` and ``morse-smale``.
+    formulas, and ``precondition`` builds nothing.  The array queries
+    keep what they build in the store, linear in the simplex count:
+    0.29 MB at 6x6x6 after critical points, compliance, the diagram
+    and separatrices, and 27.9 MB at 24x24x24 after the stages of
+    ``check`` and ``morse-smale``.
 
     Parameters
     ----------
@@ -328,10 +329,6 @@ class ImplicitGridTriangulation(Triangulation):
                 | (a2 == n2 - 2) << 8)
 
     # -- Triangulation interface ----------------------------------------
-
-    def precondition(self, kind: str) -> None:
-        # every per-simplex query is answered arithmetically
-        return None
 
     def simplex_count(self, dim: int) -> int:
         if not 0 <= dim <= self.dim:

@@ -8,11 +8,12 @@ a time from a queue, persistent homology by full GF(2)
 boundary-matrix reduction, V-path acyclicity by explicit graph search,
 Morse-Smale segmentations by walking every simplex's V-path,
 level-set components by union-find over crossing edges, a triangulation
-comparator keyed on vertex tuples rather than ids, the discrete
-gradient by a per-simplex co-face scan, the compliance matching's
-candidates by per-vertex star queries, and compliance by a full rescan
-and sort of every arc after each cancellation, alternating the
-saddle/maximum and saddle/saddle passes until neither cancels anything.
+comparator keyed on vertex tuples rather than ids, vertex links by a
+star walk, the discrete gradient by a per-simplex co-face scan, the
+compliance matching's candidates by per-vertex star queries, and
+compliance by a full rescan and sort of every arc after each
+cancellation, alternating the saddle/maximum and saddle/saddle passes
+until neither cancels anything.
 """
 
 import sys
@@ -65,6 +66,21 @@ def assert_equivalent(ta, tb):
                 ca = {tables_a[ll][c] for c in ta.cofaces(sa, ll)}
                 cb = {tables_b[ll][c] for c in tb.cofaces(sb, ll)}
                 assert ca == cb, f"cofaces({verts}, {ll})"
+
+
+def star_walk_link(tri, v):
+    """The link of ``v`` by walking its star: for every d-cell around
+    ``v``, the facet spanned by the cell's other vertices; ascending."""
+    d = tri.dim
+    link = []
+    for c in tri.cofaces(SimplexRef(0, v), d):
+        verts = tri.simplex_vertices(SimplexRef(d, c))
+        opp = tuple(u for u in verts if u != v)
+        for f in tri.faces(SimplexRef(d, c), d - 1):
+            if tri.simplex_vertices(SimplexRef(d - 1, f)) == opp:
+                link.append(f)
+                break
+    return sorted(link)
 
 
 # --------------------------------------------------------------------------

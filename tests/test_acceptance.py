@@ -209,7 +209,7 @@ def test_criterion_7_unified_simplification():
 
 
 def test_criterion_8_cached_speedup():
-    """Cached lookup tables make a second traversal >= 2x faster."""
+    """A stored link array makes a second traversal >= 2x faster."""
     start = time.perf_counter()
     g = ImplicitGridTriangulation((27, 27, 27))
     ex = ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim))

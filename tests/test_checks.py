@@ -30,8 +30,8 @@ def test_acyclicity_runs_on_large_grid():
 
 
 def test_run_checks_requests_only_the_tables_it_reads():
-    """On fresh explicit meshes every check passes without the vertex
-    co-face and link tables that no stage reads."""
+    """On fresh explicit meshes every check passes without storing the
+    vertex co-face and link arrays that no stage reads."""
     grid = ImplicitGridTriangulation((5, 4, 4))
     meshes = [
         ExplicitTriangulation(grid.point_array(), grid.simplex_array(3)),
@@ -43,8 +43,8 @@ def test_run_checks_requests_only_the_tables_it_reads():
         results = run_checks(tri, random_field(tri, rng))
         assert all(r.ok for r in results), [r.name for r in results
                                             if not r.ok]
-        assert "links" not in tri._tables
-        assert not [key for key in tri._tables if key[:2] == ("cofaces", 0)]
+        assert ("link_csr",) not in tri._store
+        assert not [key for key in tri._store if key[:2] == ("coface_csr", 0)]
 
 
 def test_run_checks_128_squared_in_seconds():

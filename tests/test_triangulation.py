@@ -1,11 +1,13 @@
 """Triangulation structure: counts, queries, preconditioning, errors."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from conftest import EQUIVALENCE_DIMS, midpoint_subdivide, \
     octahedron_mesh, random_field, tie_heavy_field, two_bump_field
-from oracles import assert_equivalent
+from oracles import assert_equivalent, star_walk_link
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
@@ -26,7 +28,7 @@ from sftopo import (
     simplify_field,
 )
 from sftopo.checks import run_checks
-from sftopo.triangulation import Triangulation, validate_pseudo_manifold
+from sftopo.triangulation import validate_pseudo_manifold
 from sftopo.triangulation.base import QUERY_KINDS
 
 
@@ -54,6 +56,64 @@ def assert_facet_ids(tri):
         rows, faces = tri.simplex_array(k), tri.simplex_array(k - 1)
         for j in range(k + 1):
             assert np.array_equal(faces[ids[:, j]], np.delete(rows, j, 1))
+
+
+def non_manifold_fan():
+    """Three triangles sharing one edge."""
+    points = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                       [0, 0, 1], [1, 1, 1.0]])
+    return points, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+
+
+def assert_matches_cells(tri, cells):
+    """``simplex_vertices``, ``faces``, ``cofaces``, ``vertex_link`` and
+    ``is_boundary`` equal what the cell list gives by brute force: the
+    k-simplices are the sorted (k+1)-vertex subsets of the cells, a
+    (d-1)-simplex in exactly one cell is a boundary facet, and the
+    boundary is the faces of those and the cells that own them."""
+    d = tri.dim
+    cells = [tuple(sorted(c)) for c in cells.tolist()]
+    verts = [[tri.simplex_vertices(SimplexRef(k, i))
+              for i in range(tri.simplex_count(k))] for k in range(d + 1)]
+    index = [{vs: i for i, vs in enumerate(vk)} for vk in verts]
+    for k in range(d + 1):
+        assert sorted(verts[k]) == sorted(
+            {sub for c in cells for sub in combinations(c, k + 1)})
+    owners = {f: [c for c in cells if set(f) <= set(c)] for f in verts[d - 1]}
+    facets = [f for f, cs in owners.items() if len(cs) == 1]
+    boundary = {owners[f][0] for f in facets} | {
+        sub for f in facets for j in range(d) for sub in combinations(f, j + 1)}
+    for k in range(d + 1):
+        for i, vs in enumerate(verts[k]):
+            s = SimplexRef(k, i)
+            assert tri.is_boundary(s) == (vs in boundary)
+            for j in range(k):
+                assert tri.faces(s, j) == sorted(
+                    index[j][sub] for sub in combinations(vs, j + 1))
+            for l in range(k + 1, d + 1):
+                assert tri.cofaces(s, l) == [
+                    c for c, cv in enumerate(verts[l]) if set(vs) <= set(cv)]
+    for v in range(tri.simplex_count(0)):
+        assert tri.vertex_link(v) == sorted(
+            index[d - 1][tuple(u for u in c if u != v)]
+            for c in cells if v in c)
+
+
+def run_stages(tri, f):
+    """Every public stage on ``f``, simplification on 2D meshes only."""
+    cps = extract_critical_points(tri, f)
+    grad = build_gradient(tri, f)
+    enforce_compliance(tri, f, grad, cps)
+    combine_contour_tree(build_merge_tree(tri, f, "join"),
+                         build_merge_tree(tri, f, "split"))
+    diagram = build_diagram(tri, f)
+    persistence_curve(diagram)
+    extract_separatrices(grad)
+    descending_segmentation(grad)
+    ascending_segmentation(grad)
+    if tri.dim == 2:
+        simplify_field(tri, f, select_by_persistence(diagram, len(f) / 4))
+    run_checks(tri, f)
 
 
 def precondition_all(tri):
@@ -182,49 +242,61 @@ class TestExplicit:
 
     def test_query_builds_its_table_on_first_use(self):
         """A query on a fresh mesh answers as on a preconditioned twin,
-        and adds only its own table and the tables it is built from."""
+        and adds to the store only its own array and the arrays it is
+        built from."""
         g = ImplicitGridTriangulation((2, 2, 2))
+        grid = (g.point_array(), g.simplex_array(3))
+        rows = [("simplex_array", k) for k in range(4)]
         cases = [
             (octahedron_mesh(), lambda t: t.cofaces(SimplexRef(0, 0), 2),
-             [("cofaces", 0, 2)]),
-            ((g.point_array(), g.simplex_array(3)),
-             lambda t: t.faces(SimplexRef(2, 0), 1),
-             [("faces", 2, 1), ("rows", 1), ("rows", 2)]),
+             [("coface_csr", 0, 2), ("face_rows", 2, 0), rows[0],
+              rows[2]]),
+            (grid, lambda t: t.faces(SimplexRef(2, 0), 1),
+             [("face_rows", 2, 1), ("facet_ids", 2)] + rows[:3]),
+            (grid, lambda t: t.vertex_link(0),
+             [("facet_ids", 3), ("link_csr",)] + rows[:1] + rows[2:]),
         ]
         for mesh, query, built in cases:
             tri = ExplicitTriangulation(*mesh)
-            before = set(tri._tables)
             twin = precondition_all(ExplicitTriangulation(*mesh))
             assert query(tri) == query(twin)
-            assert sorted(set(tri._tables) - before) == built
+            assert sorted(tri._store) == built
 
     def test_stages_read_only_row_tables(self):
         """Every public stage on a fresh explicit mesh, with no
-        precondition call, builds no table beyond the simplex rows."""
+        precondition call, stores the same arrays as on a grid of its
+        dimension, whose per-simplex queries build nothing: none of the
+        arrays that only per-simplex queries read."""
         rng = np.random.default_rng(14)
         meshes = [midpoint_subdivide(*midpoint_subdivide(*octahedron_mesh()))]
+        stage_keys = {}
         for dims in ((12, 9), (5, 4, 4)):
             g = ImplicitGridTriangulation(dims)
             meshes.append((g.point_array(), g.simplex_array(g.dim)))
+            g = ImplicitGridTriangulation(dims)
+            run_stages(g, random_field(g, rng))
+            stage_keys[g.dim] = set(g._store)
         for mesh in meshes:
             tri = ExplicitTriangulation(*mesh)
-            f = random_field(tri, rng)
-            cps = extract_critical_points(tri, f)
-            grad = build_gradient(tri, f)
-            enforce_compliance(tri, f, grad, cps)
-            combine_contour_tree(build_merge_tree(tri, f, "join"),
-                                 build_merge_tree(tri, f, "split"))
-            diagram = build_diagram(tri, f)
-            persistence_curve(diagram)
-            extract_separatrices(grad)
-            descending_segmentation(grad)
-            ascending_segmentation(grad)
-            if tri.dim == 2:
-                simplify_field(tri, f, select_by_persistence(
-                    diagram, len(f) / 4))
-            run_checks(tri, f)
-            assert sorted(tri._tables) == [
-                ("rows", k) for k in range(tri.dim + 1)]
+            run_stages(tri, random_field(tri, rng))
+            assert set(tri._store) == stage_keys[tri.dim]
+            assert not {"coface_csr", "link_csr"} \
+                & {name for name, *_ in tri._store}
+
+    def test_queries_match_brute_force_from_cells(self):
+        """Every per-simplex query equals a brute force over the cell
+        list: on a 4x4x4 grid mesh with shuffled vertex ids, where the
+        edges of a tetrahedron are gathered through its triangles and
+        edges have up to six co-faces, and on a non-manifold fan of
+        three triangles on one edge."""
+        g = ImplicitGridTriangulation((4, 4, 4))
+        perm = np.random.default_rng(16).permutation(g.simplex_count(0))
+        points = np.empty_like(g.point_array())
+        points[perm] = g.point_array()
+        for points, cells in [(points, perm[g.simplex_array(3)]),
+                              non_manifold_fan()]:
+            assert_matches_cells(ExplicitTriangulation(points, cells),
+                                 cells)
 
     def test_duplicate_cells_rejected(self):
         p, c = octahedron_mesh()
@@ -232,11 +304,7 @@ class TestExplicit:
             ExplicitTriangulation(p, np.vstack([c, c[:1]]))
 
     def test_pseudo_manifold_violation(self):
-        # three triangles sharing one edge
-        points = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
-                           [0, 0, 1], [1, 1, 1.0]])
-        cells = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
-        t = precondition_all(ExplicitTriangulation(points, cells))
+        t = precondition_all(ExplicitTriangulation(*non_manifold_fan()))
         assert validate_pseudo_manifold(t)
 
     def test_neighbor_csr_spheres(self, octahedron, octahedron_sub1,
@@ -307,6 +375,20 @@ class TestEquivalence:
                 tri.is_boundary(SimplexRef(d - 1, f))
                 for f in range(tri.simplex_count(d - 1))]
 
+    @pytest.mark.parametrize("dims", [(3, 5), (4, 3, 5)])
+    def test_precondition_accepts_query_kinds_only(self, dims):
+        """Both back ends accept every kind in ``QUERY_KINDS`` in either
+        dimension and refuse any other; the grid builds nothing."""
+        g = ImplicitGridTriangulation(dims)
+        ex = ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim))
+        g = ImplicitGridTriangulation(dims)
+        for tri in (g, ex):
+            for kind in QUERY_KINDS:
+                tri.precondition(kind)
+            with pytest.raises(TriangulationError, match="bogus"):
+                tri.precondition("bogus")
+        assert g._store == {}
+
     @pytest.mark.parametrize("dims", [(2, 2), (3, 5), (2, 2, 2), (4, 3, 5)])
     def test_vertex_link_matches_star_walk(self, dims):
         g = ImplicitGridTriangulation(dims)
@@ -314,7 +396,7 @@ class TestEquivalence:
             ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim)))
         for tri in (g, ex):
             for v in range(tri.simplex_count(0)):
-                assert tri.vertex_link(v) == Triangulation.vertex_link(tri, v)
+                assert tri.vertex_link(v) == star_walk_link(tri, v)
 
 
 def store_cases():
@@ -360,6 +442,23 @@ def stage_outputs(tri, f):
             ascending_segmentation(grad).tolist(), run_checks(tri, f)]
 
 
+def every_query(tri):
+    """Ask every per-simplex query of every simplex once."""
+    d = tri.dim
+    for k in range(d + 1):
+        for i in range(tri.simplex_count(k)):
+            s = SimplexRef(k, i)
+            tri.simplex_vertices(s)
+            tri.is_boundary(s)
+            for j in range(k):
+                tri.faces(s, j)
+            for l in range(k + 1, d + 1):
+                tri.cofaces(s, l)
+    for v in range(tri.simplex_count(0)):
+        tri.vertex_link(v)
+        tri.vertex_neighbors(v)
+
+
 def arrays(got):
     return got if isinstance(got, tuple) else (got,)
 
@@ -369,12 +468,23 @@ class TestStore:
     lifetime and shares across stages and fields."""
 
     def test_stored_arrays_are_read_only_and_fresh(self):
+        """After every stage, every precondition kind and every
+        per-simplex query, each stored array is read-only and equals a
+        fresh build.  The grid's per-simplex queries store nothing."""
         for make, fields in store_cases():
             tri = make()
             stage_outputs(tri, fields[0])
-            assert {name for name, *_ in tri._store} >= {
-                "neighbor_csr", "facet_ids", "facet_rows", "cofacet_ids",
-                "boundary_facets", "boundary_flags"}
+            names = {name for name, *_ in tri._store}
+            assert names >= {
+                "simplex_array", "neighbor_csr", "facet_ids", "face_rows",
+                "cofacet_ids", "boundary_facets", "boundary_flags"}
+            staged = set(tri._store)
+            every_query(precondition_all(tri))
+            if isinstance(tri, ImplicitGridTriangulation):
+                assert set(tri._store) == staged
+            else:
+                assert {name for name, *_ in tri._store} \
+                    == names | {"coface_csr", "link_csr"}
             for (name, *args), got in tri._store.items():
                 want = arrays(getattr(make(), name)(*args))
                 assert len(arrays(got)) == len(want)
