@@ -17,7 +17,6 @@ from .gradient import (
     DiscreteGradient,
     VPath,
     build_gradient,
-    count_vpaths,
     extract_vpath,
     gradient_is_acyclic,
     pairing_is_valid,
@@ -97,7 +96,6 @@ __all__ = [
     "build_merge_tree",
     "classify_vertex",
     "combine_contour_tree",
-    "count_vpaths",
     "descending_segmentation",
     "enforce_compliance",
     "extract_critical_points",

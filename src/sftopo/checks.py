@@ -194,8 +194,8 @@ def run_checks(tri: Triangulation, field: OrderField) -> list:
     results.append(CheckResult(
         "essential pair spans the global extrema",
         len(ess) == 1
-        and ess[0].birth_vertex == field.min_vertex(range(len(field)))
-        and ess[0].death_vertex == field.max_vertex(range(len(field)))))
+        and ess[0].birth_vertex == int(field.order[0])
+        and ess[0].death_vertex == int(field.order[-1])))
 
     curve = persistence_curve(diagram)
     counts = [c for _, c in curve]

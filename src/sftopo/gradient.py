@@ -23,7 +23,8 @@ lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  Ascending (d-1, d) walks read the ``cofacets``
 array that the gradient keeps beside its vertex rows; descending (0, 1)
 walks read its edge rows, and other descending walks the triangulation's
-``face_rows``, so no walk queries the triangulation per simplex.
+``facet_ids``, each row sorted so that children come in ascending id
+order, so no walk queries the triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion.  Acyclicity is checked on the same arrays, by
@@ -215,7 +216,7 @@ def _descend_children(grad, dim, high):
     paired = grad.pair_down[dim + 1][high]
     up = grad.pair_up[dim]
     return [(low, int(up[low]))
-            for low in grad.tri.face_rows(dim + 1, dim)[high].tolist()
+            for low in sorted(grad.tri.facet_ids(dim + 1)[high].tolist())
             if low != paired]
 
 
@@ -257,13 +258,6 @@ def _vpath_counts(grad, dim, high, targets, memo):
             if stack:
                 _add_counts(stack[-1][1], total)
     return memo[high]
-
-
-def count_vpaths(grad: DiscreteGradient, dim: int, upper: int,
-                 lower: int) -> int:
-    """Number of distinct descending V-paths from critical ``upper``
-    ((dim+1)-simplex) to critical ``lower`` (dim-simplex)."""
-    return _vpath_counts(grad, dim, upper, {lower}, {}).get(lower, 0)
 
 
 def _first_vpath(grad, dim, upper, lower, memo) -> VPath | None:
@@ -332,10 +326,11 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
     For each k, the V-path digraph on the (k+1)-simplices has an edge
     ``h -> pair_up[k][low]`` for every facet ``low`` of ``h`` other than
     ``pair_down[k+1][h]``.  Kahn's algorithm peels it one frontier of
-    in-degree-0 nodes at a time; it is acyclic iff every node is peeled.
+    in-degree-0 nodes at a time (in any column order of the facets); it
+    is acyclic iff every node is peeled.
     """
     for k in range(grad.tri.dim):
-        rows = grad.tri.face_rows(k + 1, k)
+        rows = grad.tri.facet_ids(k + 1)
         succ = grad.pair_up[k][rows]
         succ[rows == grad.pair_down[k + 1][:, None]] = -1
         indeg = np.bincount(succ[succ >= 0], minlength=len(rows))

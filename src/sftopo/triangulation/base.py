@@ -5,11 +5,13 @@ pair where ``id`` indexes the simplices of that dimension.  Implicit
 grids answer every per-simplex query arithmetically; explicit meshes
 read the answer from a row of an array query.
 
-The array queries (``simplex_array``, ``facet_ids``, ``face_rows``,
-``neighbor_csr``, the boundary flags, ...) depend on the triangulation
-alone.  Each is built the first time it is asked for and kept, read-only,
-in the triangulation's one store, so later queries, later stages and
-later fields share it.
+The array queries (``simplex_array``, ``facet_ids``, ``cofacet_ids``,
+``neighbor_csr``, the boundary flags) depend on the triangulation alone.
+Each is built the first time it is asked for and kept, read-only, in the
+triangulation's one store, so later queries, later stages and later
+fields share it.  The store keeps one array per relation: the stages
+read the facets of a simplex in ``facet_ids`` column order, and sort a
+row where they need it ascending.
 """
 
 from __future__ import annotations
@@ -31,27 +33,29 @@ class TriangulationError(Exception):
     """Base class for triangulation construction and query errors."""
 
 
-#: Kinds accepted by :meth:`Triangulation.precondition`.  Implicit grids
-#: accept them all and build nothing.
-QUERY_KINDS = (
-    "vertex_neighbors",
-    "vertex_edges",
-    "vertex_triangles",
-    "vertex_stars",
-    "vertex_links",
-    "edge_list",
-    "triangle_list",
-    "edge_triangles",
-    "edge_stars",
-    "triangle_stars",
-    "triangle_edges",
-    "cell_edges",
-    "cell_triangles",
-    "boundary_vertices",
-    "boundary_edges",
-    "boundary_triangles",
-    "boundary_cells",
-)
+#: Kinds accepted by :meth:`Triangulation.precondition`, each with the
+#: per-simplex query whose arrays it builds and that query's simplex
+#: dimensions; "d" is the cell dimension.  Implicit grids accept them
+#: all and build nothing.
+QUERY_KINDS = {
+    "vertex_neighbors": ("vertex_neighbors",),
+    "vertex_edges": ("cofaces", 0, 1),
+    "vertex_triangles": ("cofaces", 0, 2),
+    "vertex_stars": ("cofaces", 0, "d"),
+    "vertex_links": ("vertex_link",),
+    "edge_list": ("simplex_vertices", 1),
+    "triangle_list": ("simplex_vertices", 2),
+    "edge_triangles": ("cofaces", 1, 2),
+    "edge_stars": ("cofaces", 1, "d"),
+    "triangle_stars": ("cofaces", 2, "d"),
+    "triangle_edges": ("faces", 2, 1),
+    "cell_edges": ("faces", "d", 1),
+    "cell_triangles": ("faces", "d", 2),
+    "boundary_vertices": ("is_boundary", 0),
+    "boundary_edges": ("is_boundary", 1),
+    "boundary_triangles": ("is_boundary", 2),
+    "boundary_cells": ("is_boundary", "d"),
+}
 
 
 def _row_keys(rows: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -109,9 +113,10 @@ class Triangulation:
 
     # -- preconditioning ------------------------------------------------
     def precondition(self, kind: str) -> None:
-        """Build the arrays that the queries of ``kind`` read now instead
-        of on first use; optional.  A kind outside ``QUERY_KINDS`` raises
-        ``TriangulationError``.  This base version builds nothing."""
+        """Build the arrays that the query ``QUERY_KINDS[kind]`` names
+        reads now instead of on first use; optional.  A kind outside
+        ``QUERY_KINDS`` raises ``TriangulationError``.  This base version
+        builds nothing."""
         if kind not in QUERY_KINDS:
             raise TriangulationError(f"unknown query kind {kind!r}")
 
@@ -204,27 +209,6 @@ class Triangulation:
         return order[pos].reshape(-1, k + 1)
 
     @stored
-    def face_rows(self, k: int, j: int) -> np.ndarray:
-        """Int64 array of the j-faces of every k-simplex, for
-        ``0 <= j < k <= dim``: row ``s`` holds ``faces(s, j)``, ascending;
-        stored.
-
-        The 0-faces are ``simplex_array(k)`` itself and the (k-1)-faces
-        ``facet_ids(k)`` with each row sorted.  Lower faces are gathered
-        from the facets' rows: a j-face lies in k-j facets, so each
-        sorted gather holds it k-j times in a row.
-        """
-        if not 0 <= j < k <= self.dim:
-            raise TriangulationError(f"bad face dimension {j} for dim {k}")
-        if j == 0:
-            return self.simplex_array(k)
-        if j == k - 1:
-            return np.sort(self.facet_ids(k), axis=1)
-        lower = self.face_rows(k - 1, j)[self.face_rows(k, k - 1)]
-        lower = np.sort(lower.reshape(len(lower), -1), axis=1)
-        return np.ascontiguousarray(lower[:, ::k - j])
-
-    @stored
     def cofacet_ids(self, k: int) -> np.ndarray:
         """Int64 array inverting ``facet_ids(k+1)``: row ``f`` holds the
         ascending ids of the (k+1)-simplices that have k-simplex ``f``
@@ -255,13 +239,14 @@ class Triangulation:
     def boundary_flags(self) -> tuple:
         """``is_boundary`` of every simplex, as one bool array per
         dimension: the boundary facets, the cell of each, and their
-        vertices and (3D) edges; stored."""
+        vertices and (3D) edges; stored.  Read from the facet rows
+        alone, so a stage that builds no gradient stores no co-faces."""
         d = self.dim
         facets = self.boundary_facets()
         flags = [np.zeros(self.simplex_count(k), dtype=bool)
                  for k in range(d + 1)]
         flags[d - 1] = facets
-        flags[d][self.cofacet_ids(d - 1)[facets, 0]] = True
+        flags[d] = facets[self.facet_ids(d)].any(axis=1)
         flags[0][self.simplex_array(d - 1)[facets]] = True
         if d == 3:
             flags[1][self.facet_ids(2)[facets]] = True

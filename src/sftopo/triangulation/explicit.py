@@ -9,14 +9,16 @@ per-simplex query reads one row of a stored array:
 - ``simplex_vertices``: ``simplex_array(k)``, whose rows 0 and d are
   ``arange`` and the cells, and whose other rows are the distinct
   sorted vertex combinations of the cells, in lexicographic order;
-- ``faces``: ``face_rows(k, j)``;
-- ``cofaces``: the CSR ``coface_csr(j, l)``, inverted from
-  ``face_rows(l, j)``;
+- ``faces``: ``face_rows(k, j)``, the row sorted;
+- ``cofaces``: the padded ``cofacet_ids(j)`` for co-faces one
+  dimension up from an edge or triangle, else the CSR
+  ``coface_csr(j, l)``, inverted from ``face_rows(l, j)``;
 - ``vertex_link``: the CSR ``link_csr()``, grouped from ``facet_ids(d)``;
 - ``is_boundary``: ``boundary_flags()``.
 
-``precondition(kind)`` builds the array of a kind's queries ahead of
-their first use.
+``face_rows`` and the CSR arrays serve these queries alone; the stages
+read the base class's arrays.  ``precondition(kind)`` asks the query
+that ``QUERY_KINDS`` names for the kind once, ahead of its first use.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .base import (
+    QUERY_KINDS,
     SimplexRef,
     Triangulation,
     TriangulationError,
@@ -33,28 +36,6 @@ from .base import (
     _row_keys,
     stored,
 )
-
-#: The stored query whose array each ``precondition`` kind builds, with
-#: its simplex dimensions; "d" is the cell dimension.
-_KIND_QUERIES = {
-    "vertex_neighbors": ("coface_csr", 0, 1),
-    "vertex_edges": ("coface_csr", 0, 1),
-    "vertex_triangles": ("coface_csr", 0, 2),
-    "vertex_stars": ("coface_csr", 0, "d"),
-    "vertex_links": ("link_csr",),
-    "edge_list": ("simplex_array", 1),
-    "triangle_list": ("simplex_array", 2),
-    "edge_triangles": ("coface_csr", 1, 2),
-    "edge_stars": ("coface_csr", 1, "d"),
-    "triangle_stars": ("coface_csr", 2, "d"),
-    "triangle_edges": ("face_rows", 2, 1),
-    "cell_edges": ("face_rows", "d", 1),
-    "cell_triangles": ("face_rows", "d", 2),
-    "boundary_vertices": ("boundary_flags",),
-    "boundary_edges": ("boundary_flags",),
-    "boundary_triangles": ("boundary_flags",),
-    "boundary_cells": ("boundary_flags",),
-}
 
 
 class ExplicitTriangulation(Triangulation):
@@ -91,11 +72,13 @@ class ExplicitTriangulation(Triangulation):
 
     def precondition(self, kind: str) -> None:
         super().precondition(kind)
-        name, *dims = _KIND_QUERIES[kind]
+        query, *dims = QUERY_KINDS[kind]
         dims = [self.dim if x == "d" else x for x in dims]
+        if not dims:
+            getattr(self, query)(0)
         # a 2D triangle is a cell, its own only face and co-face
-        if len(set(dims)) == len(dims):
-            getattr(self, name)(*dims)
+        elif len(set(dims)) == len(dims):
+            getattr(self, query)(SimplexRef(dims[0], 0), *dims[1:])
 
     # -- stored arrays ---------------------------------------------------
 
@@ -114,10 +97,31 @@ class ExplicitTriangulation(Triangulation):
         return raw[idx]
 
     @stored
+    def face_rows(self, k: int, j: int) -> np.ndarray:
+        """Int64 array of the j-faces of every k-simplex, for
+        ``0 <= j < k <= dim``: row ``s`` holds the ids of ``faces(s, j)``
+        in some order; stored.
+
+        The 0-faces are ``simplex_array(k)`` itself and the (k-1)-faces
+        ``facet_ids(k)`` itself.  Only the edges of a tetrahedron are
+        gathered, through its triangles: each edge lies in two of them,
+        so each sorted gather holds it twice in a row.
+        """
+        if j == 0:
+            return self.simplex_array(k)
+        if j == k - 1:
+            return self.facet_ids(k)
+        edges = self.facet_ids(2)[self.facet_ids(3)].reshape(-1, 12)
+        return np.ascontiguousarray(np.sort(edges, axis=1)[:, ::2])
+
+    @stored
     def coface_csr(self, j: int, l: int) -> tuple:
         """The l-co-faces of every j-simplex as CSR int64 ``(offsets,
         ids)``: row ``s`` holds ``cofaces(s, l)``, ascending; inverted
-        from ``face_rows(l, j)`` and stored."""
+        from ``face_rows(l, j)`` and stored.  ``cofaces`` asks for it
+        only for vertices and for the tetrahedra of an edge; vertex
+        rows stay CSR because a padded row would be as wide as the
+        highest vertex degree."""
         faces = self.face_rows(l, j)
         owners = np.repeat(np.arange(len(faces), dtype=np.int64),
                            faces.shape[1])
@@ -154,12 +158,14 @@ class ExplicitTriangulation(Triangulation):
         dim, sid = s
         if not 0 <= k < dim:
             raise TriangulationError(f"bad face dimension {k} for dim {dim}")
-        return self.face_rows(dim, k)[sid].tolist()
+        return sorted(self.face_rows(dim, k)[sid].tolist())
 
     def cofaces(self, s: SimplexRef, l: int) -> list:
         dim, sid = s
         if not dim < l <= self.dim:
             raise TriangulationError(f"bad co-face dimension {l} for dim {dim}")
+        if dim and l == dim + 1:
+            return [c for c in self.cofacet_ids(dim)[sid].tolist() if c >= 0]
         offsets, ids = self.coface_csr(dim, l)
         return ids[offsets[sid]:offsets[sid + 1]].tolist()
 

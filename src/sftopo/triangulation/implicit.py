@@ -189,8 +189,8 @@ class ImplicitGridTriangulation(Triangulation):
     the dims, they read only per-class block layouts and stencil
     formulas, and ``precondition`` builds nothing.  The array queries
     keep what they build in the store, linear in the simplex count:
-    0.29 MB at 6x6x6 after critical points, compliance, the diagram
-    and separatrices, and 27.9 MB at 24x24x24 after the stages of
+    0.25 MB at 6x6x6 after critical points, compliance, the diagram
+    and separatrices, and 22.0 MB at 24x24x24 after the stages of
     ``check`` and ``morse-smale``.
 
     Parameters

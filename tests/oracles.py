@@ -401,6 +401,17 @@ def reduction_vertex_pairs(tri, field, dim_birth):
 
 
 # --------------------------------------------------------------------------
+# V-path counts between two critical simplices
+# --------------------------------------------------------------------------
+
+
+def count_vpaths(grad, dim, upper, lower):
+    """Number of distinct descending V-paths from critical ``upper``
+    ((dim+1)-simplex) to critical ``lower`` (dim-simplex)."""
+    return _vpath_counts(grad, dim, upper, {lower}, {}).get(lower, 0)
+
+
+# --------------------------------------------------------------------------
 # V-path acyclicity by explicit graph search
 # --------------------------------------------------------------------------
 

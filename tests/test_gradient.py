@@ -8,7 +8,8 @@ import pytest
 
 from conftest import EQUIVALENCE_DIMS, preconditioned, random_field, \
     tie_heavy_field
-from oracles import steepest_coface_gradient, vpath_graph_acyclic
+from oracles import count_vpaths, steepest_coface_gradient, \
+    vpath_graph_acyclic
 from sftopo import (
     DiscreteGradient,
     ExplicitTriangulation,
@@ -16,7 +17,6 @@ from sftopo import (
     OrderField,
     SimplexRef,
     build_gradient,
-    count_vpaths,
     enforce_compliance,
     extract_vpath,
     gradient_is_acyclic,

@@ -476,15 +476,15 @@ class TestStore:
             stage_outputs(tri, fields[0])
             names = {name for name, *_ in tri._store}
             assert names >= {
-                "simplex_array", "neighbor_csr", "facet_ids", "face_rows",
-                "cofacet_ids", "boundary_facets", "boundary_flags"}
+                "simplex_array", "neighbor_csr", "facet_ids", "cofacet_ids",
+                "boundary_facets", "boundary_flags"}
             staged = set(tri._store)
             every_query(precondition_all(tri))
             if isinstance(tri, ImplicitGridTriangulation):
                 assert set(tri._store) == staged
             else:
                 assert {name for name, *_ in tri._store} \
-                    == names | {"coface_csr", "link_csr"}
+                    == names | {"face_rows", "coface_csr", "link_csr"}
             for (name, *args), got in tri._store.items():
                 want = arrays(getattr(make(), name)(*args))
                 assert len(arrays(got)) == len(want)
@@ -492,6 +492,31 @@ class TestStore:
                     assert a.dtype == b.dtype and np.array_equal(a, b)
                     with pytest.raises(ValueError):
                         a[...] = 0
+
+    def test_each_relation_is_stored_once(self):
+        """After every stage, every precondition kind and every
+        per-simplex query, no two stored arrays hold one relation: no
+        two int tables of one shape are equal once each row is sorted,
+        unless they share memory, and no padded table holds, row by row,
+        the ids of a stored CSR ``(offsets, ids)`` pair."""
+        for make, fields in store_cases():
+            tri = make()
+            stage_outputs(tri, fields[0])
+            every_query(precondition_all(tri))
+            got = list(tri._store.values())
+            tables = [a for a in got if isinstance(a, np.ndarray)
+                      and a.ndim == 2 and a.dtype.kind == "i"]
+            for i, a in enumerate(tables):
+                for b in tables[i + 1:]:
+                    if a.shape == b.shape and not np.shares_memory(a, b):
+                        assert not np.array_equal(np.sort(a, axis=1),
+                                                  np.sort(b, axis=1))
+            csrs = [g for g in got if isinstance(g, tuple) and len(g) == 2]
+            for a in tables:
+                counts = (a >= 0).sum(axis=1)
+                for offsets, ids in csrs:
+                    assert not (np.array_equal(np.diff(offsets), counts)
+                                and np.array_equal(a[a >= 0], ids))
 
     def test_fields_in_a_row_share_the_store(self):
         """A second field on one triangulation adds nothing to the store,
