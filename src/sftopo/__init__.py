@@ -21,8 +21,6 @@ from .gradient import (
     gradient_is_acyclic,
     pairing_is_valid,
     reverse_vpath,
-    trace_down_from_edge,
-    trace_up_from_facet,
 )
 from .io import DataError, DatasetSpec, load, read_field, read_off, \
     read_offsets
@@ -113,6 +111,4 @@ __all__ = [
     "reverse_vpath",
     "select_by_persistence",
     "simplify_field",
-    "trace_down_from_edge",
-    "trace_up_from_facet",
 ]

@@ -29,11 +29,13 @@ reached it names the roots to re-trace after a cancellation.  Arcs of
 an older trace, or with an end that is no longer critical, are skipped
 when popped.  Only the trace differs by class:
 
-- Saddle/maximum: a root is a critical (d-1)-simplex, traced by its
-  ascending walks to the critical d-cells.  Only walks through a
-  reversed cell can change, and since the next step of a walk depends
-  on its current cell alone, every walk through the reversed path ends
-  at the cancelled cell.
+- Saddle/maximum: a root is a critical (d-1)-simplex, traced by the
+  ends of its ascending walks (the gradient module's ``_walks``) at
+  critical d-cells.  Only walks through a reversed cell can change, and
+  since the next step of a walk depends on its current cell alone,
+  every walk through the reversed path ends at the cancelled cell.  So
+  a root's walks stay as traced until it is retraced, and a
+  cancellation walks its one path again.
 - Saddle/saddle (3D): a root is an interior critical triangle, traced
   by counting its descending (1, 2) V-paths to the interior critical
   edges, with one memo of per-triangle counts shared by all roots.
@@ -86,10 +88,12 @@ import numpy as np
 from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
+    VPath,
     _first_vpath,
     _vpath_counts,
+    _walk_arrays,
+    _walks,
     reverse_vpath,
-    trace_up_from_facet,
 )
 from .order import OrderField
 from .triangulation import Triangulation
@@ -271,8 +275,9 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
 
     ``roots`` are the simplices of dimension ``root_dim`` that walks
     start from; the other end of an arc has the other dimension.
-    ``trace(root)`` returns the critical ends the root's walks reach and
-    those of them that qualify (joined to it by exactly one V-path).
+    ``trace(root)`` returns the critical ends the root's walks reach
+    (repeats allowed) and those of them that qualify (joined to it by
+    exactly one V-path).
     ``cancel(root, end)`` reverses the path between the two.
     """
     end_dim = 2 * lo + 1 - root_dim
@@ -326,24 +331,22 @@ def _cancel_facet_pairs(grad, matching) -> list:
     are joined by exactly one V-path, at least one end is spurious, and
     any matched end can be re-matched elsewhere.
 
-    Roots are the interior critical facets, traced by their ascending
-    walks; the path of each single arc is kept from the last trace.
+    Roots are the interior critical facets, traced by the ends of their
+    ascending walks; a cancellation walks the one path it reverses again.
     """
     d = grad.tri.dim
-    paths_of = {}                 # facet -> {cell: path} of its last trace
+    rows, via = _walk_arrays(grad, True)
+    boundary = matching.boundary[d]
 
     def trace(sigma):
-        ends = {}
-        for path in trace_up_from_facet(grad, sigma):
-            if path.upper is not None:
-                ends.setdefault(path.upper, []).append(path)
-        paths = paths_of[sigma] = {
-            tau: p[0] for tau, p in ends.items()
-            if len(p) == 1 and not matching.boundary[d][tau]}
-        return list(ends), list(paths)
+        ends = [w[-1] for w in _walks(rows, via, sigma) if w[-1] >= 0]
+        return ends, [tau for tau in ends
+                      if ends.count(tau) == 1 and not boundary[tau]]
 
     def cancel(sigma, tau):
-        reverse_vpath(grad, paths_of[sigma][tau])
+        cells = next(w for w in _walks(rows, via, sigma) if w[-1] == tau)[:-1]
+        pairs = list(zip(via[cells].tolist(), cells))[::-1]
+        reverse_vpath(grad, VPath(d - 1, tau, sigma, pairs))
 
     return _cancel_by_heap(grad, matching, d - 1, d - 1,
                            _interior_ids(matching, d - 1), trace, cancel)

@@ -20,11 +20,13 @@ order ``Triangulation.cofaces`` lists them in.
 
 V-paths (alternating face/pair sequences) are the discrete integral
 lines; cancelling a pair of critical simplices reverses the unique
-V-path between them.  Ascending (d-1, d) walks read the ``cofacets``
-array that the gradient keeps beside its vertex rows; descending (0, 1)
-walks read its edge rows, and other descending walks the triangulation's
-``facet_ids``, each row sorted so that children come in ascending id
-order, so no walk queries the triangulation per simplex.
+V-path between them.  The descending (0, 1) and ascending (d-1, d)
+walks are deterministic and share one shape, a pair ``(rows, via)``:
+a step from node ``x`` crosses row ``via[x]`` to its other entry.
+``_walks`` follows it from one root and ``_successors`` takes it for
+every node at once.  Other descending walks branch; they read the
+triangulation's ``facet_ids``, each row sorted so that children come in
+ascending id order, so no walk queries the triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion.  Acyclicity is checked on the same arrays, by
@@ -57,15 +59,10 @@ class DiscreteGradient:
     simplex_values:
         ``simplex_values[k][s]`` is the field value at the order-highest
         vertex of k-simplex ``s``.
-    cofacets:
-        ``(n_{d-1}, 2)`` array: row ``f`` holds the ascending d-co-face
-        ids of (d-1)-simplex ``f``, padded with -1 (a boundary facet has
-        one).  A facet of a non-pseudo-manifold widens every row.
 
-    ``verts`` and ``cofacets`` are the triangulation's stored arrays
-    (``simplex_array`` and ``cofacet_ids(d-1)``), shared by every field
-    and read-only; ``simplex_values`` depends on the field too.  Copies
-    share all three.
+    ``verts`` are the triangulation's stored ``simplex_array`` rows,
+    shared by every field and read-only; ``simplex_values`` depends on
+    the field too.  Copies share both.
     """
 
     def __init__(self, tri: Triangulation, field: OrderField):
@@ -79,7 +76,6 @@ class DiscreteGradient:
                               np.argmax(ranks[rows], axis=1)]]
             for rows in self.verts
         ]
-        self.cofacets = tri.cofacet_ids(d - 1)
         self.pair_up = [
             np.full(tri.simplex_count(k), -1, dtype=np.int64)
             for k in range(d + 1)
@@ -110,7 +106,7 @@ class DiscreteGradient:
     def copy(self) -> "DiscreteGradient":
         g = object.__new__(DiscreteGradient)
         g.tri, g.field, g.verts = self.tri, self.field, self.verts
-        g.simplex_values, g.cofacets = self.simplex_values, self.cofacets
+        g.simplex_values = self.simplex_values
         g.pair_up = [a.copy() for a in self.pair_up]
         g.pair_down = [a.copy() for a in self.pair_down]
         return g
@@ -154,60 +150,56 @@ class VPath:
     ``pairs`` lists the gradient pairs crossed, walking down from the
     ``upper`` end toward the ``lower`` end; the full simplex walk is
     ``upper, l1, h1, ..., lr, hr, lower``.  ``upper`` is None when an
-    ascending walk leaves the domain through the boundary; ``lower`` is
-    None when a descending walk does.
+    ascending walk leaves the domain through the boundary.
     """
 
     dim: int
     upper: int | None
-    lower: int | None
+    lower: int
     pairs: list = dc_field(default_factory=list)
 
 
-def trace_up_from_facet(grad: DiscreteGradient, sigma: int) -> list:
-    """Ascending (d-1, d) V-paths from critical (d-1)-simplex ``sigma``.
+def _walk_arrays(grad: DiscreteGradient, ascending: bool) -> tuple:
+    """``(rows, via)`` of the (0, 1) walk, the edges and ``pair_up[0]``,
+    or the (d-1, d) walk, the facets' co-faces and ``pair_down[d]``."""
+    if ascending:
+        d = grad.tri.dim
+        return grad.tri.cofacet_ids(d - 1), grad.pair_down[d]
+    return grad.verts[1], grad.pair_up[0]
 
-    Returns one VPath per d-co-face of ``sigma`` (at most two); the
-    walks are deterministic because a (d-1)-simplex of a pseudo-manifold
-    has at most two d-co-faces.  The walks read ``grad.cofacets``.
+
+def _walks(rows, via, root: int) -> list:
+    """Node lists of the walks out of ``rows[root]``, one per entry.
+
+    A step from node ``x`` crosses row ``via[x]`` to its other entry.
+    A walk ends at a node with ``via < 0``, or at -1 where it leaves
+    the domain through a row with one entry.
     """
-    d = grad.tri.dim
-    cof, down = grad.cofacets, grad.pair_down[d]
     out = []
-    for start in cof[sigma].tolist():
-        if start < 0:
+    for x in rows[root].tolist():
+        if x < 0:
             break
-        pairs = []
-        tau, upper = start, None
-        while True:
-            low = int(down[tau])
-            if low < 0:
-                upper = tau
-                break
-            pairs.append((low, tau))
-            first = int(cof[low, 0])
-            tau = int(cof[low, 1]) if first == tau else first
-            if tau < 0:      # boundary facet: the walk leaves the domain
-                break
-        pairs.reverse()
-        out.append(VPath(d - 1, upper, int(sigma), pairs))
+        nodes = [x]
+        row = via.item(x)
+        while row >= 0:
+            a = rows.item(row, 0)
+            x = rows.item(row, 1) if a == x else a
+            nodes.append(x)
+            row = via.item(x) if x >= 0 else -1
+        out.append(nodes)
     return out
 
 
-def trace_down_from_edge(grad: DiscreteGradient, e: int) -> list:
-    """Descending (0, 1) V-paths from critical edge ``e`` (one per
-    endpoint).  The walks read the edge rows ``grad.verts[1]``."""
-    edges, up = grad.verts[1], grad.pair_up[0]
-    out = []
-    for cur in edges[e].tolist():
-        pairs = []
-        while up[cur] >= 0:
-            nxt_e = int(up[cur])
-            pairs.append((cur, nxt_e))
-            a, b = edges[nxt_e].tolist()
-            cur = b if a == cur else a
-        out.append(VPath(0, int(e), cur, pairs))
-    return out
+def _successors(rows, via) -> np.ndarray:
+    """``_walks``' step for every node at once, over one extra slot
+    ``len(via)`` for -1: an end maps to itself."""
+    n = len(via)
+    nxt = np.arange(n + 1, dtype=np.int64)
+    x = np.flatnonzero(via >= 0)
+    a, b = rows[via[x], :2].T
+    other = np.where(a == x, b, a)
+    nxt[x] = np.where(other < 0, n, other)
+    return nxt
 
 
 def _descend_children(grad, dim, high):

@@ -1,14 +1,15 @@
 """File formats: OFF meshes, scalar field / offset files, CSV and OBJ output.
 
 Meshes are ASCII OFF.  Scalar fields are one ASCII real per line or raw
-little-endian 32/64-bit floats; offset files hold one integer per line
-(or raw int64).  Diagrams and critical points are written as CSV,
-separatrices as Wavefront OBJ polylines, segmentations as one label per
-line.
+little-endian 32/64-bit floats; offset files hold one ASCII integer per
+line.  A file that breaks its format raises ``DataError``.  Diagrams and
+critical points are written as CSV, separatrices as Wavefront OBJ
+polylines, segmentations as one label per line.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,17 @@ class DataError(Exception):
     """Unreadable or inconsistent input data."""
 
 
-def _tokens(path):
-    """Significant (line_number, fields) pairs of an OFF-style file."""
-    with open(path, "r") as fh:
-        for ln, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if body:
-                yield ln, body.split()
+def _lines(path):
+    """Significant (line_number, text) pairs of an ASCII file: text
+    after ``#`` and blank lines are skipped."""
+    try:
+        with open(path, "r") as fh:
+            for ln, line in enumerate(fh, start=1):
+                body = line.split("#", 1)[0].strip()
+                if body:
+                    yield ln, body
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a text file ({exc.reason})")
 
 
 def read_off(path: str):
@@ -40,7 +45,7 @@ def read_off(path: str):
     Faces may be triangles or tetrahedra (OFF is commonly abused for
     the latter); all faces in one file must have the same arity.
     """
-    stream = _tokens(path)
+    stream = ((ln, body.split()) for ln, body in _lines(path))
     try:
         ln, fields = next(stream)
     except StopIteration:
@@ -59,6 +64,8 @@ def read_off(path: str):
         nv, nf = int(fields[0]), int(fields[1])
     except ValueError:
         raise DataError(f"{path}: line {ln}: non-integer element count")
+    if nv < 0 or nf < 0:
+        raise DataError(f"{path}: line {ln}: negative element count")
     points = np.zeros((nv, 3), dtype=np.float64)
     for i in range(nv):
         try:
@@ -108,20 +115,20 @@ def read_field(path: str, fmt: str = "ascii") -> np.ndarray:
     """Read a scalar field file (one value per vertex)."""
     if fmt == "ascii":
         out = []
-        with open(path, "r") as fh:
-            for ln, line in enumerate(fh, start=1):
-                body = line.split("#", 1)[0].strip()
-                if not body:
-                    continue
-                try:
-                    out.append(float(body))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {ln}: not a real number: {body!r}"
-                    )
+        for ln, body in _lines(path):
+            try:
+                out.append(float(body))
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {ln}: not a real number: {body!r}"
+                )
         return np.asarray(out, dtype=np.float64)
     if fmt in ("f32", "f64"):
-        dtype = "<f4" if fmt == "f32" else "<f8"
+        dtype = np.dtype("<f4" if fmt == "f32" else "<f8")
+        size = os.path.getsize(path)
+        if size % dtype.itemsize:
+            raise DataError(f"{path}: {size} bytes is not a whole number "
+                            f"of {fmt} values")
         return np.fromfile(path, dtype=dtype).astype(np.float64)
     raise DataError(f"unknown field format: {fmt!r}")
 
@@ -129,17 +136,13 @@ def read_field(path: str, fmt: str = "ascii") -> np.ndarray:
 def read_offsets(path: str) -> np.ndarray:
     """Read a tie-breaking offsets file (one integer per vertex)."""
     out = []
-    with open(path, "r") as fh:
-        for ln, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            try:
-                out.append(int(body))
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {ln}: not an integer: {body!r}"
-                )
+    for ln, body in _lines(path):
+        try:
+            out.append(int(body))
+        except ValueError:
+            raise DataError(f"{path}: line {ln}: not an integer: {body!r}")
+        if not -1 << 63 <= out[-1] < 1 << 63:
+            raise DataError(f"{path}: line {ln}: outside int64: {body}")
     return np.asarray(out, dtype=np.int64)
 
 

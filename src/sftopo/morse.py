@@ -3,12 +3,11 @@
 The descending segmentation labels every vertex with the minimum its
 gradient path reaches; the ascending segmentation labels every d-cell
 with the maximum its inverse path reaches (cells whose walk drains
-through the boundary get label -1).  Both are pointer doubling over one
-step per simplex, read from the gradient's arrays: a paired vertex
-steps to the other end of its edge, a paired d-cell to the other
-co-face of its facet, and a critical simplex to itself.  Separatrices
-are emitted as barycentric polylines: minimum/saddle curves,
-saddle/maximum curves, and (3D) saddle/saddle connectors.
+through the boundary get label -1).  Both are pointer doubling over the
+gradient module's ``_successors`` step.  Separatrices are emitted as
+barycentric polylines: minimum/saddle and saddle/maximum curves follow
+``_walks`` out of every critical edge and facet, and (3D) saddle/saddle
+connectors the first descending (1, 2) V-path.
 """
 
 from __future__ import annotations
@@ -20,21 +19,24 @@ import numpy as np
 from .gradient import (
     DiscreteGradient,
     _first_vpath,
+    _successors,
     _vpath_counts,
-    trace_down_from_edge,
-    trace_up_from_facet,
+    _walk_arrays,
+    _walks,
 )
 from .order import _pointer_jump
 
 
+def _segmentation(grad, ascending):
+    """The end of every node's walk, -1 where it leaves the domain."""
+    ends = _pointer_jump(_successors(*_walk_arrays(grad, ascending)))[:-1]
+    ends[ends == len(ends)] = -1
+    return ends
+
+
 def descending_segmentation(grad: DiscreteGradient) -> np.ndarray:
     """Per-vertex label: the critical vertex its descending path reaches."""
-    up = grad.pair_up[0]
-    nxt = np.arange(len(up), dtype=np.int64)
-    v = np.flatnonzero(up >= 0)
-    a, b = grad.verts[1][up[v]].T
-    nxt[v] = np.where(a == v, b, a)
-    return _pointer_jump(nxt)
+    return _segmentation(grad, False)
 
 
 def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
@@ -42,16 +44,7 @@ def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
 
     Walks that exit through a boundary facet get label -1.
     """
-    down = grad.pair_down[grad.tri.dim]
-    n = len(down)
-    nxt = np.arange(n + 1, dtype=np.int64)      # slot n: the boundary
-    c = np.flatnonzero(down >= 0)
-    a, b = grad.cofacets[down[c], :2].T
-    other = np.where(a == c, b, a)
-    nxt[c] = np.where(other < 0, n, other)
-    labels = _pointer_jump(nxt)[:n]
-    labels[labels == n] = -1
-    return labels
+    return _segmentation(grad, True)
 
 
 @dataclass
@@ -99,24 +92,18 @@ def extract_separatrices(grad: DiscreteGradient) -> list:
         return np.array(seq, dtype=np.int64)
 
     out = []
-    for e in grad.critical_ids(1):
-        for path in trace_down_from_edge(grad, e):
-            lows, highs = ids(path.pairs).reshape(-1, 2).T
-            out.append(Separatrix(
-                "min-saddle", (1, e), (0, path.lower),
-                _polyline(center[1][e], points[lows], center[1][highs],
-                          points[path.lower])))
-    for s in grad.critical_ids(d - 1):
-        for path in trace_up_from_facet(grad, s):
-            lows, highs = ids(path.pairs[::-1]).reshape(-1, 2).T
-            target = tail = None
-            if path.upper is not None:
-                target = (d, path.upper)
-                tail = center[d][path.upper]
-            out.append(Separatrix(
-                "saddle-max", (d - 1, s), target,
-                _polyline(center[d - 1][s], center[d][highs],
-                          center[d - 1][lows], tail)))
+    for kind, k, node_dim in (("min-saddle", 1, 0), ("saddle-max", d - 1, d)):
+        rows, via = _walk_arrays(grad, node_dim == d)
+        for root in grad.critical_ids(k):
+            for nodes in _walks(rows, via, root):
+                end, body = nodes[-1], ids(nodes[:-1])
+                target = tail = None
+                if end >= 0:
+                    target, tail = (node_dim, end), center[node_dim][end]
+                out.append(Separatrix(
+                    kind, (k, root), target,
+                    _polyline(center[k][root], center[node_dim][body],
+                              center[k][via[body]], tail)))
     if d == 3:
         targets = set(grad.critical_ids(1))
         memo = {}

@@ -41,8 +41,9 @@ from .base import (
 class ExplicitTriangulation(Triangulation):
     """Triangulation over an explicit point list and d-cell list.
 
-    Cells are canonicalized to ascending vertex tuples; duplicates are
-    rejected.  Non-manifold inputs are accepted here and reported by
+    Cells are canonicalized to ascending vertex tuples; duplicates, and
+    cells that repeat a vertex, are rejected.  Non-manifold inputs are
+    accepted here and reported by
     :func:`sftopo.triangulation.validate_pseudo_manifold`.
     """
 
@@ -65,6 +66,8 @@ class ExplicitTriangulation(Triangulation):
         if cells.min() < 0 or cells.max() >= len(self.points):
             raise TriangulationError("cell vertex id out of range")
         self.cells = np.sort(cells, axis=1)
+        if (self.cells[:, 1:] == self.cells[:, :-1]).any():
+            raise TriangulationError("cell with a repeated vertex id")
         keys = _row_keys(self.cells, len(self.points))
         if len(np.unique(keys)) != len(keys):
             raise TriangulationError("duplicate cells in input")

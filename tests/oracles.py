@@ -6,7 +6,8 @@ union-find sweeps, augmented merge trees by a union-find sweep over
 every vertex and neighbour, the contour tree by pruning one leaf at
 a time from a queue, persistent homology by full GF(2)
 boundary-matrix reduction, V-path acyclicity by explicit graph search,
-Morse-Smale segmentations by walking every simplex's V-path,
+Morse-Smale segmentations by walking every simplex's V-path, the
+deterministic V-paths out of an edge or facet by co-face queries,
 level-set components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, vertex links by a
 star walk, the discrete gradient by a per-simplex co-face scan, the
@@ -467,7 +468,7 @@ def walk_segmentations(tri, grad):
     Each vertex walks its (0, 1) V-path through ``tri.simplex_vertices``
     and each d-cell its (d-1, d) V-path through ``tri.cofaces``, one
     step at a time, with no memo; neither reads ``grad.verts`` or
-    ``grad.cofacets``.  A d-cell whose walk leaves through a boundary
+    ``tri.cofacet_ids``.  A d-cell whose walk leaves through a boundary
     facet is labelled -1.
     """
     d = tri.dim
@@ -486,6 +487,58 @@ def walk_segmentations(tri, grad):
             c = others[0] if others else -1
         asc.append(c)
     return np.array(desc, dtype=np.int64), np.array(asc, dtype=np.int64)
+
+
+# --------------------------------------------------------------------------
+# Deterministic V-path walks by per-simplex queries
+# --------------------------------------------------------------------------
+
+
+def _walks_down(grad, e):
+    """Descending (0, 1) V-paths from edge ``e``, one per vertex.  Each
+    step finds the edge paired above its vertex among ``tri.cofaces``
+    by ``pair_down[1]``, not ``pair_up[0]``, and crosses to that edge's
+    other vertex by ``tri.simplex_vertices``."""
+    tri = grad.tri
+    out = []
+    for v in tri.simplex_vertices(SimplexRef(1, e)):
+        pairs = []
+        while True:
+            up = [t for t in tri.cofaces(SimplexRef(0, v), 1)
+                  if grad.pair_down[1][t] == v]
+            if not up:
+                break
+            (edge,) = up
+            pairs.append((int(v), int(edge)))
+            v = next(u for u in tri.simplex_vertices(SimplexRef(1, edge))
+                     if u != v)
+        out.append(VPath(0, int(e), int(v), pairs))
+    return out
+
+
+def _walks_up(grad, sigma):
+    """Ascending (d-1, d) V-paths from facet ``sigma``, one per co-face,
+    walked with ``tri.cofaces``; ``upper`` is None where a walk leaves
+    the domain."""
+    tri, d = grad.tri, grad.tri.dim
+    out = []
+    for start in tri.cofaces(SimplexRef(d - 1, sigma), d):
+        pairs = []
+        tau, upper = start, None
+        while True:
+            low = int(grad.pair_down[d][tau])
+            if low < 0:
+                upper = int(tau)
+                break
+            pairs.append((low, int(tau)))
+            nxt = [c for c in tri.cofaces(SimplexRef(d - 1, low), d)
+                   if c != tau]
+            if not nxt:
+                break
+            tau = nxt[0]
+        pairs.reverse()
+        out.append(VPath(d - 1, upper, int(sigma), pairs))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -543,30 +596,6 @@ def star_simplices(tri, field, v, dim):
 # --------------------------------------------------------------------------
 # Saddle/maximum cancellation by rescanning every arc
 # --------------------------------------------------------------------------
-
-
-def _walks_up(grad, sigma):
-    """Ascending (d-1, d) V-paths from facet ``sigma``, one per co-face,
-    walked with ``tri.cofaces``."""
-    tri, d = grad.tri, grad.tri.dim
-    out = []
-    for start in tri.cofaces(SimplexRef(d - 1, sigma), d):
-        pairs = []
-        tau, upper = start, None
-        while True:
-            low = int(grad.pair_down[d][tau])
-            if low < 0:
-                upper = int(tau)
-                break
-            pairs.append((low, int(tau)))
-            nxt = [c for c in tri.cofaces(SimplexRef(d - 1, low), d)
-                   if c != tau]
-            if not nxt:
-                break
-            tau = nxt[0]
-        pairs.reverse()
-        out.append(VPath(d - 1, upper, int(sigma), pairs))
-    return out
 
 
 def _value(grad, dim, sid):

@@ -67,6 +67,14 @@ class TestExitCodes:
         path.write_text("1\n2\n3\n")
         assert main(["info", "--grid", "3x3", "--values", str(path)]) == 2
 
+    def test_cell_with_repeated_vertex(self, tmp_path):
+        mesh = tmp_path / "degenerate.off"
+        mesh.write_text(OCTA_OFF.replace("3 1 2 5", "3 1 1 5"))
+        values = tmp_path / "v.txt"
+        values.write_text("".join(f"{v}\n" for v in range(6)))
+        assert main(["critical-points", "--mesh", str(mesh), "--values",
+                     str(values), "-o", str(tmp_path / "cp.csv")]) == 2
+
     @pytest.mark.parametrize("fmt", ["ascii", "f64"])
     def test_nan_field(self, tmp_path, fmt):
         path = tmp_path / "nan.bin"

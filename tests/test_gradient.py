@@ -8,8 +8,8 @@ import pytest
 
 from conftest import EQUIVALENCE_DIMS, preconditioned, random_field, \
     tie_heavy_field
-from oracles import count_vpaths, steepest_coface_gradient, \
-    vpath_graph_acyclic
+from oracles import _walks_down, _walks_up, count_vpaths, \
+    steepest_coface_gradient, vpath_graph_acyclic
 from sftopo import (
     DiscreteGradient,
     ExplicitTriangulation,
@@ -22,8 +22,6 @@ from sftopo import (
     gradient_is_acyclic,
     pairing_is_valid,
     reverse_vpath,
-    trace_down_from_edge,
-    trace_up_from_facet,
 )
 from sftopo import gradient
 
@@ -104,6 +102,68 @@ class TestArrayKernel:
         assert not pairing_is_valid(g)
 
 
+def walks(grad, ascending, root):
+    """Node lists of ``gradient._walks`` out of ``root``."""
+    rows, via = gradient._walk_arrays(grad, ascending)
+    return gradient._walks(rows, via, root)
+
+
+def walk_pairs(grad, ascending, root):
+    """(end, pairs crossed in walk order) of each walk out of ``root``;
+    pairs are (face, co-face)."""
+    via = gradient._walk_arrays(grad, ascending)[1]
+    out = []
+    for nodes in walks(grad, ascending, root):
+        body = nodes[:-1]
+        faces = via[body].tolist()
+        out.append((nodes[-1], list(zip(faces, body)) if ascending
+                    else list(zip(body, faces))))
+    return out
+
+
+def oracle_pairs(grad, ascending, root):
+    """``walk_pairs`` read from the oracles' VPaths, -1 for no end."""
+    if ascending:
+        return [(-1 if p.upper is None else p.upper, p.pairs[::-1])
+                for p in _walks_up(grad, root)]
+    return [(p.lower, p.pairs) for p in _walks_down(grad, root)]
+
+
+class TestWalks:
+    """``gradient._walks`` equals the oracles' per-simplex walks out of
+    every edge (descending) and every facet (ascending), on raw and
+    compliant gradients."""
+
+    def assert_walks_match(self, tri, f):
+        g = build_gradient(tri, f)
+        for cancel in (False, True):
+            if cancel:
+                enforce_compliance(tri, f, g)
+            for ascending, k in ((False, 1), (True, tri.dim - 1)):
+                for root in range(tri.simplex_count(k)):
+                    assert walk_pairs(g, ascending, root) == \
+                        oracle_pairs(g, ascending, root), (ascending, root)
+
+    @pytest.mark.parametrize("dims", [(12, 9), (5, 4, 4)])
+    def test_grids_and_shuffled_explicit_copies(self, dims):
+        grid = ImplicitGridTriangulation(dims)
+        rng = np.random.default_rng(list(dims))
+        perm = rng.permutation(grid.simplex_count(0))
+        points = np.empty_like(grid.point_array())
+        points[perm] = grid.point_array()
+        copy = ExplicitTriangulation(points,
+                                     perm[grid.simplex_array(grid.dim)])
+        for tri in (grid, copy):
+            for make in (random_field, tie_heavy_field):
+                self.assert_walks_match(tri, make(tri, rng))
+
+    def test_closed_sphere(self, octahedron_sub2):
+        rng = np.random.default_rng(8)
+        for make in (random_field, tie_heavy_field):
+            self.assert_walks_match(octahedron_sub2,
+                                    make(octahedron_sub2, rng))
+
+
 class TestVPaths:
     def octa_compliant(self, octahedron):
         f = OrderField(TWO_MINIMA.copy())
@@ -115,22 +175,26 @@ class TestVPaths:
         f, g = self.octa_compliant(octahedron)
         crit = g.critical_simplices()
         assert crit[0] == [4, 5] and len(crit[1]) == 1 and len(crit[2]) == 1
-        paths = trace_down_from_edge(g, crit[1][0])
-        assert sorted(p.lower for p in paths) == [4, 5]
+        ends = [w[-1] for w in walks(g, False, crit[1][0])]
+        assert sorted(ends) == [4, 5]
 
     def test_saddle_walks_up_to_maximum(self, octahedron):
         f, g = self.octa_compliant(octahedron)
         crit = g.critical_simplices()
-        paths = trace_up_from_facet(g, crit[1][0])
-        assert len(paths) == 2
-        assert all(p.upper == crit[2][0] for p in paths)
+        ends = [w[-1] for w in walks(g, True, crit[1][0])]
+        assert ends == [crit[2][0]] * 2
 
     def test_walk_structure(self, octahedron):
+        """Each walk up starts at a co-face of the saddle, goes on from
+        every cell to the other co-face of the facet paired below it,
+        and ends at a critical cell."""
         f, g = self.octa_compliant(octahedron)
-        crit = g.critical_simplices()
-        for p in trace_up_from_facet(g, crit[1][0]):
-            for low, high in p.pairs:
-                assert g.pair_down[2][high] == low
+        sigma = g.critical_ids(1)[0]
+        for nodes in walks(g, True, sigma):
+            faces = [sigma] + g.pair_down[2][nodes[:-1]].tolist()
+            for face, cell in zip(faces, nodes):
+                assert cell in octahedron.cofaces(SimplexRef(1, face), 2)
+            assert g.is_critical(2, nodes[-1])
 
     def test_cancellation_locality(self, octahedron):
         f, g = self.octa_compliant(octahedron)
@@ -160,10 +224,11 @@ class TestVPaths:
                     assert got.upper == t and got.lower == e
 
     def test_deep_walks_need_no_recursion(self):
-        """Counting and the first-path read follow V-paths longer than
-        the recursion limit, without raising it.  On a long strip with
-        minima at both ends, the saddle edges descend to each minimum by
-        one walk of about half the strip's length."""
+        """Counting, the first-path read and the deterministic walk
+        follow V-paths longer than the recursion limit, without raising
+        it.  On a long strip with minima at both ends, the saddle edges
+        descend to each minimum by one walk of about half the strip's
+        length."""
         limit = sys.getrecursionlimit()
         n = 2 * limit + 400
         tri = ImplicitGridTriangulation((n, 2))
@@ -177,10 +242,10 @@ class TestVPaths:
             memo = {}
             assert gradient._vpath_counts(g, 0, e, set(lows), memo) == \
                 {0: 1, n - 1: 1}
-            for walk in trace_down_from_edge(g, e):
-                path = gradient._first_vpath(g, 0, e, walk.lower, memo)
+            for end, pairs in walk_pairs(g, False, e):
+                path = gradient._first_vpath(g, 0, e, end, memo)
                 assert len(path.pairs) > limit
-                assert path.pairs == walk.pairs
+                assert path.pairs == pairs
         assert sys.getrecursionlimit() == limit
 
     def test_first_path_is_the_depth_first_path(self):

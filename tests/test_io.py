@@ -52,10 +52,15 @@ class TestOff:
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "arity"),
         ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n4 0 1 2 3\n",
          "mixed"),
+        ("OFF\n-1 1 0\n3 0 1 2\n", "negative"),
+        (b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 \xff\n3 0 1 2\n", "not a text"),
     ])
     def test_parse_errors(self, tmp_path, body, needle):
         path = tmp_path / "bad.off"
-        path.write_text(body)
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
         with pytest.raises(DataError, match=needle):
             read_off(str(path))
 
@@ -84,6 +89,20 @@ class TestFieldFiles:
         values = np.random.default_rng(0).random(50)
         write_field(str(path), values, "ascii")
         assert np.array_equal(read_field(str(path)), values)
+
+    @pytest.mark.parametrize("read,body,needle", [
+        (read_field, b"1.0\n\xff\xfe\n", "not a text file"),
+        (read_offsets, b"1\n\xff\xfe\n", "not a text file"),
+        (read_offsets, b"1\n99999999999999999999\n", "line 2: outside int64"),
+        (read_offsets, b"-9223372036854775809\n", "line 1: outside int64"),
+        (lambda p: read_field(p, "f64"), bytes(12), "not a whole number"),
+        (lambda p: read_field(p, "f32"), bytes(6), "not a whole number"),
+    ])
+    def test_read_errors(self, tmp_path, read, body, needle):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(body)
+        with pytest.raises(DataError, match=needle):
+            read(str(path))
 
     def test_offsets(self, tmp_path):
         path = tmp_path / "o.txt"

@@ -303,6 +303,13 @@ class TestExplicit:
         with pytest.raises(TriangulationError):
             ExplicitTriangulation(p, np.vstack([c, c[:1]]))
 
+    @pytest.mark.parametrize("cell", [[0, 0, 1], [4, 2, 4], [0, 1, 1, 2]])
+    def test_repeated_vertex_rejected(self, cell):
+        p, c = octahedron_mesh()
+        cells = [cell] if len(cell) == 4 else np.vstack([c, [cell]])
+        with pytest.raises(TriangulationError, match="repeated vertex"):
+            ExplicitTriangulation(p, cells)
+
     def test_pseudo_manifold_violation(self):
         t = precondition_all(ExplicitTriangulation(*non_manifold_fan()))
         assert validate_pseudo_manifold(t)
