@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -196,6 +197,8 @@ def _cmd_morse_smale(args):
 
 
 def _cmd_simplify(args):
+    if math.isnan(args.threshold):
+        raise _UsageError("--threshold must be a number, got nan")
     tri, field = _load(args)
     req = select_by_persistence(_diagram(tri, field),
                                 args.threshold)

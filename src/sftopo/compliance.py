@@ -11,8 +11,9 @@ critical simplices joined by exactly one V-path, first saddle/maximum
 pairs, then (in 3D) saddle/saddle pairs.  A cancellation may consume a
 matched simplex as long as the owning critical point can be re-matched
 to another simplex of its star, so the matching is fluid during
-cleanup.  A re-match that fails is rolled back from an undo log of the
-entries it changed.
+cleanup.  A cancelled pair has at most one matched end (see below), so
+a release re-matches at most one slot, and a re-match that fails
+writes nothing.
 
 The stage reads only arrays: the gradient's, and the boundary flags
 and triangle co-faces that the triangulation stores for every field.
@@ -57,14 +58,16 @@ Two facts let the heap drop an arc for good, so that popping arcs in
 order cancels the same pairs as a full rescan and sort after every
 cancellation would:
 
-- Matched status only grows.  ``_Matching.release`` unmatches just the
-  two simplices it cancels; the rest of an augmenting path hands each
+- Matched status only grows.  ``_Matching.release`` unmatches only a
+  simplex it cancels; the rest of an augmenting path hands each
   simplex on to a new holder, so a critical simplex, once matched,
   stays matched until it is cancelled.  An arc with both ends matched
-  never qualifies again.
+  never qualifies again, so a release holds at most one of its two
+  simplices.
 - A release that fails never succeeds later.  The matched slots never
-  change after the initial matching (a release re-matches every slot it
-  displaces, or rolls back), and Kuhn's search finds a re-match exactly
+  change after the initial matching (a release re-matches the one slot
+  it displaces, or changes nothing, since Kuhn's search writes only
+  along a path that succeeds), and the search finds a re-match exactly
   when some matching of the critical simplices, without the two
   released ones, covers those slots.  Cancellations only remove
   critical simplices, so if no such matching exists now, none exists
@@ -132,9 +135,6 @@ def _critical_stars(grad: DiscreteGradient, k: int):
     return sids[member[order]].tolist(), [0] + ends.tolist()
 
 
-_MISSING = object()
-
-
 class _Matching:
     """Bipartite matching of critical-point slots to critical simplices.
 
@@ -158,19 +158,8 @@ class _Matching:
             self.slots += [(cp, star)] * cp.multiplicity
         self.slot_of = {}   # (dim, sid) -> slot index
         self.sid_of = {}    # slot index -> sid
-        self._undo = None   # (table, key, old value) while releasing
         for i in range(len(self.slots)):
             self._augment(i, set())
-
-    def _put(self, table, key, value):
-        if self._undo is not None:
-            self._undo.append((table, key, table.get(key, _MISSING)))
-        table[key] = value
-
-    def _drop(self, table, key):
-        old = table.pop(key)
-        if self._undo is not None:
-            self._undo.append((table, key, old))
 
     def _candidates(self, i):
         cp, star = self.slots[i]
@@ -178,6 +167,8 @@ class _Matching:
                 if self.grad.is_critical(cp.index, s)]
 
     def _augment(self, i, banned, seen=None) -> bool:
+        """Match slot ``i`` by an augmenting path that avoids ``banned``;
+        only a search that returns True writes."""
         if seen is None:
             seen = set()
         for key in self._candidates(i):
@@ -188,38 +179,29 @@ class _Matching:
             if holder is None or self._augment(holder, banned, seen):
                 old = self.sid_of.get(i)
                 if old is not None and self.slot_of.get(old) == i:
-                    self._drop(self.slot_of, old)
-                self._put(self.slot_of, key, i)
-                self._put(self.sid_of, i, key)
+                    del self.slot_of[old]
+                self.slot_of[key] = i
+                self.sid_of[i] = key
                 return True
         return False
 
     def release(self, dims_sids) -> bool:
-        """Try to re-route the matching away from the given simplices.
+        """Unmatch the given simplices: True if none is matched, or if
+        the one matched simplex's slot found another simplex.
 
-        Returns True (and commits) if every displaced slot found a new
-        simplex; otherwise the logged changes are undone, newest first,
-        and the matching is restored unchanged.
+        On False the matching is unchanged.  Two matched simplices give
+        False without a search: the heap never releases such an arc.
         """
-        banned = set(dims_sids)
-        self._undo = []
-        try:
-            for key in banned:
-                i = self.slot_of.get(key)
-                if i is None:
-                    continue
-                self._drop(self.slot_of, key)
-                self._drop(self.sid_of, i)
-                if not self._augment(i, banned):
-                    for table, k, old in reversed(self._undo):
-                        if old is _MISSING:
-                            del table[k]
-                        else:
-                            table[k] = old
-                    return False
+        held = [key for key in dims_sids if key in self.slot_of]
+        if len(held) != 1:
+            return not held
+        key = held[0]
+        i = self.slot_of.pop(key)
+        del self.sid_of[i]
+        if self._augment(i, set(dims_sids)):
             return True
-        finally:
-            self._undo = None
+        self.slot_of[key], self.sid_of[i] = i, key
+        return False
 
     def is_matched(self, dim, sid) -> bool:
         return (dim, sid) in self.slot_of

@@ -304,9 +304,6 @@ def reverse_vpath(grad: DiscreteGradient, path: VPath) -> None:
     k = path.dim
     lows = [l for l, _ in path.pairs] + [path.lower]
     highs = [path.upper] + [h for _, h in path.pairs]
-    for l, h in path.pairs:
-        grad.pair_up[k][l] = -1
-        grad.pair_down[k + 1][h] = -1
     for l, h in zip(lows, highs):
         grad.pair_up[k][l] = h
         grad.pair_down[k + 1][h] = l

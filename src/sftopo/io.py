@@ -43,7 +43,8 @@ def read_off(path: str):
     """Parse an ASCII OFF file into (points, cells) arrays.
 
     Faces may be triangles or tetrahedra (OFF is commonly abused for
-    the latter); all faces in one file must have the same arity.
+    the latter); all faces in one file must have the same arity, and
+    every vertex must lie in some face.
     """
     stream = ((ln, body.split()) for ln, body in _lines(path))
     try:
@@ -108,7 +109,12 @@ def read_off(path: str):
         if any(v < 0 or v >= nv for v in row[1:]):
             raise DataError(f"{path}: line {ln}: vertex index out of range")
         cells.append(row[1:])
-    return points, np.asarray(cells, dtype=np.int64)
+    cells = np.asarray(cells, dtype=np.int64)
+    unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=nv) == 0)
+    if len(unused):
+        raise DataError(f"{path}: {len(unused)} of {nv} vertices lie in "
+                        f"no face, the first is vertex {unused[0]}")
+    return points, cells
 
 
 def read_field(path: str, fmt: str = "ascii") -> np.ndarray:

@@ -107,46 +107,29 @@ def _classes(gdim):
 
 
 @lru_cache(maxsize=None)
-def _face_stencils(gdim):
-    """stencil[(i, ci, k)] = [(ck, delta), ...] for the k-faces."""
+def _incidences(gdim):
+    """incidences[(i, ci, l)] = [(cl, delta), ...]: the l-faces (l < i)
+    or l-co-faces (l > i) of class ci's i-simplex, each a class placed
+    at an anchor delta in {-1, 0, 1}^gdim from the simplex's anchor.
+
+    A placed simplex is a face when its offset set is a proper subset
+    of the simplex's, and a co-face when it is a proper superset.
+    """
     classes = _classes(gdim)
-    index = [
-        {c.offsets: j for j, c in enumerate(dim_classes)}
-        for dim_classes in classes
+    placed = [
+        (l, cl, delta, {tuple(map(operator.add, o, delta))
+                        for o in cls.offsets})
+        for l, dim_classes in enumerate(classes)
+        for cl, cls in enumerate(dim_classes)
+        for delta in product((-1, 0, 1), repeat=gdim)
     ]
     out = {}
-    for i in range(1, gdim + 1):
-        for ci, cls in enumerate(classes[i]):
-            for k in range(i):
-                entries = []
-                for sub in combinations(cls.offsets, k + 1):
-                    offs, delta = _normalize(sub)
-                    entries.append((index[k][offs], delta))
-                out[(i, ci, k)] = entries
-    return out
-
-
-@lru_cache(maxsize=None)
-def _coface_stencils(gdim):
-    """stencil[(i, ci, l)] = [(cl, delta), ...]; delta in {-1, 0}^gdim."""
-    classes = _classes(gdim)
-    out = {}
-    deltas = list(product((-1, 0), repeat=gdim))
-    for i in range(gdim):
-        for ci, cls in enumerate(classes[i]):
+    for i, dim_classes in enumerate(classes):
+        for ci, cls in enumerate(dim_classes):
             mine = set(cls.offsets)
-            for l in range(i + 1, gdim + 1):
-                entries = []
-                for cl, cand in enumerate(classes[l]):
-                    cand_offs = set(cand.offsets)
-                    for delta in deltas:
-                        shifted = {
-                            tuple(o[a] - delta[a] for a in range(gdim))
-                            for o in mine
-                        }
-                        if shifted <= cand_offs:
-                            entries.append((cl, delta))
-                out[(i, ci, l)] = entries
+            for l, cl, delta, offs in placed:
+                if offs < mine or offs > mine:
+                    out.setdefault((i, ci, l), []).append((cl, delta))
     return out
 
 
@@ -161,7 +144,7 @@ def _link_stencil(gdim):
     classes = _classes(gdim)
     index = {c.offsets: j for j, c in enumerate(classes[gdim - 1])}
     out = []
-    for cl, delta in _coface_stencils(gdim)[(0, 0, gdim)]:
+    for cl, delta in _incidences(gdim)[(0, 0, gdim)]:
         me = tuple(-x for x in delta)
         offs, lo = _normalize(
             [o for o in classes[gdim][cl].offsets if o != me])
@@ -237,18 +220,19 @@ class ImplicitGridTriangulation(Triangulation):
         ]
         # faces[k][ci][j], cofaces[k][ci][l], link: formulas in id order;
         # co-face and link formulas carry the border bits that rule them out
-        faces, cofaces = _face_stencils(d), _coface_stencils(d)
+        incidences = _incidences(d)
         self._faces = [
-            [[self._formulas(j, faces[(k, ci, j)]) for j in range(k)]
+            [[self._formulas(j, incidences[(k, ci, j)]) for j in range(k)]
              for ci in range(len(classes[k]))]
             for k in range(d + 1)
         ]
-        self._cofaces = [[{} for _ in classes[k]] for k in range(d)]
-        for (k, ci, l), entries in cofaces.items():
-            self._cofaces[k][ci][l] = self._formulas(l, [
-                (cl, delta, self._forbidden(l, cl, delta))
-                for cl, delta in entries
-            ])
+        self._cofaces = [
+            [{l: self._formulas(l, [(cl, delta, self._forbidden(l, cl, delta))
+                                    for cl, delta in incidences[(k, ci, l)]])
+              for l in range(k + 1, d + 1)}
+             for ci in range(len(classes[k]))]
+            for k in range(d)
+        ]
         self._link = self._formulas(d - 1, [
             (fc, fdelta, self._forbidden(d, cl, delta))
             for cl, delta, fc, fdelta in _link_stencil(d)

@@ -75,6 +75,20 @@ class TestExitCodes:
         assert main(["critical-points", "--mesh", str(mesh), "--values",
                      str(values), "-o", str(tmp_path / "cp.csv")]) == 2
 
+    def test_vertex_in_no_face(self, tmp_path):
+        mesh = tmp_path / "unused.off"
+        mesh.write_text(OCTA_OFF.replace("6 8 12", "7 8 12")
+                        .replace("0 0 -1\n", "0 0 -1\n5 5 5\n"))
+        values = tmp_path / "v.txt"
+        values.write_text("".join(f"{v}\n" for v in range(7)))
+        assert main(["check", "--mesh", str(mesh), "--values",
+                     str(values)]) == 2
+
+    def test_nan_threshold(self, f0_file, tmp_path):
+        out = str(tmp_path / "s.txt")
+        assert main(["simplify", "--threshold", "nan", "-o", out]
+                    + f0_args(f0_file)) == 1
+
     @pytest.mark.parametrize("fmt", ["ascii", "f64"])
     def test_nan_field(self, tmp_path, fmt):
         path = tmp_path / "nan.bin"

@@ -243,9 +243,34 @@ class TestHeapCancellation:
             assert_same_outcome(got, g, want, ref)
             assert sum(k == 1 for k, _, _ in got.cancelled) > 50
 
+    def test_release_holds_at_most_one_end(self, monkeypatch,
+                                           octahedron_sub2):
+        """The heap never releases an arc with both ends matched, so a
+        release re-matches at most one slot."""
+        release = compliance._Matching.release
+        held = []
+
+        def counted(matching, dims_sids):
+            held.append(sum(key in matching.slot_of for key in dims_sids))
+            return release(matching, dims_sids)
+
+        monkeypatch.setattr(compliance._Matching, "release", counted)
+        cases = list(array_cases(octahedron_sub2))
+        rng = np.random.default_rng(23)
+        for dims in ((24, 24), (6, 6, 6)):
+            tri = ImplicitGridTriangulation(dims)
+            cases += [(tri, make(tri, rng))
+                      for make in (random_field, tie_heavy_field)]
+        for tri, f in cases:
+            enforce_compliance(tri, f, build_gradient(tri, f))
+        assert set(held) == {0, 1}
+
     def test_failed_release_never_succeeds_later(self, monkeypatch):
         """The heap drops an arc whose release fails; a later attempt,
-        after every cancellation, fails too and changes nothing."""
+        after every cancellation, fails too and changes nothing.  A
+        later call may find both ends matched, which ``release`` refuses
+        without a search, so the general search of
+        ``oracles._copying_release`` is run on every call as well."""
         release = compliance._Matching.release
         failed = []
 
@@ -265,6 +290,7 @@ class TestHeapCancellation:
         for matching, dims_sids in failed:
             before = (dict(matching.slot_of), dict(matching.sid_of))
             assert not release(matching, dims_sids)
+            assert not oracles._copying_release(matching, dims_sids)
             assert (matching.slot_of, matching.sid_of) == before
 
 

@@ -53,6 +53,8 @@ class TestOff:
         ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n4 0 1 2 3\n",
          "mixed"),
         ("OFF\n-1 1 0\n3 0 1 2\n", "negative"),
+        ("OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n5 5 5\n3 0 1 2\n",
+         "vertex 3"),
         (b"OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 \xff\n3 0 1 2\n", "not a text"),
     ])
     def test_parse_errors(self, tmp_path, body, needle):
