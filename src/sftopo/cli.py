@@ -234,10 +234,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SFTOPO_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    name = os.environ.get("SFTOPO_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(name.upper()), int):
+        print(f"sftopo: error: SFTOPO_LOG must name a logging level, "
+              f"got {name!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=name.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -31,12 +31,18 @@ an older trace, or with an end that is no longer critical, are skipped
 when popped.  Only the trace differs by class:
 
 - Saddle/maximum: a root is a critical (d-1)-simplex, traced by the
-  ends of its ascending walks (the gradient module's ``_walks``) at
-  critical d-cells.  Only walks through a reversed cell can change, and
-  since the next step of a walk depends on its current cell alone,
-  every walk through the reversed path ends at the cancelled cell.  So
-  a root's walks stay as traced until it is retraced, and a
-  cancellation walks its one path again.
+  ends of its ascending walks at critical d-cells.  Only walks through
+  a reversed cell can change, and since the next step of a walk
+  depends on its current cell alone, every walk through the reversed
+  path ends at the cancelled cell.  So a root's walks stay as traced
+  until it is retraced, and a cancellation walks its one path again
+  (the gradient module's ``_walks``).  The ends themselves are
+  union-find classes: every d-cell starts in the class of its
+  ``ascending_segmentation`` label, and reversing the path from
+  ``sigma`` to ``tau`` sends exactly the cells whose walk ended at
+  ``tau`` on through ``sigma`` to wherever the walk from ``sigma``'s
+  other co-face ends, which is one link from ``tau``'s class to that
+  one.  A trace is then two ``find`` calls.
 - Saddle/saddle (3D): a root is an interior critical triangle, traced
   by counting its descending (1, 2) V-paths to the interior critical
   edges, with one memo of per-triangle counts shared by all roots.
@@ -98,6 +104,7 @@ from .gradient import (
     _walks,
     reverse_vpath,
 )
+from .morse import ascending_segmentation
 from .order import OrderField
 from .triangulation import Triangulation
 
@@ -313,22 +320,41 @@ def _cancel_facet_pairs(grad, matching) -> list:
     are joined by exactly one V-path, at least one end is spurious, and
     any matched end can be re-matched elsewhere.
 
-    Roots are the interior critical facets, traced by the ends of their
-    ascending walks; a cancellation walks the one path it reverses again.
+    Roots are the interior critical facets, traced by the current ends
+    of their co-faces' ascending walks.  These are union-find roots: the
+    ``parent`` of a d-cell starts as its ``ascending_segmentation``
+    label, and one extra node, ``outside``, stands for the walks that
+    leave the domain, which end nowhere.  A cancellation walks the one
+    path it reverses again and links the class of its maximum ``tau``
+    to that of ``sigma``'s other co-face.
     """
     d = grad.tri.dim
     rows, via = _walk_arrays(grad, True)
     boundary = matching.boundary[d]
+    parent = ascending_segmentation(grad)
+    outside = len(parent)
+    parent[parent < 0] = outside
+    parent = parent.tolist() + [outside]
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def trace(sigma):
-        ends = [w[-1] for w in _walks(rows, via, sigma) if w[-1] >= 0]
+        ends = [find(c) for c in rows[sigma].tolist() if c >= 0]
+        ends = [tau for tau in ends if tau != outside]
         return ends, [tau for tau in ends
                       if ends.count(tau) == 1 and not boundary[tau]]
 
     def cancel(sigma, tau):
-        cells = next(w for w in _walks(rows, via, sigma) if w[-1] == tau)[:-1]
+        walks = _walks(rows, via, sigma)
+        path = next(w for w in walks if w[-1] == tau)
+        other = next(w[0] for w in walks if w is not path)
+        cells = path[:-1]
         pairs = list(zip(via[cells].tolist(), cells))[::-1]
         reverse_vpath(grad, VPath(d - 1, tau, sigma, pairs))
+        parent[tau] = find(other)
 
     return _cancel_by_heap(grad, matching, d - 1, d - 1,
                            _interior_ids(matching, d - 1), trace, cancel)

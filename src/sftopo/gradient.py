@@ -23,10 +23,12 @@ lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  The descending (0, 1) and ascending (d-1, d)
 walks are deterministic and share one shape, a pair ``(rows, via)``:
 a step from node ``x`` crosses row ``via[x]`` to its other entry.
-``_walks`` follows it from one root and ``_successors`` takes it for
-every node at once.  Other descending walks branch; they read the
-triangulation's ``facet_ids``, each row sorted so that children come in
-ascending id order, so no walk queries the triangulation per simplex.
+``_walks`` follows it from one root, ``_successors`` takes it for
+every node at once, and ``_lockstep_walks`` follows the walks out of
+many roots together, one gather per step.  Other descending walks
+branch; they read the triangulation's ``facet_ids``, each row sorted so
+that children come in ascending id order, so no walk queries the
+triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion.  Acyclicity is checked on the same arrays, by
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .order import OrderField
+from .order import OrderField, _pointer_jump
 from .triangulation import Triangulation
 
 
@@ -200,6 +202,43 @@ def _successors(rows, via) -> np.ndarray:
     other = np.where(a == x, b, a)
     nxt[x] = np.where(other < 0, n, other)
     return nxt
+
+
+def _lockstep_walks(rows, via, roots) -> tuple:
+    """``_walks`` out of every root at once: ``(owner, ends, bounds, body)``.
+
+    Walk ``i`` starts at an entry of ``rows[roots[owner[i]]]``, in root
+    then row order.  Its nodes are ``body[bounds[i]:bounds[i + 1]]``
+    followed by ``ends[i]``, -1 where it leaves the domain.  The ends
+    come from pointer doubling, which refuses a closed V-path with
+    ``ValueError``; the bodies then advance in lock-step, one gather
+    per round over the walks still going, and are placed by step.
+    """
+    nxt = _successors(rows, via)
+    n = len(via)
+    entries = rows[np.asarray(roots, dtype=np.int64)]
+    keep = entries >= 0                 # rows are padded at the end
+    owner = np.nonzero(keep)[0]
+    cur = entries[keep]
+    ends = _pointer_jump(nxt)[cur]
+    ends[ends == n] = -1
+    walk = np.arange(len(cur))
+    walks, nodes = [], []
+    while True:            # ends, since no walk closes into a cycle
+        going = nxt[cur] != cur
+        walk, cur = walk[going], cur[going]
+        walks.append(walk)
+        nodes.append(cur)
+        if not len(walk):
+            break
+        cur = nxt[cur]
+    step = np.repeat(np.arange(len(walks)), [len(w) for w in walks])
+    walk = np.concatenate(walks)
+    bounds = np.zeros(len(owner) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(walk, minlength=len(owner)), out=bounds[1:])
+    body = np.empty(len(walk), dtype=np.int64)
+    body[bounds[walk] + step] = np.concatenate(nodes)
+    return owner, ends, bounds, body
 
 
 def _descend_children(grad, dim, high):

@@ -6,8 +6,11 @@ with the maximum its inverse path reaches (cells whose walk drains
 through the boundary get label -1).  Both are pointer doubling over the
 gradient module's ``_successors`` step.  Separatrices are emitted as
 barycentric polylines: minimum/saddle and saddle/maximum curves follow
-``_walks`` out of every critical edge and facet, and (3D) saddle/saddle
-connectors the first descending (1, 2) V-path.
+the walks out of every critical edge and facet, taken for all roots at
+once by ``_lockstep_walks``, and (3D) saddle/saddle connectors the
+first descending (1, 2) V-path.  The points of each kind of curve fill
+one buffer, placed by index arithmetic, with one barycentre gather per
+dimension over only the simplices the polylines use.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import numpy as np
 from .gradient import (
     DiscreteGradient,
     _first_vpath,
+    _lockstep_walks,
     _successors,
     _vpath_counts,
     _walk_arrays,
-    _walks,
 )
 from .order import _pointer_jump
 
@@ -62,58 +65,75 @@ class Separatrix:
     points: np.ndarray
 
 
-def _polyline(head, odd, even, tail=None) -> np.ndarray:
-    """Rows ``head, odd[0], even[0], odd[1], even[1], ..., tail``."""
-    m = len(odd)
-    out = np.empty((2 * m + 1 + (tail is not None), 3))
-    out[0] = head
-    out[1:2 * m:2] = odd
-    out[2:2 * m + 1:2] = even
-    if tail is not None:
-        out[-1] = tail
-    return out
+def _centers(grad, k, ids) -> np.ndarray:
+    """Barycentres of the k-simplices ``ids``; vertex positions for k=0."""
+    points = grad.tri.point_array()
+    return points[ids] if k == 0 else points[grad.verts[k][ids]].mean(axis=1)
+
+
+def _polylines(grad, a, b, heads, bounds, odd, even, tails) -> list:
+    """Polyline ``i`` is ``heads[i]``, then ``odd[j], even[j]`` for ``j``
+    in ``bounds[i]:bounds[i + 1]``, then ``tails[i]`` unless it is -1.
+
+    Heads and ``even`` are a-simplices, ``odd`` and tails b-simplices.
+    Each polyline is a slice of one ``(N, 3)`` buffer whose rows are
+    placed by index arithmetic and filled by one barycentre gather per
+    dimension.
+    """
+    lengths = np.diff(bounds)
+    tailed = tails >= 0
+    starts = np.zeros(len(heads) + 1, dtype=np.int64)
+    np.cumsum(1 + 2 * lengths + tailed, out=starts[1:])
+    ids = np.empty(starts[-1], dtype=np.int64)
+    in_b = np.zeros(starts[-1], dtype=bool)
+    ids[starts[:-1]] = heads
+    at = np.repeat(starts[:-1] + 1 - 2 * bounds[:-1], lengths) \
+        + 2 * np.arange(len(odd))
+    ids[at], ids[at + 1], in_b[at] = odd, even, True
+    at = starts[1:][tailed] - 1
+    ids[at], in_b[at] = tails[tailed], True
+    buf = np.empty((len(ids), 3))
+    buf[~in_b] = _centers(grad, a, ids[~in_b])
+    buf[in_b] = _centers(grad, b, ids[in_b])
+    starts = starts.tolist()
+    return [buf[i:j] for i, j in zip(starts[:-1], starts[1:])]
 
 
 def extract_separatrices(grad: DiscreteGradient) -> list:
     """All 1-separatrices of the gradient, deterministic order.
 
     Saddle/extremum curves follow the unique walks out of every
-    critical (d-1)-simplex (up) and critical edge (down); in 3D one
-    representative connector polyline is emitted per critical
-    triangle/edge V-path family (the first path in depth-first order).
-    Polyline points are vertex positions and simplex barycenters, the
-    latter taken for every simplex at once from ``point_array``.
+    critical (d-1)-simplex (up) and critical edge (down), all taken at
+    once by ``_lockstep_walks``; in 3D one representative connector
+    polyline is emitted per critical triangle/edge V-path family (the
+    first path in depth-first order).  Polyline points are vertex
+    positions and simplex barycentres, gathered only for the simplices
+    the polylines use.
     """
     d = grad.tri.dim
-    points = grad.tri.point_array()
-    center = [points] + [points[rows].mean(axis=1) for rows in grad.verts[1:]]
-
-    def ids(seq):
-        return np.array(seq, dtype=np.int64)
-
     out = []
     for kind, k, node_dim in (("min-saddle", 1, 0), ("saddle-max", d - 1, d)):
         rows, via = _walk_arrays(grad, node_dim == d)
-        for root in grad.critical_ids(k):
-            for nodes in _walks(rows, via, root):
-                end, body = nodes[-1], ids(nodes[:-1])
-                target = tail = None
-                if end >= 0:
-                    target, tail = (node_dim, end), center[node_dim][end]
-                out.append(Separatrix(
-                    kind, (k, root), target,
-                    _polyline(center[k][root], center[node_dim][body],
-                              center[k][via[body]], tail)))
+        roots = np.array(grad.critical_ids(k), dtype=np.int64)
+        owner, ends, bounds, body = _lockstep_walks(rows, via, roots)
+        sources = roots[owner]
+        lines = _polylines(grad, k, node_dim, sources, bounds, body,
+                           via[body], ends)
+        out += [Separatrix(kind, (k, s), (node_dim, t) if t >= 0 else None, p)
+                for s, t, p in zip(sources.tolist(), ends.tolist(), lines)]
     if d == 3:
         targets = set(grad.critical_ids(1))
         memo = {}
+        arcs, pairs, bounds = [], [], [0]
         for tau in grad.critical_ids(2):
             for e in sorted(_vpath_counts(grad, 1, tau, targets, memo)):
-                pairs = _first_vpath(grad, 1, tau, e, memo).pairs
-                lows, highs = ids(pairs).reshape(-1, 2).T
-                out.append(Separatrix(
-                    "saddle-saddle", (2, tau), (1, e),
-                    _polyline(center[2][tau], center[1][lows],
-                              center[2][highs], center[1][e])))
+                arcs.append((tau, e))
+                pairs += _first_vpath(grad, 1, tau, e, memo).pairs
+                bounds.append(len(pairs))
+        arcs = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        lines = _polylines(grad, 2, 1, arcs[:, 0], np.array(bounds),
+                           pairs[:, 0], pairs[:, 1], arcs[:, 1])
+        out += [Separatrix("saddle-saddle", (2, tau), (1, e), p)
+                for (tau, e), p in zip(arcs.tolist(), lines)]
     return out
-

@@ -6,7 +6,8 @@ union-find sweeps, augmented merge trees by a union-find sweep over
 every vertex and neighbour, the contour tree by pruning one leaf at
 a time from a queue, persistent homology by full GF(2)
 boundary-matrix reduction, V-path acyclicity by explicit graph search,
-Morse-Smale segmentations by walking every simplex's V-path, the
+Morse-Smale segmentations by walking every simplex's V-path,
+separatrices by one walk per critical simplex, the
 deterministic V-paths out of an edge or facet by co-face queries,
 level-set components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, vertex links by a
@@ -25,8 +26,9 @@ import numpy as np
 
 from sftopo import ContourTree, DomainTopologyError, MergeTree, \
     SimplexRef, compliance, extract_critical_points
-from sftopo.gradient import VPath, _vpath_counts, extract_vpath, \
-    reverse_vpath
+from sftopo.gradient import VPath, _first_vpath, _vpath_counts, \
+    _walk_arrays, _walks, extract_vpath, reverse_vpath
+from sftopo.morse import Separatrix
 from sftopo.trees import _check_simply_connected
 
 
@@ -487,6 +489,61 @@ def walk_segmentations(tri, grad):
             c = others[0] if others else -1
         asc.append(c)
     return np.array(desc, dtype=np.int64), np.array(asc, dtype=np.int64)
+
+
+# --------------------------------------------------------------------------
+# Separatrices by one walk per critical simplex
+# --------------------------------------------------------------------------
+
+
+def _polyline(head, odd, even, tail=None):
+    """Rows ``head, odd[0], even[0], odd[1], even[1], ..., tail``."""
+    m = len(odd)
+    out = np.empty((2 * m + 1 + (tail is not None), 3))
+    out[0] = head
+    out[1:2 * m:2] = odd
+    out[2:2 * m + 1:2] = even
+    if tail is not None:
+        out[-1] = tail
+    return out
+
+
+def walk_separatrices(grad):
+    """``extract_separatrices`` root by root: ``gradient._walks`` out of
+    every critical edge and facet, and one ``_first_vpath`` per 3D
+    connector, each polyline cut from barycentres of every simplex."""
+    d = grad.tri.dim
+    points = grad.tri.point_array()
+    center = [points] + [points[rows].mean(axis=1) for rows in grad.verts[1:]]
+
+    def ids(seq):
+        return np.array(seq, dtype=np.int64)
+
+    out = []
+    for kind, k, node_dim in (("min-saddle", 1, 0), ("saddle-max", d - 1, d)):
+        rows, via = _walk_arrays(grad, node_dim == d)
+        for root in grad.critical_ids(k):
+            for nodes in _walks(rows, via, root):
+                end, body = nodes[-1], ids(nodes[:-1])
+                target = tail = None
+                if end >= 0:
+                    target, tail = (node_dim, end), center[node_dim][end]
+                out.append(Separatrix(
+                    kind, (k, root), target,
+                    _polyline(center[k][root], center[node_dim][body],
+                              center[k][via[body]], tail)))
+    if d == 3:
+        targets = set(grad.critical_ids(1))
+        memo = {}
+        for tau in grad.critical_ids(2):
+            for e in sorted(_vpath_counts(grad, 1, tau, targets, memo)):
+                pairs = _first_vpath(grad, 1, tau, e, memo).pairs
+                lows, highs = ids(pairs).reshape(-1, 2).T
+                out.append(Separatrix(
+                    "saddle-saddle", (2, tau), (1, e),
+                    _polyline(center[2][tau], center[1][lows],
+                              center[2][highs], center[1][e])))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -84,6 +84,12 @@ class TestExitCodes:
         assert main(["check", "--mesh", str(mesh), "--values",
                      str(values)]) == 2
 
+    def test_unknown_log_level(self, f0_file, monkeypatch, capsys):
+        monkeypatch.setenv("SFTOPO_LOG", "bogus")
+        assert main(["info"] + f0_args(f0_file)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "SFTOPO_LOG" in err
+
     def test_nan_threshold(self, f0_file, tmp_path):
         out = str(tmp_path / "s.txt")
         assert main(["simplify", "--threshold", "nan", "-o", out]

@@ -3,10 +3,12 @@
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from conftest import preconditioned, random_field, tie_heavy_field, \
     two_bump_field
+from test_gradient import closed_vpath, ring
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
@@ -86,6 +88,15 @@ class TestEnforcement:
         assert not report.match_failures
         assert n_after <= n_before
         assert gradient_is_acyclic(g)
+
+
+def test_compliance_refuses_closed_vpaths():
+    """A (1, 2) loop around the interior vertex of a 3x3 grid makes the
+    saddle/maximum class raise instead of never returning."""
+    tri = ImplicitGridTriangulation((3, 3))
+    loop = closed_vpath(tri, 1, ring(tri, 1, 4))
+    with pytest.raises(ValueError):
+        enforce_compliance(tri, loop.field, loop)
 
 
 def array_cases(sphere):

@@ -129,10 +129,31 @@ def oracle_pairs(grad, ascending, root):
     return [(p.lower, p.pairs) for p in _walks_down(grad, root)]
 
 
+def shuffled_copy(grid, rng):
+    """An explicit copy of ``grid`` with its vertex ids permuted."""
+    perm = rng.permutation(grid.simplex_count(0))
+    points = np.empty_like(grid.point_array())
+    points[perm] = grid.point_array()
+    return ExplicitTriangulation(points, perm[grid.simplex_array(grid.dim)])
+
+
+def lockstep_walks(grad, ascending, roots):
+    """``gradient._lockstep_walks`` out of ``roots`` as ``_walks``' node
+    lists, one list of walks per root."""
+    rows, via = gradient._walk_arrays(grad, ascending)
+    owner, ends, bounds, body = gradient._lockstep_walks(rows, via, roots)
+    out = [[] for _ in roots]
+    for i, root in enumerate(owner.tolist()):
+        out[root].append(body[bounds[i]:bounds[i + 1]].tolist()
+                         + [int(ends[i])])
+    return out
+
+
 class TestWalks:
     """``gradient._walks`` equals the oracles' per-simplex walks out of
-    every edge (descending) and every facet (ascending), on raw and
-    compliant gradients."""
+    every edge (descending) and every facet (ascending), and the
+    lock-step walks out of all of them at once equal ``_walks``, on raw
+    and compliant gradients."""
 
     def assert_walks_match(self, tri, f):
         g = build_gradient(tri, f)
@@ -140,20 +161,18 @@ class TestWalks:
             if cancel:
                 enforce_compliance(tri, f, g)
             for ascending, k in ((False, 1), (True, tri.dim - 1)):
-                for root in range(tri.simplex_count(k)):
+                roots = range(tri.simplex_count(k))
+                for root in roots:
                     assert walk_pairs(g, ascending, root) == \
                         oracle_pairs(g, ascending, root), (ascending, root)
+                assert lockstep_walks(g, ascending, roots) == \
+                    [walks(g, ascending, root) for root in roots]
 
     @pytest.mark.parametrize("dims", [(12, 9), (5, 4, 4)])
     def test_grids_and_shuffled_explicit_copies(self, dims):
         grid = ImplicitGridTriangulation(dims)
         rng = np.random.default_rng(list(dims))
-        perm = rng.permutation(grid.simplex_count(0))
-        points = np.empty_like(grid.point_array())
-        points[perm] = grid.point_array()
-        copy = ExplicitTriangulation(points,
-                                     perm[grid.simplex_array(grid.dim)])
-        for tri in (grid, copy):
+        for tri in (grid, shuffled_copy(grid, rng)):
             for make in (random_field, tie_heavy_field):
                 self.assert_walks_match(tri, make(tri, rng))
 

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import preconditioned, random_field, tie_heavy_field, \
     two_bump_field
-from oracles import walk_segmentations
-from test_gradient import closed_vpath, edge_id, ring
+from oracles import walk_segmentations, walk_separatrices
+from test_compliance import array_cases
+from test_gradient import closed_vpath, edge_id, ring, shuffled_copy
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
@@ -94,6 +95,47 @@ def test_segmentations_refuse_closed_vpaths():
         descending_segmentation(loop)
     with pytest.raises(ValueError):
         ascending_segmentation(closed_vpath(tri, 1, ring(tri, 1, 4)))
+
+
+def test_separatrices_refuse_closed_vpaths():
+    """The same two loops make ``extract_separatrices`` raise too."""
+    tri = ImplicitGridTriangulation((3, 3))
+    loop = closed_vpath(tri, 0, [edge_id(tri, 0, 1), edge_id(tri, 1, 4),
+                                 edge_id(tri, 0, 4)])
+    with pytest.raises(ValueError):
+        extract_separatrices(loop)
+    with pytest.raises(ValueError):
+        extract_separatrices(closed_vpath(tri, 1, ring(tri, 1, 4)))
+
+
+def test_separatrices_match_walks(octahedron_sub2):
+    """The lock-step separatrices equal the root-by-root walks of
+    ``tests/oracles.py`` in kind, ends and point bytes, on raw and
+    compliant gradients of grids, their explicit copies in grid and in
+    shuffled vertex order, and a sphere."""
+    cases = list(array_cases(octahedron_sub2))
+    rng = np.random.default_rng(14)
+    for dims in ((12, 9), (5, 4, 4)):
+        copy = shuffled_copy(ImplicitGridTriangulation(dims), rng)
+        cases += [(copy, make(copy, rng))
+                  for make in (random_field, tie_heavy_field)]
+    kinds, open_ends = set(), 0
+    for tri, f in cases:
+        g = build_gradient(tri, f)
+        for cancel in (False, True):
+            if cancel:
+                enforce_compliance(tri, f, g)
+            got, want = extract_separatrices(g), walk_separatrices(g)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a.kind, a.source, a.target) == \
+                    (b.kind, b.source, b.target)
+                assert a.points.shape == b.points.shape
+                assert a.points.tobytes() == b.points.tobytes()
+            kinds |= {s.kind for s in got}
+            open_ends += sum(s.target is None for s in got)
+    assert kinds == {"min-saddle", "saddle-max", "saddle-saddle"}
+    assert open_ends > 0
 
 
 class TestSeparatrices:
