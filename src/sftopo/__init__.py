@@ -11,8 +11,7 @@ from .compliance import (
     enforce_compliance,
     match_critical_simplices,
 )
-from .critical import PLCriticalPoint, classify_vertex, \
-    extract_critical_points
+from .critical import PLCriticalPoint, extract_critical_points
 from .gradient import (
     DiscreteGradient,
     VPath,
@@ -92,7 +91,6 @@ __all__ = [
     "build_diagram",
     "build_gradient",
     "build_merge_tree",
-    "classify_vertex",
     "combine_contour_tree",
     "descending_segmentation",
     "enforce_compliance",

@@ -1,11 +1,15 @@
 """Alignment of the discrete gradient with the scalar field's critical points.
 
-The gradient construction guarantees that every interior critical
-vertex of the field owns at least one critical simplex of the matching
-dimension in its star.  ``match_critical_simplices`` realizes that
-correspondence as a maximum bipartite matching (a degenerate saddle of
-multiplicity m claims m simplices).  Critical simplices left unmatched
-are spurious artifacts of the discretization; ``enforce_compliance``
+The lower-star gradient gives every interior PL critical point of
+index k and multiplicity m exactly m critical k-simplices among those
+it owns (whose highest vertex it is), on the random fields of the
+tests.  ``match_critical_simplices`` realizes the correspondence as a
+maximum bipartite matching (a degenerate saddle of multiplicity m
+claims m simplices): one array pass gives each point the critical
+simplices it owns, and Kuhn's augmenting-path search matches whatever
+is left within the point's star.  Critical simplices left unmatched
+are spurious artifacts of the discretization, on the lower-star
+gradient those that boundary vertices own; ``enforce_compliance``
 removes them by repeatedly cancelling the lowest-weight pair of
 critical simplices joined by exactly one V-path, first saddle/maximum
 pairs, then (in 3D) saddle/saddle pairs.  A cancellation may consume a
@@ -18,15 +22,17 @@ writes nothing.
 The stage reads only arrays: the gradient's, and the boundary flags
 and triangle co-faces that the triangulation stores for every field.
 The candidates of a slot are its vertex's critical simplices, grouped
-from ``grad.verts`` once, in descending ``simplex_key`` order (sorted
-vertex ranks, highest first).  Cancellations only remove critical
-simplices, so filtering these lists by ``is_critical`` gives what the
-whole star would.
+from ``grad.verts`` the first time Kuhn's search needs them, in
+descending ``simplex_key`` order (sorted vertex ranks, highest first).
+Cancellations only remove critical simplices, so filtering these lists
+by ``is_critical`` gives what the whole star would.
 
 Both pair classes are cancelled from one heap of arcs keyed
-``(weight, lower id, upper id, trace version)``.  Each root is traced
-once, and an index from every end to the roots whose last trace
-reached it names the roots to re-trace after a cancellation.  Arcs of
+``(weight, lower id, upper id, trace version)``.  Every root is traced
+once up front, into arrays, and the arcs that qualify fill the heap.
+An index from every end to the roots whose last trace reached it, the
+first traces sorted by end plus a dict for the roots traced again,
+names the roots to re-trace after a cancellation.  Arcs of
 an older trace, or with an end that is no longer critical, are skipped
 when popped.  Only the trace differs by class:
 
@@ -142,36 +148,73 @@ def _critical_stars(grad: DiscreteGradient, k: int):
     return sids[member[order]].tolist(), [0] + ends.tolist()
 
 
+def _owned(grad: DiscreteGradient, k: int):
+    """``(flat, bounds)`` arrays: ``flat[bounds[v]:bounds[v + 1]]`` lists
+    the critical k-simplices whose highest vertex is ``v``, by
+    descending simplex key."""
+    sids = np.flatnonzero((grad.pair_up[k] < 0) & (grad.pair_down[k] < 0))
+    keys = np.sort(grad.field.ranks[grad.verts[k][sids]], axis=1)
+    owner = grad.field.order[keys[:, -1]]
+    n = len(grad.verts[0])
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=bounds[1:])
+    return sids[np.lexsort((*-keys.T, owner))], bounds
+
+
 class _Matching:
     """Bipartite matching of critical-point slots to critical simplices.
 
-    Slots are (critical point, star) pairs, one per unit of
-    multiplicity.  Candidates for a slot are the critical simplices of
+    Slots are critical points, one per unit of multiplicity, ordered by
+    vertex rank.  Candidates for a slot are the critical simplices of
     the right dimension in the vertex's star, preferred in descending
-    simplex-key order.  Kuhn's augmenting-path algorithm keeps the
-    matching maximum as simplices are consumed by cancellations.
+    simplex-key order.  First, in one array pass, each slot takes a
+    critical simplex that its vertex owns (its highest vertex), while
+    the point has such simplices left: on the lower-star gradient that
+    matches every slot of every interior point.  Kuhn's augmenting-path
+    algorithm then matches the slots left over, and keeps the matching
+    maximum as simplices are consumed by cancellations.
     """
 
     def __init__(self, grad, critical_points):
         self.grad, self.boundary = grad, grad.tri.boundary_flags()
-        interior = sorted((c for c in critical_points if not c.boundary),
-                          key=lambda c: grad.field.ranks[c.vertex])
-        stars = {k: _critical_stars(grad, k)
-                 for k in {c.index for c in interior}}
-        self.slots = []
-        for cp in interior:
-            flat, bounds = stars[cp.index]
-            star = flat[bounds[cp.vertex]:bounds[cp.vertex + 1]]
-            self.slots += [(cp, star)] * cp.multiplicity
+        interior = [c for c in critical_points if not c.boundary]
+        by_rank = np.argsort(grad.field.ranks[[c.vertex for c in interior]],
+                             kind="stable")
+        interior = [interior[i] for i in by_rank.tolist()]
+        self.slots = [c for c in interior for _ in range(c.multiplicity)]
+        self._stars = {}    # dim -> _critical_stars, built for Kuhn's search
         self.slot_of = {}   # (dim, sid) -> slot index
-        self.sid_of = {}    # slot index -> sid
+        self.sid_of = {}    # slot index -> (dim, sid)
+        mult = np.array([c.multiplicity for c in interior], dtype=np.int64)
+        copy = np.arange(len(self.slots)) - np.repeat(np.cumsum(mult) - mult,
+                                                      mult)
+        index = np.array([c.index for c in self.slots], dtype=np.int64)
+        vertex = np.array([c.vertex for c in self.slots], dtype=np.int64)
+        for k in {c.index for c in interior}:
+            flat, bounds = _owned(grad, k)
+            slot = np.flatnonzero(index == k)
+            at = bounds[vertex[slot]] + copy[slot]
+            mine = at < bounds[vertex[slot] + 1]
+            keys = [(k, s) for s in flat[at[mine]].tolist()]
+            slot = slot[mine].tolist()
+            self.slot_of.update(zip(keys, slot))
+            self.sid_of.update(zip(slot, keys))
         for i in range(len(self.slots)):
-            self._augment(i, set())
+            if i not in self.sid_of:
+                self._augment(i, set())
+
+    def _star(self, i):
+        """The critical simplices of slot ``i``'s star when Kuhn's
+        search first needed its dimension, by descending simplex key."""
+        cp = self.slots[i]
+        if cp.index not in self._stars:
+            self._stars[cp.index] = _critical_stars(self.grad, cp.index)
+        flat, bounds = self._stars[cp.index]
+        return flat[bounds[cp.vertex]:bounds[cp.vertex + 1]]
 
     def _candidates(self, i):
-        cp, star = self.slots[i]
-        return [(cp.index, s) for s in star
-                if self.grad.is_critical(cp.index, s)]
+        k = self.slots[i].index
+        return [(k, s) for s in self._star(i) if self.grad.is_critical(k, s)]
 
     def _augment(self, i, banned, seen=None) -> bool:
         """Match slot ``i`` by an augmenting path that avoids ``banned``;
@@ -213,6 +256,16 @@ class _Matching:
     def is_matched(self, dim, sid) -> bool:
         return (dim, sid) in self.slot_of
 
+    def held(self) -> list:
+        """Per dimension, a bool array: which simplices are matched."""
+        out = [np.zeros(len(up), dtype=bool) for up in self.grad.pair_up]
+        sids = [[] for _ in out]
+        for k, s in self.slot_of:
+            sids[k].append(s)
+        for got, s in zip(out, sids):
+            got[s] = True
+        return out
+
 
 def match_critical_simplices(
     tri: Triangulation,
@@ -233,7 +286,7 @@ def _report(matching, critical_points, cancelled):
     listed once, in ``critical_points`` order.
     """
     matched = {}
-    for i, (cp, _) in enumerate(matching.slots):
+    for i, cp in enumerate(matching.slots):
         sids = matched.setdefault((cp.vertex, cp.index), [])
         if i in matching.sid_of:
             sids.append(matching.sid_of[i][1])
@@ -243,64 +296,78 @@ def _report(matching, critical_points, cancelled):
         if not cp.boundary and (cp.vertex, cp.index) in empty:
             failures.append(cp)
             empty.discard((cp.vertex, cp.index))
-    spurious = {
-        k: {s for s in _interior_ids(matching, k)
-            if not matching.is_matched(k, s)}
-        for k in range(len(matching.boundary))
-    }
+    held = matching.held()
+    spurious = {k: set(np.flatnonzero(_interior(matching, k)
+                                      & ~held[k]).tolist())
+                for k in range(len(held))}
     return ComplianceReport(matched, failures, spurious, cancelled)
 
 
-def _interior_ids(matching, dim):
-    """Ascending ids of the critical dim-simplices off the boundary."""
+def _interior(matching, dim) -> np.ndarray:
+    """Bool array: the critical dim-simplices off the boundary."""
     up, down = matching.grad.pair_up[dim], matching.grad.pair_down[dim]
-    return np.flatnonzero((up < 0) & (down < 0)
-                          & ~matching.boundary[dim]).tolist()
+    return (up < 0) & (down < 0) & ~matching.boundary[dim]
 
 
-def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
+def _cancel_by_heap(grad, matching, lo, root_dim, first, trace, cancel):
     """Cancel (lo, lo+1) pairs from a heap of arcs, lowest weight first,
     ties by lower then upper id (see the module docstring).
 
-    ``roots`` are the simplices of dimension ``root_dim`` that walks
-    start from; the other end of an arc has the other dimension.
-    ``trace(root)`` returns the critical ends the root's walks reach
-    (repeats allowed) and those of them that qualify (joined to it by
-    exactly one V-path).
-    ``cancel(root, end)`` reverses the path between the two.
+    Roots are simplices of dimension ``root_dim`` that walks start from;
+    the other end of an arc has the other dimension.  ``first`` holds
+    the first trace of every root as arrays ``(root, end, single)``, one
+    row per critical end reached, ``single`` where the root reaches it
+    by exactly one V-path.  ``trace(root)`` traces a root again: it
+    returns the critical ends reached (repeats allowed) and those of
+    them that qualify.  ``cancel(root, end)`` reverses the path between
+    the two.
     """
     end_dim = 2 * lo + 1 - root_dim
-    version = defaultdict(int)    # root -> traces so far
-    ends_of = {}                  # root -> ends its last trace reached
-    reaching = defaultdict(set)   # end -> roots whose last trace reached it
-    heap = []
+    root, end, single = first
+    by_end = np.argsort(end, kind="stable")
+    end_sorted = end[by_end]
+    version = {}                  # retraced root -> retraces so far
+    ends_of = {}                  # retraced root -> ends of its last trace
+    reaching = defaultdict(set)   # end -> retraced roots that reached it
 
-    def retrace(root):
-        for end in ends_of.pop(root, ()):
-            reaching[end].discard(root)
-        version[root] += 1
-        if not grad.is_critical(root_dim, root):
+    def reached(e):
+        """The roots whose last trace reached ``e``."""
+        a, b = np.searchsorted(end_sorted, [e, e + 1])
+        return reaching[e].union(
+            r for r in root[by_end[a:b]].tolist() if r not in version)
+
+    held, values = matching.held(), grad.simplex_values
+    arc = single & ~(held[root_dim][root] & held[end_dim][end])
+    weight = np.abs(values[end_dim][end[arc]] - values[root_dim][root[arc]])
+    pair = (root[arc], end[arc]) if root_dim == lo else (end[arc], root[arc])
+    heap = [(w, l, u, 0) for w, l, u in
+            zip(weight.tolist(), pair[0].tolist(), pair[1].tolist())]
+    heapq.heapify(heap)
+
+    def retrace(r):
+        for e in ends_of.pop(r, ()):
+            reaching[e].discard(r)
+        version[r] = version.get(r, 0) + 1
+        if not grad.is_critical(root_dim, r):
             return
-        ends, single = trace(root)
-        ends_of[root] = ends
-        for end in ends:
-            reaching[end].add(root)
-        for end in single:
-            if matching.is_matched(root_dim, root) and \
-                    matching.is_matched(end_dim, end):
+        ends, qualify = trace(r)
+        ends_of[r] = ends
+        for e in ends:
+            reaching[e].add(r)
+        for e in qualify:
+            if matching.is_matched(root_dim, r) and \
+                    matching.is_matched(end_dim, e):
                 continue
-            w = abs(grad.simplex_value(end_dim, end)
-                    - grad.simplex_value(root_dim, root))
-            pair = (root, end) if root_dim == lo else (end, root)
-            heapq.heappush(heap, (w, *pair, version[root]))
+            w = abs(grad.simplex_value(end_dim, e)
+                    - grad.simplex_value(root_dim, r))
+            pair = (r, e) if root_dim == lo else (e, r)
+            heapq.heappush(heap, (w, *pair, version[r]))
 
-    for root in roots:
-        retrace(root)
     cancelled = []
     while heap:
         _, lower, upper, ver = heapq.heappop(heap)
-        root, end = (lower, upper) if root_dim == lo else (upper, lower)
-        if ver != version[root] or not grad.is_critical(lo, lower) \
+        r, e = (lower, upper) if root_dim == lo else (upper, lower)
+        if ver != version.get(r, 0) or not grad.is_critical(lo, lower) \
                 or not grad.is_critical(lo + 1, upper):
             continue
         if matching.is_matched(lo, lower) and \
@@ -308,10 +375,10 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
             continue
         if not matching.release([(lo, lower), (lo + 1, upper)]):
             continue            # for good: see the module docstring
-        cancel(root, end)
+        cancel(r, e)
         cancelled.append((lo, lower, upper))
-        for r in sorted(reaching[end]):
-            retrace(r)
+        for x in sorted(reached(e)):
+            retrace(x)
     return cancelled
 
 
@@ -324,17 +391,26 @@ def _cancel_facet_pairs(grad, matching) -> list:
     of their co-faces' ascending walks.  These are union-find roots: the
     ``parent`` of a d-cell starts as its ``ascending_segmentation``
     label, and one extra node, ``outside``, stands for the walks that
-    leave the domain, which end nowhere.  A cancellation walks the one
-    path it reverses again and links the class of its maximum ``tau``
-    to that of ``sigma``'s other co-face.
+    leave the domain, which end nowhere.  The first traces read the
+    labels of every root's co-faces at once.  A cancellation walks the
+    one path it reverses again and links the class of its maximum
+    ``tau`` to that of ``sigma``'s other co-face.
     """
     d = grad.tri.dim
     rows, via = _walk_arrays(grad, True)
     boundary = matching.boundary[d]
-    parent = ascending_segmentation(grad)
-    outside = len(parent)
-    parent[parent < 0] = outside
-    parent = parent.tolist() + [outside]
+    label = ascending_segmentation(grad)
+    outside = len(label)
+    label[label < 0] = outside
+    label = np.append(label, outside)       # a -1 co-face ends outside too
+    roots = np.flatnonzero(_interior(matching, d - 1))
+    ends = label[rows[roots]]
+    root = np.repeat(roots, ends.shape[1])[ends.ravel() != outside]
+    ends = ends[ends != outside]
+    key, times = np.unique(root * (outside + 1) + ends, return_counts=True)
+    root, end = np.divmod(key, outside + 1)
+    first = (root, end, (times == 1) & ~boundary[end])
+    parent = label.tolist()
 
     def find(x):
         while parent[x] != x:
@@ -356,8 +432,7 @@ def _cancel_facet_pairs(grad, matching) -> list:
         reverse_vpath(grad, VPath(d - 1, tau, sigma, pairs))
         parent[tau] = find(other)
 
-    return _cancel_by_heap(grad, matching, d - 1, d - 1,
-                           _interior_ids(matching, d - 1), trace, cancel)
+    return _cancel_by_heap(grad, matching, d - 1, d - 1, first, trace, cancel)
 
 
 def _cancel_connector_pairs(grad, matching) -> list:
@@ -368,7 +443,7 @@ def _cancel_connector_pairs(grad, matching) -> list:
     descending V-paths to the interior critical edges in one shared
     memo; a cancelled path is read from that memo.
     """
-    edges = set(_interior_ids(matching, 1))
+    edges = set(np.flatnonzero(_interior(matching, 1)).tolist())
     memo = {}                     # triangle -> {edge: V-path count}
     # row e: the ascending ids of the triangles with face e, -1 padded
     triangles_of = grad.tri.cofacet_ids(1)
@@ -396,8 +471,12 @@ def _cancel_connector_pairs(grad, matching) -> list:
         reverse_vpath(grad, path)
         edges.discard(e)
 
-    return _cancel_by_heap(grad, matching, 1, 2,
-                           _interior_ids(matching, 2), trace, cancel)
+    arcs = [(tau, e, n == 1)
+            for tau in np.flatnonzero(_interior(matching, 2)).tolist()
+            for e, n in _vpath_counts(grad, 1, tau, edges, memo).items()]
+    root, end, single = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
+    return _cancel_by_heap(grad, matching, 1, 2, (root, end, single == 1),
+                           trace, cancel)
 
 
 def enforce_compliance(

@@ -11,8 +11,7 @@ least one side.
 array pass.  A link vertex ``u`` of ``v`` is the directed edge (v, u),
 and two link vertices are joined by a link edge exactly when the three
 vertices span a triangle, so the triangles alone give every link's
-1-skeleton, which decides its connectivity.  ``classify_vertex`` walks
-one vertex's link instead and serves as the per-vertex reference.
+1-skeleton, which decides its connectivity.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .order import OrderField, _pointer_jump
-from .triangulation import SimplexRef, Triangulation
+from .triangulation import Triangulation
 
 
 @dataclass(frozen=True)
@@ -44,49 +43,6 @@ class PLCriticalPoint:
     boundary: bool
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            return True
-        return False
-
-    def count(self):
-        return sum(1 for x in self.parent if self.parent[x] == x)
-
-
-def link_component_counts(tri: Triangulation, field: OrderField, v: int):
-    """Number of connected components of the lower and upper link of ``v``."""
-    d = tri.dim
-    lower = _UnionFind([])
-    upper = _UnionFind([])
-    for f in tri.vertex_link(v):
-        verts = tri.simplex_vertices(SimplexRef(d - 1, f))
-        lo = [u for u in verts if field.less(u, v)]
-        hi = [u for u in verts if not field.less(u, v)]
-        for part, uf in ((lo, lower), (hi, upper)):
-            for u in part:
-                uf.parent.setdefault(u, u)
-            for a, b in zip(part, part[1:]):
-                uf.union(a, b)
-    return lower.count(), upper.count()
-
-
 def _critical_points(d, v, n_lower, n_upper, value, boundary):
     """The PLCriticalPoints of a vertex with the given link counts."""
     out = []
@@ -103,16 +59,6 @@ def _critical_points(d, v, n_lower, n_upper, value, boundary):
         # preferring the lower-link count when both are split
         out.append(PLCriticalPoint(v, 1, n_upper - 1, value, boundary))
     return out
-
-
-def classify_vertex(tri: Triangulation, field: OrderField, v: int):
-    """Classify one vertex; return a list of PLCriticalPoint (0-2 items)."""
-    n_lower, n_upper = link_component_counts(tri, field, v)
-    if n_lower == 1 and n_upper == 1:
-        return []
-    return _critical_points(tri.dim, v, n_lower, n_upper,
-                            float(field.values[v]),
-                            tri.is_boundary(SimplexRef(0, v)))
 
 
 def _components(n, a, b):

@@ -70,14 +70,6 @@ def _normalize(offsets):
     return tuple(sorted(shifted, key=_offset_key)), lo
 
 
-_EDGE_NAMES_2D = ("horizontal", "vertical", "diagonal")
-_EDGE_NAMES_3D = (
-    "axis_x", "axis_y", "axis_z",
-    "diag_xy", "diag_xz", "diag_yz",
-    "diag_xyz",
-)
-
-
 @dataclass(frozen=True)
 class _SimplexClass:
     offsets: tuple        # vertex offsets, sorted by _offset_key
@@ -371,17 +363,6 @@ class ImplicitGridTriangulation(Triangulation):
         dim, sid = s
         ci, a0, a1, a2 = self._decode(dim, sid)
         return bool(self._border(a0, a1, a2) & self._bnd[dim][ci])
-
-    # -- grid specifics --------------------------------------------------
-
-    def edge_class_name(self, ci: int) -> str:
-        names = _EDGE_NAMES_2D if self.dim == 2 else _EDGE_NAMES_3D
-        return names[ci]
-
-    def classify_edge_identifier(self, e: int):
-        """Invert the edge identifier map: (class name, anchor coords)."""
-        ci, *anchor = self._decode(1, e)
-        return self.edge_class_name(ci), tuple(anchor[: self.dim])
 
     @stored
     def simplex_array(self, k: int) -> np.ndarray:

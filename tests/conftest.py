@@ -97,6 +97,23 @@ def tie_heavy_field(tri, rng):
                       rng.permutation(n))
 
 
+def array_cases(sphere):
+    """(triangulation, field) pairs: a random and a tie-heavy field on
+    12x9 and 5x4x4 grids, each also on an explicit copy of its grid,
+    and the same two kinds of field on the closed ``sphere``."""
+    rng = np.random.default_rng(21)
+    for dims in ((12, 9), (5, 4, 4)):
+        grid = ImplicitGridTriangulation(dims)
+        copy = preconditioned(ExplicitTriangulation(
+            grid.point_array(), grid.simplex_array(grid.dim)))
+        for make in (random_field, tie_heavy_field):
+            f = make(grid, rng)
+            yield grid, f
+            yield copy, f
+    for make in (random_field, tie_heavy_field):
+        yield sphere, make(sphere, rng)
+
+
 def two_bump_field(dims, seed=0):
     """3D grid field shaped as the distance to a horizontal circle.
 

@@ -11,21 +11,27 @@ separatrices by one walk per critical simplex, the
 deterministic V-paths out of an edge or facet by co-face queries,
 level-set components by union-find over crossing edges, a triangulation
 comparator keyed on vertex tuples rather than ids, vertex links by a
-star walk, the discrete gradient by a per-simplex co-face scan, the
+star walk, PL critical points by a union-find over each vertex's link,
+grid edge classes by decoding edge ids, the steepest co-face gradient
+by a per-simplex co-face scan and by an array kernel (the gradient the
+heavy-cancellation compliance tests start from), the lower-star
+gradient by a per-vertex ProcessLowerStars with two heaps, the
 compliance matching's candidates by per-vertex star queries, and
 compliance by a full rescan and sort of every arc after each
 cancellation, alternating the saddle/maximum and saddle/saddle passes
 until neither cancels anything.
 """
 
+import heapq
 import sys
 from collections import deque
 from itertools import combinations
 
 import numpy as np
 
-from sftopo import ContourTree, DomainTopologyError, MergeTree, \
-    SimplexRef, compliance, extract_critical_points
+from sftopo import ContourTree, DiscreteGradient, DomainTopologyError, \
+    MergeTree, SimplexRef, compliance, extract_critical_points
+from sftopo.critical import _critical_points
 from sftopo.gradient import VPath, _first_vpath, _vpath_counts, \
     _walk_arrays, _walks, extract_vpath, reverse_vpath
 from sftopo.morse import Separatrix
@@ -84,6 +90,82 @@ def star_walk_link(tri, v):
                 link.append(f)
                 break
     return sorted(link)
+
+
+# --------------------------------------------------------------------------
+# PL critical points by a union-find over one vertex's link
+# --------------------------------------------------------------------------
+
+
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+            return True
+        return False
+
+    def count(self):
+        return sum(1 for x in self.parent if self.parent[x] == x)
+
+
+def link_component_counts(tri, field, v):
+    """Number of connected components of the lower and upper link of ``v``."""
+    d = tri.dim
+    lower = _UnionFind([])
+    upper = _UnionFind([])
+    for f in tri.vertex_link(v):
+        verts = tri.simplex_vertices(SimplexRef(d - 1, f))
+        lo = [u for u in verts if field.less(u, v)]
+        hi = [u for u in verts if not field.less(u, v)]
+        for part, uf in ((lo, lower), (hi, upper)):
+            for u in part:
+                uf.parent.setdefault(u, u)
+            for a, b in zip(part, part[1:]):
+                uf.union(a, b)
+    return lower.count(), upper.count()
+
+
+def classify_vertex(tri, field, v):
+    """Classify one vertex; return a list of PLCriticalPoint (0-2 items)."""
+    n_lower, n_upper = link_component_counts(tri, field, v)
+    if n_lower == 1 and n_upper == 1:
+        return []
+    return _critical_points(tri.dim, v, n_lower, n_upper,
+                            float(field.values[v]),
+                            tri.is_boundary(SimplexRef(0, v)))
+
+
+# --------------------------------------------------------------------------
+# Grid edge classes by decoding an edge id
+# --------------------------------------------------------------------------
+
+
+EDGE_NAMES = {
+    2: ("horizontal", "vertical", "diagonal"),
+    3: ("axis_x", "axis_y", "axis_z", "diag_xy", "diag_xz", "diag_yz",
+        "diag_xyz"),
+}
+
+
+def classify_edge_identifier(grid, e):
+    """Invert the grid's edge identifier map: (class name, anchor coords)."""
+    ci, *anchor = grid._decode(1, e)
+    return EDGE_NAMES[grid.dim][ci], tuple(anchor[:grid.dim])
 
 
 # --------------------------------------------------------------------------
@@ -599,7 +681,7 @@ def _walks_up(grad, sigma):
 
 
 # --------------------------------------------------------------------------
-# Discrete gradient by a per-simplex steepest co-face scan
+# Steepest co-face gradient, by a per-simplex scan and by an array kernel
 # --------------------------------------------------------------------------
 
 
@@ -633,6 +715,118 @@ def steepest_coface_gradient(tri, field):
             if best_tid >= 0:
                 up[k][sid] = best_tid
                 down[k + 1][best_tid] = sid
+    return up, down
+
+
+def steepest_gradient(tri, field):
+    """The steepest co-face gradient as a ``DiscreteGradient``, built by
+    an array kernel.
+
+    A co-face admits exactly one of its faces, the one opposite its
+    lowest vertex, so each pass reads that face from ``facet_ids`` for
+    every co-face at once, sorts the (face, co-face minimum, co-face id)
+    triples and keeps the first co-face of every face that is not
+    already paired down.  It equals ``steepest_coface_gradient`` and
+    leaves many spurious critical simplices, thousands of cancellations
+    on a 12x12x12 grid, for the compliance tests that need them.
+    """
+    grad = DiscreteGradient(tri, field)
+    ranks = field.ranks
+    for k in range(tri.dim):
+        high = grad.verts[k + 1]
+        ids = np.arange(len(high), dtype=np.int64)
+        low_col = np.argmin(ranks[high], axis=1)
+        face = tri.facet_ids(k + 1)[ids, low_col]
+        coface_min = ranks[high[ids, low_col]]
+        order = np.lexsort((ids, coface_min, face))
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = face[order[1:]] != face[order[:-1]]
+        tid = order[first]
+        sid = face[tid]
+        free = grad.pair_down[k][sid] < 0
+        sid, tid = sid[free], tid[free]
+        grad.pair_up[k][sid] = tid
+        grad.pair_down[k + 1][tid] = sid
+    return grad
+
+
+# --------------------------------------------------------------------------
+# Discrete gradient by ProcessLowerStars, one vertex at a time
+# --------------------------------------------------------------------------
+
+
+def lower_star_gradient(tri, field):
+    """(pair_up, pair_down) lists of arrays by ProcessLowerStars (Robins,
+    Wood & Sheppard, IEEE TPAMI 33(8), 2011), one vertex at a time.
+
+    The lower star of ``v`` holds the simplices whose highest vertex is
+    ``v``, found by ``tri.cofaces`` and keyed by ``field.simplex_key``
+    (sorted vertex ranks, highest first).  ``v`` pairs with its lowest
+    edge; then a heap of simplices with one unassigned face in the star
+    pairs its first entry with that face, and when it is empty a heap of
+    simplices with none makes its first entry critical.
+    """
+    d, ranks = tri.dim, field.ranks
+    up = [np.full(tri.simplex_count(k), -1, dtype=np.int64)
+          for k in range(d + 1)]
+    down = [np.full(tri.simplex_count(k), -1, dtype=np.int64)
+            for k in range(d + 1)]
+    for v in range(tri.simplex_count(0)):
+        key = {}
+        for k in range(1, d + 1):
+            for s in tri.cofaces(SimplexRef(0, v), k):
+                got = field.simplex_key(tri.simplex_vertices(SimplexRef(k, s)))
+                if got[0] == ranks[v]:
+                    key[(k, s)] = got
+        if not key:
+            continue                            # a minimum
+        faces = {c: [(0, v)] if c[0] == 1 else
+                 [(c[0] - 1, f) for f in tri.faces(SimplexRef(*c), c[0] - 1)
+                  if (c[0] - 1, f) in key] for c in key}
+        cofaces = {}
+        for c, fs in faces.items():
+            for f in fs:
+                cofaces.setdefault(f, []).append(c)
+        done = set()
+
+        def unassigned(c):
+            return [f for f in faces[c] if f not in done]
+
+        def pair(low, high):
+            up[low[0]][low[1]] = high[1]
+            down[high[0]][high[1]] = low[1]
+            done.update((low, high))
+
+        one, zero = [], []
+
+        def push_cofaces(c):
+            for h in cofaces.get(c, ()):
+                if h not in done and len(unassigned(h)) == 1:
+                    heapq.heappush(one, (key[h], h))
+
+        edge = min((c for c in key if c[0] == 1), key=key.get)
+        pair((0, v), edge)
+        for c in key:
+            if c[0] == 1 and c != edge:
+                heapq.heappush(zero, (key[c], c))
+        push_cofaces(edge)
+        while one or zero:
+            while one:
+                _, alpha = heapq.heappop(one)
+                if alpha in done:
+                    continue
+                rest = unassigned(alpha)
+                if not rest:
+                    heapq.heappush(zero, (key[alpha], alpha))
+                    continue
+                pair(rest[0], alpha)
+                push_cofaces(alpha)
+                push_cofaces(rest[0])
+            if zero:
+                _, gamma = heapq.heappop(zero)
+                if gamma not in done:
+                    done.add(gamma)             # critical
+                    push_cofaces(gamma)
     return up, down
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import preconditioned, random_field, tie_heavy_field, \
+from conftest import array_cases, random_field, tie_heavy_field, \
     two_bump_field
-from test_gradient import closed_vpath, ring
+from test_acceptance import surface_fixtures
+from test_gradient import closed_vpath, owners, ring
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
@@ -99,23 +100,6 @@ def test_compliance_refuses_closed_vpaths():
         enforce_compliance(tri, loop.field, loop)
 
 
-def array_cases(sphere):
-    """(triangulation, field) pairs: a random and a tie-heavy field on
-    12x9 and 5x4x4 grids, each also on an explicit copy of its grid,
-    and the same two kinds of field on the closed ``sphere``."""
-    rng = np.random.default_rng(21)
-    for dims in ((12, 9), (5, 4, 4)):
-        grid = ImplicitGridTriangulation(dims)
-        copy = preconditioned(ExplicitTriangulation(
-            grid.point_array(), grid.simplex_array(grid.dim)))
-        for make in (random_field, tie_heavy_field):
-            f = make(grid, rng)
-            yield grid, f
-            yield copy, f
-    for make in (random_field, tie_heavy_field):
-        yield sphere, make(sphere, rng)
-
-
 class TestArrayMatching:
     """The matching's candidate lists and boundary flags, built from the
     gradient's arrays, equal what per-simplex queries give."""
@@ -123,19 +107,21 @@ class TestArrayMatching:
     def test_slot_lists_match_star_queries(self, octahedron_sub2):
         """Each slot lists the critical simplices of its vertex's star in
         descending simplex-key order, and its candidates stay exactly
-        those still critical after the saddle/maximum cancellations."""
+        those still critical after the saddle/maximum cancellations.
+        The gradient is the steepest co-face one, which leaves many
+        slots to Kuhn's search and many pairs to cancel."""
         cancelled = 0
         for tri, f in array_cases(octahedron_sub2):
-            g = build_gradient(tri, f)
+            g = oracles.steepest_gradient(tri, f)
             matching = compliance._Matching(
                 g, extract_critical_points(tri, f))
             stars = [oracles.star_simplices(tri, f, cp.vertex, cp.index)
-                     for cp, _ in matching.slots]
-            for (cp, got), star in zip(matching.slots, stars):
-                assert got == [s for s in star
-                               if g.is_critical(cp.index, s)]
+                     for cp in matching.slots]
+            for i, (cp, star) in enumerate(zip(matching.slots, stars)):
+                assert matching._star(i) == [s for s in star
+                                             if g.is_critical(cp.index, s)]
             cancelled += len(compliance._cancel_facet_pairs(g, matching))
-            for i, ((cp, _), star) in enumerate(zip(matching.slots, stars)):
+            for i, (cp, star) in enumerate(zip(matching.slots, stars)):
                 assert matching._candidates(i) == [
                     (cp.index, s) for s in star
                     if g.is_critical(cp.index, s)]
@@ -156,7 +142,8 @@ class TestArrayMatching:
     def test_compliance_builds_only_rows_tables(self):
         """On a fresh explicit mesh, critical points, ``build_gradient``
         and compliance store the same arrays as on the grid, whose
-        per-simplex queries build nothing."""
+        per-simplex queries build nothing.  Compliance starts from the
+        steepest co-face gradient, so that it cancels pairs."""
         rng = np.random.default_rng(22)
         for dims in ((12, 9), (5, 4, 4)):
             grid = ImplicitGridTriangulation(dims)
@@ -166,7 +153,8 @@ class TestArrayMatching:
             grid = ImplicitGridTriangulation(dims)
             for t in (grid, tri):
                 cps = extract_critical_points(t, f)
-                g = build_gradient(t, f)
+                build_gradient(t, f)
+                g = oracles.steepest_gradient(t, f)
                 report = enforce_compliance(t, f, g, cps)
                 assert report.cancelled
             assert set(tri._store) == set(grid._store)
@@ -219,7 +207,7 @@ class TestHeapCancellation:
     def test_3d_matches_alternating_rescan(self):
         """One heap pass per pair class gives what the alternating
         rescans of ``tests/oracles.py`` give, saddle/saddle pairs
-        included."""
+        included, from the steepest co-face gradient."""
         rng = np.random.default_rng(19)
         fields = []
         for dims in ((4, 4, 4), (5, 5, 5)):
@@ -230,7 +218,7 @@ class TestHeapCancellation:
                        two_bump_field((6, 6, 6))))
         connectors = 0
         for tri, f in fields:
-            g = build_gradient(tri, f)
+            g = oracles.steepest_gradient(tri, f)
             ref = g.copy()
             got = enforce_compliance(tri, f, g)
             want = oracles.alternating_compliance(tri, f, ref)
@@ -241,13 +229,14 @@ class TestHeapCancellation:
     def test_3d_longer_chains_match_alternating_rescan(self):
         """The walk back from a cancelled edge drops the same memo
         entries as a full scan would, on fields whose descending
-        V-paths are longer: a random 8x8x8 and a tie-heavy 6x6x6."""
+        V-paths are longer: a random 8x8x8 and a tie-heavy 6x6x6, from
+        the steepest co-face gradient."""
         rng = np.random.default_rng(20)
         fields = [(ImplicitGridTriangulation(dims), make) for dims, make in
                   (((8, 8, 8), random_field), ((6, 6, 6), tie_heavy_field))]
         for tri, make in fields:
             f = make(tri, rng)
-            g = build_gradient(tri, f)
+            g = oracles.steepest_gradient(tri, f)
             ref = g.copy()
             got = enforce_compliance(tri, f, g)
             want = oracles.alternating_compliance(tri, f, ref)
@@ -281,7 +270,9 @@ class TestHeapCancellation:
         after every cancellation, fails too and changes nothing.  A
         later call may find both ends matched, which ``release`` refuses
         without a search, so the general search of
-        ``oracles._copying_release`` is run on every call as well."""
+        ``oracles._copying_release`` is run on every call as well.  The
+        gradient is the steepest co-face one, whose many cancellations
+        make releases fail."""
         release = compliance._Matching.release
         failed = []
 
@@ -295,7 +286,7 @@ class TestHeapCancellation:
         tri = ImplicitGridTriangulation((16, 16))
         rng = np.random.default_rng(18)
         for make in (random_field, tie_heavy_field):
-            g = build_gradient(tri, make(tri, rng))
+            g = oracles.steepest_gradient(tri, make(tri, rng))
             enforce_compliance(tri, g.field, g)
         assert len(failed) > 20
         for matching, dims_sids in failed:
@@ -306,14 +297,66 @@ class TestHeapCancellation:
 
 
 def test_3d_compliance_scales_to_12_cubed():
-    """Both cancellation passes on a random 12x12x12 field, about 2,100
-    cancellations, stay well within seconds."""
+    """Both cancellation passes on the steepest co-face gradient of a
+    random 12x12x12 field, about 2,100 cancellations, stay well within
+    seconds."""
     tri = ImplicitGridTriangulation((12, 12, 12))
     f = random_field(tri, np.random.default_rng(19))
-    g = build_gradient(tri, f)
+    g = oracles.steepest_gradient(tri, f)
     start = time.perf_counter()
     report = enforce_compliance(tri, f, g)
     elapsed = time.perf_counter() - start
     assert sum(k == 1 for k, _, _ in report.cancelled) > 500
     assert not report.match_failures
     assert elapsed < 10.0
+
+
+class TestLowerStarCompliance:
+    """What the lower-star gradient leaves to compliance."""
+
+    def test_interior_points_own_their_multiplicity(self):
+        """Each interior critical point of index k and multiplicity m is
+        the highest vertex of exactly m critical k-simplices, so the
+        matching's owner pass matches every slot."""
+        rng = np.random.default_rng(24)
+        points = 0
+        for dims in ((16, 16), (8, 8, 8)):
+            tri = ImplicitGridTriangulation(dims)
+            for make in (random_field, tie_heavy_field):
+                for _ in range(3):
+                    f = make(tri, rng)
+                    g = build_gradient(tri, f)
+                    for cp in extract_critical_points(tri, f):
+                        if cp.boundary:
+                            continue
+                        crit = g.critical_ids(cp.index)
+                        own = owners(g, cp.index) if cp.index else \
+                            np.arange(len(f))
+                        assert (own[crit] == cp.vertex).sum() == \
+                            cp.multiplicity
+                        points += 1
+                    matching = compliance._Matching(
+                        g, extract_critical_points(tri, f))
+                    assert len(matching.sid_of) == len(matching.slots)
+        assert points > 1000
+
+    def test_closed_surfaces_need_no_cancellation(self):
+        """On the criterion-4 surfaces and fields the raw gradient is
+        already PL-compliant."""
+        rng = np.random.default_rng(103)
+        for tri in surface_fixtures():
+            for _ in range(50):
+                f = random_field(tri, rng)
+                report = enforce_compliance(tri, f, build_gradient(tri, f))
+                assert report.compliant and report.cancelled == []
+
+    @pytest.mark.parametrize("dims", [(128, 128), (16, 16, 16)])
+    def test_few_cancellations_at_scale(self, dims):
+        """A random 128x128 field needs no cancellation and a random
+        16x16x16 one a few dozen (28), where the steepest co-face
+        gradient needs about 5,700."""
+        tri = ImplicitGridTriangulation(dims)
+        f = random_field(tri, np.random.default_rng(7))
+        report = enforce_compliance(tri, f, build_gradient(tri, f))
+        assert len(report.cancelled) <= 50
+        assert not report.match_failures

@@ -3,11 +3,11 @@
 import numpy as np
 
 from conftest import preconditioned, random_field, tie_heavy_field
+from oracles import classify_vertex
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
-    classify_vertex,
     extract_critical_points,
 )
 

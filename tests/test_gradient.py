@@ -6,10 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import EQUIVALENCE_DIMS, preconditioned, random_field, \
-    tie_heavy_field
+from conftest import EQUIVALENCE_DIMS, array_cases, preconditioned, \
+    random_field, tie_heavy_field
 from oracles import _walks_down, _walks_up, count_vpaths, \
-    steepest_coface_gradient, vpath_graph_acyclic
+    lower_star_gradient, steepest_coface_gradient, steepest_gradient, \
+    vpath_graph_acyclic
 from sftopo import (
     DiscreteGradient,
     ExplicitTriangulation,
@@ -18,6 +19,7 @@ from sftopo import (
     SimplexRef,
     build_gradient,
     enforce_compliance,
+    extract_critical_points,
     extract_vpath,
     gradient_is_acyclic,
     pairing_is_valid,
@@ -57,16 +59,28 @@ class TestBuild:
         assert gradient_is_acyclic(g)
 
 
-def assert_matches_scan(tri, f):
-    g = build_gradient(tri, f)
-    up, down = steepest_coface_gradient(tri, f)
-    for k in range(tri.dim + 1):
+def assert_same_pairs(g, up, down):
+    for k in range(g.tri.dim + 1):
         assert np.array_equal(g.pair_up[k], up[k]), k
         assert np.array_equal(g.pair_down[k], down[k]), k
 
 
 class TestArrayKernel:
-    """``build_gradient`` equals the per-simplex steepest co-face scan."""
+    """``build_gradient`` equals the per-vertex ProcessLowerStars of
+    ``tests/oracles.py``, and the steepest co-face kernel there equals
+    its per-simplex scan."""
+
+    def test_matches_lower_star_oracle(self, octahedron_sub2):
+        cases = list(array_cases(octahedron_sub2))
+        rng = np.random.default_rng(25)
+        for dims in ((24, 24), (6, 6, 6)):
+            tri = ImplicitGridTriangulation(dims)
+            cases += [(tri, make(tri, rng))
+                      for make in (random_field, tie_heavy_field)]
+        for tri, f in cases:
+            g = build_gradient(tri, f)
+            assert_same_pairs(g, *lower_star_gradient(tri, f))
+            assert pairing_is_valid(g) and gradient_is_acyclic(g)
 
     @pytest.mark.parametrize("dims", EQUIVALENCE_DIMS)
     def test_matches_steepest_coface_scan(self, dims):
@@ -77,7 +91,9 @@ class TestArrayKernel:
         for tri in (g, ex):
             for make in (random_field, tie_heavy_field):
                 for _ in range(3):
-                    assert_matches_scan(tri, make(tri, rng))
+                    f = make(tri, rng)
+                    assert_same_pairs(steepest_gradient(tri, f),
+                                      *steepest_coface_gradient(tri, f))
 
     def test_matches_steepest_coface_scan_spheres(
             self, octahedron, octahedron_sub1, octahedron_sub2):
@@ -85,7 +101,9 @@ class TestArrayKernel:
         for tri in (octahedron, octahedron_sub1, octahedron_sub2):
             for make in (random_field, tie_heavy_field):
                 for _ in range(3):
-                    assert_matches_scan(tri, make(tri, rng))
+                    f = make(tri, rng)
+                    assert_same_pairs(steepest_gradient(tri, f),
+                                      *steepest_coface_gradient(tri, f))
 
     def test_pairing_with_a_non_face_is_invalid(self):
         tri = ImplicitGridTriangulation((4, 4))
@@ -100,6 +118,84 @@ class TestArrayKernel:
         g.pair_up[0][v] = e
         g.pair_down[1][e] = v
         assert not pairing_is_valid(g)
+
+
+def owners(grad, k):
+    """The highest vertex of every k-simplex."""
+    rows = grad.verts[k]
+    return rows[np.arange(len(rows)),
+                np.argmax(grad.field.ranks[rows], axis=1)]
+
+
+def vertex_pairs(grad, name):
+    """The gradient's pairs as (face, co-face) tuples of vertex names,
+    ``name[v]`` for vertex ``v``, each tuple sorted."""
+    out = set()
+    for k in range(grad.tri.dim):
+        low = np.flatnonzero(grad.pair_up[k] >= 0)
+        high = grad.pair_up[k][low]
+        out |= set(zip(map(tuple, np.sort(name[grad.verts[k][low]]).tolist()),
+                       map(tuple, np.sort(name[grad.verts[k + 1][high]])
+                           .tolist())))
+    return out
+
+
+class TestLowerStars:
+    """The gradient pairs simplices within lower stars only."""
+
+    def test_critical_simplices_lie_in_critical_lower_stars(
+            self, octahedron_sub2):
+        """Both simplices of a pair have the same highest vertex, and a
+        critical simplex off the boundary lies in the lower star of a PL
+        critical point of its index, unless its highest vertex is on the
+        boundary."""
+        cases = list(array_cases(octahedron_sub2))
+        rng = np.random.default_rng(26)
+        for dims in ((16, 16), (8, 8, 8)):
+            tri = ImplicitGridTriangulation(dims)
+            cases += [(tri, make(tri, rng))
+                      for make in (random_field, tie_heavy_field)]
+        critical = 0
+        for tri, f in cases:
+            g = build_gradient(tri, f)
+            own = [np.arange(len(f))] + [owners(g, k)
+                                         for k in range(1, tri.dim + 1)]
+            for k in range(tri.dim):
+                low = np.flatnonzero(g.pair_up[k] >= 0)
+                assert np.array_equal(own[k][low],
+                                      own[k + 1][g.pair_up[k][low]])
+            points = {(cp.vertex, cp.index)
+                      for cp in extract_critical_points(tri, f)}
+            flags = tri.boundary_flags()
+            for k in range(tri.dim + 1):
+                for s in g.critical_ids(k):
+                    v = int(own[k][s])
+                    if not flags[k][s] and not flags[0][v]:
+                        assert (v, k) in points, (k, s)
+                        critical += 1
+        assert critical > 100
+
+    @pytest.mark.parametrize("dims", [(24, 24), (12, 9), (6, 6, 6)])
+    def test_grid_and_shuffled_copy_agree(self, dims):
+        """The raw gradient on a grid and on an explicit copy with its
+        vertex ids permuted pair the same simplices, compared as vertex
+        tuples: lower-star keys never tie, so no simplex id decides a
+        pair."""
+        grid = ImplicitGridTriangulation(dims)
+        rng = np.random.default_rng(list(dims))
+        perm = rng.permutation(grid.simplex_count(0))
+        points = np.empty_like(grid.point_array())
+        points[perm] = grid.point_array()
+        copy = ExplicitTriangulation(points,
+                                     perm[grid.simplex_array(grid.dim)])
+        for make in (random_field, tie_heavy_field):
+            f = make(grid, rng)
+            values, offsets = np.empty_like(f.values), np.empty_like(f.offsets)
+            values[perm], offsets[perm] = f.values, f.offsets
+            g = build_gradient(grid, f)
+            h = build_gradient(copy, OrderField(values, offsets))
+            assert vertex_pairs(g, np.arange(len(f))) == \
+                vertex_pairs(h, np.argsort(perm))
 
 
 def walks(grad, ascending, root):

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import EQUIVALENCE_DIMS, midpoint_subdivide, \
     octahedron_mesh, random_field, tie_heavy_field, two_bump_field
-from oracles import assert_equivalent, star_walk_link
+from oracles import assert_equivalent, classify_edge_identifier, \
+    star_walk_link
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
@@ -155,7 +156,7 @@ class TestImplicitGrid:
         t = ImplicitGridTriangulation((3, 3))
         classes = {}
         for e in range(t.simplex_count(1)):
-            name, _ = t.classify_edge_identifier(e)
+            name, _ = classify_edge_identifier(t, e)
             classes[name] = classes.get(name, 0) + 1
         assert classes == {"horizontal": 6, "vertical": 6, "diagonal": 4}
 
