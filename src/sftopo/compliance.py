@@ -28,11 +28,9 @@ Cancellations only remove critical simplices, so filtering these lists
 by ``is_critical`` gives what the whole star would.
 
 Both pair classes are cancelled from one heap of arcs keyed
-``(weight, lower id, upper id, trace version)``.  Every root is traced
-once up front, into arrays, and the arcs that qualify fill the heap.
-An index from every end to the roots whose last trace reached it, the
-first traces sorted by end plus a dict for the roots traced again,
-names the roots to re-trace after a cancellation.  Arcs of
+``(weight, lower id, upper id, trace version)``.  Each root is traced
+once, and an index from every end to the roots whose last trace
+reached it names the roots to re-trace after a cancellation.  Arcs of
 an older trace, or with an end that is no longer critical, are skipped
 when popped.  Only the trace differs by class:
 
@@ -256,16 +254,6 @@ class _Matching:
     def is_matched(self, dim, sid) -> bool:
         return (dim, sid) in self.slot_of
 
-    def held(self) -> list:
-        """Per dimension, a bool array: which simplices are matched."""
-        out = [np.zeros(len(up), dtype=bool) for up in self.grad.pair_up]
-        sids = [[] for _ in out]
-        for k, s in self.slot_of:
-            sids[k].append(s)
-        for got, s in zip(out, sids):
-            got[s] = True
-        return out
-
 
 def match_critical_simplices(
     tri: Triangulation,
@@ -296,78 +284,64 @@ def _report(matching, critical_points, cancelled):
         if not cp.boundary and (cp.vertex, cp.index) in empty:
             failures.append(cp)
             empty.discard((cp.vertex, cp.index))
-    held = matching.held()
-    spurious = {k: set(np.flatnonzero(_interior(matching, k)
-                                      & ~held[k]).tolist())
-                for k in range(len(held))}
+    spurious = {
+        k: {s for s in _interior_ids(matching, k)
+            if not matching.is_matched(k, s)}
+        for k in range(len(matching.boundary))
+    }
     return ComplianceReport(matched, failures, spurious, cancelled)
 
 
-def _interior(matching, dim) -> np.ndarray:
-    """Bool array: the critical dim-simplices off the boundary."""
+def _interior_ids(matching, dim):
+    """Ascending ids of the critical dim-simplices off the boundary."""
     up, down = matching.grad.pair_up[dim], matching.grad.pair_down[dim]
-    return (up < 0) & (down < 0) & ~matching.boundary[dim]
+    return np.flatnonzero((up < 0) & (down < 0)
+                          & ~matching.boundary[dim]).tolist()
 
 
-def _cancel_by_heap(grad, matching, lo, root_dim, first, trace, cancel):
+def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
     """Cancel (lo, lo+1) pairs from a heap of arcs, lowest weight first,
     ties by lower then upper id (see the module docstring).
 
-    Roots are simplices of dimension ``root_dim`` that walks start from;
-    the other end of an arc has the other dimension.  ``first`` holds
-    the first trace of every root as arrays ``(root, end, single)``, one
-    row per critical end reached, ``single`` where the root reaches it
-    by exactly one V-path.  ``trace(root)`` traces a root again: it
-    returns the critical ends reached (repeats allowed) and those of
-    them that qualify.  ``cancel(root, end)`` reverses the path between
-    the two.
+    ``roots`` are the simplices of dimension ``root_dim`` that walks
+    start from; the other end of an arc has the other dimension.
+    ``trace(root)`` returns the critical ends the root's walks reach
+    (repeats allowed) and those of them that qualify (joined to it by
+    exactly one V-path).
+    ``cancel(root, end)`` reverses the path between the two.
     """
     end_dim = 2 * lo + 1 - root_dim
-    root, end, single = first
-    by_end = np.argsort(end, kind="stable")
-    end_sorted = end[by_end]
-    version = {}                  # retraced root -> retraces so far
-    ends_of = {}                  # retraced root -> ends of its last trace
-    reaching = defaultdict(set)   # end -> retraced roots that reached it
+    version = defaultdict(int)    # root -> traces so far
+    ends_of = {}                  # root -> ends its last trace reached
+    reaching = defaultdict(set)   # end -> roots whose last trace reached it
+    heap = []
 
-    def reached(e):
-        """The roots whose last trace reached ``e``."""
-        a, b = np.searchsorted(end_sorted, [e, e + 1])
-        return reaching[e].union(
-            r for r in root[by_end[a:b]].tolist() if r not in version)
-
-    held, values = matching.held(), grad.simplex_values
-    arc = single & ~(held[root_dim][root] & held[end_dim][end])
-    weight = np.abs(values[end_dim][end[arc]] - values[root_dim][root[arc]])
-    pair = (root[arc], end[arc]) if root_dim == lo else (end[arc], root[arc])
-    heap = [(w, l, u, 0) for w, l, u in
-            zip(weight.tolist(), pair[0].tolist(), pair[1].tolist())]
-    heapq.heapify(heap)
-
-    def retrace(r):
-        for e in ends_of.pop(r, ()):
-            reaching[e].discard(r)
-        version[r] = version.get(r, 0) + 1
-        if not grad.is_critical(root_dim, r):
+    def retrace(root):
+        for end in ends_of.pop(root, ()):
+            reaching[end].discard(root)
+        version[root] += 1
+        if not grad.is_critical(root_dim, root):
             return
-        ends, qualify = trace(r)
-        ends_of[r] = ends
-        for e in ends:
-            reaching[e].add(r)
-        for e in qualify:
-            if matching.is_matched(root_dim, r) and \
-                    matching.is_matched(end_dim, e):
+        ends, single = trace(root)
+        ends_of[root] = ends
+        for end in ends:
+            reaching[end].add(root)
+        for end in single:
+            if matching.is_matched(root_dim, root) and \
+                    matching.is_matched(end_dim, end):
                 continue
-            w = abs(grad.simplex_value(end_dim, e)
-                    - grad.simplex_value(root_dim, r))
-            pair = (r, e) if root_dim == lo else (e, r)
-            heapq.heappush(heap, (w, *pair, version[r]))
+            w = abs(grad.simplex_value(end_dim, end)
+                    - grad.simplex_value(root_dim, root))
+            pair = (root, end) if root_dim == lo else (end, root)
+            heapq.heappush(heap, (w, *pair, version[root]))
 
+    for root in roots:
+        retrace(root)
     cancelled = []
     while heap:
         _, lower, upper, ver = heapq.heappop(heap)
-        r, e = (lower, upper) if root_dim == lo else (upper, lower)
-        if ver != version.get(r, 0) or not grad.is_critical(lo, lower) \
+        root, end = (lower, upper) if root_dim == lo else (upper, lower)
+        if ver != version[root] or not grad.is_critical(lo, lower) \
                 or not grad.is_critical(lo + 1, upper):
             continue
         if matching.is_matched(lo, lower) and \
@@ -375,10 +349,10 @@ def _cancel_by_heap(grad, matching, lo, root_dim, first, trace, cancel):
             continue
         if not matching.release([(lo, lower), (lo + 1, upper)]):
             continue            # for good: see the module docstring
-        cancel(r, e)
+        cancel(root, end)
         cancelled.append((lo, lower, upper))
-        for x in sorted(reached(e)):
-            retrace(x)
+        for r in sorted(reaching[end]):
+            retrace(r)
     return cancelled
 
 
@@ -391,26 +365,17 @@ def _cancel_facet_pairs(grad, matching) -> list:
     of their co-faces' ascending walks.  These are union-find roots: the
     ``parent`` of a d-cell starts as its ``ascending_segmentation``
     label, and one extra node, ``outside``, stands for the walks that
-    leave the domain, which end nowhere.  The first traces read the
-    labels of every root's co-faces at once.  A cancellation walks the
-    one path it reverses again and links the class of its maximum
-    ``tau`` to that of ``sigma``'s other co-face.
+    leave the domain, which end nowhere.  A cancellation walks the one
+    path it reverses again and links the class of its maximum ``tau``
+    to that of ``sigma``'s other co-face.
     """
     d = grad.tri.dim
     rows, via = _walk_arrays(grad, True)
     boundary = matching.boundary[d]
-    label = ascending_segmentation(grad)
-    outside = len(label)
-    label[label < 0] = outside
-    label = np.append(label, outside)       # a -1 co-face ends outside too
-    roots = np.flatnonzero(_interior(matching, d - 1))
-    ends = label[rows[roots]]
-    root = np.repeat(roots, ends.shape[1])[ends.ravel() != outside]
-    ends = ends[ends != outside]
-    key, times = np.unique(root * (outside + 1) + ends, return_counts=True)
-    root, end = np.divmod(key, outside + 1)
-    first = (root, end, (times == 1) & ~boundary[end])
-    parent = label.tolist()
+    parent = ascending_segmentation(grad)
+    outside = len(parent)
+    parent[parent < 0] = outside
+    parent = parent.tolist() + [outside]
 
     def find(x):
         while parent[x] != x:
@@ -432,7 +397,8 @@ def _cancel_facet_pairs(grad, matching) -> list:
         reverse_vpath(grad, VPath(d - 1, tau, sigma, pairs))
         parent[tau] = find(other)
 
-    return _cancel_by_heap(grad, matching, d - 1, d - 1, first, trace, cancel)
+    return _cancel_by_heap(grad, matching, d - 1, d - 1,
+                           _interior_ids(matching, d - 1), trace, cancel)
 
 
 def _cancel_connector_pairs(grad, matching) -> list:
@@ -443,7 +409,7 @@ def _cancel_connector_pairs(grad, matching) -> list:
     descending V-paths to the interior critical edges in one shared
     memo; a cancelled path is read from that memo.
     """
-    edges = set(np.flatnonzero(_interior(matching, 1)).tolist())
+    edges = set(_interior_ids(matching, 1))
     memo = {}                     # triangle -> {edge: V-path count}
     # row e: the ascending ids of the triangles with face e, -1 padded
     triangles_of = grad.tri.cofacet_ids(1)
@@ -471,12 +437,8 @@ def _cancel_connector_pairs(grad, matching) -> list:
         reverse_vpath(grad, path)
         edges.discard(e)
 
-    arcs = [(tau, e, n == 1)
-            for tau in np.flatnonzero(_interior(matching, 2)).tolist()
-            for e, n in _vpath_counts(grad, 1, tau, edges, memo).items()]
-    root, end, single = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
-    return _cancel_by_heap(grad, matching, 1, 2, (root, end, single == 1),
-                           trace, cancel)
+    return _cancel_by_heap(grad, matching, 1, 2,
+                           _interior_ids(matching, 2), trace, cancel)
 
 
 def enforce_compliance(

@@ -81,15 +81,11 @@ class DiscreteGradient:
         d = tri.dim
         self.verts = [tri.simplex_array(k) for k in range(d + 1)]
         ranks = field.ranks
-        self.simplex_values = []
-        for rows in self.verts:
-            # column-wise maxima: a reduction along rows this short is
-            # several times slower
-            r = ranks[rows]
-            top = r[:, 0]
-            for j in range(1, r.shape[1]):
-                top = np.maximum(top, r[:, j])
-            self.simplex_values.append(field.values[field.order[top]])
+        self.simplex_values = [
+            field.values[rows[np.arange(len(rows)),
+                              np.argmax(ranks[rows], axis=1)]]
+            for rows in self.verts
+        ]
         self.pair_up = [
             np.full(tri.simplex_count(k), -1, dtype=np.int64)
             for k in range(d + 1)
