@@ -1,9 +1,12 @@
 """Cross-module invariant suite backing the ``check`` subcommand.
 
-Each check recomputes a structural property of the pipeline from
-scratch and reports pass/fail with a short diagnostic; together they
-exercise the triangulation, classification, gradient, tree, and
-diagram layers against one another on the given dataset.
+Each check tests a structural property of the pipeline and reports
+pass/fail with a short diagnostic; together they exercise the
+triangulation, classification, gradient, tree, and diagram layers
+against one another on the given dataset.  The checks read the critical
+points and merge trees from the field's store, where the rest of the
+pipeline left them; ``_uf_extremum_pairs`` stays an independent
+recomputation of the extremum pairs that reads no store.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .order import OrderField, _pointer_jump
+from .order import OrderField, _pointer_jump, stored
 from .triangulation import Triangulation
 
 
@@ -104,8 +104,12 @@ def _link_component_arrays(tri: Triangulation, field: OrderField):
             np.bincount(owner[roots & ~lower], minlength=n))
 
 
+@stored
 def extract_critical_points(tri: Triangulation, field: OrderField):
-    """All critical points, sorted by (vertex id, index)."""
+    """All critical points, sorted by (vertex id, index).
+
+    Built once per field and triangulation, kept in the field's store;
+    each call returns a fresh list."""
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
     n_lower, n_upper = _link_component_arrays(tri, field)

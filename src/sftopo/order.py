@@ -7,9 +7,15 @@ rank permutation, so simplifying a field amounts to rewriting values and
 offsets while keeping this interface stable.  The module also holds the
 pointer-doubling step shared by the array passes that follow chains to
 their ends (link components, merge and contour trees, segmentations).
+
+A field cannot change: ``OrderField`` copies its values and offsets and
+marks them, its order and its ranks read-only.  That makes its store
+(see ``stored``) safe.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,33 +39,59 @@ def _pointer_jump(ptr: np.ndarray) -> np.ndarray:
     return ptr
 
 
+def stored(build):
+    """Make ``build(tri, field, *args)`` a structure kept in the field's
+    store; the field-side twin of ``triangulation.base.stored``.
+
+    The first call with given arguments builds the result; every later
+    call returns the same object, or a fresh copy of a list, so that no
+    caller edits what the store holds.  The key holds the triangulation
+    object itself: one field on a grid and on its explicit copy has one
+    entry for each.  The wrapper calls the builder through its
+    ``__wrapped__`` attribute, where a test can count the builds.
+    """
+    name = build.__name__
+
+    @functools.wraps(build)
+    def query(tri, field, *args):
+        key = (name, tri, *args)
+        got = field._store.get(key)
+        if got is None:
+            got = field._store[key] = query.__wrapped__(tri, field, *args)
+        return list(got) if isinstance(got, list) else got
+
+    return query
+
+
 class OrderField:
     """Scalar field plus injective tie-breaking offsets on the vertices.
 
     Parameters
     ----------
     values:
-        One scalar per vertex.
+        One scalar per vertex; copied.
     offsets:
         Integer tie-breaker per vertex; defaults to the vertex id.
-        Must be injective (checked).
+        Must be injective (checked); copied.
 
     Attributes
     ----------
     ranks:
         ``ranks[v]`` is the position of vertex ``v`` in the ascending
         total order; ``order[i]`` is the vertex with rank ``i``.
+
+    ``values``, ``offsets``, ``order`` and ``ranks`` are read-only.
     """
 
     def __init__(self, values, offsets=None):
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.array(values, dtype=float)
         if self.values.ndim != 1:
             raise ValueError("values must be one scalar per vertex")
         n = len(self.values)
         if offsets is None:
             offsets = np.arange(n, dtype=np.int64)
         else:
-            offsets = np.asarray(offsets, dtype=np.int64)
+            offsets = np.array(offsets, dtype=np.int64)
             if offsets.shape != (n,):
                 raise ValueError("offsets must match values in length")
             if len(np.unique(offsets)) != n:
@@ -68,6 +100,9 @@ class OrderField:
         self.order = np.lexsort((self.offsets, self.values))
         self.ranks = np.empty(n, dtype=np.int64)
         self.ranks[self.order] = np.arange(n)
+        for arr in (self.values, self.offsets, self.order, self.ranks):
+            arr.flags.writeable = False
+        self._store = {}    # (builder, tri, *args) -> result; see ``stored``
 
     def __len__(self) -> int:
         return len(self.values)

@@ -44,7 +44,7 @@ from .gradient import (
     extract_vpath,
     reverse_vpath,
 )
-from .order import OrderField, _pointer_jump
+from .order import OrderField, _pointer_jump, stored
 from .triangulation import Triangulation
 
 log = logging.getLogger(__name__)
@@ -87,7 +87,9 @@ class MergeTree:
     ``n_children[v]`` the number of components that merged at ``v``
     (0 for leaves, >= 2 for merge saddles).  ``pairs`` lists the
     elder-rule (extremum, merge vertex) pairs in sweep order, the
-    extrema of one merge from oldest to youngest.
+    extrema of one merge from oldest to youngest.  The field's store
+    shares one tree among all callers: ``succ`` and ``n_children`` are
+    read-only, and callers must not edit the lists.
     """
 
     variant: str                 # "join" or "split"
@@ -101,10 +103,14 @@ class MergeTree:
     pairs: list                  # (extremum, merge vertex)
 
 
+@stored
 def build_merge_tree(
     tri: Triangulation, field: OrderField, variant: str
 ) -> MergeTree:
     """The join or split tree, from steepest-descent regions.
+
+    Built once per field, triangulation and variant, and kept in the
+    field's store; later calls return the same tree.
 
     The join tree's leaves are the minima; the split tree is the same
     construction on the reversed order, with leaves at the maxima.
@@ -230,6 +236,7 @@ def build_merge_tree(
     if saddles:
         v, k = np.array(saddles, dtype=np.int64).T
         n_children[v] = k + 1
+    succ.flags.writeable = n_children.flags.writeable = False
     return MergeTree(variant, field, tri, succ, n_children, int(sweep[-1]),
                      leaves, saddles, pairs)
 

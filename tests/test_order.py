@@ -1,9 +1,26 @@
-"""Total vertex order with tie-breaking offsets."""
+"""Total vertex order with tie-breaking offsets, and the field's store."""
+
+import gc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sftopo import OrderField
+from conftest import F0_VALUES, preconditioned, random_field
+from sftopo import (
+    ExplicitTriangulation,
+    ImplicitGridTriangulation,
+    OrderField,
+    SimplificationRequest,
+    build_diagram,
+    build_merge_tree,
+    combine_contour_tree,
+    extract_critical_points,
+    persistence_curve,
+    simplify_field,
+)
+from sftopo.checks import run_checks
 from sftopo.order import _pointer_jump
 
 
@@ -46,6 +63,143 @@ class TestOrderField:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             OrderField(np.zeros(3), np.array([0, 1]))
+
+    def test_field_copies_its_input_and_is_read_only(self):
+        """Editing the caller's arrays leaves the field and its order
+        unchanged, and none of the field's arrays can be written."""
+        v = np.array([3.0, 1.0, 2.0])
+        off = np.array([0, 1, 2])
+        f = OrderField(v, off)
+        v[0], off[0] = 0.0, 7
+        assert list(f.values) == [3.0, 1.0, 2.0]
+        assert list(f.offsets) == [0, 1, 2]
+        assert list(f.order) == [1, 2, 0]
+        for arr in (f.values, f.offsets, f.order, f.ranks):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
+def _spy_builds(monkeypatch):
+    """Count the builds behind the stored queries, by builder name and
+    arguments after (tri, field)."""
+    builds = Counter()
+    for query in (extract_critical_points, build_merge_tree):
+        build = query.__wrapped__
+
+        def spy(tri, field, *args, build=build):
+            builds[(build.__name__, *args)] += 1
+            return build(tri, field, *args)
+
+        monkeypatch.setattr(query, "__wrapped__", spy)
+    return builds
+
+
+ONCE_EACH = {("extract_critical_points",): 1,
+             ("build_merge_tree", "join"): 1,
+             ("build_merge_tree", "split"): 1}
+
+
+class TestFieldStore:
+    def test_merge_tree_built_once_with_read_only_arrays(self):
+        grid = ImplicitGridTriangulation((3, 3))
+        f = OrderField(F0_VALUES)
+        join = build_merge_tree(grid, f, "join")
+        assert build_merge_tree(grid, f, "join") is join
+        assert build_merge_tree(grid, f, "split") is not join
+        for arr in (join.succ, join.n_children):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_grid_and_explicit_copy_get_separate_equal_trees(self):
+        rng = np.random.default_rng(3)
+        for dims in ((9, 7), (4, 3, 5)):
+            grid = ImplicitGridTriangulation(dims)
+            copy = preconditioned(ExplicitTriangulation(
+                grid.point_array(), grid.simplex_array(grid.dim)))
+            f = random_field(grid, rng)
+            for variant in ("join", "split"):
+                a = build_merge_tree(grid, f, variant)
+                b = build_merge_tree(copy, f, variant)
+                assert a is not b and (a.tri, b.tri) == (grid, copy)
+                assert tuple(a.succ.tolist()) == tuple(b.succ.tolist())
+                assert tuple(a.n_children.tolist()) == \
+                    tuple(b.n_children.tolist())
+                assert (a.root, a.leaves, a.saddles, a.pairs) == \
+                    (b.root, b.leaves, b.saddles, b.pairs)
+            assert extract_critical_points(grid, f) == \
+                extract_critical_points(copy, f)
+
+    def test_equal_fields_share_nothing(self):
+        grid = ImplicitGridTriangulation((6, 5))
+        values = np.random.default_rng(4).random(30)
+        f, g = OrderField(values), OrderField(values)
+        assert not np.shares_memory(f.values, g.values)
+        assert not np.shares_memory(f.values, values)
+        for variant in ("join", "split"):
+            a = build_merge_tree(grid, f, variant)
+            b = build_merge_tree(grid, g, variant)
+            assert a is not b and (a.field, b.field) == (f, g)
+            assert not np.shares_memory(a.succ, b.succ)
+            assert np.array_equal(a.succ, b.succ)
+        assert extract_critical_points(grid, f) is not \
+            extract_critical_points(grid, g)
+
+    def test_critical_points_come_back_as_fresh_lists(self):
+        grid = ImplicitGridTriangulation((6, 5))
+        f = random_field(grid, np.random.default_rng(5))
+        first = extract_critical_points(grid, f)
+        want = list(first)
+        first.clear()
+        second = extract_critical_points(grid, f)
+        assert second == want and second is not first
+        second.append(None)
+        assert extract_critical_points(grid, f) == want
+
+    def test_simplified_field_starts_with_an_empty_store(self, monkeypatch):
+        grid = ImplicitGridTriangulation((3, 3))
+        f = OrderField(F0_VALUES)
+        build_diagram(grid, f)
+        out = simplify_field(grid, f, SimplificationRequest(
+            frozenset({0, 8})))
+        assert out is not f
+        builds = _spy_builds(monkeypatch)
+        join = build_merge_tree(grid, out, "join")
+        assert builds == {("build_merge_tree", "join"): 1}
+        assert join.field is out and join.leaves == [0]
+
+    def test_dropped_field_is_collected(self):
+        """The field -> tree -> field cycle keeps no dropped field."""
+        grid = ImplicitGridTriangulation((6, 5))
+        f = random_field(grid, np.random.default_rng(6))
+        build_diagram(grid, f)
+        combine_contour_tree(build_merge_tree(grid, f, "join"),
+                             build_merge_tree(grid, f, "split"))
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("dims", [(9, 7), (4, 4, 4)])
+    def test_run_checks_builds_each_structure_once(self, monkeypatch, dims):
+        grid = ImplicitGridTriangulation(dims)
+        f = random_field(grid, np.random.default_rng(7))
+        builds = _spy_builds(monkeypatch)
+        assert all(r.ok for r in run_checks(grid, f))
+        assert builds == ONCE_EACH
+
+    def test_scan_sequence_builds_each_structure_once(self, monkeypatch):
+        """Critical points, join, split, contour tree, diagram and curve,
+        as the grid2d-scan benchmark runs them."""
+        grid = ImplicitGridTriangulation((12, 10))
+        builds = _spy_builds(monkeypatch)
+        for seed in (8, 9):
+            f = random_field(grid, np.random.default_rng(seed))
+            extract_critical_points(grid, f)
+            combine_contour_tree(build_merge_tree(grid, f, "join"),
+                                 build_merge_tree(grid, f, "split"))
+            persistence_curve(build_diagram(grid, f))
+            assert builds == ONCE_EACH
+            builds.clear()
 
 
 class TestPointerJump:
