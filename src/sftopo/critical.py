@@ -7,11 +7,23 @@ lower and one upper component; minima have an empty lower link, maxima
 an empty upper link, and saddles have more than one component on at
 least one side.
 
-``extract_critical_points`` counts the components of every link in one
-array pass.  A link vertex ``u`` of ``v`` is the directed edge (v, u),
-and two link vertices are joined by a link edge exactly when the three
-vertices span a triangle, so the triangles alone give every link's
-1-skeleton, which decides its connectivity.
+``link_components`` finds the components of every link in one array
+pass, once per field and kept in the field's store (see
+``order.stored``).  Its graph is the half-edge link graph.  The link
+vertices of ``v`` are its half-edges: ``h = 2e + s`` is edge ``e`` seen
+from its vertex ``simplex_array(1)[e, s]``, and lies in the lower link
+when the edge's other end comes first.  A triangle (x, y, z), its
+vertices ascending, joins at each vertex the half-edges of its two
+edges there: (xy, 0) and (xz, 0) at x, (xy, 1) and (yz, 0) at y, and
+(xz, 1) and (yz, 1) at z, where the edges are the triangle's row of
+``facet_ids(2)`` (column j is opposite vertex j), so nothing is
+searched.  Such a link edge lies in the lower (upper) link when both
+its ends do, which is so at the triangle's highest (lowest) vertex and
+never at its middle one.  The triangles alone give every link's
+1-skeleton, which decides its connectivity; a component's smallest
+half-edge is its root.  ``extract_critical_points`` counts the roots of
+each vertex, and ``trees.build_merge_tree`` reads the same roots to find
+where sub-level components meet.
 """
 
 from __future__ import annotations
@@ -66,42 +78,66 @@ def _components(n, a, b):
 
     Min-label propagation with pointer jumping, run to a fixed point:
     every node ends up labelled with the smallest node of its component.
-    An edge whose ends agree keeps agreeing, so it leaves the work list.
+    An edge whose ends agree keeps agreeing, so it leaves the work list,
+    one array at a time, so that at most one list is held twice.
     """
     label = np.arange(n)
-    while True:
-        la, lb = label[a], label[b]
-        differ = la != lb
-        if not differ.any():
-            return label
-        a, b, la, lb = a[differ], b[differ], la[differ], lb[differ]
+    la, lb = a, b               # the labels of a and b: the identity
+    while len(a):
         low = np.minimum(la, lb)
         np.minimum.at(label, la, low)
         np.minimum.at(label, lb, low)
+        del low
         label = _pointer_jump(label)
+        la, lb = label[a], label[b]
+        differ = np.flatnonzero(la != lb)
+        a = a[differ]
+        b = b[differ]
+        la = la[differ]
+        lb = lb[differ]
+    return label
 
 
-def _link_component_arrays(tri: Triangulation, field: OrderField):
-    """Lower and upper link component counts of every vertex, as arrays."""
-    n = tri.simplex_count(0)
+def _link_edges(tri: Triangulation, lower):
+    """The link edges that lie in a lower or an upper link, as two
+    arrays of half-edges (see the module docstring)."""
+    # facet column j is the edge opposite vertex j: a row is yz, xz, xy
+    yz, xz, xy = (2 * tri.facet_ids(2)).T
+    a = np.concatenate((xy, xy + 1, xz + 1))    # at x, at y, at z
+    b = np.concatenate((xz, yz, yz + 1))
+    del yz, xz, xy          # frees the doubled facet rows
+    keep = np.flatnonzero(lower[a] == lower[b])
+    a = a[keep]             # one full-length list at a time
+    return a, b[keep]
+
+
+@stored
+def link_components(tri: Triangulation, field: OrderField):
+    """``(lower, roots)``: the link components of every vertex.
+
+    ``lower`` is a bool array over the half-edges (see the module
+    docstring): ``lower[h]`` says whether ``h`` lies in its vertex's
+    lower link.  ``roots`` holds the smallest half-edge of each link
+    component, ascending.  Both are read-only; built once per field and
+    triangulation, and kept in the field's store.
+    """
     ranks = field.ranks
-    offsets, ids = tri.neighbor_csr()
-    owner = np.repeat(np.arange(n), np.diff(offsets))
-    lower = ranks[ids] < ranks[owner]
-    keys = owner * n + ids      # ascending: by owner, then sorted rows
+    ends = tri.simplex_array(1)
+    below = ranks[ends[:, 1]] < ranks[ends[:, 0]]
+    lower = np.stack((below, ~below), axis=1).ravel()
+    n = len(lower)
+    roots = np.flatnonzero(_components(n, *_link_edges(tri, lower))
+                           == np.arange(n))
+    return lower, roots
 
-    def node(v, u):             # position of the directed edge (v, u)
-        return np.searchsorted(keys, v * n + u)
 
-    tris = tri.simplex_array(2)
-    x, y, z = np.sort(ranks[tris], axis=1).T
-    x, y, z = field.order[x], field.order[y], field.order[z]
-    # z's lower link joins x and y; x's upper link joins y and z
-    a = np.concatenate((node(z, x), node(x, y)))
-    b = np.concatenate((node(z, y), node(x, z)))
-    roots = _components(len(ids), a, b) == np.arange(len(ids))
-    return (np.bincount(owner[roots & lower], minlength=n),
-            np.bincount(owner[roots & ~lower], minlength=n))
+def _link_counts(tri: Triangulation, field: OrderField):
+    """Lower and upper link component counts of every vertex, as arrays:
+    the roots of ``link_components`` by vertex and side."""
+    lower, roots = link_components(tri, field)
+    at = tri.simplex_array(1).ravel()[roots]
+    n_lower = np.bincount(at[lower[roots]], minlength=len(field))
+    return n_lower, np.bincount(at, minlength=len(field)) - n_lower
 
 
 @stored
@@ -112,11 +148,12 @@ def extract_critical_points(tri: Triangulation, field: OrderField):
     each call returns a fresh list."""
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
-    n_lower, n_upper = _link_component_arrays(tri, field)
-    boundary = tri.boundary_flags()[0]
+    n_lower, n_upper = _link_counts(tri, field)
+    crit = np.flatnonzero((n_lower != 1) | (n_upper != 1))
     out = []
-    for v in np.flatnonzero((n_lower != 1) | (n_upper != 1)).tolist():
-        out.extend(_critical_points(
-            tri.dim, v, int(n_lower[v]), int(n_upper[v]),
-            float(field.values[v]), bool(boundary[v])))
+    for v, lo, up, value, boundary in zip(
+            crit.tolist(), n_lower[crit].tolist(), n_upper[crit].tolist(),
+            field.values[crit].tolist(),
+            tri.boundary_flags()[0][crit].tolist()):
+        out.extend(_critical_points(tri.dim, v, lo, up, value, boundary))
     return out

@@ -10,7 +10,10 @@ their ends (link components, merge and contour trees, segmentations).
 
 A field cannot change: ``OrderField`` copies its values and offsets and
 marks them, its order and its ranks read-only.  That makes its store
-(see ``stored``) safe.
+(see ``stored``) safe.  The store holds, per triangulation, the link
+components of every vertex (``critical.link_components``, the one link
+pass that the critical points and both merge trees read), the critical
+points and the join and split trees.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ def _pointer_jump(ptr: np.ndarray) -> np.ndarray:
     step = ptr
     for _ in range(len(ptr).bit_length() + 1):
         nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
+        if (nxt == ptr).all():
             break
         ptr = nxt
-    if not np.array_equal(step[ptr], ptr):
+    if not (step[ptr] == ptr).all():
         raise ValueError("pointer chains close into a cycle")
     return ptr
 
@@ -43,12 +46,13 @@ def stored(build):
     """Make ``build(tri, field, *args)`` a structure kept in the field's
     store; the field-side twin of ``triangulation.base.stored``.
 
-    The first call with given arguments builds the result; every later
-    call returns the same object, or a fresh copy of a list, so that no
-    caller edits what the store holds.  The key holds the triangulation
-    object itself: one field on a grid and on its explicit copy has one
-    entry for each.  The wrapper calls the builder through its
-    ``__wrapped__`` attribute, where a test can count the builds.
+    The first call with given arguments builds the result and marks an
+    array (or a tuple of arrays) read-only; every later call returns the
+    same object, or a fresh copy of a list, so that no caller edits what
+    the store holds.  The key holds the triangulation object itself: one
+    field on a grid and on its explicit copy has one entry for each.
+    The wrapper calls the builder through its ``__wrapped__`` attribute,
+    where a test can count the builds.
     """
     name = build.__name__
 
@@ -57,7 +61,11 @@ def stored(build):
         key = (name, tri, *args)
         got = field._store.get(key)
         if got is None:
-            got = field._store[key] = query.__wrapped__(tri, field, *args)
+            got = query.__wrapped__(tri, field, *args)
+            for arr in got if isinstance(got, tuple) else (got,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+            field._store[key] = got
         return list(got) if isinstance(got, list) else got
 
     return query

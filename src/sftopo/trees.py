@@ -4,24 +4,32 @@ Join (sub-level) and split (sur-level) trees are built from arrays,
 after the monotone paths and pointer doubling of Carr, Weber, Sewell &
 Ahrens (IEEE LDAV 2016).  Every vertex points to its lowest lower
 neighbour, and pointer doubling labels it with the minimum its steepest
-descent ends at; these regions are then joined by one Kruskal pass over
-the edges between them.  The construction is exact because a descent
-path stays below the vertex it starts from: at every level t, each
-vertex of the sub-level set is joined inside it to its region's
-minimum, so the sub-level components at t are the regions joined by
-the crossing edges whose higher end is at most t.  Once two regions are
-joined, a later edge between them joins nothing new, so the union-find
-keeps only the lowest-ended edge of each region pair.  The same pass
-records the elder-rule persistence pairs: when components merge, the
-oldest extremum survives and each younger one dies at the merge vertex.
-The split tree is the same construction on the reversed order.  The
-contour tree combines the two trees by leaf pruning (Carr, Snoeyink &
-Axen, CGTA 24(2), 2003) in batched rounds on arrays, after the same
-LDAV paper: each round prunes every lower (then every upper) leaf at
-once, extends each up its chain of one-child vertices and splices the
-pruned chains out of the other tree, all by pointer doubling.  Zigzag
-trees lose only their two ends per round, so once a round pass prunes
-too little the rest is pruned one leaf at a time from a queue.
+descent ends at, its region.  A descent path stays below the vertex it
+starts from, so at every level each vertex of the sub-level set is
+joined inside it to its region's minimum: the sub-level components are
+unions of regions.  Regions are then joined in one sweep, at the
+vertices whose lower link is split, read from the link components that
+the critical points use (``critical.link_components``).  Each component
+of such a link gives one representative, the other end of its root
+half-edge, and the sweep joins the regions of the representatives and
+of the vertex.  This is exact: a lower-link component is connected
+below its vertex, so it lies in one sub-level component.  A vertex with
+a connected lower link therefore joins one component and merges none,
+and at a split link the components that meet are those of the
+representatives (the vertex's own region lies in one of them, since
+its steepest descent starts in its lower link).  A representative in
+the vertex's own region joins nothing and is dropped before the sweep.
+The same sweep records the elder-rule persistence pairs: when
+components merge, the oldest extremum survives and each younger one
+dies at the merge vertex.  The split tree is the same construction
+on the reversed order, with upper links.  The contour tree combines
+the two trees by leaf pruning (Carr, Snoeyink & Axen, CGTA 24(2),
+2003) in batched rounds on arrays, after the same LDAV paper: each
+round prunes every lower (then every upper) leaf at once, extends each
+up its chain of one-child vertices and splices the pruned chains out of
+the other tree, all by pointer doubling.  Zigzag trees lose only their
+two ends per round, so once a round pass prunes too little the rest is
+pruned one leaf at a time from a queue.
 In 3D, saddle-saddle pairs are extracted from a discrete gradient by
 visiting critical triangles in ascending order and pairing each with
 the highest critical edge its saddle-connectors reach an odd number of
@@ -38,6 +46,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .critical import link_components
 from .gradient import (
     DiscreteGradient,
     _vpath_counts,
@@ -89,7 +98,7 @@ class MergeTree:
     elder-rule (extremum, merge vertex) pairs in sweep order, the
     extrema of one merge from oldest to youngest.  The field's store
     shares one tree among all callers: ``succ`` and ``n_children`` are
-    read-only, and callers must not edit the lists.
+    read-only, and ``leaves``, ``saddles`` and ``pairs`` are tuples.
     """
 
     variant: str                 # "join" or "split"
@@ -98,9 +107,9 @@ class MergeTree:
     succ: np.ndarray
     n_children: np.ndarray
     root: int
-    leaves: list
-    saddles: list                # (vertex, multiplicity = k - 1)
-    pairs: list                  # (extremum, merge vertex)
+    leaves: tuple
+    saddles: tuple               # (vertex, multiplicity = k - 1)
+    pairs: tuple                 # (extremum, merge vertex)
 
 
 @stored
@@ -118,31 +127,36 @@ def build_merge_tree(
     1. Every vertex points to its lowest lower neighbour (a vertex with
        none is a leaf), and pointer doubling labels it with the leaf its
        steepest descent ends at, its region.
-    2. Of the edges between two regions only the one with the lowest
-       higher end is kept: it joins them, and later ones join nothing.
-    3. A union-find over regions runs over the kept edges, grouped by
-       higher end in sweep order.  A vertex whose edges meet k >= 2
-       components is a saddle.  Each component keeps its oldest
-       extremum; at a merge the oldest of them survives and the others
-       pair with the merge vertex, from oldest to youngest.
+    2. Every vertex whose lower link has k >= 2 components (see
+       ``critical.link_components``) gets one representative per
+       component, the other end of the component's root half-edge; a
+       representative in the vertex's own region is dropped.
+    3. A union-find over regions runs over the representatives, grouped
+       by vertex in sweep order.  A vertex whose own region and
+       representatives meet k >= 2 components is a saddle.  Each
+       component keeps its oldest extremum; at a merge the oldest of
+       them survives and the others pair with the merge vertex, from
+       oldest to youngest.
     4. The leaves and saddles form a merge forest.  A vertex's node is
        the highest forest ancestor of its region's leaf that is not
        above the vertex, found by binary lifting; its ``succ`` is the
        next vertex of that node, or after the last one the saddle the
        node merges into (-1 at a root).
 
-    Python loops only over the kept edges; the rest is numpy.
+    Python loops only over the representatives; the rest is numpy.
     """
     if variant not in ("join", "split"):
         raise ValueError("variant must be 'join' or 'split'")
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
     n = len(field)
-    if variant == "join":
+    join = variant == "join"
+    if join:
         sweep, rank = field.order, field.ranks
     else:
         sweep, rank = field.order[::-1], n - 1 - field.ranks
-    a, b = tri.simplex_array(1).T
+    ends = tri.simplex_array(1)
+    a, b = ends.T
     a_high = rank[a] > rank[b]
     high, low = np.where(a_high, a, b), np.where(a_high, b, a)
 
@@ -152,19 +166,22 @@ def build_merge_tree(
     is_leaf = below == n
     label = np.arange(n, dtype=np.int64)
     label[~is_leaf] = sweep[below[~is_leaf]]
-    label = _pointer_jump(label)
-
-    # per region pair, the crossing edge with the lowest higher end
     leaves = sweep[is_leaf[sweep]]
     region = np.full(n, -1, dtype=np.int64)
     region[leaves] = np.arange(len(leaves))   # ascending age
-    r_low, r_high = region[label[low]], region[label[high]]
-    cross = r_low != r_high
-    high, r_low, r_high = high[cross], r_low[cross], r_high[cross]
-    pair = np.minimum(r_low, r_high) * n + np.maximum(r_low, r_high)
-    first = np.lexsort((rank[high], pair))
-    kept = first[np.diff(pair[first], prepend=-1) != 0]
-    kept = kept[np.argsort(rank[high[kept]], kind="stable")]
+    region = region[_pointer_jump(label)]
+
+    # a representative per component of a split lower link (the upper
+    # link, in the split tree's reversed order), by region
+    lower, link_roots = link_components(tri, field)
+    half = ends.ravel()
+    h = link_roots[lower[link_roots] == join]
+    at = half[h]
+    r_at, r_rep = region[at], region[half[h ^ 1]]
+    keep = np.flatnonzero((np.bincount(at, minlength=n)[at] >= 2)
+                          & (r_at != r_rep))
+    keep = keep[np.argsort(rank[at[keep]])]
+    at, r_at, r_rep = at[keep], r_at[keep], r_rep[keep]
 
     # union-find over regions; forest nodes are the leaves, then saddles
     leaves = leaves.tolist()
@@ -182,18 +199,17 @@ def build_merge_tree(
         return root
 
     saddles, pairs, below_node, above_node = [], [], [], []
-    kept_high = high[kept]
-    ends_group = np.append(kept_high[1:] != kept_high[:-1], True)
+    ends_group = np.append(at[1:] != at[:-1], True)
     roots = []
-    for v, rh, rl, ends in zip(kept_high.tolist(), r_high[kept].tolist(),
-                               r_low[kept].tolist(), ends_group.tolist()):
+    for v, rv, rr, last in zip(at.tolist(), r_at.tolist(), r_rep.tolist(),
+                               ends_group.tolist()):
         if not roots:
-            roots.append(find(rh))
-        r = find(rl)
+            roots.append(find(rv))
+        r = find(rr)
         if r not in roots:
             roots.append(r)
-        if not ends:
-            continue            # more kept edges end at v
+        if not last:
+            continue            # more components of v's link to come
         if len(roots) > 1:
             node = len(node_vertex)
             node_vertex.append(v)
@@ -215,16 +231,16 @@ def build_merge_tree(
     jumps = [up]
     while True:
         nxt = jumps[-1][jumps[-1]]
-        if np.array_equal(nxt, jumps[-1]):
+        if (nxt == jumps[-1]).all():
             break
         jumps.append(nxt)
-    comp = region[label]
+    comp = region
     for jump in reversed(jumps):
         cand = jump[comp]
         comp = np.where(node_rank[cand] <= rank, cand, comp)
 
     # succ: the next vertex of the same node, else the node's parent
-    by_node = np.lexsort((rank, comp))
+    by_node = np.argsort(comp * n + rank)
     same = comp[by_node[1:]] == comp[by_node[:-1]]
     succ = np.empty(n, dtype=np.int64)
     succ[by_node[:-1]] = np.where(same, by_node[1:], -1)
@@ -238,7 +254,7 @@ def build_merge_tree(
         n_children[v] = k + 1
     succ.flags.writeable = n_children.flags.writeable = False
     return MergeTree(variant, field, tri, succ, n_children, int(sweep[-1]),
-                     leaves, saddles, pairs)
+                     tuple(leaves), tuple(saddles), tuple(pairs))
 
 
 def persistence_pairs_extrema(tree: MergeTree) -> list:

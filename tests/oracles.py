@@ -270,7 +270,7 @@ def sweep_merge_tree(tri, field, variant):
         before[v] = True
     return MergeTree(variant, field, tri, np.array(succ, dtype=np.int64),
                      np.array(n_children, dtype=np.int64), int(sweep[-1]),
-                     leaves, saddles, pairs)
+                     tuple(leaves), tuple(saddles), tuple(pairs))
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """PL critical point classification."""
 
 import numpy as np
+import pytest
 
-from conftest import preconditioned, random_field, tie_heavy_field
-from oracles import classify_vertex
+from conftest import octahedron_mesh, preconditioned, random_field, \
+    tie_heavy_field
+from oracles import classify_vertex, link_component_counts
+from test_triangulation import non_manifold_fan
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
     extract_critical_points,
 )
+from sftopo.critical import _link_counts, link_components
 
 
 def by_index(cps):
@@ -88,3 +92,87 @@ def test_matches_per_vertex_classification(octahedron, octahedron_sub1,
             both_sides += sum((v, 2) in saddle
                               for v, i in saddle if i == 1 and tri.dim == 3)
     assert boundary > 0 and both_sides > 0
+
+
+def _lone_vertex_sphere():
+    points, cells = octahedron_mesh()
+    return ExplicitTriangulation(np.vstack([points, [[9.0, 9.0, 9.0]]]),
+                                 cells)
+
+
+def _two_spheres():
+    points, cells = octahedron_mesh()
+    return ExplicitTriangulation(np.vstack([points, points + 5.0]),
+                                 np.vstack([cells, cells + len(points)]))
+
+
+class TestLinkComponents:
+    """The one link pass that the critical points and both merge trees
+    read: half-edges joined by the link edges of the triangles."""
+
+    def test_counts_match_per_vertex_union_find(self):
+        """Per-vertex lower and upper counts equal the link union-find
+        oracle on a non-manifold fan, a mesh with a vertex in no cell,
+        two disjoint spheres and a 3D grid, under random, tie-heavy and
+        constant fields."""
+        rng = np.random.default_rng(62)
+        tris = [ExplicitTriangulation(*non_manifold_fan()),
+                _lone_vertex_sphere(), _two_spheres(),
+                ImplicitGridTriangulation((5, 4, 3))]
+        for tri in tris:
+            n = tri.simplex_count(0)
+            for f in (random_field(tri, rng), tie_heavy_field(tri, rng),
+                      OrderField(np.zeros(n))):
+                n_lower, n_upper = _link_counts(tri, f)
+                want = [link_component_counts(tri, f, v) for v in range(n)]
+                assert list(zip(n_lower.tolist(), n_upper.tolist())) == want
+
+    def test_grid_and_shuffled_copy_agree(self):
+        """The counts on a 5x4x3 grid equal those on an explicit copy
+        with its vertex ids permuted, vertex for vertex."""
+        rng = np.random.default_rng(63)
+        grid = ImplicitGridTriangulation((5, 4, 3))
+        n = grid.simplex_count(0)
+        perm = rng.permutation(n)
+        points = np.empty_like(grid.point_array())
+        points[perm] = grid.point_array()
+        copy = ExplicitTriangulation(points, perm[grid.simplex_array(3)])
+        for f in (random_field(grid, rng), tie_heavy_field(grid, rng)):
+            values, offsets = np.empty(n), np.empty(n, dtype=np.int64)
+            values[perm], offsets[perm] = f.values, f.offsets
+            g = OrderField(values, offsets)
+            got = [c[perm].tolist() for c in _link_counts(copy, g)]
+            assert got == [c.tolist() for c in _link_counts(grid, f)]
+            assert got[0] == [link_component_counts(grid, f, v)[0]
+                              for v in range(n)]
+
+    def test_half_edge_contract_of_both_back_ends(self):
+        """The half-edge table reads two promises of the triangulation:
+        ``simplex_array`` rows ascend, and column j of ``facet_ids(2)``
+        is the edge opposite vertex j of the triangle."""
+        rng = np.random.default_rng(64)
+        grids = [ImplicitGridTriangulation(d) for d in ((6, 5), (4, 3, 3))]
+        tris = grids + [ExplicitTriangulation(*non_manifold_fan())]
+        for g in grids:
+            perm = rng.permutation(g.simplex_count(0))
+            points = g.point_array()[np.argsort(perm)]
+            tris.append(ExplicitTriangulation(points,
+                                              perm[g.simplex_array(g.dim)]))
+        for tri in tris:
+            for k in range(tri.dim + 1):
+                assert (np.diff(tri.simplex_array(k), axis=1) > 0).all()
+            edges, triangles = tri.simplex_array(1), tri.simplex_array(2)
+            facets = tri.facet_ids(2)
+            for j in range(3):
+                assert np.array_equal(edges[facets[:, j]],
+                                      np.delete(triangles, j, axis=1))
+
+    def test_stored_arrays_are_read_only(self):
+        grid = ImplicitGridTriangulation((6, 5))
+        f = random_field(grid, np.random.default_rng(65))
+        lower, roots = link_components(grid, f)
+        assert link_components(grid, f)[0] is lower
+        assert link_components(grid, f)[1] is roots
+        for arr in (lower, roots):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]

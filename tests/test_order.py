@@ -21,6 +21,7 @@ from sftopo import (
     simplify_field,
 )
 from sftopo.checks import run_checks
+from sftopo.critical import link_components
 from sftopo.order import _pointer_jump
 
 
@@ -83,7 +84,8 @@ def _spy_builds(monkeypatch):
     """Count the builds behind the stored queries, by builder name and
     arguments after (tri, field)."""
     builds = Counter()
-    for query in (extract_critical_points, build_merge_tree):
+    for query in (link_components, extract_critical_points,
+                  build_merge_tree):
         build = query.__wrapped__
 
         def spy(tri, field, *args, build=build):
@@ -94,7 +96,8 @@ def _spy_builds(monkeypatch):
     return builds
 
 
-ONCE_EACH = {("extract_critical_points",): 1,
+ONCE_EACH = {("link_components",): 1,
+             ("extract_critical_points",): 1,
              ("build_merge_tree", "join"): 1,
              ("build_merge_tree", "split"): 1}
 
@@ -164,8 +167,9 @@ class TestFieldStore:
         assert out is not f
         builds = _spy_builds(monkeypatch)
         join = build_merge_tree(grid, out, "join")
-        assert builds == {("build_merge_tree", "join"): 1}
-        assert join.field is out and join.leaves == [0]
+        assert builds == {("link_components",): 1,
+                          ("build_merge_tree", "join"): 1}
+        assert join.field is out and join.leaves == (0,)
 
     def test_dropped_field_is_collected(self):
         """The field -> tree -> field cycle keeps no dropped field."""
@@ -200,6 +204,19 @@ class TestFieldStore:
             persistence_curve(build_diagram(grid, f))
             assert builds == ONCE_EACH
             builds.clear()
+
+    def test_trees_before_critical_points_build_one_link_pass(
+            self, monkeypatch):
+        """Trees asked for first build the link pass; the critical
+        points then read the stored one."""
+        grid = ImplicitGridTriangulation((12, 10))
+        f = random_field(grid, np.random.default_rng(10))
+        builds = _spy_builds(monkeypatch)
+        build_merge_tree(grid, f, "split")
+        build_merge_tree(grid, f, "join")
+        assert builds[("link_components",)] == 1
+        extract_critical_points(grid, f)
+        assert builds == ONCE_EACH
 
 
 class TestPointerJump:

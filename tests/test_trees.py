@@ -11,6 +11,8 @@ from conftest import midpoint_subdivide, octahedron_mesh, random_field, \
     tie_heavy_field, torus_mesh, preconditioned
 from oracles import level_set_components, prune_contour_tree, \
     sweep_merge_tree, uf_extremum_pairs
+from test_gradient import shuffled_copy
+from test_triangulation import non_manifold_fan
 from sftopo import (
     CLASS_ESSENTIAL,
     CLASS_MIN_SADDLE,
@@ -33,13 +35,13 @@ class TestMergeTree:
     def test_f0_join_tree(self, grid33, f0):
         t = build_merge_tree(grid33, f0, "join")
         assert sorted(t.leaves) == [0, 2]
-        assert t.saddles == [(1, 1)]
+        assert t.saddles == ((1, 1),)
         assert t.root == 8
 
     def test_f0_split_tree(self, grid33, f0):
         t = build_merge_tree(grid33, f0, "split")
-        assert t.leaves == [8]
-        assert t.saddles == []
+        assert t.leaves == (8,)
+        assert t.saddles == ()
         assert t.root == 0
 
     def test_f0_elder_pairs(self, grid33, f0):
@@ -87,7 +89,7 @@ class TestMergeTree:
         from oldest to youngest."""
         values = np.array([4, 2, 5, 1, 3, 6, 7, 8, 0], dtype=np.float64)
         join = build_merge_tree(grid33, OrderField(values), "join")
-        assert join.saddles == [(4, 2)]
+        assert join.saddles == ((4, 2),)
         assert persistence_pairs_extrema(join) == [(3, 4), (1, 4)]
         split = build_merge_tree(grid33, OrderField(-values), "split")
         assert persistence_pairs_extrema(split) == [(3, 4), (1, 4)]
@@ -101,6 +103,16 @@ class TestMergeTree:
         join_neg = build_merge_tree(tri, neg, "join")
         assert np.array_equal(split.succ, join_neg.succ)
         assert sorted(split.leaves) == sorted(join_neg.leaves)
+
+    def test_stored_tree_lists_are_tuples(self, grid33, f0):
+        """The store shares one tree among callers: its lists cannot be
+        edited."""
+        tree = build_merge_tree(grid33, f0, "join")
+        for seq in (tree.leaves, tree.saddles, tree.pairs):
+            assert isinstance(seq, tuple)
+        with pytest.raises(AttributeError):
+            tree.leaves.append(-1)
+        assert build_merge_tree(grid33, f0, "join").leaves == (0, 2)
 
     def test_bad_variant(self, grid33, f0):
         with pytest.raises(ValueError):
@@ -138,12 +150,20 @@ def _identity_cases():
     lone = preconditioned(ExplicitTriangulation(
         np.vstack([points, [[9.0, 9.0, 9.0]]]), cells))
     yield "sphere and a lone vertex", lone, random_field(lone, rng)
+    grid = ImplicitGridTriangulation((5, 4, 3))
+    copy = shuffled_copy(grid, rng)
+    yield "random shuffled (5, 4, 3)", copy, random_field(copy, rng)
+    yield "tie-heavy shuffled (5, 4, 3)", copy, tie_heavy_field(copy, rng)
+    fan = ExplicitTriangulation(*non_manifold_fan())
+    yield "random fan", fan, random_field(fan, rng)
+    yield "tie-heavy fan", fan, tie_heavy_field(fan, rng)
 
 
 def test_merge_tree_matches_vertex_sweep():
     """The region construction returns the vertex sweep's tree, element
     for element, on grids, long descent chains, spheres, a domain with
-    two components and one with an isolated vertex."""
+    two components, one with an isolated vertex, a 3D grid with shuffled
+    vertex ids and three triangles on one edge."""
     for name, tri, f in _identity_cases():
         for variant in ("join", "split"):
             got = build_merge_tree(tri, f, variant)
