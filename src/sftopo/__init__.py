@@ -16,7 +16,6 @@ from .gradient import (
     DiscreteGradient,
     VPath,
     build_gradient,
-    extract_vpath,
     gradient_is_acyclic,
     pairing_is_valid,
     reverse_vpath,
@@ -96,7 +95,6 @@ __all__ = [
     "enforce_compliance",
     "extract_critical_points",
     "extract_separatrices",
-    "extract_vpath",
     "gradient_is_acyclic",
     "load",
     "match_critical_simplices",

@@ -133,14 +133,8 @@ def _load(args):
     return sfio.load(spec)
 
 
-def _compliant_gradient(tri, field):
-    grad = build_gradient(tri, field)
-    enforce_compliance(tri, field, grad)
-    return grad
-
-
 def _diagram(tri, field):
-    grad = _compliant_gradient(tri, field) if tri.dim == 3 else None
+    grad = build_gradient(tri, field) if tri.dim == 3 else None
     return build_diagram(tri, field, grad)
 
 
@@ -187,7 +181,8 @@ def _cmd_contour_tree(args):
 
 def _cmd_morse_smale(args):
     tri, field = _load(args)
-    grad = _compliant_gradient(tri, field)
+    grad = build_gradient(tri, field)
+    enforce_compliance(tri, field, grad)
     sfio.write_separatrices_obj(args.output, extract_separatrices(grad))
     sfio.write_labels(args.output + ".desc.labels",
                       descending_segmentation(grad))

@@ -26,6 +26,12 @@ star that is not yet finished.  A step assigns one or two slots, so
 the largest star sets the number of rounds: on grids, a maximum's
 star of 12 slots in 2D and 74 in 3D takes 6 and 37 rounds.
 
+The field's store (``order.stored``) keeps the gradient built this
+way, with read-only arrays, as long as the field lives.  The
+persistence diagram reads its (1,2) pairs from it, and
+``build_gradient`` hands every caller a fresh copy, which compliance
+edits in place.
+
 V-paths (alternating face/pair sequences) are the discrete integral
 lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  The descending (0, 1) and ascending (d-1, d)
@@ -39,8 +45,9 @@ that children come in ascending id order, so no walk queries the
 triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
-length need no recursion.  Acyclicity is checked on the same arrays, by
-peeling each V-path digraph from its sources.
+length need no recursion; no walk in the package recurses.  Acyclicity
+is checked on the same arrays, by peeling each V-path digraph from its
+sources.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .order import OrderField, _pointer_jump
+from .order import OrderField, _pointer_jump, stored
 from .triangulation import Triangulation
 
 
@@ -178,10 +185,16 @@ def _lower_star_slots(grad: DiscreteGradient) -> tuple:
     return base, order, owner[order], pos[faces[order]]
 
 
-def build_gradient(tri: Triangulation, field: OrderField) -> DiscreteGradient:
-    """Construct the discrete gradient of ``field`` on ``tri`` by
-    ProcessLowerStars, on every lower star at once (see the module
-    docstring)."""
+@stored
+def _lower_star_gradient(tri: Triangulation,
+                         field: OrderField) -> DiscreteGradient:
+    """The discrete gradient of ``field`` on ``tri`` by ProcessLowerStars,
+    on every lower star at once (see the module docstring).
+
+    Built once per field and triangulation and kept in the field's
+    store, with every array read-only; ``build_gradient`` hands out
+    editable copies.
+    """
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
     grad = DiscreteGradient(tri, field)
@@ -227,7 +240,15 @@ def build_gradient(tri: Triangulation, field: OrderField) -> DiscreteGradient:
         h, l = hi[dim == k] - base[k], lo[dim == k] - base[k - 1]
         grad.pair_up[k - 1][l] = h
         grad.pair_down[k][h] = l
+    for arr in grad.pair_up + grad.pair_down + grad.simplex_values:
+        arr.flags.writeable = False
     return grad
+
+
+def build_gradient(tri: Triangulation, field: OrderField) -> DiscreteGradient:
+    """The discrete gradient of ``field`` on ``tri``, as a fresh copy that
+    the caller may edit, of the one the field's store keeps."""
+    return _lower_star_gradient(tri, field).copy()
 
 
 # --------------------------------------------------------------------------
@@ -400,32 +421,6 @@ def _first_vpath(grad, dim, upper, lower, memo) -> VPath | None:
                 break
         else:
             return None
-
-
-def extract_vpath(grad: DiscreteGradient, dim: int, upper: int,
-                  lower: int) -> VPath | None:
-    """First descending V-path from ``upper`` to ``lower`` (DFS order).
-
-    Recursive, one frame per pair of the path, and with no guard against
-    a closed V-path.  It serves only the persistence diagram's
-    saddle/saddle walk, until that walk is replaced (ROADMAP item 2);
-    other callers read ``_first_vpath`` from ``_vpath_counts``.
-    """
-
-    def dfs(high, acc):
-        for low, nxt in _descend_children(grad, dim, high):
-            if low == lower:
-                return acc
-            if nxt >= 0:
-                got = dfs(nxt, acc + [(low, nxt)])
-                if got is not None:
-                    return got
-        return None
-
-    pairs = dfs(upper, [])
-    if pairs is None:
-        return None
-    return VPath(dim, int(upper), int(lower), pairs)
 
 
 def reverse_vpath(grad: DiscreteGradient, path: VPath) -> None:

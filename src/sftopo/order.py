@@ -13,7 +13,9 @@ marks them, its order and its ranks read-only.  That makes its store
 (see ``stored``) safe.  The store holds, per triangulation, the link
 components of every vertex (``critical.link_components``, the one link
 pass that the critical points and both merge trees read), the critical
-points and the join and split trees.
+points, the join and split trees, and the lower-star discrete gradient
+(``gradient._lower_star_gradient``), which ``build_gradient`` copies
+and the 3D persistence diagram reads its (1,2) pairs from.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def stored(build):
     store; the field-side twin of ``triangulation.base.stored``.
 
     The first call with given arguments builds the result and marks an
-    array (or a tuple of arrays) read-only; every later call returns the
+    array (or a tuple of arrays) read-only; a builder that returns
+    another object marks its arrays itself.  Every later call returns the
     same object, or a fresh copy of a list, so that no caller edits what
     the store holds.  The key holds the triangulation object itself: one
     field on a grid and on its explicit copy has one entry for each.

@@ -30,16 +30,18 @@ up its chain of one-child vertices and splices the pruned chains out of
 the other tree, all by pointer doubling.  Zigzag trees lose only their
 two ends per round, so once a round pass prunes too little the rest is
 pruned one leaf at a time from a queue.
-In 3D, saddle-saddle pairs are extracted from a discrete gradient by
-visiting critical triangles in ascending order and pairing each with
-the highest critical edge its saddle-connectors reach an odd number of
-times, reversing a connector after each pairing (on a scratch copy).
+In 3D, saddle-saddle pairs come from the field's stored lower-star
+gradient (``gradient._lower_star_gradient``), which nothing edits, by
+one GF(2) reduction of its Morse complex (Guillou, Vidal & Tierny,
+"Discrete Morse Sandwich", arXiv:2206.13932): the boundary of a
+critical triangle is the set of critical edges that an odd number of
+its descending V-paths reach, and the triangles, in ascending order,
+are reduced by their highest edge.
 """
 
 from __future__ import annotations
 
 import logging
-import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -47,12 +49,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .critical import link_components
-from .gradient import (
-    DiscreteGradient,
-    _vpath_counts,
-    extract_vpath,
-    reverse_vpath,
-)
+from .gradient import DiscreteGradient, _lower_star_gradient, _vpath_counts
 from .order import OrderField, _pointer_jump, stored
 from .triangulation import Triangulation
 
@@ -557,39 +554,33 @@ class PersistenceDiagram:
     missing_saddle_pairs: bool = False
 
 
-def _saddle_saddle_pairs(grad: DiscreteGradient) -> tuple:
-    """(1,2) pairs from a 3D gradient, plus the 2-saddles left unpaired.
+def _saddle_saddle_pairs(raw: DiscreteGradient) -> tuple:
+    """(1,2) pairs of a 3D gradient, plus the 2-saddles left unpaired.
 
-    Critical triangles are visited in ascending filtration order; each
-    pairs with the highest critical edge reached by an odd number of
-    saddle-connectors, after which one connector is reversed on the
-    scratch gradient so later visits see the updated connectivity.
+    A GF(2) column reduction of the Morse complex, which reads the
+    gradient and writes nothing.  A critical triangle's column is the
+    set of critical edges reached by an odd number of its descending
+    V-paths, counted by ``_vpath_counts`` with one memo for all
+    triangles.  Columns are taken in ascending simplex key order and
+    reduced by their highest edge: a column that ends non-empty pairs
+    with that edge, an empty one leaves its triangle unpaired.
     """
-    field = grad.field
-    scratch = grad.copy()
-    key = field.simplex_key
-    edges = {e: key(grad.verts[1][e]) for e in grad.critical_ids(1)}
-    taus = sorted(grad.critical_ids(2), key=lambda t: key(grad.verts[2][t]))
-    unpaired = set(edges)
-    pairs, leftover = [], []
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 100000))
-    try:
-        for tau in taus:
-            memo = {}
-            counts = _vpath_counts(scratch, 1, tau, unpaired, memo)
-            cands = [e for e, c in counts.items() if c % 2 == 1]
-            if not cands:
-                leftover.append(tau)
-                continue
-            e = max(cands, key=lambda e: edges[e])
-            path = extract_vpath(scratch, 1, tau, e)
-            reverse_vpath(scratch, path)
-            unpaired.discard(e)
-            pairs.append((e, tau))
-    finally:
-        sys.setrecursionlimit(limit)
-    return pairs, leftover
+    key = raw.field.simplex_key
+    edges = sorted(raw.critical_ids(1), key=lambda e: key(raw.verts[1][e]))
+    height = {e: i for i, e in enumerate(edges)}
+    taus = sorted(raw.critical_ids(2), key=lambda t: key(raw.verts[2][t]))
+    memo, reduced, pairs, unpaired = {}, {}, [], []
+    for tau in taus:
+        col = {height[e] for e, c in
+               _vpath_counts(raw, 1, tau, height, memo).items() if c % 2}
+        while col and max(col) in reduced:
+            col ^= reduced[max(col)]
+        if col:
+            reduced[max(col)] = col
+            pairs.append((edges[max(col)], tau))
+        else:
+            unpaired.append(tau)
+    return pairs, unpaired
 
 
 def build_diagram(
@@ -601,9 +592,11 @@ def build_diagram(
 
     Minimum/saddle pairs come from the join tree, saddle/maximum pairs
     from the split tree, plus the essential (global minimum, global
-    maximum) pair.  On 3D domains a discrete gradient is needed for the
-    (1,2) pairs; without one the diagram is emitted with
-    ``missing_saddle_pairs`` set.
+    maximum) pair.  On 3D domains a gradient passed as ``grad`` asks
+    for the (1,2) pairs too.  They are read from the field's stored
+    lower-star gradient, never from ``grad``'s own pairing, which
+    compliance may have cancelled; without ``grad`` the diagram is
+    emitted with ``missing_saddle_pairs`` set.
     """
     join = build_merge_tree(tri, field, "join")
     split = build_merge_tree(tri, field, "split")
@@ -624,10 +617,11 @@ def build_diagram(
         if grad is None:
             diagram.missing_saddle_pairs = True
         else:
-            ss, leftover = _saddle_saddle_pairs(grad)
+            raw = _lower_star_gradient(tri, field)
+            ss, leftover = _saddle_saddle_pairs(raw)
             for e, t in ss:
-                b = grad.max_vertex(1, e)
-                d = grad.max_vertex(2, t)
+                b = raw.max_vertex(1, e)
+                d = raw.max_vertex(2, t)
                 if b == d:
                     continue        # diagonal point, zero persistence
                 pairs.append(PersistencePair(

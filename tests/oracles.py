@@ -6,6 +6,7 @@ union-find sweeps, augmented merge trees by a union-find sweep over
 every vertex and neighbour, the contour tree by pruning one leaf at
 a time from a queue, persistent homology by full GF(2)
 boundary-matrix reduction, V-path acyclicity by explicit graph search,
+the first descending V-path by plain recursion,
 Morse-Smale segmentations by walking every simplex's V-path,
 separatrices by one walk per critical simplex, the
 deterministic V-paths out of an edge or facet by co-face queries,
@@ -32,8 +33,8 @@ import numpy as np
 from sftopo import ContourTree, DiscreteGradient, DomainTopologyError, \
     MergeTree, SimplexRef, compliance, extract_critical_points
 from sftopo.critical import _critical_points
-from sftopo.gradient import VPath, _first_vpath, _vpath_counts, \
-    _walk_arrays, _walks, extract_vpath, reverse_vpath
+from sftopo.gradient import VPath, _descend_children, _first_vpath, \
+    _vpath_counts, _walk_arrays, _walks, reverse_vpath
 from sftopo.morse import Separatrix
 from sftopo.trees import _check_simply_connected
 
@@ -486,7 +487,7 @@ def reduction_vertex_pairs(tri, field, dim_birth):
 
 
 # --------------------------------------------------------------------------
-# V-path counts between two critical simplices
+# V-path counts between two critical simplices, and the first V-path
 # --------------------------------------------------------------------------
 
 
@@ -494,6 +495,29 @@ def count_vpaths(grad, dim, upper, lower):
     """Number of distinct descending V-paths from critical ``upper``
     ((dim+1)-simplex) to critical ``lower`` (dim-simplex)."""
     return _vpath_counts(grad, dim, upper, {lower}, {}).get(lower, 0)
+
+
+def extract_vpath(grad, dim, upper, lower):
+    """First descending V-path from ``upper`` to ``lower`` (DFS order),
+    by plain recursion, one frame per pair of the path, and with no
+    guard against a closed V-path; the reference for
+    ``gradient._first_vpath``.  Long paths need a raised recursion
+    limit."""
+
+    def dfs(high, acc):
+        for low, nxt in _descend_children(grad, dim, high):
+            if low == lower:
+                return acc
+            if nxt >= 0:
+                got = dfs(nxt, acc + [(low, nxt)])
+                if got is not None:
+                    return got
+        return None
+
+    pairs = dfs(upper, [])
+    if pairs is None:
+        return None
+    return VPath(dim, int(upper), int(lower), pairs)
 
 
 # --------------------------------------------------------------------------
@@ -917,7 +941,7 @@ def rescan_connector_cancellation(grad, matching):
     edges reached by exactly one path unless both ends are matched,
     sorts the arcs by (weight, edge, triangle) and cancels the first arc
     whose ends the matching can release, reversing the depth-first path
-    of the recursive ``extract_vpath``.  Same contract as
+    of the recursive ``extract_vpath`` above.  Same contract as
     ``sftopo.compliance._cancel_connector_pairs``.
     """
     tri = grad.tri

@@ -231,18 +231,18 @@ def test_criterion_8_cached_speedup():
     assert time.perf_counter() - start < 120.0
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, **kwargs):
     """Run the CLI in a subprocess on the same ``sftopo`` tree as this
     process: its source root goes first on an absolute PYTHONPATH, so a
     relative PYTHONPATH or an uninstalled package still resolve from
-    ``cwd``."""
+    ``cwd``.  ``kwargs`` go to ``subprocess.run``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sftopo.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sftopo.cli"] + args,
-        cwd=cwd, env=env, capture_output=True, text=True)
+        cwd=cwd, env=env, capture_output=True, text=True, **kwargs)
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, golden outputs, round trips."""
 
+import resource
+import time
+
 import numpy as np
 import pytest
 
 from conftest import F0_VALUES
+from test_acceptance import run_cli
 from test_io import OCTA_OFF
 from sftopo import checks
 from sftopo.cli import main
@@ -216,3 +220,45 @@ class TestSimplifyPipeline:
         vals.write_text("2\n5\n3\n4\n0\n1\n")
         assert main(["check", "--mesh", str(off),
                      "--values", str(vals)]) == 0
+
+
+class TestSaddleSaddleCli:
+    """3D persistence reads its (1,2) pairs by one reduction of the
+    stored gradient: no deep recursion, no runaway memory or time."""
+
+    CAP = 1 << 30               # address-space cap of the child, bytes
+
+    def run_capped(self, args, tmp_path):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        start = time.perf_counter()
+        proc = run_cli(args, tmp_path, preexec_fn=cap, timeout=120)
+        return proc, time.perf_counter() - start
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_persistence_diagram_on_random_grids(self, tmp_path, n):
+        values = tmp_path / "f.txt"
+        np.savetxt(values, np.random.default_rng(n).random(n ** 3))
+        out = tmp_path / "d.csv"
+        proc, took = self.run_capped(
+            ["persistence-diagram", "--grid", f"{n}x{n}x{n}",
+             "--values", str(values), "-o", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert ",1-2\n" in out.read_text()
+        assert took < 30.0
+
+    def test_simplify_refuses_saddle_saddle_pairs(self, tmp_path):
+        """A random 3D field has (1,2) pairs below the threshold, which
+        flattening cannot remove: a data error, at once."""
+        values = tmp_path / "f.txt"
+        np.savetxt(values, np.random.default_rng(12).random(12 ** 3))
+        args = ["simplify", "--grid", "12x12x12", "--values", str(values),
+                "-o", str(tmp_path / "s.txt")]
+        proc, took = self.run_capped(args + ["--threshold", "0.05"],
+                                     tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "saddle-saddle pairs" in proc.stderr
+        assert took < 30.0
+        proc, _ = self.run_capped(args + ["--threshold", "0"], tmp_path)
+        assert proc.returncode == 0, proc.stderr

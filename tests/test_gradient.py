@@ -8,7 +8,7 @@ import pytest
 
 from conftest import EQUIVALENCE_DIMS, array_cases, preconditioned, \
     random_field, tie_heavy_field
-from oracles import _walks_down, _walks_up, count_vpaths, \
+from oracles import _walks_down, _walks_up, count_vpaths, extract_vpath, \
     lower_star_gradient, steepest_coface_gradient, steepest_gradient, \
     vpath_graph_acyclic
 from sftopo import (
@@ -20,7 +20,6 @@ from sftopo import (
     build_gradient,
     enforce_compliance,
     extract_critical_points,
-    extract_vpath,
     gradient_is_acyclic,
     pairing_is_valid,
     reverse_vpath,

@@ -14,14 +14,17 @@ from sftopo import (
     OrderField,
     SimplificationRequest,
     build_diagram,
+    build_gradient,
     build_merge_tree,
     combine_contour_tree,
+    enforce_compliance,
     extract_critical_points,
     persistence_curve,
     simplify_field,
 )
 from sftopo.checks import run_checks
 from sftopo.critical import link_components
+from sftopo.gradient import _lower_star_gradient
 from sftopo.order import _pointer_jump
 
 
@@ -85,7 +88,7 @@ def _spy_builds(monkeypatch):
     arguments after (tri, field)."""
     builds = Counter()
     for query in (link_components, extract_critical_points,
-                  build_merge_tree):
+                  build_merge_tree, _lower_star_gradient):
         build = query.__wrapped__
 
         def spy(tri, field, *args, build=build):
@@ -100,6 +103,8 @@ ONCE_EACH = {("link_components",): 1,
              ("extract_critical_points",): 1,
              ("build_merge_tree", "join"): 1,
              ("build_merge_tree", "split"): 1}
+#: ``run_checks`` builds the gradient too, once, and copies it
+ONCE_EACH_WITH_GRADIENT = {**ONCE_EACH, ("_lower_star_gradient",): 1}
 
 
 class TestFieldStore:
@@ -131,6 +136,33 @@ class TestFieldStore:
                     (b.root, b.leaves, b.saddles, b.pairs)
             assert extract_critical_points(grid, f) == \
                 extract_critical_points(copy, f)
+
+    def test_gradient_built_once_and_copied(self, monkeypatch):
+        """Every ``build_gradient`` call hands out a fresh, writable copy
+        of the one stored gradient; editing a copy, as compliance does,
+        changes neither the other copies nor the stored pairing, whose
+        arrays are read-only."""
+        grid = ImplicitGridTriangulation((6, 6, 6))
+        f = random_field(grid, np.random.default_rng(1))
+        builds = _spy_builds(monkeypatch)
+        a, b = build_gradient(grid, f), build_gradient(grid, f)
+        assert builds == {("_lower_star_gradient",): 1}
+        stored = _lower_star_gradient(grid, f)
+        assert builds == {("_lower_star_gradient",): 1}
+        assert a is not b and stored not in (a, b)
+        for arr in stored.pair_up + stored.pair_down + \
+                stored.simplex_values:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        want = [arr.copy() for arr in stored.pair_up + stored.pair_down]
+        assert all(arr.flags.writeable for arr in a.pair_up + a.pair_down)
+        report = enforce_compliance(grid, f, a)
+        assert report.cancelled
+        for got in (b, stored):
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(got.pair_up + got.pair_down, want))
+        assert not all(np.array_equal(x, y) for x, y in
+                       zip(a.pair_up + a.pair_down, want))
 
     def test_equal_fields_share_nothing(self):
         grid = ImplicitGridTriangulation((6, 5))
@@ -189,7 +221,7 @@ class TestFieldStore:
         f = random_field(grid, np.random.default_rng(7))
         builds = _spy_builds(monkeypatch)
         assert all(r.ok for r in run_checks(grid, f))
-        assert builds == ONCE_EACH
+        assert builds == ONCE_EACH_WITH_GRADIENT
 
     def test_scan_sequence_builds_each_structure_once(self, monkeypatch):
         """Critical points, join, split, contour tree, diagram and curve,

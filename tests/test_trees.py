@@ -10,21 +10,24 @@ import pytest
 from conftest import midpoint_subdivide, octahedron_mesh, random_field, \
     tie_heavy_field, torus_mesh, preconditioned
 from oracles import level_set_components, prune_contour_tree, \
-    sweep_merge_tree, uf_extremum_pairs
+    reduction_vertex_pairs, sweep_merge_tree, uf_extremum_pairs
 from test_gradient import shuffled_copy
 from test_triangulation import non_manifold_fan
 from sftopo import (
     CLASS_ESSENTIAL,
     CLASS_MIN_SADDLE,
     CLASS_SADDLE_MAX,
+    CLASS_SADDLE_SADDLE,
     DomainTopologyError,
     ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
     PersistenceDiagram,
     build_diagram,
+    build_gradient,
     build_merge_tree,
     combine_contour_tree,
+    enforce_compliance,
     extract_critical_points,
     persistence_curve,
     persistence_pairs_extrema,
@@ -352,6 +355,74 @@ class TestDiagram:
         d = build_diagram(tri, f)
         keys = [(p.cls, p.birth_value, p.birth_vertex) for p in d.pairs]
         assert keys == sorted(keys)
+
+
+def saddle_saddle_pairs(tri, f, grad=None):
+    """The (1,2) pairs of ``f``'s diagram as (birth, death) vertices,
+    asked for with ``grad``, by default the compliant gradient."""
+    if grad is None:
+        grad = build_gradient(tri, f)
+        enforce_compliance(tri, f, grad)
+    d = build_diagram(tri, f, grad)
+    return {(p.birth_vertex, p.death_vertex) for p in d.pairs
+            if p.cls == CLASS_SADDLE_SADDLE}
+
+
+class TestSaddleSaddlePairs:
+    """(1,2) pairs equal full GF(2) boundary reduction on random fields,
+    not only on the smooth two-bump fixture of criterion 6, whatever
+    compliance cancelled in the gradient passed."""
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (5, 5, 5), (5, 4, 6),
+                                      (6, 6, 6)])
+    def test_random_fields_match_reduction(self, dims):
+        tri = ImplicitGridTriangulation(dims)
+        for seed in range(6):
+            f = random_field(tri, np.random.default_rng(seed))
+            assert saddle_saddle_pairs(tri, f) == \
+                reduction_vertex_pairs(tri, f, 1), seed
+
+    def test_tie_heavy_fields_match_reduction(self):
+        tri = ImplicitGridTriangulation((7, 6, 5))
+        found = 0
+        for seed in range(3):
+            f = tie_heavy_field(tri, np.random.default_rng(seed))
+            got = saddle_saddle_pairs(tri, f)
+            assert got == reduction_vertex_pairs(tri, f, 1), seed
+            found += len(got)
+        assert found > 0
+
+    @pytest.mark.parametrize("dims", [(5, 4, 3), (6, 6, 6)])
+    def test_grid_and_shuffled_copy_agree(self, dims):
+        """A grid and its explicit copy with permuted vertex ids pair the
+        same vertices: no simplex id decides a pair."""
+        rng = np.random.default_rng(40)
+        grid = ImplicitGridTriangulation(dims)
+        copy = shuffled_copy(grid, np.random.default_rng(41))
+        # shuffled_copy moves vertex v to perm[v], for the same rng draw
+        perm = np.random.default_rng(41).permutation(grid.simplex_count(0))
+        for make in (random_field, tie_heavy_field):
+            f = make(grid, rng)
+            values, offsets = np.empty_like(f.values), \
+                np.empty_like(f.offsets)
+            values[perm], offsets[perm] = f.values, f.offsets
+            moved = OrderField(values, offsets)
+            want = {(int(perm[b]), int(perm[d]))
+                    for b, d in saddle_saddle_pairs(grid, f)}
+            assert want and saddle_saddle_pairs(copy, moved) == want
+
+    def test_compliant_gradient_gives_the_raw_pairs(self):
+        """Compliance cancels saddle/saddle pairs in this gradient; the
+        diagram still reads the (1,2) pairs of the raw one."""
+        tri = ImplicitGridTriangulation((6, 6, 6))
+        f = random_field(tri, np.random.default_rng(1))
+        raw = build_gradient(tri, f)
+        grad = build_gradient(tri, f)
+        report = enforce_compliance(tri, f, grad)
+        assert any(k == 1 for k, _, _ in report.cancelled)
+        got = saddle_saddle_pairs(tri, f, grad)
+        assert got == saddle_saddle_pairs(tri, f, raw)
+        assert got == reduction_vertex_pairs(tri, f, 1)
 
 
 class TestCurve:
