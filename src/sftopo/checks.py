@@ -5,20 +5,39 @@ pass/fail with a short diagnostic; together they exercise the
 triangulation, classification, gradient, tree, and diagram layers
 against one another on the given dataset.  The checks read the critical
 points and merge trees from the field's store, where the rest of the
-pipeline left them; ``_uf_extremum_pairs`` stays an independent
-recomputation of the extremum pairs that reads no store.
+pipeline left them.
+
+Two results are independent recomputations, which read neither the
+merge trees nor the diagram they test:
+
+- the minimum pairs, ``_minimum_pairs``: the D0 step of Discrete Morse
+  Sandwich (Guillou, Vidal & Tierny, arXiv:2206.13932), a union-find
+  over minima along the critical edges of the field's stored raw
+  gradient, which the suite validates as well;
+- the maximum pairs, ``_maximum_pairs``: a union-find sweep down the
+  vertex order.  The mirror of the D0 step would need the gradient of
+  the negated field, whose build alone costs more than the sweep: on a
+  random 32³ grid on a 2-core VM, 0.3-0.4 s against 0.08 s.
+
+Acyclicity (``gradient_is_acyclic``) is exhaustive, and the contour-tree
+faults are array tests.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compliance import enforce_compliance
-from .critical import extract_critical_points
-from .gradient import build_gradient, gradient_is_acyclic, pairing_is_valid
+from .critical import _components, extract_critical_points
+from .gradient import (
+    _lower_star_gradient,
+    build_gradient,
+    gradient_is_acyclic,
+    pairing_is_valid,
+)
+from .morse import descending_segmentation
 from .order import OrderField
 from .trees import (
     CLASS_ESSENTIAL,
@@ -40,80 +59,109 @@ class CheckResult:
     detail: str = ""
 
 
-def _uf_extremum_pairs(tri, field, ascending):
-    """Union-find sweep pairing extrema with merge vertices (Elder rule)."""
-    n = len(field)
-    ranks = field.ranks.tolist()
-    sweep = field.order if ascending else field.order[::-1]
-    parent = list(range(n))
-    oldest = list(range(n))
-    before = [False] * n
-    offsets, ids = tri.neighbor_csr()
-    offsets, ids = offsets.tolist(), ids.tolist()
+def _find(parent, x):
+    """The root of ``x`` in the union-find forest ``parent``, halving
+    the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def older(a, b):
-        return (ranks[a] < ranks[b]) == ascending
+def _minimum_pairs(tri, field):
+    """(minimum, saddle vertex) pairs by the D0 step of Discrete Morse
+    Sandwich (Guillou, Vidal & Tierny, arXiv:2206.13932).
 
+    The critical edges of the field's stored raw gradient, in simplex
+    key order, join the minima that their two ends descend to.  A
+    union-find over the minima keeps the oldest, the lowest in rank, as
+    each root; an edge that joins two roots pairs the younger minimum
+    with its own highest vertex.
+    """
+    grad = _lower_star_gradient(tri, field)
+    critical = (grad.pair_up[1] < 0) & (grad.pair_down[1] < 0)
+    edges = grad.verts[1][critical]
+    ranks = field.ranks[edges]
+    high = ranks.max(axis=1)
+    key = np.lexsort((ranks.min(axis=1), high))
+    # minima are indexed by rank, so that the older of two is the lower
+    minima = np.flatnonzero(grad.pair_up[0] < 0)
+    minima = minima[np.argsort(field.ranks[minima])]
+    index = np.empty(len(field), dtype=np.int64)
+    index[minima] = np.arange(len(minima))
+    ends = index[descending_segmentation(grad)[edges[key]]]
+    saddles = field.order[high[key]]
+    parent = list(range(len(minima)))
     pairs = []
-    for v in sweep.tolist():
-        roots = []
-        for u in ids[offsets[v]:offsets[v + 1]]:
-            if before[u]:
-                r = find(u)
-                if r not in roots:
-                    roots.append(r)
-        if roots:
-            winner = roots[0]
-            for r in roots[1:]:
-                if older(oldest[r], oldest[winner]):
-                    winner = r
+    for a, b, v in zip(ends[:, 0].tolist(), ends[:, 1].tolist(),
+                       saddles.tolist()):
+        a, b = _find(parent, a), _find(parent, b)
+        if a != b:
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            pairs.append((minima.item(b), v))
+    return pairs
+
+
+def _maximum_pairs(tri, field):
+    """(maximum, saddle vertex) pairs by a union-find sweep down the
+    vertex order (Elder rule).
+
+    Each edge is listed under its lower end, so a vertex meets exactly
+    its already swept neighbours.  A component's root is its maximum,
+    the first vertex swept into it; where roots meet, the highest
+    survives, and every other pairs with the vertex.
+    """
+    ranks = field.ranks
+    edges = tri.simplex_array(1)
+    up = ranks[edges[:, 1]] > ranks[edges[:, 0]]
+    low = np.where(up, edges[:, 0], edges[:, 1])
+    at = len(field) - 1 - ranks[low]        # the lower end's sweep step
+    highs = np.where(up, edges[:, 1], edges[:, 0])[np.argsort(at)].tolist()
+    bounds = np.zeros(len(field) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(at, minlength=len(field)), out=bounds[1:])
+    bounds = bounds.tolist()
+    rank = ranks.tolist().__getitem__
+    parent = list(range(len(field)))
+    pairs = []
+    for v, i, j in zip(field.order[::-1].tolist(), bounds, bounds[1:]):
+        if j - i == 1:
+            parent[v] = highs[i]
+        elif j > i:
+            roots = {_find(parent, u) for u in highs[i:j]}
+            winner = max(roots, key=rank)
             for r in roots:
                 if r != winner:
-                    pairs.append((oldest[r], v))
-                parent[r] = v
-            oldest[v] = oldest[winner]
-        before[v] = True
+                    parent[r] = winner
+                    pairs.append((r, v))
+            parent[v] = winner
     return pairs
 
 
 def _contour_tree_faults(ct, ranks):
     """The contour-tree invariants that fail, each in a few words.
 
-    Linear-time tests: the arcs form a tree on the nodes, minima and
-    maxima are leaves, and every vertex lies within the rank span of
-    the arc it maps to.  An arc may own no vertex (two adjacent
-    saddles), so arcs need not partition the vertices.
+    Tests on arrays: the arcs form a tree on the nodes (the nodes and
+    arc ends share one ``critical._components`` label over the vertex
+    ids), minima and maxima are leaves (degrees by ``bincount``), and
+    every vertex lies within the rank span of the arc it maps to.  An
+    arc may own no vertex (two adjacent saddles), so arcs need not
+    partition the vertices.
     """
     faults = []
     if len(ct.arcs) != len(ct.nodes) - 1:
         faults.append(f"{len(ct.arcs)} arcs for {len(ct.nodes)} nodes")
-    parent = {v: v for v in ct.nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    degree = Counter()
-    for lo, hi in ct.arcs:
-        parent.setdefault(lo, lo)
-        parent.setdefault(hi, hi)
-        parent[find(lo)] = find(hi)
-        degree[lo] += 1
-        degree[hi] += 1
-    if len({find(v) for v in parent}) != 1:
-        faults.append("the arcs do not connect the nodes")
-    if any(degree[v] != 1 for v, kind in ct.node_types.items()
-           if kind in ("min", "max")):
-        faults.append("an extremum node is not a leaf")
     arcs = np.array(ct.arcs, dtype=np.int64).reshape(-1, 2)
+    ends = np.concatenate((np.array(ct.nodes, dtype=np.int64), arcs.ravel()))
+    label = _components(len(ranks), arcs[:, 0], arcs[:, 1])[ends]
+    if not len(label) or (label != label[0]).any():
+        faults.append("the arcs do not connect the nodes")
+    degree = np.bincount(arcs.ravel(), minlength=len(ranks))
+    extrema = [v for v, kind in ct.node_types.items()
+               if kind in ("min", "max")]
+    if (degree[extrema] != 1).any():
+        faults.append("an extremum node is not a leaf")
     arc = ct.vertex_arc
     if not ((arc >= 0) & (arc < len(arcs))).all():
         faults.append("a vertex maps to no arc")
@@ -188,8 +236,8 @@ def run_checks(tri: Triangulation, field: OrderField) -> list:
                      if p.cls == CLASS_MIN_SADDLE)
     got_max = sorted((p.death_vertex, p.birth_vertex) for p in diagram.pairs
                      if p.cls == CLASS_SADDLE_MAX)
-    oracle_min = sorted(_uf_extremum_pairs(tri, field, True))
-    oracle_max = sorted(_uf_extremum_pairs(tri, field, False))
+    oracle_min = sorted(_minimum_pairs(tri, field))
+    oracle_max = sorted(_maximum_pairs(tri, field))
     results.append(CheckResult(
         "diagram extremum pairs match a union-find recomputation",
         got_min == oracle_min and got_max == oracle_max))

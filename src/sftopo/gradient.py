@@ -28,7 +28,8 @@ star of 12 slots in 2D and 74 in 3D takes 6 and 37 rounds.
 
 The field's store (``order.stored``) keeps the gradient built this
 way, with read-only arrays, as long as the field lives.  The
-persistence diagram reads its (1,2) pairs from it, and
+persistence diagram reads its (1,2) pairs from it, ``check`` its
+critical edges (``checks._minimum_pairs``), and
 ``build_gradient`` hands every caller a fresh copy, which compliance
 edits in place.
 
@@ -46,7 +47,12 @@ triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion; no walk in the package recurses.  Acyclicity
-is checked on the same arrays, by peeling each V-path digraph from its
+is checked on the same arrays.  The (0, 1) and (d-1, d) V-path digraphs
+are the two deterministic walks, so pointer doubling over
+``_successors`` finds a closed V-path in either, as it does for the
+segmentations.  Only the 3D (1, 2) digraph, which branches, and a
+(d-1, d) digraph on a facet with three or more co-facets, where the
+ascending walk would follow only the first two, are peeled from their
 sources.
 """
 
@@ -438,11 +444,26 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
 
     For each k, the V-path digraph on the (k+1)-simplices has an edge
     ``h -> pair_up[k][low]`` for every facet ``low`` of ``h`` other than
-    ``pair_down[k+1][h]``.  Kahn's algorithm peels it one frontier of
-    in-degree-0 nodes at a time (in any column order of the facets); it
-    is acyclic iff every node is peeled.
+    ``pair_down[k+1][h]``.  For k = 0 each node has at most one
+    successor, and the digraph is the descending (0, 1) walk; for
+    k = d-1, when no facet has more than two co-facets, its reverse is
+    the ascending (d-1, d) walk.  Pointer doubling over the walk's
+    ``_successors`` refuses a closed V-path.  Any other digraph, the
+    3D (1, 2) one or a (d-1, d) one with a fan of three or more
+    co-facets, is peeled by Kahn's algorithm, one frontier of
+    in-degree-0 nodes at a time (in any column order of the facets);
+    it is acyclic iff every node is peeled.
     """
-    for k in range(grad.tri.dim):
+    d = grad.tri.dim
+    for k in range(d):
+        if k in (0, d - 1):
+            rows, via = _walk_arrays(grad, k > 0)
+            if rows.shape[1] == 2:
+                try:
+                    _pointer_jump(_successors(rows, via))
+                except ValueError:
+                    return False
+                continue
         rows = grad.tri.facet_ids(k + 1)
         succ = grad.pair_up[k][rows]
         succ[rows == grad.pair_down[k + 1][:, None]] = -1

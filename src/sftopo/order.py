@@ -14,8 +14,9 @@ marks them, its order and its ranks read-only.  That makes its store
 components of every vertex (``critical.link_components``, the one link
 pass that the critical points and both merge trees read), the critical
 points, the join and split trees, and the lower-star discrete gradient
-(``gradient._lower_star_gradient``), which ``build_gradient`` copies
-and the 3D persistence diagram reads its (1,2) pairs from.
+(``gradient._lower_star_gradient``), which ``build_gradient`` copies,
+the 3D persistence diagram reads its (1,2) pairs from, and ``check``
+its critical edges.
 """
 
 from __future__ import annotations

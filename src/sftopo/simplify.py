@@ -19,6 +19,7 @@ simplification.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -81,38 +82,49 @@ def _flood(tri, field, keep, below):
     order becomes the offsets, so each flattened region sits next to
     the saddle through which the flood entered it, and only the seeds
     are extrema of this direction afterwards.
+
+    The loop touches no numpy scalar: it reads ranks and order with
+    ``item``, marks vertices in a ``bytearray`` and records the pop
+    order, and each flattened vertex beside its level's vertex, in
+    ``array('q')``; the new values and offsets are then written with
+    one numpy assignment each.
     """
     n = len(field)
     sign = 1 if below else -1   # heap keys: ranks, negated for maxima
-    ranks, order = field.ranks, field.order
-    values = field.values.copy()
-    offsets = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[list(keep)] = True
-    heap = [sign * int(ranks[v]) for v in keep]
+    rank, vertex = field.ranks.item, field.order.item
+    seen = bytearray(n)
+    for v in keep:
+        seen[v] = 1
+    heap = [sign * rank(v) for v in keep]
     heapq.heapify(heap)
-    level = -n
-    popped = 0
+    level, top = -n, -1
+    popped, flat = array("q"), array("q")   # flat: (vertex, top) pairs
     nb_offsets, nb_ids = tri.neighbor_csr()
     nb_offsets, nb_ids = nb_offsets.tolist(), nb_ids.tolist()
     while heap:
         key = heapq.heappop(heap)
-        v = int(order[sign * key])
+        v = vertex(sign * key)
         if key > level:
-            level, height = key, field.values[v]
+            level, top = key, v
         else:
-            values[v] = height
-        offsets[v] = popped if below else n - 1 - popped
-        popped += 1
+            flat.append(v)
+            flat.append(top)
+        popped.append(v)
         for u in nb_ids[nb_offsets[v]:nb_offsets[v + 1]]:
             if not seen[u]:
-                seen[u] = True
-                heapq.heappush(heap, sign * int(ranks[u]))
-    if popped < n:
+                seen[u] = 1
+                heapq.heappush(heap, sign * rank(u))
+    if len(popped) < n:
         raise SimplificationError(
             "a connected component of the domain holds no preserved "
             f"{'minimum' if below else 'maximum'}"
         )
+    values = field.values.copy()
+    flat = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    values[flat[:, 0]] = field.values[flat[:, 1]]
+    offsets = np.empty(n, dtype=np.int64)
+    offsets[np.frombuffer(popped, dtype=np.int64)] = \
+        np.arange(n) if below else np.arange(n - 1, -1, -1)
     return OrderField(values, offsets)
 
 

@@ -6,17 +6,30 @@ from dataclasses import replace
 
 import numpy as np
 
+import pytest
+
 from conftest import midpoint_subdivide, octahedron_mesh, random_field
+from oracles import uf_extremum_pairs
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
     OrderField,
+    build_diagram,
     build_merge_tree,
     combine_contour_tree,
 )
-from sftopo.checks import _contour_tree_faults, run_checks
+from sftopo import checks
+from sftopo.checks import (
+    _contour_tree_faults,
+    _maximum_pairs,
+    _minimum_pairs,
+    run_checks,
+)
+from sftopo.trees import CLASS_MIN_SADDLE, CLASS_SADDLE_MAX
+from test_gradient import shuffled_copy
 
 CONTOUR_CHECK = "contour tree is a tree whose arcs span their vertices"
+PAIRS_CHECK = "diagram extremum pairs match a union-find recomputation"
 
 
 def test_acyclicity_runs_on_large_grid():
@@ -97,3 +110,46 @@ def test_contour_tree_faults_detected():
     arc[top] = -1
     assert _contour_tree_faults(replace(ct, vertex_arc=arc), f.ranks) \
         == ["a vertex maps to no arc"]
+
+
+def test_extremum_pairs_match_the_vertex_sweep(octahedron_sub2):
+    """The D0 minimum pairs and the edge-wise maximum sweep equal the
+    plain union-find sweep on random and tie-heavy fields: 2D and 3D
+    grids, their shuffled explicit copies and a subdivided
+    octahedron."""
+    rng = np.random.default_rng(36)
+    tris = [octahedron_sub2]
+    for dims in ((12, 9), (5, 4, 4)):
+        grid = ImplicitGridTriangulation(dims)
+        tris += [grid, shuffled_copy(grid, rng)]
+    pairs = 0
+    for tri in tris:
+        for _ in range(2):
+            v = rng.random(tri.simplex_count(0))
+            for f in (OrderField(v), OrderField(np.round(4 * v))):
+                got = sorted(_minimum_pairs(tri, f))
+                assert got == sorted(uf_extremum_pairs(tri, f, True))
+                assert sorted(_maximum_pairs(tri, f)) == sorted(
+                    uf_extremum_pairs(tri, f, False))
+                pairs += len(got)
+    assert pairs > 100
+
+
+@pytest.mark.parametrize("cls", [CLASS_MIN_SADDLE, CLASS_SADDLE_MAX])
+def test_altered_extremum_pair_fails_the_check(monkeypatch, cls):
+    """A diagram whose first minimum (maximum) pair dies at another
+    saddle fails the recomputation check, and only that check."""
+    tri = ImplicitGridTriangulation((9, 7))
+    f = random_field(tri, np.random.default_rng(37))
+    diagram = build_diagram(tri, f)
+    i = next(i for i, p in enumerate(diagram.pairs) if p.cls == cls)
+    p = diagram.pairs[i]
+    # the saddle is the death of a minimum pair, the birth of a maximum's
+    saddle = "death_vertex" if cls == CLASS_MIN_SADDLE else "birth_vertex"
+    other = next(q for q in diagram.pairs
+                 if q.cls == cls and getattr(q, saddle) != getattr(p, saddle))
+    bad = replace(diagram, pairs=list(diagram.pairs))
+    bad.pairs[i] = replace(p, **{saddle: getattr(other, saddle)})
+    monkeypatch.setattr(checks, "build_diagram", lambda *a, **k: bad)
+    results = {r.name: r for r in run_checks(tri, f)}
+    assert [name for name, r in results.items() if not r.ok] == [PAIRS_CHECK]

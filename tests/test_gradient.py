@@ -25,6 +25,7 @@ from sftopo import (
     reverse_vpath,
 )
 from sftopo import gradient
+from test_triangulation import non_manifold_fan
 
 # minima at poles 4/5, saddle at equator vertex 0, maximum at 1
 TWO_MINIMA = np.array([2.0, 5.0, 3.0, 4.0, 0.0, 1.0])
@@ -416,6 +417,19 @@ def edge_id(tri, a, b):
     return rows.index(sorted((a, b)))
 
 
+def triangle_id(tri, a, b, c):
+    rows = tri.simplex_array(2).tolist()
+    return rows.index(sorted((a, b, c)))
+
+
+def fan_with_a_loop():
+    """Three triangles on edge (0,1), and (0,2,4), which closes the
+    ring (0,1,2), (0,2,4), (0,1,4) around vertex 0."""
+    points = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
+                       [0, 0, 1], [1, 1, 1.0]])
+    return points, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4], [0, 2, 4]])
+
+
 class TestAcyclicity:
     """``gradient_is_acyclic`` finds closed V-paths that the reference
     graph search finds, and stays fast on large compliant gradients."""
@@ -447,6 +461,48 @@ class TestAcyclicity:
         highs = ring(tri, 2, edge_id(tri, 0, 13))
         assert len(highs) == 6
         self.assert_cyclic(tri, closed_vpath(tri, 2, highs))
+
+    def test_vertex_edge_loop_in_3d(self):
+        """The (0,1) loop around a triangle of a 3D grid; pointer
+        doubling over the descending walk refuses it."""
+        tri = ImplicitGridTriangulation((3, 3, 3))
+        a, b, c = tri.simplex_array(2)[0].tolist()
+        self.assert_cyclic(tri, closed_vpath(
+            tri, 0, [edge_id(tri, a, b), edge_id(tri, b, c),
+                     edge_id(tri, a, c)]))
+
+    def test_edge_triangle_loop_in_3d(self):
+        """Three triangles of one tetrahedron around its vertex ``a``:
+        each pairs with the edge it shares with the one before, and its
+        other edge at ``a`` leads on.  The 3D (1,2) digraph branches,
+        so Kahn's peel finds this loop."""
+        tri = ImplicitGridTriangulation((2, 2, 2))
+        a, b, c, d = tri.simplex_array(3)[0].tolist()
+        highs = [triangle_id(tri, *vs)
+                 for vs in ((a, b, c), (a, c, d), (a, b, d))]
+        self.assert_cyclic(tri, closed_vpath(tri, 1, highs))
+
+    def test_loop_through_the_third_triangle_of_a_fan(self):
+        """Edge (0,1) has three co-facets: (0,1,2), (0,1,3) and (0,1,4).
+        The loop (0,1,2) -> (0,2,4) -> (0,1,4) leaves (0,1) through its
+        third co-facet, which the two-wide ascending walk never reads,
+        so the check must peel this digraph instead."""
+        tri = ExplicitTriangulation(*fan_with_a_loop())
+        highs = [triangle_id(tri, *vs)
+                 for vs in ((0, 1, 2), (0, 2, 4), (0, 1, 4))]
+        assert tri.cofacet_ids(1)[edge_id(tri, 0, 1)].tolist() == [
+            highs[0], triangle_id(tri, 0, 1, 3), highs[2]]
+        self.assert_cyclic(tri, closed_vpath(tri, 1, highs))
+
+    def test_fans_agree_with_the_graph_search(self):
+        """On random and tie-heavy fields over meshes with three
+        triangles on one edge, the check agrees with the oracle."""
+        rng = np.random.default_rng(35)
+        for mesh in (non_manifold_fan(), fan_with_a_loop()):
+            tri = ExplicitTriangulation(*mesh)
+            for make in (random_field, tie_heavy_field) * 3:
+                g = build_gradient(tri, make(tri, rng))
+                assert gradient_is_acyclic(g) == vpath_graph_acyclic(tri, g)
 
     def test_acyclic_check_is_fast_at_256_squared(self):
         """Peeling takes about 0.1 s on a random compliant 256x256

@@ -14,6 +14,7 @@ from sftopo import (
     ImplicitGridTriangulation,
     OrderField,
     SimplexRef,
+    SimplificationRequest,
     TriangulationError,
     ascending_segmentation,
     build_diagram,
@@ -437,17 +438,21 @@ def store_cases():
 
 
 def stage_outputs(tri, f):
-    """The output of every stage on ``f``, as comparable values."""
+    """The output of every stage on ``f``, as comparable values; the
+    simplification keeps only the global extrema."""
     cps = extract_critical_points(tri, f)
     grad = build_gradient(tri, f)
     report = enforce_compliance(tri, f, grad, cps)
     diagram = build_diagram(tri, f, grad)
     seps = [(s.kind, s.source, s.target, s.points.tolist())
             for s in extract_separatrices(grad)]
+    flat = simplify_field(tri, f, SimplificationRequest(
+        frozenset({int(f.order[0]), int(f.order[-1])})))
     return [cps, [a.tolist() for a in grad.pair_up + grad.pair_down],
             report, diagram, seps,
             descending_segmentation(grad).tolist(),
-            ascending_segmentation(grad).tolist(), run_checks(tri, f)]
+            ascending_segmentation(grad).tolist(),
+            flat.values.tolist(), flat.offsets.tolist(), run_checks(tri, f)]
 
 
 def every_query(tri):
