@@ -21,6 +21,9 @@ writes nothing.
 
 The stage reads only arrays: the gradient's, and the boundary flags
 and triangle co-faces that the triangulation stores for every field.
+The matching keeps its state in two arrays too: the slot holding each
+simplex, over the simplices of every dimension, and the simplex each
+slot holds.
 The candidates of a slot are its vertex's critical simplices, grouped
 from ``grad.verts`` the first time Kuhn's search needs them, in
 descending ``simplex_key`` order (sorted vertex ranks, highest first).
@@ -28,11 +31,25 @@ Cancellations only remove critical simplices, so filtering these lists
 by ``is_critical`` gives what the whole star would.
 
 Both pair classes are cancelled from one heap of arcs keyed
-``(weight, lower id, upper id, trace version)``.  Each root is traced
-once, and an index from every end to the roots whose last trace
-reached it names the roots to re-trace after a cancellation.  Arcs of
-an older trace, or with an end that is no longer critical, are skipped
-when popped.  Only the trace differs by class:
+``(weight, lower id, upper id, trace version)``; the weight is the
+difference of the field values at the two ends' highest vertices.  A
+class supplies one array routine, ``traces(roots)``: the critical ends
+the roots' walks reach, repeats allowed, and which of them are reached
+by exactly one V-path and may be cancelled.  The heap adds the one
+remaining condition, that not both ends are matched, as a mask; that is
+the one definition of a qualifying arc.  The first fill calls
+``traces`` once on every root, and a retrace after a cancellation calls
+it on one root.  Arcs of an older trace, or with an end that is no
+longer critical, are skipped when popped.
+
+The roots to retrace after a cancellation are those whose last trace
+reached the cancelled end.  Their index is built lazily: the first
+fill's ends stay as two arrays, sorted by end at the first cancellation,
+and a lookup takes the first-fill roots found there by binary search
+that were never retraced, plus the retraced roots, whose ends alone go
+into a dict.  So when nothing cancels, the heap and Python see only the
+arcs that qualify, and no Python loop runs over the roots or the
+slots.  Only the trace differs by class:
 
 - Saddle/maximum: a root is a critical (d-1)-simplex, traced by the
   ends of its ascending walks at critical d-cells.  Only walks through
@@ -46,7 +63,10 @@ when popped.  Only the trace differs by class:
   ``sigma`` to ``tau`` sends exactly the cells whose walk ended at
   ``tau`` on through ``sigma`` to wherever the walk from ``sigma``'s
   other co-face ends, which is one link from ``tau``'s class to that
-  one.  A trace is then two ``find`` calls.
+  one.  A trace gathers its roots' two co-facets from ``cofacet_ids``
+  and maps them through the union-find in one array pass; "reached
+  once" is the two ends differing, and a cell on the boundary or the
+  walks that leave the domain may not be cancelled.
 - Saddle/saddle (3D): a root is an interior critical triangle, traced
   by counting its descending (1, 2) V-paths to the interior critical
   edges, with one memo of per-triangle counts shared by all roots.
@@ -62,7 +82,8 @@ when popped.  Only the trace differs by class:
   the other triangles that have ``l`` as a face, since a walk enters
   ``h`` only through ``l``.  The triangles this reaches are exactly
   those whose walks reach ``e``, so the walk costs what the stale
-  entries do rather than a scan of the whole memo.
+  entries do rather than a scan of the whole memo.  Its ``traces``
+  counts one root at a time and returns the counts as arrays.
 
 Two facts let the heap drop an arc for good, so that popping arcs in
 order cancels the same pairs as a full rescan and sort after every
@@ -95,6 +116,8 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate, chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -103,13 +126,13 @@ from .gradient import (
     DiscreteGradient,
     VPath,
     _first_vpath,
+    _successors,
     _vpath_counts,
     _walk_arrays,
     _walks,
     reverse_vpath,
 )
-from .morse import ascending_segmentation
-from .order import OrderField
+from .order import OrderField, _pointer_jump
 from .triangulation import Triangulation
 
 
@@ -135,83 +158,118 @@ class ComplianceReport:
 
 
 def _critical_stars(grad: DiscreteGradient, k: int):
-    """``(flat, bounds)``: ``flat[bounds[v]:bounds[v + 1]]`` lists the
-    critical k-simplices of vertex ``v`` by descending simplex key."""
-    sids = np.flatnonzero((grad.pair_up[k] < 0) & (grad.pair_down[k] < 0))
-    rows = grad.verts[k][sids]
-    member = np.repeat(np.arange(len(sids)), k + 1)
-    keys = np.sort(grad.field.ranks[rows], axis=1)[member]
-    order = np.lexsort(np.vstack((-keys.T, rows.ravel())))  # owner first
-    ends = np.cumsum(np.bincount(rows.ravel(), minlength=len(grad.verts[0])))
-    return sids[member[order]].tolist(), [0] + ends.tolist()
-
-
-def _owned(grad: DiscreteGradient, k: int):
     """``(flat, bounds)`` arrays: ``flat[bounds[v]:bounds[v + 1]]`` lists
-    the critical k-simplices whose highest vertex is ``v``, by
-    descending simplex key."""
-    sids = np.flatnonzero((grad.pair_up[k] < 0) & (grad.pair_down[k] < 0))
-    keys = np.sort(grad.field.ranks[grad.verts[k][sids]], axis=1)
-    owner = grad.field.order[keys[:, -1]]
-    n = len(grad.verts[0])
+    the critical k-simplices of vertex ``v`` by descending simplex key.
+
+    One ``np.lexsort`` gives each of the ``m`` simplices its place in
+    key order, and one argsort of ``vertex * m + place`` groups them by
+    vertex in descending key order."""
+    sids = ((grad.pair_up[k] < 0) & (grad.pair_down[k] < 0)).nonzero()[0]
+    keys = grad.field.ranks[grad.verts[k].take(sids, axis=0)]
+    keys.sort(axis=1)
+    m, n = len(sids), len(grad.verts[0])
+    down = np.empty(m, dtype=np.int64)     # m - 1 - place in key order
+    down[np.lexsort(keys.T)] = np.arange(m - 1, -1, -1)
+    vertex = grad.field.order[keys]
+    at = (vertex * m + down[:, None]).ravel().argsort()
     bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=bounds[1:])
-    return sids[np.lexsort((*-keys.T, owner))], bounds
+    np.bincount(vertex.ravel(), minlength=n).cumsum(out=bounds[1:])
+    return sids[at // (k + 1)], bounds
+
+
+def _owned(grad: DiscreteGradient, base):
+    """``(flat, bounds)`` arrays: with ``g = k * n + v`` over the ``n``
+    vertices, ``flat[bounds[g]:bounds[g + 1]]`` lists the critical
+    k-simplices whose highest vertex is ``v``, by descending simplex
+    key, as flat ids ``base[k] + s``.
+
+    Every dimension is sorted at once: each simplex's sorted vertex
+    ranks, padded in front with -1, make one row of a key table, and one
+    ``np.lexsort`` orders the rows by ``g`` and then by key."""
+    ranks, d, n = grad.field.ranks, len(grad.verts) - 1, len(grad.verts[0])
+    sids = [((up < 0) & (down < 0)).nonzero()[0]
+            for up, down in zip(grad.pair_up, grad.pair_down)]
+    sizes = [len(s) for s in sids]
+    keys = np.full((sum(sizes), d + 1), -1, dtype=np.int64)
+    a = 0
+    for k, s in enumerate(sids):
+        rows = ranks[grad.verts[k].take(s, axis=0)]
+        rows.sort(axis=1)
+        keys[a:a + len(s), d - k:] = rows
+        a += len(s)
+    group = np.arange(0, (d + 1) * n, n).repeat(sizes) \
+        + grad.field.order[keys[:, -1]]
+    order = np.lexsort((*-keys[:, :-1].T, group))
+    bounds = np.zeros((d + 1) * n + 1, dtype=np.int64)
+    np.bincount(group, minlength=(d + 1) * n).cumsum(out=bounds[1:])
+    flat = np.concatenate([s + b for s, b in zip(sids, base)])
+    return flat[order], bounds
+
+
+_POINT = attrgetter("vertex", "index", "multiplicity", "boundary")
 
 
 class _Matching:
     """Bipartite matching of critical-point slots to critical simplices.
 
     Slots are critical points, one per unit of multiplicity, ordered by
-    vertex rank.  Candidates for a slot are the critical simplices of
-    the right dimension in the vertex's star, preferred in descending
-    simplex-key order.  First, in one array pass, each slot takes a
+    vertex rank: slot ``i`` is a copy of ``critical_points[point[i]]``,
+    of vertex ``vertex[i]`` and index ``index[i]``.  Candidates for a
+    slot are the critical simplices of the right dimension in the
+    vertex's star, preferred in descending simplex-key order.  First, in
+    one array pass over every dimension (``_owned``), each slot takes a
     critical simplex that its vertex owns (its highest vertex), while
     the point has such simplices left: on the lower-star gradient that
     matches every slot of every interior point.  Kuhn's augmenting-path
     algorithm then matches the slots left over, and keeps the matching
     maximum as simplices are consumed by cancellations.
+
+    Simplex ``(k, s)`` has the flat id ``base[k] + s``: ``slot_of[x]``
+    is the slot that holds flat id ``x``, and ``sid_of[i]`` the simplex
+    of dimension ``index[i]`` that slot ``i`` holds, -1 for none.
     """
 
     def __init__(self, grad, critical_points):
         self.grad, self.boundary = grad, grad.tri.boundary_flags()
-        interior = [c for c in critical_points if not c.boundary]
-        by_rank = np.argsort(grad.field.ranks[[c.vertex for c in interior]],
-                             kind="stable")
-        interior = [interior[i] for i in by_rank.tolist()]
-        self.slots = [c for c in interior for _ in range(c.multiplicity)]
+        self.base = list(accumulate(map(len, grad.verts), initial=0))
+        cols = np.fromiter(chain.from_iterable(map(_POINT, critical_points)),
+                           np.int64, 4 * len(critical_points)).reshape(-1, 4)
+        vertex, index, mult, boundary = cols.T
+        interior = (boundary == 0).nonzero()[0]
+        # by vertex rank, and a vertex listed twice in list order
+        interior = interior[(grad.field.ranks[vertex[interior]] * len(cols)
+                             + interior).argsort()]
+        mult = mult[interior]
+        # slots bounds[j]:bounds[j + 1] are the copies of the j-th point
+        self.bounds = np.zeros(len(mult) + 1, dtype=np.int64)
+        mult.cumsum(out=self.bounds[1:])
+        self.point = interior.repeat(mult)
+        self.vertex, self.index = vertex[self.point], index[self.point]
+        copy = np.arange(len(self.point)) - self.bounds[:-1].repeat(mult)
+        flat, bounds = _owned(grad, self.base)
+        group = self.index * len(grad.verts[0]) + self.vertex
+        at = bounds[group] + copy
+        mine = (at < bounds[group + 1]).nonzero()[0]
+        ids = flat[at[mine]]
+        self.slot_of = np.full(self.base[-1], -1, dtype=np.int64)
+        self.slot_of[ids] = mine
+        self.sid_of = np.full(len(self.point), -1, dtype=np.int64)
+        self.sid_of[mine] = ids - np.array(self.base)[self.index[mine]]
         self._stars = {}    # dim -> _critical_stars, built for Kuhn's search
-        self.slot_of = {}   # (dim, sid) -> slot index
-        self.sid_of = {}    # slot index -> (dim, sid)
-        mult = np.array([c.multiplicity for c in interior], dtype=np.int64)
-        copy = np.arange(len(self.slots)) - np.repeat(np.cumsum(mult) - mult,
-                                                      mult)
-        index = np.array([c.index for c in self.slots], dtype=np.int64)
-        vertex = np.array([c.vertex for c in self.slots], dtype=np.int64)
-        for k in {c.index for c in interior}:
-            flat, bounds = _owned(grad, k)
-            slot = np.flatnonzero(index == k)
-            at = bounds[vertex[slot]] + copy[slot]
-            mine = at < bounds[vertex[slot] + 1]
-            keys = [(k, s) for s in flat[at[mine]].tolist()]
-            slot = slot[mine].tolist()
-            self.slot_of.update(zip(keys, slot))
-            self.sid_of.update(zip(slot, keys))
-        for i in range(len(self.slots)):
-            if i not in self.sid_of:
-                self._augment(i, set())
+        for i in (self.sid_of < 0).nonzero()[0].tolist():
+            self._augment(i, set())
 
     def _star(self, i):
         """The critical simplices of slot ``i``'s star when Kuhn's
         search first needed its dimension, by descending simplex key."""
-        cp = self.slots[i]
-        if cp.index not in self._stars:
-            self._stars[cp.index] = _critical_stars(self.grad, cp.index)
-        flat, bounds = self._stars[cp.index]
-        return flat[bounds[cp.vertex]:bounds[cp.vertex + 1]]
+        k, v = self.index.item(i), self.vertex.item(i)
+        if k not in self._stars:
+            self._stars[k] = _critical_stars(self.grad, k)
+        flat, bounds = self._stars[k]
+        return flat[bounds.item(v):bounds.item(v + 1)].tolist()
 
     def _candidates(self, i):
-        k = self.slots[i].index
+        k = self.index.item(i)
         return [(k, s) for s in self._star(i) if self.grad.is_critical(k, s)]
 
     def _augment(self, i, banned, seen=None) -> bool:
@@ -223,13 +281,15 @@ class _Matching:
             if key in banned or key in seen:
                 continue
             seen.add(key)
-            holder = self.slot_of.get(key)
-            if holder is None or self._augment(holder, banned, seen):
-                old = self.sid_of.get(i)
-                if old is not None and self.slot_of.get(old) == i:
-                    del self.slot_of[old]
-                self.slot_of[key] = i
-                self.sid_of[i] = key
+            k, s = key
+            x = self.base[k] + s
+            holder = self.slot_of.item(x)
+            if holder < 0 or self._augment(holder, banned, seen):
+                old = self.sid_of.item(i)
+                if old >= 0 and self.slot_of.item(self.base[k] + old) == i:
+                    self.slot_of[self.base[k] + old] = -1
+                self.slot_of[x] = i
+                self.sid_of[i] = s
                 return True
         return False
 
@@ -240,19 +300,20 @@ class _Matching:
         On False the matching is unchanged.  Two matched simplices give
         False without a search: the heap never releases such an arc.
         """
-        held = [key for key in dims_sids if key in self.slot_of]
+        held = [key for key in dims_sids if self.is_matched(*key)]
         if len(held) != 1:
             return not held
-        key = held[0]
-        i = self.slot_of.pop(key)
-        del self.sid_of[i]
+        k, s = held[0]
+        x = self.base[k] + s
+        i = self.slot_of.item(x)
+        self.slot_of[x] = self.sid_of[i] = -1
         if self._augment(i, set(dims_sids)):
             return True
-        self.slot_of[key], self.sid_of[i] = i, key
+        self.slot_of[x], self.sid_of[i] = i, s
         return False
 
     def is_matched(self, dim, sid) -> bool:
-        return (dim, sid) in self.slot_of
+        return self.slot_of.item(self.base[dim] + sid) >= 0
 
 
 def match_critical_simplices(
@@ -270,78 +331,110 @@ def match_critical_simplices(
 def _report(matching, critical_points, cancelled):
     """The report of a finished matching.
 
-    A point fails only if none of its copies found a simplex; it is
-    listed once, in ``critical_points`` order.
+    A point fails only if none of its copies found a simplex; failures
+    are listed in ``critical_points`` order.
     """
-    matched = {}
-    for i, cp in enumerate(matching.slots):
-        sids = matched.setdefault((cp.vertex, cp.index), [])
-        if i in matching.sid_of:
-            sids.append(matching.sid_of[i][1])
-    empty = {k for k, v in matched.items() if not v}
-    failures = []
-    for cp in critical_points:
-        if not cp.boundary and (cp.vertex, cp.index) in empty:
-            failures.append(cp)
-            empty.discard((cp.vertex, cp.index))
-    spurious = {
-        k: {s for s in _interior_ids(matching, k)
-            if not matching.is_matched(k, s)}
-        for k in range(len(matching.boundary))
-    }
+    m = matching
+    held = m.sid_of >= 0
+    taken = np.zeros(len(held) + 1, dtype=np.int64)
+    held.cumsum(out=taken[1:])
+    cut = taken[m.bounds]       # the held simplices of each point
+    first = m.bounds[:-1]       # the first slot of each point
+    failed = np.sort(m.point[first[cut[1:] == cut[:-1]]])
+    sids, cut = m.sid_of[held].tolist(), cut.tolist()
+    matched = dict(zip(
+        zip(m.vertex[first].tolist(), m.index[first].tolist()),
+        map(sids.__getitem__, map(slice, cut, cut[1:]))))
+    failures = [critical_points[i] for i in failed.tolist()]
+    spurious = {k: set(_interior_ids(m, k, m.slot_of[a:b] < 0).tolist())
+                for k, (a, b) in enumerate(zip(m.base, m.base[1:]))}
     return ComplianceReport(matched, failures, spurious, cancelled)
 
 
-def _interior_ids(matching, dim):
-    """Ascending ids of the critical dim-simplices off the boundary."""
+def _interior_ids(matching, dim, where=True):
+    """Ascending ids of the critical dim-simplices off the boundary, of
+    those where the mask ``where`` holds."""
     up, down = matching.grad.pair_up[dim], matching.grad.pair_down[dim]
-    return np.flatnonzero((up < 0) & (down < 0)
-                          & ~matching.boundary[dim]).tolist()
+    return ((up < 0) & (down < 0) & ~matching.boundary[dim]
+            & where).nonzero()[0]
 
 
-def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
+def _peaks(grad, k, sids):
+    """The field values at the highest vertices of k-simplices ``sids``."""
+    field = grad.field
+    top = field.ranks[grad.verts[k].take(sids, axis=0)].max(axis=1)
+    return field.values[field.order[top]]
+
+
+def _arcs(grad, matching, lo, root_dim, traces, roots, version):
+    """``(root, end, entries)``: every critical end the ``roots`` reach,
+    with its root, and the heap entries of the arcs that qualify.
+
+    An arc qualifies when ``traces`` says its end is reached once and
+    may be cancelled, and not both of its ends are matched.  Its entry
+    is ``(weight, lower id, upper id, version)``.
+    """
+    end_dim = 2 * lo + 1 - root_dim
+    root, end, once = traces(roots)
+    slot_of, base = matching.slot_of, matching.base
+    once &= (slot_of[base[root_dim] + root] < 0) | \
+        (slot_of[base[end_dim] + end] < 0)
+    r, e = root[once], end[once]
+    w = np.abs(_peaks(grad, end_dim, e) - _peaks(grad, root_dim, r))
+    lower, upper = (r, e) if root_dim == lo else (e, r)
+    return root, end, list(zip(w.tolist(), lower.tolist(), upper.tolist(),
+                               [version] * len(w)))
+
+
+def _cancel_by_heap(grad, matching, lo, root_dim, roots, traces, cancel):
     """Cancel (lo, lo+1) pairs from a heap of arcs, lowest weight first,
     ties by lower then upper id (see the module docstring).
 
-    ``roots`` are the simplices of dimension ``root_dim`` that walks
-    start from; the other end of an arc has the other dimension.
-    ``trace(root)`` returns the critical ends the root's walks reach
-    (repeats allowed) and those of them that qualify (joined to it by
-    exactly one V-path).
-    ``cancel(root, end)`` reverses the path between the two.
+    ``roots`` is the array of simplices of dimension ``root_dim`` that
+    walks start from; the other end of an arc has the other dimension.
+    ``traces(roots)`` returns three arrays over the critical ends the
+    roots' walks reach, repeats allowed: each end's root, the end, and
+    whether the end is reached by exactly one V-path and may be
+    cancelled.  ``cancel(root, end)`` reverses the path between the two.
     """
-    end_dim = 2 * lo + 1 - root_dim
-    version = defaultdict(int)    # root -> traces so far
-    ends_of = {}                  # root -> ends its last trace reached
-    reaching = defaultdict(set)   # end -> roots whose last trace reached it
-    heap = []
+    first_root, first_end, heap = _arcs(grad, matching, lo, root_dim,
+                                        traces, roots, 0)
+    heapq.heapify(heap)
+    by_end = None                 # first_end sorted, and its roots
+    version = {}                  # root traced again -> traces so far
+    ends_of = {}                  # root traced again -> ends it reached
+    reaching = defaultdict(set)   # end -> roots traced again reaching it
+
+    def roots_reaching(end):
+        nonlocal by_end
+        if by_end is None:
+            order = first_end.argsort()
+            by_end = first_end[order], first_root[order]
+        ends, roots = by_end
+        a, b = np.searchsorted(ends, (end, end + 1)).tolist()
+        return {r for r in roots[a:b].tolist() if r not in ends_of} \
+            | reaching[end]
 
     def retrace(root):
-        for end in ends_of.pop(root, ()):
+        for end in ends_of.get(root, ()):
             reaching[end].discard(root)
-        version[root] += 1
+        version[root] = version.get(root, 0) + 1
+        ends_of[root] = ()
         if not grad.is_critical(root_dim, root):
             return
-        ends, single = trace(root)
-        ends_of[root] = ends
+        _, ends, entries = _arcs(grad, matching, lo, root_dim, traces,
+                                 np.array([root]), version[root])
+        ends_of[root] = ends = ends.tolist()
         for end in ends:
             reaching[end].add(root)
-        for end in single:
-            if matching.is_matched(root_dim, root) and \
-                    matching.is_matched(end_dim, end):
-                continue
-            w = abs(grad.simplex_value(end_dim, end)
-                    - grad.simplex_value(root_dim, root))
-            pair = (root, end) if root_dim == lo else (end, root)
-            heapq.heappush(heap, (w, *pair, version[root]))
+        for entry in entries:
+            heapq.heappush(heap, entry)
 
-    for root in roots:
-        retrace(root)
     cancelled = []
     while heap:
         _, lower, upper, ver = heapq.heappop(heap)
         root, end = (lower, upper) if root_dim == lo else (upper, lower)
-        if ver != version[root] or not grad.is_critical(lo, lower) \
+        if ver != version.get(root, 0) or not grad.is_critical(lo, lower) \
                 or not grad.is_critical(lo + 1, upper):
             continue
         if matching.is_matched(lo, lower) and \
@@ -351,7 +444,7 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, trace, cancel):
             continue            # for good: see the module docstring
         cancel(root, end)
         cancelled.append((lo, lower, upper))
-        for r in sorted(reaching[end]):
+        for r in sorted(roots_reaching(end)):
             retrace(r)
     return cancelled
 
@@ -371,22 +464,33 @@ def _cancel_facet_pairs(grad, matching) -> list:
     """
     d = grad.tri.dim
     rows, via = _walk_arrays(grad, True)
-    boundary = matching.boundary[d]
-    parent = ascending_segmentation(grad)
-    outside = len(parent)
-    parent[parent < 0] = outside
-    parent = parent.tolist() + [outside]
+    # the ascending segmentation, with the walks that leave the domain
+    # ending at the extra node len(via)
+    parent = _pointer_jump(_successors(rows, via))
+    outside = len(via)
+    # which classes an arc may end at: not the boundary, not outside
+    may_end = np.zeros(outside + 1, dtype=bool)
+    np.logical_not(matching.boundary[d], out=may_end[:-1])
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
+        """The class of each cell in ``x``, whose paths it compresses."""
+        top = parent[x]
+        while True:
+            up = parent[top]
+            if (up == top).all():
+                break
+            top = up
+        parent[x] = top
+        return top
 
-    def trace(sigma):
-        ends = [find(c) for c in rows[sigma].tolist() if c >= 0]
-        ends = [tau for tau in ends if tau != outside]
-        return ends, [tau for tau in ends
-                      if ends.count(tau) == 1 and not boundary[tau]]
+    def traces(sigmas):
+        cells = rows.take(sigmas, axis=0)
+        cells[cells < 0] = outside
+        ends = find(cells)
+        once = (ends != ends[:, ::-1]) & may_end[ends]
+        reached = ends != outside
+        return sigmas.repeat(2)[reached.ravel()], ends[reached], \
+            once[reached]
 
     def cancel(sigma, tau):
         walks = _walks(rows, via, sigma)
@@ -395,10 +499,10 @@ def _cancel_facet_pairs(grad, matching) -> list:
         cells = path[:-1]
         pairs = list(zip(via[cells].tolist(), cells))[::-1]
         reverse_vpath(grad, VPath(d - 1, tau, sigma, pairs))
-        parent[tau] = find(other)
+        parent[tau] = find(np.array([other]))[0]
 
     return _cancel_by_heap(grad, matching, d - 1, d - 1,
-                           _interior_ids(matching, d - 1), trace, cancel)
+                           _interior_ids(matching, d - 1), traces, cancel)
 
 
 def _cancel_connector_pairs(grad, matching) -> list:
@@ -409,15 +513,21 @@ def _cancel_connector_pairs(grad, matching) -> list:
     descending V-paths to the interior critical edges in one shared
     memo; a cancelled path is read from that memo.
     """
-    edges = set(_interior_ids(matching, 1))
+    edges = set(_interior_ids(matching, 1).tolist())
     memo = {}                     # triangle -> {edge: V-path count}
     # row e: the ascending ids of the triangles with face e, -1 padded
     triangles_of = grad.tri.cofacet_ids(1)
     paired_below = grad.pair_down[2]
 
-    def trace(tau):
-        counts = _vpath_counts(grad, 1, tau, edges, memo)
-        return list(counts), [e for e, n in counts.items() if n == 1]
+    def traces(taus):
+        root, end, once = [], [], []
+        for tau in taus.tolist():
+            counts = _vpath_counts(grad, 1, tau, edges, memo)
+            root += [tau] * len(counts)
+            end += counts
+            once += [n == 1 for n in counts.values()]
+        return np.array(root, dtype=np.int64), \
+            np.array(end, dtype=np.int64), np.array(once, dtype=bool)
 
     def cancel(tau, e):
         path = _first_vpath(grad, 1, tau, e, memo)
@@ -438,7 +548,7 @@ def _cancel_connector_pairs(grad, matching) -> list:
         edges.discard(e)
 
     return _cancel_by_heap(grad, matching, 1, 2,
-                           _interior_ids(matching, 2), trace, cancel)
+                           _interior_ids(matching, 2), traces, cancel)
 
 
 def enforce_compliance(

@@ -52,8 +52,9 @@ are the two deterministic walks, so pointer doubling over
 ``_successors`` finds a closed V-path in either, as it does for the
 segmentations.  Only the 3D (1, 2) digraph, which branches, and a
 (d-1, d) digraph on a facet with three or more co-facets, where the
-ascending walk would follow only the first two, are peeled from their
-sources.
+ascending walk has no single next step, are peeled from their sources;
+the ascending walk itself refuses such a facet with
+``DomainTopologyError``.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .order import OrderField, _pointer_jump, stored
-from .triangulation import Triangulation
+from .triangulation import DomainTopologyError, Triangulation
 
 
 class DiscreteGradient:
@@ -79,13 +80,9 @@ class DiscreteGradient:
         or -1.  ``pair_down[0]`` is all -1.
     verts:
         ``verts[k]`` is the ``(n_k, k+1)`` array of simplex vertex ids.
-    simplex_values:
-        ``simplex_values[k][s]`` is the field value at the order-highest
-        vertex of k-simplex ``s``.
 
     ``verts`` are the triangulation's stored ``simplex_array`` rows,
-    shared by every field and read-only; ``simplex_values`` depends on
-    the field too.  Copies share both.
+    shared by every field and read-only; copies share them.
     """
 
     def __init__(self, tri: Triangulation, field: OrderField):
@@ -93,12 +90,6 @@ class DiscreteGradient:
         self.field = field
         d = tri.dim
         self.verts = [tri.simplex_array(k) for k in range(d + 1)]
-        ranks = field.ranks
-        self.simplex_values = [
-            field.values[rows[np.arange(len(rows)),
-                              np.argmax(ranks[rows], axis=1)]]
-            for rows in self.verts
-        ]
         self.pair_up = [
             np.full(tri.simplex_count(k), -1, dtype=np.int64)
             for k in range(d + 1)
@@ -119,9 +110,6 @@ class DiscreteGradient:
         """dim -> ascending list of critical simplex ids."""
         return {k: self.critical_ids(k) for k in range(self.tri.dim + 1)}
 
-    def simplex_value(self, dim: int, sid: int) -> float:
-        return float(self.simplex_values[dim][sid])
-
     def max_vertex(self, dim: int, sid: int) -> int:
         row = self.verts[dim][sid]
         return int(row[np.argmax(self.field.ranks[row])])
@@ -129,7 +117,6 @@ class DiscreteGradient:
     def copy(self) -> "DiscreteGradient":
         g = object.__new__(DiscreteGradient)
         g.tri, g.field, g.verts = self.tri, self.field, self.verts
-        g.simplex_values = self.simplex_values
         g.pair_up = [a.copy() for a in self.pair_up]
         g.pair_down = [a.copy() for a in self.pair_down]
         return g
@@ -246,7 +233,7 @@ def _lower_star_gradient(tri: Triangulation,
         h, l = hi[dim == k] - base[k], lo[dim == k] - base[k - 1]
         grad.pair_up[k - 1][l] = h
         grad.pair_down[k][h] = l
-    for arr in grad.pair_up + grad.pair_down + grad.simplex_values:
+    for arr in grad.pair_up + grad.pair_down:
         arr.flags.writeable = False
     return grad
 
@@ -280,10 +267,22 @@ class VPath:
 
 def _walk_arrays(grad: DiscreteGradient, ascending: bool) -> tuple:
     """``(rows, via)`` of the (0, 1) walk, the edges and ``pair_up[0]``,
-    or the (d-1, d) walk, the facets' co-faces and ``pair_down[d]``."""
+    or the (d-1, d) walk, the facets' co-faces and ``pair_down[d]``.
+
+    An ascending walk has no single next step across a facet with three
+    or more co-facets, so there it raises ``DomainTopologyError``, which
+    names the first such facet.
+    """
     if ascending:
         d = grad.tri.dim
-        return grad.tri.cofacet_ids(d - 1), grad.pair_down[d]
+        rows = grad.tri.cofacet_ids(d - 1)
+        if rows.shape[1] > 2:
+            f = int(np.argmax(rows[:, 2] >= 0))
+            raise DomainTopologyError(
+                f"facet {f} (vertices {grad.verts[d - 1][f].tolist()}) has "
+                f"{int((rows[f] >= 0).sum())} co-facets; ascending walks "
+                "need at most two")
+        return rows, grad.pair_down[d]
     return grad.verts[1], grad.pair_up[0]
 
 
@@ -311,11 +310,15 @@ def _walks(rows, via, root: int) -> list:
 
 def _successors(rows, via) -> np.ndarray:
     """``_walks``' step for every node at once, over one extra slot
-    ``len(via)`` for -1: an end maps to itself."""
+    ``len(via)`` for -1: an end maps to itself.  ``rows`` has two
+    columns.
+
+    Rows are gathered with ``take``: on numpy 2.4, ``rows[i]`` on a 2D
+    array is several times slower."""
     n = len(via)
     nxt = np.arange(n + 1, dtype=np.int64)
-    x = np.flatnonzero(via >= 0)
-    a, b = rows[via[x], :2].T
+    x = (via >= 0).nonzero()[0]
+    a, b = rows.take(via[x], axis=0).T
     other = np.where(a == x, b, a)
     nxt[x] = np.where(other < 0, n, other)
     return nxt
@@ -456,14 +459,12 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
     """
     d = grad.tri.dim
     for k in range(d):
-        if k in (0, d - 1):
-            rows, via = _walk_arrays(grad, k > 0)
-            if rows.shape[1] == 2:
-                try:
-                    _pointer_jump(_successors(rows, via))
-                except ValueError:
-                    return False
-                continue
+        if k == 0 or (k == d - 1 and grad.tri.cofacet_ids(k).shape[1] == 2):
+            try:
+                _pointer_jump(_successors(*_walk_arrays(grad, k > 0)))
+            except ValueError:
+                return False
+            continue
         rows = grad.tri.facet_ids(k + 1)
         succ = grad.pair_up[k][rows]
         succ[rows == grad.pair_down[k + 1][:, None]] = -1

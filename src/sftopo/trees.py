@@ -51,13 +51,9 @@ import numpy as np
 from .critical import link_components
 from .gradient import DiscreteGradient, _lower_star_gradient, _vpath_counts
 from .order import OrderField, _pointer_jump, stored
-from .triangulation import Triangulation
+from .triangulation import DomainTopologyError, Triangulation
 
 log = logging.getLogger(__name__)
-
-
-class DomainTopologyError(Exception):
-    """The domain is not simply connected; the contour tree is undefined."""
 
 
 def _check_simply_connected(tri: Triangulation) -> None:

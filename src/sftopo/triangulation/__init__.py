@@ -2,6 +2,7 @@
 
 from .base import (
     QUERY_KINDS,
+    DomainTopologyError,
     SimplexRef,
     Triangulation,
     TriangulationError,
@@ -11,6 +12,7 @@ from .explicit import ExplicitTriangulation
 from .implicit import ImplicitGridTriangulation
 
 __all__ = [
+    "DomainTopologyError",
     "ExplicitTriangulation",
     "ImplicitGridTriangulation",
     "QUERY_KINDS",

@@ -33,6 +33,12 @@ class TriangulationError(Exception):
     """Base class for triangulation construction and query errors."""
 
 
+class DomainTopologyError(Exception):
+    """The domain's topology does not admit the structure asked for: a
+    contour tree on a domain that is not simply connected, or an
+    ascending walk across a facet with three or more co-facets."""
+
+
 #: Kinds accepted by :meth:`Triangulation.precondition`, each with the
 #: per-simplex query whose arrays it builds and that query's simplex
 #: dimensions; "d" is the cell dimension.  Implicit grids accept them

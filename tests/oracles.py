@@ -879,16 +879,17 @@ def _value(grad, dim, sid):
 
 
 def _copying_release(matching, dims_sids):
-    """``_Matching.release`` that saves both dicts and restores them on
-    failure, instead of undoing its logged changes."""
+    """``_Matching.release`` that saves copies of the matching's arrays
+    and restores them on failure, instead of undoing its logged changes."""
     banned = set(dims_sids)
-    saved = (dict(matching.slot_of), dict(matching.sid_of))
-    for key in banned:
-        i = matching.slot_of.pop(key, None)
-        if i is None:
+    saved = (matching.slot_of.copy(), matching.sid_of.copy())
+    for k, s in banned:
+        x = matching.base[k] + s
+        i = matching.slot_of[x]
+        if i < 0:
             continue
-        del matching.sid_of[i]
-        if not matching._augment(i, banned):
+        matching.slot_of[x] = matching.sid_of[i] = -1
+        if not matching._augment(int(i), banned):
             matching.slot_of, matching.sid_of = saved
             return False
     return True

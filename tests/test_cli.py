@@ -9,6 +9,7 @@ import pytest
 from conftest import F0_VALUES
 from test_acceptance import run_cli
 from test_io import OCTA_OFF
+from test_triangulation import non_manifold_fan
 from sftopo import checks
 from sftopo.cli import main
 from sftopo.io import write_field
@@ -87,6 +88,40 @@ class TestExitCodes:
         values.write_text("".join(f"{v}\n" for v in range(7)))
         assert main(["check", "--mesh", str(mesh), "--values",
                      str(values)]) == 2
+
+    @staticmethod
+    def fan_args(tmp_path):
+        """Three triangles on edge (0, 1), under values that pair
+        triangle (0, 1, 3) with that edge."""
+        points, cells = non_manifold_fan()
+        mesh = tmp_path / "fan.off"
+        mesh.write_text(f"OFF\n{len(points)} {len(cells)} 0\n"
+                        + "".join(f"{x:g} {y:g} {z:g}\n" for x, y, z in points)
+                        + "".join(f"3 {a} {b} {c}\n" for a, b, c in cells))
+        values = tmp_path / "fan.txt"
+        values.write_text("2\n4\n3\n0\n1\n")
+        return ["--mesh", str(mesh), "--values", str(values)]
+
+    def test_fan_morse_smale_is_a_data_error(self, tmp_path, capsys):
+        """An ascending walk has no single next step across a facet with
+        three co-facets: exit 2, naming the facet."""
+        out = str(tmp_path / "sep.obj")
+        assert main(["morse-smale", "-o", out]
+                    + self.fan_args(tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            "sftopo: error: facet 0 (vertices [0, 1]) has 3 co-facets; "
+            "ascending walks need at most two\n")
+
+    def test_fan_check_fails_pseudo_manifold(self, tmp_path, capsys):
+        """``check`` reports the fan as a pseudo-manifold failure, exit
+        3, and skips the compliance checks instead of raising."""
+        assert main(["check"] + self.fan_args(tmp_path)) == 3
+        got = capsys.readouterr()
+        assert got.err == ""
+        failed = [line for line in got.out.splitlines()
+                  if line.startswith("[FAIL]")]
+        assert failed == ["[FAIL] pseudo-manifold  (1 facets with >2 cofaces)"]
+        assert got.out.count("skipped: facet 0 (vertices [0, 1])") == 2
 
     def test_unknown_log_level(self, f0_file, monkeypatch, capsys):
         monkeypatch.setenv("SFTOPO_LOG", "bogus")

@@ -13,6 +13,7 @@ from test_gradient import closed_vpath, owners, ring
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
+    OrderField,
     compliance,
     SimplexRef,
     build_gradient,
@@ -115,16 +116,16 @@ class TestArrayMatching:
             g = oracles.steepest_gradient(tri, f)
             matching = compliance._Matching(
                 g, extract_critical_points(tri, f))
-            stars = [oracles.star_simplices(tri, f, cp.vertex, cp.index)
-                     for cp in matching.slots]
-            for i, (cp, star) in enumerate(zip(matching.slots, stars)):
+            slots = list(zip(matching.vertex.tolist(),
+                             matching.index.tolist()))
+            stars = [oracles.star_simplices(tri, f, v, k) for v, k in slots]
+            for i, ((v, k), star) in enumerate(zip(slots, stars)):
                 assert matching._star(i) == [s for s in star
-                                             if g.is_critical(cp.index, s)]
+                                             if g.is_critical(k, s)]
             cancelled += len(compliance._cancel_facet_pairs(g, matching))
-            for i, (cp, star) in enumerate(zip(matching.slots, stars)):
+            for i, ((v, k), star) in enumerate(zip(slots, stars)):
                 assert matching._candidates(i) == [
-                    (cp.index, s) for s in star
-                    if g.is_critical(cp.index, s)]
+                    (k, s) for s in star if g.is_critical(k, s)]
         assert cancelled > 0
 
     def test_boundary_flags_match_queries(self, octahedron_sub2):
@@ -184,7 +185,21 @@ def assert_heap_matches_rescan(monkeypatch, tri, f):
     return len(got.cancelled)
 
 
+def gaussian_field(dims, rng, noise=0.05):
+    """A Gaussian bump over a 2D grid plus uniform noise."""
+    x, y = np.meshgrid(np.arange(dims[0]), np.arange(dims[1]))
+    cx, cy, s = (dims[0] - 1) / 2, (dims[1] - 1) / 2, dims[0] / 4
+    bump = np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / (2 * s * s))
+    return OrderField(bump.ravel() + noise * rng.random(bump.size))
+
+
 class TestHeapCancellation:
+    def test_gaussian_plus_noise_matches_rescan(self, monkeypatch):
+        tri = ImplicitGridTriangulation((48, 48))
+        assert_heap_matches_rescan(
+            monkeypatch, tri, gaussian_field((48, 48),
+                                             np.random.default_rng(25)))
+
     def test_grids_match_rescan(self, monkeypatch):
         rng = np.random.default_rng(16)
         cancelled = 0
@@ -251,7 +266,7 @@ class TestHeapCancellation:
         held = []
 
         def counted(matching, dims_sids):
-            held.append(sum(key in matching.slot_of for key in dims_sids))
+            held.append(sum(matching.is_matched(*key) for key in dims_sids))
             return release(matching, dims_sids)
 
         monkeypatch.setattr(compliance._Matching, "release", counted)
@@ -290,10 +305,11 @@ class TestHeapCancellation:
             enforce_compliance(tri, g.field, g)
         assert len(failed) > 20
         for matching, dims_sids in failed:
-            before = (dict(matching.slot_of), dict(matching.sid_of))
+            before = matching.slot_of.copy(), matching.sid_of.copy()
             assert not release(matching, dims_sids)
             assert not oracles._copying_release(matching, dims_sids)
-            assert (matching.slot_of, matching.sid_of) == before
+            assert np.array_equal(matching.slot_of, before[0])
+            assert np.array_equal(matching.sid_of, before[1])
 
 
 def test_3d_compliance_scales_to_12_cubed():
@@ -337,7 +353,7 @@ class TestLowerStarCompliance:
                         points += 1
                     matching = compliance._Matching(
                         g, extract_critical_points(tri, f))
-                    assert len(matching.sid_of) == len(matching.slots)
+                    assert (matching.sid_of >= 0).all()
         assert points > 1000
 
     def test_closed_surfaces_need_no_cancellation(self):
@@ -360,3 +376,90 @@ class TestLowerStarCompliance:
         report = enforce_compliance(tri, f, build_gradient(tri, f))
         assert len(report.cancelled) <= 50
         assert not report.match_failures
+
+
+class TestArrayTraces:
+    """The first fill traces every root in one ``traces`` call; a
+    retrace traces one root."""
+
+    @staticmethod
+    def spy_heap(monkeypatch, check):
+        """Run ``check(args, roots)`` on the arguments of every
+        ``_cancel_by_heap`` call, first with its roots and then after
+        every cancellation with the roots still critical."""
+        heap = compliance._cancel_by_heap
+
+        def spied(grad, matching, lo, root_dim, roots, traces, cancel):
+            args = (grad, matching, lo, root_dim, traces)
+
+            def cancel_and_check(root, end):
+                cancel(root, end)
+                check(args, compliance._interior_ids(matching, root_dim))
+
+            check(args, roots)
+            return heap(grad, matching, lo, root_dim, roots, traces,
+                        cancel_and_check)
+
+        monkeypatch.setattr(compliance, "_cancel_by_heap", spied)
+
+    def test_first_fill_pushes_what_one_root_traces_push(self,
+                                                         monkeypatch,
+                                                         octahedron_sub2):
+        """On every root set the heap sees, one ``traces`` call over all
+        roots gives the ends, and pushes the entries, that one call per
+        root gives, in root order; the cancellations are those of a run
+        without the checks.  The steepest co-face gradients give many
+        cancellations, so many union-find links and memo drops."""
+        checked = []
+
+        def check(args, roots):
+            root, end, entries = compliance._arcs(*args, roots, 0)
+            one = [compliance._arcs(*args, np.array([r]), 0)
+                   for r in roots.tolist()]
+            assert root.tolist() == [r for o in one for r in o[0].tolist()]
+            assert end.tolist() == [e for o in one for e in o[1].tolist()]
+            assert entries == [x for o in one for x in o[2]]
+            checked.append(len(entries))
+
+        rng = np.random.default_rng(26)
+        builds = (build_gradient, oracles.steepest_gradient)
+        cases = [(tri, f, build) for tri, f in array_cases(octahedron_sub2)
+                 for build in builds]
+        for dims in ((16, 16), (4, 4, 4), (6, 6, 6)):
+            tri = ImplicitGridTriangulation(dims)
+            cases += [(tri, make(tri, rng), build)
+                      for make in (random_field, tie_heavy_field)
+                      for build in builds]
+        cancelled = 0
+        for tri, f, build in cases:
+            want = enforce_compliance(tri, f, build(tri, f))
+            with monkeypatch.context() as m:
+                self.spy_heap(m, check)
+                got = enforce_compliance(tri, f, build(tri, f))
+            assert got.cancelled == want.cancelled
+            cancelled += len(got.cancelled)
+        # 902 cancellations, and 950 root sets pushing 107,987 entries
+        assert cancelled > 800 and sum(checked) > 100000
+
+    def test_no_retrace_when_nothing_cancels(self, monkeypatch):
+        """On a random 64x64 lower-star gradient nothing cancels, and the
+        heap calls ``traces`` once, on every root, and never on one."""
+        calls = []
+        heap = compliance._cancel_by_heap
+
+        def spied(grad, matching, lo, root_dim, roots, traces, cancel):
+            def counted(roots):
+                calls.append(len(roots))
+                return traces(roots)
+            return heap(grad, matching, lo, root_dim, roots, counted,
+                        cancel)
+
+        monkeypatch.setattr(compliance, "_cancel_by_heap", spied)
+        tri = ImplicitGridTriangulation((64, 64))
+        f = random_field(tri, np.random.default_rng(27))
+        g = build_gradient(tri, f)
+        roots = len(compliance._interior_ids(
+            compliance._Matching(g, extract_critical_points(tri, f)), 1))
+        report = enforce_compliance(tri, f, g)
+        assert report.cancelled == [] and roots > 1000
+        assert calls == [roots]
