@@ -5,7 +5,7 @@ index k and multiplicity m exactly m critical k-simplices among those
 it owns (whose highest vertex it is), on the random fields of the
 tests.  ``match_critical_simplices`` realizes the correspondence as a
 maximum bipartite matching (a degenerate saddle of multiplicity m
-claims m simplices): one array pass gives each point the critical
+claims m simplices): an array pass gives each point the critical
 simplices it owns, and Kuhn's augmenting-path search matches whatever
 is left within the point's star.  Critical simplices left unmatched
 are spurious artifacts of the discretization, on the lower-star
@@ -25,22 +25,26 @@ The matching keeps its state in two arrays too: the slot holding each
 simplex, over the simplices of every dimension, and the simplex each
 slot holds.
 The candidates of a slot are its vertex's critical simplices, grouped
-from ``grad.verts`` the first time Kuhn's search needs them, in
+from ``grad.verts`` for every dimension when the matching is built, in
 descending ``simplex_key`` order (sorted vertex ranks, highest first).
-Cancellations only remove critical simplices, so filtering these lists
-by ``is_critical`` gives what the whole star would.
+The simplices a vertex owns come last in its row, so the owner pass and
+Kuhn's search read the same rows.  Cancellations only remove critical
+simplices, so filtering these rows by ``is_critical`` gives what the
+whole star would.
 
 Both pair classes are cancelled from one heap of arcs keyed
 ``(weight, lower id, upper id, trace version)``; the weight is the
-difference of the field values at the two ends' highest vertices.  A
+difference of the field values at the two ends' highest vertices, and
+the version counts the cancellations made before the root's trace.  A
 class supplies one array routine, ``traces(roots)``: the critical ends
 the roots' walks reach, repeats allowed, and which of them are reached
 by exactly one V-path and may be cancelled.  The heap adds the one
 remaining condition, that not both ends are matched, as a mask; that is
 the one definition of a qualifying arc.  The first fill calls
-``traces`` once on every root, and a retrace after a cancellation calls
-it on one root.  Arcs of an older trace, or with an end that is no
-longer critical, are skipped when popped.
+``traces`` once on every root, and after a cancellation one call
+retraces the roots that reached the cancelled end.  Arcs of an older
+trace, or with an end that is no longer critical, are skipped when
+popped.
 
 The roots to retrace after a cancellation are those whose last trace
 reached the cancelled end.  Their index is built lazily: the first
@@ -69,21 +73,18 @@ slots.  Only the trace differs by class:
   walks that leave the domain may not be cancelled.
 - Saddle/saddle (3D): a root is an interior critical triangle, traced
   by counting its descending (1, 2) V-paths to the interior critical
-  edges, with one memo of per-triangle counts shared by all roots.
-  After the path ``tau, l1, h1, ..., lr, hr, e`` is reversed, a memo
-  entry is stale exactly when it counts ``e``: a walk enters ``h_i``
+  edges.  After the path ``tau, l1, h1, ..., lr, hr, e`` is reversed,
+  only the counts that included ``e`` change: a walk enters ``h_i``
   only through ``l_i``, and the old walk from ``l_i`` runs on to
-  ``e``, while ``e`` itself stops being a target.  Dropping those
-  entries leaves a memo that is exact for the new gradient, and the
-  roots to re-trace are the triangles that reached ``e``.  The stale
-  entries are found by walking back from ``e`` over the old gradient
-  before the reversal: from the triangles that have ``e`` as a face,
-  and from each reached triangle ``h`` paired below with edge ``l``, to
-  the other triangles that have ``l`` as a face, since a walk enters
-  ``h`` only through ``l``.  The triangles this reaches are exactly
-  those whose walks reach ``e``, so the walk costs what the stale
-  entries do rather than a scan of the whole memo.  Its ``traces``
-  counts one root at a time and returns the counts as arrays.
+  ``e``, while ``e`` itself stops being a target.  So the roots to
+  retrace are those that reached ``e``.  Every count is made afresh on
+  the current gradient: a ``traces`` call shares one memo among its
+  roots and drops it on return, and a cancellation counts its root
+  again and reads the first path from those counts.  A memo kept for
+  the whole pass, and kept exact by dropping the entries that reached
+  each cancelled edge, measured no faster: the lower-star gradient
+  leaves few pairs to cancel (24 to 147 at 16^3 to 32^3), and even the
+  steepest co-face gradient's 900 cancellations at 12^3 took as long.
 
 Two facts let the heap drop an arc for good, so that popping arcs in
 order cancels the same pairs as a full rescan and sort after every
@@ -125,6 +126,7 @@ from .critical import extract_critical_points
 from .gradient import (
     DiscreteGradient,
     VPath,
+    _critical_by_key,
     _first_vpath,
     _successors,
     _vpath_counts,
@@ -157,53 +159,28 @@ class ComplianceReport:
         return not self.match_failures and not any(self.spurious.values())
 
 
-def _critical_stars(grad: DiscreteGradient, k: int):
-    """``(flat, bounds)`` arrays: ``flat[bounds[v]:bounds[v + 1]]`` lists
-    the critical k-simplices of vertex ``v`` by descending simplex key.
+def _critical_stars(grad: DiscreteGradient):
+    """``(flat, bounds, owned)`` arrays: with ``g = k * n + v`` over the
+    ``n`` vertices, ``flat[bounds[g]:bounds[g + 1]]`` lists the critical
+    k-simplices of vertex ``v`` by descending simplex key, and the last
+    ``owned[g]`` of them are those whose highest vertex is ``v``.
 
-    One ``np.lexsort`` gives each of the ``m`` simplices its place in
-    key order, and one argsort of ``vertex * m + place`` groups them by
-    vertex in descending key order."""
-    sids = ((grad.pair_up[k] < 0) & (grad.pair_down[k] < 0)).nonzero()[0]
-    keys = grad.field.ranks[grad.verts[k].take(sids, axis=0)]
-    keys.sort(axis=1)
+    With the ``m`` simplices in (dimension, key) order, one argsort of
+    ``g * m + m - 1 - row`` groups the vertex entries of the rows by
+    ``g`` in descending key order.  A simplex in ``v``'s star has a
+    highest vertex no lower than ``v``, so ``v``'s own simplices, keyed
+    first by ``v``'s rank, come last."""
+    dims, sids, keys = _critical_by_key(grad)
     m, n = len(sids), len(grad.verts[0])
-    down = np.empty(m, dtype=np.int64)     # m - 1 - place in key order
-    down[np.lexsort(keys.T)] = np.arange(m - 1, -1, -1)
-    vertex = grad.field.order[keys]
-    at = (vertex * m + down[:, None]).ravel().argsort()
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.bincount(vertex.ravel(), minlength=n).cumsum(out=bounds[1:])
-    return sids[at // (k + 1)], bounds
-
-
-def _owned(grad: DiscreteGradient, base):
-    """``(flat, bounds)`` arrays: with ``g = k * n + v`` over the ``n``
-    vertices, ``flat[bounds[g]:bounds[g + 1]]`` lists the critical
-    k-simplices whose highest vertex is ``v``, by descending simplex
-    key, as flat ids ``base[k] + s``.
-
-    Every dimension is sorted at once: each simplex's sorted vertex
-    ranks, padded in front with -1, make one row of a key table, and one
-    ``np.lexsort`` orders the rows by ``g`` and then by key."""
-    ranks, d, n = grad.field.ranks, len(grad.verts) - 1, len(grad.verts[0])
-    sids = [((up < 0) & (down < 0)).nonzero()[0]
-            for up, down in zip(grad.pair_up, grad.pair_down)]
-    sizes = [len(s) for s in sids]
-    keys = np.full((sum(sizes), d + 1), -1, dtype=np.int64)
-    a = 0
-    for k, s in enumerate(sids):
-        rows = ranks[grad.verts[k].take(s, axis=0)]
-        rows.sort(axis=1)
-        keys[a:a + len(s), d - k:] = rows
-        a += len(s)
-    group = np.arange(0, (d + 1) * n, n).repeat(sizes) \
-        + grad.field.order[keys[:, -1]]
-    order = np.lexsort((*-keys[:, :-1].T, group))
-    bounds = np.zeros((d + 1) * n + 1, dtype=np.int64)
-    np.bincount(group, minlength=(d + 1) * n).cumsum(out=bounds[1:])
-    flat = np.concatenate([s + b for s, b in zip(sids, base)])
-    return flat[order], bounds
+    groups = len(grad.verts) * n
+    row, col = (keys >= 0).nonzero()
+    g = dims[row] * n + grad.field.order[keys[row, col]]
+    at = (g * m + m - 1 - row).argsort()
+    bounds = np.zeros(groups + 1, dtype=np.int64)
+    np.bincount(g, minlength=groups).cumsum(out=bounds[1:])
+    owned = np.bincount(dims * n + grad.field.order[keys[:, -1]],
+                        minlength=groups)
+    return sids[row[at]], bounds, owned
 
 
 _POINT = attrgetter("vertex", "index", "multiplicity", "boundary")
@@ -216,13 +193,15 @@ class _Matching:
     vertex rank: slot ``i`` is a copy of ``critical_points[point[i]]``,
     of vertex ``vertex[i]`` and index ``index[i]``.  Candidates for a
     slot are the critical simplices of the right dimension in the
-    vertex's star, preferred in descending simplex-key order.  First, in
-    one array pass over every dimension (``_owned``), each slot takes a
-    critical simplex that its vertex owns (its highest vertex), while
-    the point has such simplices left: on the lower-star gradient that
-    matches every slot of every interior point.  Kuhn's augmenting-path
-    algorithm then matches the slots left over, and keeps the matching
-    maximum as simplices are consumed by cancellations.
+    vertex's star, preferred in descending simplex-key order: the rows
+    of ``stars``, built by ``_critical_stars`` for every dimension at
+    once.  First, the owner pass gives the c-th copy of each point the
+    c-th critical simplex that its vertex owns (its highest vertex),
+    read from the tail of the vertex's row, while the point has such
+    simplices left: on the lower-star gradient that matches every slot
+    of every interior point.  Kuhn's augmenting-path algorithm then
+    matches the slots left over from the same rows, and keeps the
+    matching maximum as simplices are consumed by cancellations.
 
     Simplex ``(k, s)`` has the flat id ``base[k] + s``: ``slot_of[x]``
     is the slot that holds flat id ``x``, and ``sid_of[i]`` the simplex
@@ -246,27 +225,25 @@ class _Matching:
         self.point = interior.repeat(mult)
         self.vertex, self.index = vertex[self.point], index[self.point]
         copy = np.arange(len(self.point)) - self.bounds[:-1].repeat(mult)
-        flat, bounds = _owned(grad, self.base)
+        self.stars, self.star_bounds, owned = _critical_stars(grad)
         group = self.index * len(grad.verts[0]) + self.vertex
-        at = bounds[group] + copy
-        mine = (at < bounds[group + 1]).nonzero()[0]
-        ids = flat[at[mine]]
+        own = owned[group]
+        mine = (copy < own).nonzero()[0]
+        ids = self.stars[self.star_bounds[group[mine] + 1] - own[mine]
+                         + copy[mine]]
         self.slot_of = np.full(self.base[-1], -1, dtype=np.int64)
-        self.slot_of[ids] = mine
+        self.slot_of[np.array(self.base)[self.index[mine]] + ids] = mine
         self.sid_of = np.full(len(self.point), -1, dtype=np.int64)
-        self.sid_of[mine] = ids - np.array(self.base)[self.index[mine]]
-        self._stars = {}    # dim -> _critical_stars, built for Kuhn's search
+        self.sid_of[mine] = ids
         for i in (self.sid_of < 0).nonzero()[0].tolist():
             self._augment(i, set())
 
     def _star(self, i):
-        """The critical simplices of slot ``i``'s star when Kuhn's
-        search first needed its dimension, by descending simplex key."""
-        k, v = self.index.item(i), self.vertex.item(i)
-        if k not in self._stars:
-            self._stars[k] = _critical_stars(self.grad, k)
-        flat, bounds = self._stars[k]
-        return flat[bounds.item(v):bounds.item(v + 1)].tolist()
+        """The critical simplices of slot ``i``'s star at the initial
+        matching, by descending simplex key."""
+        g = self.index.item(i) * len(self.grad.verts[0]) + self.vertex.item(i)
+        a, b = self.star_bounds[g:g + 2].tolist()
+        return self.stars[a:b].tolist()
 
     def _candidates(self, i):
         k = self.index.item(i)
@@ -401,7 +378,7 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, traces, cancel):
                                         traces, roots, 0)
     heapq.heapify(heap)
     by_end = None                 # first_end sorted, and its roots
-    version = {}                  # root traced again -> traces so far
+    version = {}                  # root traced again -> cancellations then
     ends_of = {}                  # root traced again -> ends it reached
     reaching = defaultdict(set)   # end -> roots traced again reaching it
 
@@ -415,18 +392,20 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, traces, cancel):
         return {r for r in roots[a:b].tolist() if r not in ends_of} \
             | reaching[end]
 
-    def retrace(root):
-        for end in ends_of.get(root, ()):
-            reaching[end].discard(root)
-        version[root] = version.get(root, 0) + 1
-        ends_of[root] = ()
-        if not grad.is_critical(root_dim, root):
+    def retrace(roots, step):
+        for root in roots:
+            for end in ends_of.get(root, ()):
+                reaching[end].discard(root)
+            version[root] = step
+            ends_of[root] = []
+        live = [r for r in roots if grad.is_critical(root_dim, r)]
+        if not live:
             return
-        _, ends, entries = _arcs(grad, matching, lo, root_dim, traces,
-                                 np.array([root]), version[root])
-        ends_of[root] = ends = ends.tolist()
-        for end in ends:
-            reaching[end].add(root)
+        root, ends, entries = _arcs(grad, matching, lo, root_dim, traces,
+                                    np.array(live), step)
+        for r, end in zip(root.tolist(), ends.tolist()):
+            ends_of[r].append(end)
+            reaching[end].add(r)
         for entry in entries:
             heapq.heappush(heap, entry)
 
@@ -444,8 +423,7 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, traces, cancel):
             continue            # for good: see the module docstring
         cancel(root, end)
         cancelled.append((lo, lower, upper))
-        for r in sorted(roots_reaching(end)):
-            retrace(r)
+        retrace(sorted(roots_reaching(end)), len(cancelled))
     return cancelled
 
 
@@ -510,17 +488,15 @@ def _cancel_connector_pairs(grad, matching) -> list:
     qualification as ``_cancel_facet_pairs``.
 
     Roots are the interior critical triangles, traced by counting their
-    descending V-paths to the interior critical edges in one shared
-    memo; a cancelled path is read from that memo.
+    descending V-paths to the interior critical edges.  Each call counts
+    afresh, with a memo of its own that the roots of one ``traces`` call
+    share; a cancellation counts its root again and reads the path from
+    those counts.
     """
     edges = set(_interior_ids(matching, 1).tolist())
-    memo = {}                     # triangle -> {edge: V-path count}
-    # row e: the ascending ids of the triangles with face e, -1 padded
-    triangles_of = grad.tri.cofacet_ids(1)
-    paired_below = grad.pair_down[2]
 
     def traces(taus):
-        root, end, once = [], [], []
+        root, end, once, memo = [], [], [], {}
         for tau in taus.tolist():
             counts = _vpath_counts(grad, 1, tau, edges, memo)
             root += [tau] * len(counts)
@@ -530,21 +506,9 @@ def _cancel_connector_pairs(grad, matching) -> list:
             np.array(end, dtype=np.int64), np.array(once, dtype=bool)
 
     def cancel(tau, e):
-        path = _first_vpath(grad, 1, tau, e, memo)
-        # drop the triangles whose walks reach e, walking back from it
-        stack = [h for h in triangles_of[e].tolist() if h >= 0]
-        seen = set(stack)
-        while stack:
-            h = stack.pop()
-            memo.pop(h, None)
-            low = paired_below[h]
-            if low < 0:
-                continue
-            for x in triangles_of[low].tolist():
-                if x >= 0 and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        reverse_vpath(grad, path)
+        memo = {}
+        _vpath_counts(grad, 1, tau, {e}, memo)
+        reverse_vpath(grad, _first_vpath(grad, 1, tau, e, memo))
         edges.discard(e)
 
     return _cancel_by_heap(grad, matching, 1, 2,

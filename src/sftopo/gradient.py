@@ -129,6 +129,36 @@ def _first_of_runs(keys) -> np.ndarray:
     return first
 
 
+def _critical_by_key(grad: DiscreteGradient) -> tuple:
+    """``(dims, sids, keys)``: the critical simplices of every dimension
+    in ascending (dimension, ``simplex_key``) order, and their vertex
+    ranks, sorted along rows and padded in front with -1.
+
+    Two plain argsorts, far faster than a lexsort, as in
+    ``_lower_star_slots``: one of the other ranks + 1 in base n, highest
+    first (below ``n ** d``, which ``facet_ids`` checks fits in int64),
+    then one of the dimension, the highest rank and that place."""
+    d, n = len(grad.verts) - 1, len(grad.field)
+    sids = [(np.maximum(up, down) < 0).nonzero()[0]
+            for up, down in zip(grad.pair_up, grad.pair_down)]
+    dims = np.arange(d + 1).repeat([len(s) for s in sids])
+    keys = np.full((len(dims), d + 1), -1, dtype=np.int64)
+    a = 0
+    for k, s in enumerate(sids):
+        rows = grad.field.ranks[grad.verts[k].take(s, axis=0)]
+        rows.sort(axis=1)
+        keys[a:a + len(s), d - k:] = rows
+        a += len(s)
+    rest = keys[:, d - 1] + 1
+    for j in range(d - 2, -1, -1):
+        rest *= n
+        rest += keys[:, j] + 1
+    place = np.empty(len(dims), dtype=np.int64)
+    place[rest.argsort()] = np.arange(len(dims))
+    at = ((dims * n + keys[:, -1]) * len(dims) + place).argsort()
+    return dims[at], np.concatenate(sids)[at], keys.take(at, axis=0)
+
+
 def _lower_star_slots(grad: DiscreteGradient) -> tuple:
     """``(base, order, owner, faces)``: every k-simplex with k >= 1 as a
     slot of its owner's lower star, in star order.

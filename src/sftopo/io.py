@@ -253,13 +253,10 @@ def write_contour_tree_csv(path: str, tree, field: OrderField) -> None:
     """Arcs as CSV rows; node degrees recoverable from the arc list."""
     with open(path, "w") as fh:
         fh.write("arcId,downVertex,upVertex,downValue,upValue,nVertices\n")
-        sizes = {}
-        for a in tree.vertex_arc:
-            sizes[int(a)] = sizes.get(int(a), 0) + 1
+        sizes = np.bincount(tree.vertex_arc, minlength=len(tree.arcs))
         for i, (lo, hi) in enumerate(tree.arcs):
             fh.write("%d,%d,%d,%.17g,%.17g,%d\n" % (
-                i, lo, hi, field.values[lo], field.values[hi],
-                sizes.get(i, 0)))
+                i, lo, hi, field.values[lo], field.values[hi], sizes[i]))
 
 
 _OBJ_RUN = 1 << 16      # points per formatting call of the OBJ writer

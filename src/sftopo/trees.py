@@ -49,7 +49,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .critical import link_components
-from .gradient import DiscreteGradient, _lower_star_gradient, _vpath_counts
+from .gradient import (
+    DiscreteGradient,
+    _critical_by_key,
+    _lower_star_gradient,
+    _vpath_counts,
+)
 from .order import OrderField, _pointer_jump, stored
 from .triangulation import DomainTopologyError, Triangulation
 
@@ -561,10 +566,9 @@ def _saddle_saddle_pairs(raw: DiscreteGradient) -> tuple:
     reduced by their highest edge: a column that ends non-empty pairs
     with that edge, an empty one leaves its triangle unpaired.
     """
-    key = raw.field.simplex_key
-    edges = sorted(raw.critical_ids(1), key=lambda e: key(raw.verts[1][e]))
+    dims, sids, _ = _critical_by_key(raw)
+    edges, taus = (sids[dims == k].tolist() for k in (1, 2))
     height = {e: i for i, e in enumerate(edges)}
-    taus = sorted(raw.critical_ids(2), key=lambda t: key(raw.verts[2][t]))
     memo, reduced, pairs, unpaired = {}, {}, [], []
     for tau in taus:
         col = {height[e] for e, c in

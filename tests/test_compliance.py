@@ -105,12 +105,39 @@ class TestArrayMatching:
     """The matching's candidate lists and boundary flags, built from the
     gradient's arrays, equal what per-simplex queries give."""
 
-    def test_slot_lists_match_star_queries(self, octahedron_sub2):
+    def test_slot_lists_match_star_queries(self, monkeypatch,
+                                           octahedron_sub2):
         """Each slot lists the critical simplices of its vertex's star in
         descending simplex-key order, and its candidates stay exactly
         those still critical after the saddle/maximum cancellations.
         The gradient is the steepest co-face one, which leaves many
-        slots to Kuhn's search and many pairs to cancel."""
+        pairs to cancel, so many releases to Kuhn's search.
+
+        With Kuhn's search stubbed out, the owner pass alone gives the
+        c-th copy of a point the c-th of its star's critical simplices
+        whose highest vertex is the point's, and leaves any copy past
+        those empty, from the lower-star gradient and from the steepest
+        co-face one.  On these cases it fills every slot of both."""
+        filled = 0
+        for tri, f in array_cases(octahedron_sub2):
+            for build in (build_gradient, oracles.steepest_gradient):
+                g = build(tri, f)
+                with monkeypatch.context() as m:
+                    m.setattr(compliance._Matching, "_augment",
+                              lambda *args: False)
+                    owner = compliance._Matching(
+                        g, extract_critical_points(tri, f))
+                copies = {}
+                for p, v, k, s in zip(owner.point.tolist(),
+                                      owner.vertex.tolist(),
+                                      owner.index.tolist(),
+                                      owner.sid_of.tolist()):
+                    c = copies[p] = copies.get(p, -1) + 1
+                    own = [x for x in oracles.star_simplices(tri, f, v, k)
+                           if g.is_critical(k, x) and g.max_vertex(k, x) == v]
+                    assert s == (own[c] if c < len(own) else -1)
+                    filled += s >= 0
+        assert filled > 100
         cancelled = 0
         for tri, f in array_cases(octahedron_sub2):
             g = oracles.steepest_gradient(tri, f)
@@ -222,28 +249,41 @@ class TestHeapCancellation:
     def test_3d_matches_alternating_rescan(self):
         """One heap pass per pair class gives what the alternating
         rescans of ``tests/oracles.py`` give, saddle/saddle pairs
-        included, from the steepest co-face gradient."""
+        included: from the steepest co-face gradient on small fields,
+        and from the lower-star gradient, which leaves 9 to 15
+        saddle/saddle pairs on each of a random 10x10x10 and 12x12x12
+        and a tie-heavy 10x10x10 field."""
         rng = np.random.default_rng(19)
-        fields = []
+        steepest = []
         for dims in ((4, 4, 4), (5, 5, 5)):
             tri = ImplicitGridTriangulation(dims)
             for make in (random_field, tie_heavy_field):
-                fields += [(tri, make(tri, rng)) for _ in range(3)]
-        fields.append((ImplicitGridTriangulation((6, 6, 6)),
-                       two_bump_field((6, 6, 6))))
-        connectors = 0
-        for tri, f in fields:
-            g = oracles.steepest_gradient(tri, f)
+                steepest += [(tri, make(tri, rng)) for _ in range(3)]
+        steepest.append((ImplicitGridTriangulation((6, 6, 6)),
+                         two_bump_field((6, 6, 6))))
+        lower_star = []
+        for dims, make, seed in (((10, 10, 10), random_field, 0),
+                                 ((12, 12, 12), random_field, 0),
+                                 ((10, 10, 10), tie_heavy_field, 1)):
+            tri = ImplicitGridTriangulation(dims)
+            lower_star.append((tri, make(tri, np.random.default_rng(seed))))
+
+        def connectors(tri, f, build):
+            g = build(tri, f)
             ref = g.copy()
             got = enforce_compliance(tri, f, g)
             want = oracles.alternating_compliance(tri, f, ref)
             assert_same_outcome(got, g, want, ref)
-            connectors += sum(k == 1 for k, _, _ in got.cancelled)
-        assert connectors > 100
+            return sum(k == 1 for k, _, _ in got.cancelled)
+
+        assert sum(connectors(tri, f, oracles.steepest_gradient)
+                   for tri, f in steepest) > 100
+        assert all(connectors(tri, f, build_gradient) >= 9
+                   for tri, f in lower_star)
 
     def test_3d_longer_chains_match_alternating_rescan(self):
-        """The walk back from a cancelled edge drops the same memo
-        entries as a full scan would, on fields whose descending
+        """Retracing only the roots that reached a cancelled edge gives
+        what the alternating rescans give, on fields whose descending
         V-paths are longer: a random 8x8x8 and a tie-heavy 6x6x6, from
         the steepest co-face gradient."""
         rng = np.random.default_rng(20)
@@ -379,8 +419,8 @@ class TestLowerStarCompliance:
 
 
 class TestArrayTraces:
-    """The first fill traces every root in one ``traces`` call; a
-    retrace traces one root."""
+    """The first fill traces every root in one ``traces`` call; after
+    a cancellation, one call retraces the roots that reached its end."""
 
     @staticmethod
     def spy_heap(monkeypatch, check):
@@ -409,7 +449,7 @@ class TestArrayTraces:
         roots gives the ends, and pushes the entries, that one call per
         root gives, in root order; the cancellations are those of a run
         without the checks.  The steepest co-face gradients give many
-        cancellations, so many union-find links and memo drops."""
+        cancellations, so many union-find links and retraces."""
         checked = []
 
         def check(args, roots):
