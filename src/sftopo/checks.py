@@ -32,6 +32,7 @@ import numpy as np
 from .compliance import enforce_compliance
 from .critical import _components, extract_critical_points
 from .gradient import (
+    _critical_by_key,
     _lower_star_gradient,
     build_gradient,
     gradient_is_acyclic,
@@ -73,24 +74,21 @@ def _minimum_pairs(tri, field):
     Sandwich (Guillou, Vidal & Tierny, arXiv:2206.13932).
 
     The critical edges of the field's stored raw gradient, in simplex
-    key order, join the minima that their two ends descend to.  A
-    union-find over the minima keeps the oldest, the lowest in rank, as
-    each root; an edge that joins two roots pairs the younger minimum
-    with its own highest vertex.
+    key order (``_critical_by_key``), join the minima that their two
+    ends descend to.  A union-find over the minima keeps the oldest, the
+    lowest in rank, as each root; an edge that joins two roots pairs the
+    younger minimum with its own highest vertex.
     """
     grad = _lower_star_gradient(tri, field)
-    critical = (grad.pair_up[1] < 0) & (grad.pair_down[1] < 0)
-    edges = grad.verts[1][critical]
-    ranks = field.ranks[edges]
-    high = ranks.max(axis=1)
-    key = np.lexsort((ranks.min(axis=1), high))
+    dims, sids, keys = _critical_by_key(grad)
+    edges = grad.verts[1].take(sids[dims == 1], axis=0)
+    saddles = field.order[keys[dims == 1, -1]]
     # minima are indexed by rank, so that the older of two is the lower
     minima = np.flatnonzero(grad.pair_up[0] < 0)
     minima = minima[np.argsort(field.ranks[minima])]
     index = np.empty(len(field), dtype=np.int64)
     index[minima] = np.arange(len(minima))
-    ends = index[descending_segmentation(grad)[edges[key]]]
-    saddles = field.order[high[key]]
+    ends = index[descending_segmentation(grad)[edges]]
     parent = list(range(len(minima)))
     pairs = []
     for a, b, v in zip(ends[:, 0].tolist(), ends[:, 1].tolist(),

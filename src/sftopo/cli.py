@@ -29,7 +29,7 @@ from . import io as sfio
 from .checks import run_checks
 from .compliance import enforce_compliance
 from .critical import extract_critical_points
-from .gradient import build_gradient
+from .gradient import _lower_star_gradient, build_gradient
 from .morse import (
     ascending_segmentation,
     descending_segmentation,
@@ -134,7 +134,8 @@ def _load(args):
 
 
 def _diagram(tri, field):
-    grad = build_gradient(tri, field) if tri.dim == 3 else None
+    # in 3D any gradient asks for the (1,2) pairs; the stored one is free
+    grad = _lower_star_gradient(tri, field) if tri.dim == 3 else None
     return build_diagram(tri, field, grad)
 
 

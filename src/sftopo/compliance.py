@@ -26,7 +26,8 @@ simplex, over the simplices of every dimension, and the simplex each
 slot holds.
 The candidates of a slot are its vertex's critical simplices, grouped
 from ``grad.verts`` for every dimension when the matching is built, in
-descending ``simplex_key`` order (sorted vertex ranks, highest first).
+descending simplex key order (sorted vertex ranks, highest first, as
+``gradient._critical_by_key`` gives them).
 The simplices a vertex owns come last in its row, so the owner pass and
 Kuhn's search read the same rows.  Cancellations only remove critical
 simplices, so filtering these rows by ``is_critical`` gives what the
@@ -165,7 +166,8 @@ def _critical_stars(grad: DiscreteGradient):
     k-simplices of vertex ``v`` by descending simplex key, and the last
     ``owned[g]`` of them are those whose highest vertex is ``v``.
 
-    With the ``m`` simplices in (dimension, key) order, one argsort of
+    With the ``m`` simplices in (dimension, key) order and their key
+    rows, both from ``_critical_by_key``, one argsort of
     ``g * m + m - 1 - row`` groups the vertex entries of the rows by
     ``g`` in descending key order.  A simplex in ``v``'s star has a
     highest vertex no lower than ``v``, so ``v``'s own simplices, keyed

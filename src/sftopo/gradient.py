@@ -16,6 +16,11 @@ multiplicity m owns exactly m critical k-simplices, so the gradient of
 a closed surface is already PL-compliant, and compliance is left with
 the critical simplices that boundary vertices own.
 
+``_rank_keys`` is the one definition of the simplex key, over arrays.
+The lower-star slots read it, and so does ``_critical_by_key``, the
+critical simplices in key order, which compliance, the 3D diagram's
+(1,2) reduction and ``check``'s minimum pairs read in turn.
+
 The construction is an array kernel that runs every lower star at once.
 All simplices of dimension >= 1 are sorted into one array of *slots*,
 by owner and then by key; a slot's faces in its star are its
@@ -103,16 +108,9 @@ class DiscreteGradient:
         return (self.pair_up[dim][sid] < 0) and (self.pair_down[dim][sid] < 0)
 
     def critical_ids(self, dim: int) -> list:
-        up, down = self.pair_up[dim], self.pair_down[dim]
-        return [int(i) for i in np.nonzero((up < 0) & (down < 0))[0]]
-
-    def critical_simplices(self) -> dict:
-        """dim -> ascending list of critical simplex ids."""
-        return {k: self.critical_ids(k) for k in range(self.tri.dim + 1)}
-
-    def max_vertex(self, dim: int, sid: int) -> int:
-        row = self.verts[dim][sid]
-        return int(row[np.argmax(self.field.ranks[row])])
+        """Ascending list of the critical ``dim``-simplex ids."""
+        return np.flatnonzero(
+            np.maximum(self.pair_up[dim], self.pair_down[dim]) < 0).tolist()
 
     def copy(self) -> "DiscreteGradient":
         g = object.__new__(DiscreteGradient)
@@ -129,30 +127,58 @@ def _first_of_runs(keys) -> np.ndarray:
     return first
 
 
+def _rank_keys(field: OrderField, rows) -> tuple:
+    """``(ranks, rest)``: the simplex keys of ``rows``, a list of arrays
+    of vertex ids with one simplex per row, of any dimensions up to d.
+
+    ``ranks`` holds the vertex ranks of every row, sorted along the row
+    and padded in front with -1 to d + 1 columns.  ``rest`` is the
+    ranks below each row's highest, + 1, in base n, the second highest
+    first, so that the padding, 0, puts a shorter key first; it stays
+    below ``n ** d``, which ``facet_ids`` checks fits in int64.
+    Ordered by ``(ranks[:, -1], rest)``, simplices are in simplex key
+    order: by their vertex ranks, highest first, a face before its
+    co-faces.
+
+    The rows are sorted by a bubble network of column-wise min/max
+    swaps, far faster than a sort along rows this short, on one array
+    of columns, which ``ranks`` views transposed.  Pass ``i`` settles
+    column ``i``, and its last swap writes that column's maxima back in
+    place; the last swap of all writes column 0's minima.  With d >= 2,
+    no swap reads a column after it is written back."""
+    n, width = len(field), max(r.shape[1] for r in rows)
+    cols = np.full((width, sum(map(len, rows))), -1, dtype=np.int64)
+    a = 0
+    for r in rows:
+        cols[:r.shape[1], a:a + len(r)] = field.ranks[r.T]
+        a += len(r)
+    c = list(cols)
+    for i in range(width - 1, 0, -1):
+        for j in range(i):
+            lo = np.minimum(c[j], c[j + 1], out=cols[0] if i == 1 else None)
+            c[j + 1] = np.maximum(c[j], c[j + 1],
+                                  out=cols[i] if j + 1 == i else None)
+            c[j] = lo
+    rest = cols[-2] + 1
+    for col in cols[-3::-1]:
+        rest *= n
+        rest += col + 1
+    return cols.T, rest
+
+
 def _critical_by_key(grad: DiscreteGradient) -> tuple:
     """``(dims, sids, keys)``: the critical simplices of every dimension
-    in ascending (dimension, ``simplex_key``) order, and their vertex
-    ranks, sorted along rows and padded in front with -1.
+    in ascending (dimension, simplex key) order, and their ``ranks``
+    rows from ``_rank_keys``.
 
-    Two plain argsorts, far faster than a lexsort, as in
-    ``_lower_star_slots``: one of the other ranks + 1 in base n, highest
-    first (below ``n ** d``, which ``facet_ids`` checks fits in int64),
-    then one of the dimension, the highest rank and that place."""
-    d, n = len(grad.verts) - 1, len(grad.field)
+    Two plain argsorts, far faster than a lexsort: one of ``rest``, then
+    one of the dimension, the highest rank and that place."""
+    n = len(grad.field)
     sids = [(np.maximum(up, down) < 0).nonzero()[0]
             for up, down in zip(grad.pair_up, grad.pair_down)]
-    dims = np.arange(d + 1).repeat([len(s) for s in sids])
-    keys = np.full((len(dims), d + 1), -1, dtype=np.int64)
-    a = 0
-    for k, s in enumerate(sids):
-        rows = grad.field.ranks[grad.verts[k].take(s, axis=0)]
-        rows.sort(axis=1)
-        keys[a:a + len(s), d - k:] = rows
-        a += len(s)
-    rest = keys[:, d - 1] + 1
-    for j in range(d - 2, -1, -1):
-        rest *= n
-        rest += keys[:, j] + 1
+    dims = np.arange(len(sids)).repeat([len(s) for s in sids])
+    keys, rest = _rank_keys(grad.field, [
+        v.take(s, axis=0) for v, s in zip(grad.verts, sids)])
     place = np.empty(len(dims), dtype=np.int64)
     place[rest.argsort()] = np.arange(len(dims))
     at = ((dims * n + keys[:, -1]) * len(dims) + place).argsort()
@@ -164,35 +190,18 @@ def _lower_star_slots(grad: DiscreteGradient) -> tuple:
     slot of its owner's lower star, in star order.
 
     Slot ``(k, s)`` has flat id ``base[k] + s``; ``order`` lists the flat
-    ids by owner, then by the other vertices' ranks descending, a
-    shorter key first.  ``owner[i]`` is the owner of slot ``order[i]``,
-    and ``faces[i]`` the positions in ``order`` of its faces in the
-    lower star, padded with ``len(order)``.  Those faces are its
-    ``facet_ids`` row without the column opposite the owner; an edge's
-    only one, the owner itself, is left out.
+    ids by owner, then by simplex key (``_rank_keys``).  ``owner[i]`` is
+    the owner of slot ``order[i]``, and ``faces[i]`` the positions in
+    ``order`` of its faces in the lower star, padded with
+    ``len(order)``.  Those faces are its ``facet_ids`` row without the
+    column opposite the owner; an edge's only one, the owner itself, is
+    left out.
     """
     tri, field, d = grad.tri, grad.field, grad.tri.dim
-    n = len(field)
     base = np.cumsum([0, 0] + [len(grad.verts[k]) for k in range(1, d + 1)])
     n_slots = base[-1]
-    ranks = np.full((n_slots, d + 1), -1, dtype=np.int64)
-    for k in range(1, d + 1):
-        ranks[base[k]:base[k + 1], :k + 1] = field.ranks[grad.verts[k]]
-    # sort every row by a network of column-wise min/max swaps, far
-    # faster than a sort along rows this short; the padding comes first
-    r = list(ranks.T)
-    for i in range(d, 0, -1):
-        for j in range(i):
-            r[j], r[j + 1] = np.minimum(r[j], r[j + 1]), \
-                np.maximum(r[j], r[j + 1])
-    owner = field.order[r[-1]]
-    # the other ranks + 1 in base n, descending, so that the padding, 0,
-    # puts a shorter key first; the key stays below n ** d, which
-    # facet_ids checks fits in int64
-    rest = r[-2] + 1
-    for j in range(3, d + 2):
-        rest *= n
-        rest += r[-j] + 1
+    ranks, rest = _rank_keys(field, grad.verts[1:])
+    owner = field.order[ranks[:, -1]]
     faces = np.full((n_slots, d), -1, dtype=np.int64)
     for k in range(2, d + 1):
         at = slice(base[k], base[k + 1])
@@ -205,7 +214,7 @@ def _lower_star_slots(grad: DiscreteGradient) -> tuple:
     order = np.argsort(owner * n_slots + pos[:-1])
     pos[order] = np.arange(n_slots)
     pos[-1] = n_slots
-    return base, order, owner[order], pos[faces[order]]
+    return base, order, owner[order], pos[faces.take(order, axis=0)]
 
 
 @stored

@@ -93,6 +93,8 @@ class OrderField:
         total order; ``order[i]`` is the vertex with rank ``i``.
 
     ``values``, ``offsets``, ``order`` and ``ranks`` are read-only.
+    Simplices are ordered by their vertex ranks alone, in arrays, by
+    ``gradient._rank_keys``.
     """
 
     def __init__(self, values, offsets=None):
@@ -118,33 +120,3 @@ class OrderField:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def less(self, u: int, v: int) -> bool:
-        """True iff ``u`` comes before ``v`` in the total order."""
-        return self.ranks[u] < self.ranks[v]
-
-    def max_vertex(self, vertices) -> int:
-        """Order-highest vertex of a simplex (its defining vertex)."""
-        best = vertices[0]
-        for v in vertices[1:]:
-            if self.ranks[v] > self.ranks[best]:
-                best = v
-        return int(best)
-
-    def min_vertex(self, vertices) -> int:
-        best = vertices[0]
-        for v in vertices[1:]:
-            if self.ranks[v] < self.ranks[best]:
-                best = v
-        return int(best)
-
-    def simplex_value(self, vertices) -> float:
-        """Field value at the order-highest vertex of the simplex."""
-        return float(self.values[self.max_vertex(vertices)])
-
-    def simplex_key(self, vertices) -> tuple:
-        """Vertex ranks sorted descending; lexicographic comparison of
-        these keys is the total order on simplices used by the gradient
-        construction."""
-        return tuple(sorted((int(self.ranks[v]) for v in vertices),
-                            reverse=True))

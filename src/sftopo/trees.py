@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -551,36 +551,38 @@ class PersistencePair:
 class PersistenceDiagram:
     pairs: list
     dim: int
-    unpaired_saddles: list = dc_field(default_factory=list)
     missing_saddle_pairs: bool = False
 
 
-def _saddle_saddle_pairs(raw: DiscreteGradient) -> tuple:
-    """(1,2) pairs of a 3D gradient, plus the 2-saddles left unpaired.
+def _saddle_saddle_pairs(raw: DiscreteGradient) -> list:
+    """(1,2) pairs of a 3D gradient, as the highest vertices of their
+    edge and triangle.
 
     A GF(2) column reduction of the Morse complex, which reads the
     gradient and writes nothing.  A critical triangle's column is the
     set of critical edges reached by an odd number of its descending
     V-paths, counted by ``_vpath_counts`` with one memo for all
-    triangles.  Columns are taken in ascending simplex key order and
-    reduced by their highest edge: a column that ends non-empty pairs
-    with that edge, an empty one leaves its triangle unpaired.
+    triangles.  Columns are taken in ascending simplex key order
+    (``_critical_by_key``, whose key rows also give the highest
+    vertices) and reduced by their highest edge: a column that ends
+    non-empty pairs with that edge, an empty one leaves its triangle
+    unpaired.
     """
-    dims, sids, _ = _critical_by_key(raw)
+    dims, sids, keys = _critical_by_key(raw)
+    top = raw.field.order[keys[:, -1]]
     edges, taus = (sids[dims == k].tolist() for k in (1, 2))
+    edge_tops, tau_tops = (top[dims == k].tolist() for k in (1, 2))
     height = {e: i for i, e in enumerate(edges)}
-    memo, reduced, pairs, unpaired = {}, {}, [], []
-    for tau in taus:
+    memo, reduced, pairs = {}, {}, []
+    for tau, tau_top in zip(taus, tau_tops):
         col = {height[e] for e, c in
                _vpath_counts(raw, 1, tau, height, memo).items() if c % 2}
         while col and max(col) in reduced:
             col ^= reduced[max(col)]
         if col:
             reduced[max(col)] = col
-            pairs.append((edges[max(col)], tau))
-        else:
-            unpaired.append(tau)
-    return pairs, unpaired
+            pairs.append((edge_tops[max(col)], tau_top))
+    return pairs
 
 
 def build_diagram(
@@ -617,17 +619,13 @@ def build_diagram(
         if grad is None:
             diagram.missing_saddle_pairs = True
         else:
-            raw = _lower_star_gradient(tri, field)
-            ss, leftover = _saddle_saddle_pairs(raw)
-            for e, t in ss:
-                b = raw.max_vertex(1, e)
-                d = raw.max_vertex(2, t)
+            for b, d in _saddle_saddle_pairs(
+                    _lower_star_gradient(tri, field)):
                 if b == d:
                     continue        # diagonal point, zero persistence
                 pairs.append(PersistencePair(
                     b, d, float(values[b]), float(values[d]),
                     CLASS_SADDLE_SADDLE))
-            diagram.unpaired_saddles = leftover
     pairs.sort(key=lambda p: (p.cls, p.birth_value, p.birth_vertex))
     diagram.pairs = pairs
     return diagram

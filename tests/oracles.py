@@ -40,6 +40,23 @@ from sftopo.trees import _check_simply_connected
 
 
 # --------------------------------------------------------------------------
+# Simplex order, one simplex at a time
+# --------------------------------------------------------------------------
+
+
+def simplex_key(field, verts):
+    """The vertex ranks of a simplex, sorted descending.  Compared as
+    tuples, these keys are the simplex order of the lower-star gradient:
+    a face, a prefix of its co-face's key, comes first."""
+    return tuple(sorted((int(field.ranks[v]) for v in verts), reverse=True))
+
+
+def top_vertex(field, verts):
+    """The highest vertex of a simplex in the field's order."""
+    return int(max(verts, key=lambda v: field.ranks[v]))
+
+
+# --------------------------------------------------------------------------
 # Triangulation equivalence
 # --------------------------------------------------------------------------
 
@@ -131,8 +148,8 @@ def link_component_counts(tri, field, v):
     upper = _UnionFind([])
     for f in tri.vertex_link(v):
         verts = tri.simplex_vertices(SimplexRef(d - 1, f))
-        lo = [u for u in verts if field.less(u, v)]
-        hi = [u for u in verts if not field.less(u, v)]
+        lo = [u for u in verts if field.ranks[u] < field.ranks[v]]
+        hi = [u for u in verts if field.ranks[u] > field.ranks[v]]
         for part, uf in ((lo, lower), (hi, upper)):
             for u in part:
                 uf.parent.setdefault(u, u)
@@ -439,7 +456,7 @@ def reduction_pairs(tri, field):
     for k in range(d + 1):
         for i in range(tri.simplex_count(k)):
             verts = tri.simplex_vertices(SimplexRef(k, i))
-            cells.append((field.simplex_key(verts), k, i))
+            cells.append((simplex_key(field, verts), k, i))
     cells.sort()
     pos = {(k, i): p for p, (_, k, i) in enumerate(cells)}
     columns = []
@@ -479,8 +496,8 @@ def reduction_vertex_pairs(tri, field, dim_birth):
     for (kb, ib), (kd, id_) in reduction_pairs(tri, field):
         if kb != dim_birth:
             continue
-        b = field.max_vertex(tri.simplex_vertices(SimplexRef(kb, ib)))
-        dv = field.max_vertex(tri.simplex_vertices(SimplexRef(kd, id_)))
+        b = top_vertex(field, tri.simplex_vertices(SimplexRef(kb, ib)))
+        dv = top_vertex(field, tri.simplex_vertices(SimplexRef(kd, id_)))
         if b != dv:
             out.add((b, dv))
     return out
@@ -784,7 +801,7 @@ def lower_star_gradient(tri, field):
     Wood & Sheppard, IEEE TPAMI 33(8), 2011), one vertex at a time.
 
     The lower star of ``v`` holds the simplices whose highest vertex is
-    ``v``, found by ``tri.cofaces`` and keyed by ``field.simplex_key``
+    ``v``, found by ``tri.cofaces`` and keyed by ``simplex_key``
     (sorted vertex ranks, highest first).  ``v`` pairs with its lowest
     edge; then a heap of simplices with one unassigned face in the star
     pairs its first entry with that face, and when it is empty a heap of
@@ -799,7 +816,8 @@ def lower_star_gradient(tri, field):
         key = {}
         for k in range(1, d + 1):
             for s in tri.cofaces(SimplexRef(0, v), k):
-                got = field.simplex_key(tri.simplex_vertices(SimplexRef(k, s)))
+                got = simplex_key(field,
+                                  tri.simplex_vertices(SimplexRef(k, s)))
                 if got[0] == ranks[v]:
                     key[(k, s)] = got
         if not key:
@@ -861,11 +879,11 @@ def lower_star_gradient(tri, field):
 
 def star_simplices(tri, field, v, dim):
     """The dim-simplices in the star of vertex ``v``, from
-    ``tri.cofaces``, in descending ``field.simplex_key`` order of their
+    ``tri.cofaces``, in descending ``simplex_key`` order of their
     ``tri.simplex_vertices``."""
     star = [v] if dim == 0 else tri.cofaces(SimplexRef(0, v), dim)
-    return sorted(star, reverse=True, key=lambda s: field.simplex_key(
-        tri.simplex_vertices(SimplexRef(dim, s))))
+    return sorted(star, reverse=True, key=lambda s: simplex_key(
+        field, tri.simplex_vertices(SimplexRef(dim, s))))
 
 
 # --------------------------------------------------------------------------
@@ -875,7 +893,7 @@ def star_simplices(tri, field, v, dim):
 
 def _value(grad, dim, sid):
     verts = grad.tri.simplex_vertices(SimplexRef(dim, sid))
-    return grad.field.simplex_value(verts)
+    return float(grad.field.values[top_vertex(grad.field, verts)])
 
 
 def _copying_release(matching, dims_sids):

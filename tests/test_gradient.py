@@ -9,8 +9,8 @@ import pytest
 from conftest import EQUIVALENCE_DIMS, array_cases, preconditioned, \
     random_field, tie_heavy_field
 from oracles import _walks_down, _walks_up, count_vpaths, extract_vpath, \
-    lower_star_gradient, steepest_coface_gradient, steepest_gradient, \
-    vpath_graph_acyclic
+    lower_star_gradient, simplex_key, steepest_coface_gradient, \
+    steepest_gradient, top_vertex, vpath_graph_acyclic
 from sftopo import (
     DiscreteGradient,
     ExplicitTriangulation,
@@ -25,6 +25,7 @@ from sftopo import (
     reverse_vpath,
 )
 from sftopo import gradient
+from test_acceptance import surface_fixtures
 from test_triangulation import non_manifold_fan
 
 # minima at poles 4/5, saddle at equator vertex 0, maximum at 1
@@ -35,7 +36,7 @@ class TestBuild:
     def test_monotone_octahedron_two_critical(self, octahedron):
         f = OrderField(np.array([1.0, 3.0, 2.0, 4.0, 5.0, 0.0]))
         g = build_gradient(octahedron, f)
-        crit = g.critical_simplices()
+        crit = critical_simplices(g)
         assert crit[0] == [5]
         assert len(crit[1]) == 0
         assert len(crit[2]) == 1
@@ -120,6 +121,11 @@ class TestArrayKernel:
         assert not pairing_is_valid(g)
 
 
+def critical_simplices(grad):
+    """dim -> ascending list of critical simplex ids."""
+    return {k: grad.critical_ids(k) for k in range(grad.tri.dim + 1)}
+
+
 def owners(grad, k):
     """The highest vertex of every k-simplex."""
     rows = grad.verts[k]
@@ -196,6 +202,78 @@ class TestLowerStars:
             h = build_gradient(copy, OrderField(values, offsets))
             assert vertex_pairs(g, np.arange(len(f))) == \
                 vertex_pairs(h, np.argsort(perm))
+
+
+class TestSimplexKey:
+    """``_rank_keys`` is the one simplex order: ``_critical_by_key`` and
+    ``_lower_star_slots`` order rows as the oracle's Python key does."""
+
+    def cases(self):
+        """Random and tie-heavy fields (values 0-4 by rounding, default
+        offsets) on 2D and 3D grids, on an explicit copy of one, on the
+        criterion-4 spheres, on the fan meshes and on one triangle,
+        whose top vertex's star holds an edge whose key starts the
+        triangle's."""
+        rng = np.random.default_rng(31)
+        grid = ImplicitGridTriangulation((5, 4, 3))
+        tris = [ImplicitGridTriangulation((7, 6)), grid,
+                preconditioned(ExplicitTriangulation(
+                    grid.point_array(), grid.simplex_array(3))),
+                ExplicitTriangulation(np.eye(3), np.array([[0, 1, 2]]))]
+        tris += surface_fixtures()
+        tris += [ExplicitTriangulation(*mesh)
+                 for mesh in (non_manifold_fan(), fan_with_a_loop())]
+        for tri in tris:
+            n = tri.simplex_count(0)
+            yield tri, OrderField(rng.random(n))
+            yield tri, OrderField(np.round(4 * rng.random(n)))
+
+    def test_critical_by_key_orders_as_the_oracle(self):
+        """With every simplex critical, ``_critical_by_key`` lists them
+        all by (dimension, oracle key), with their sorted ranks padded
+        in front with -1."""
+        for tri, f in self.cases():
+            d = tri.dim
+            dims, sids, keys = gradient._critical_by_key(
+                DiscreteGradient(tri, f))
+            verts = [tri.simplex_vertices(SimplexRef(k, s))
+                     for k, s in zip(dims.tolist(), sids.tolist())]
+            got = [(k, simplex_key(f, vs))
+                   for k, vs in zip(dims.tolist(), verts)]
+            want = sorted((k, simplex_key(f, tri.simplex_vertices(
+                SimplexRef(k, s)))) for k in range(d + 1)
+                for s in range(tri.simplex_count(k)))
+            assert got == want
+            assert [row[::-1] for row in keys.tolist()] == [
+                list(key) + [-1] * (d - k) for k, key in got]
+
+    def test_lower_star_slots_order_as_the_oracle(self):
+        """Slots are grouped by owner, their highest vertex, and within a
+        star ascend by oracle key, a shorter key first where it is the
+        prefix of a longer one; each slot's faces are the positions of
+        its facets that hold the owner."""
+        prefix_ties = 0
+        for tri, f in self.cases():
+            g = DiscreteGradient(tri, f)
+            base, order, owner, faces = gradient._lower_star_slots(g)
+            dim = np.searchsorted(base, order, side="right") - 1
+            verts = [tri.simplex_vertices(SimplexRef(k, s)) for k, s in
+                     zip(dim.tolist(), (order - base[dim]).tolist())]
+            keys = [simplex_key(f, vs) for vs in verts]
+            assert owner.tolist() == [top_vertex(f, vs) for vs in verts]
+            assert (np.diff(owner) >= 0).all()
+            for i in range(1, len(order)):
+                if owner[i] == owner[i - 1]:
+                    assert keys[i - 1] < keys[i]
+                    prefix_ties += keys[i][:len(keys[i - 1])] == keys[i - 1]
+            for i, vs in enumerate(verts):
+                want = sorted(j for j in range(len(order))
+                              if len(verts[j]) == len(vs) - 1
+                              and owner[j] == owner[i]
+                              and set(verts[j]) < set(vs))
+                got = sorted(x for x in faces[i].tolist() if x < len(order))
+                assert got == want
+        assert prefix_ties > 100
 
 
 def walks(grad, ascending, root):
@@ -288,14 +366,14 @@ class TestVPaths:
 
     def test_saddle_edge_descends_to_both_minima(self, octahedron):
         f, g = self.octa_compliant(octahedron)
-        crit = g.critical_simplices()
+        crit = critical_simplices(g)
         assert crit[0] == [4, 5] and len(crit[1]) == 1 and len(crit[2]) == 1
         ends = [w[-1] for w in walks(g, False, crit[1][0])]
         assert sorted(ends) == [4, 5]
 
     def test_saddle_walks_up_to_maximum(self, octahedron):
         f, g = self.octa_compliant(octahedron)
-        crit = g.critical_simplices()
+        crit = critical_simplices(g)
         ends = [w[-1] for w in walks(g, True, crit[1][0])]
         assert ends == [crit[2][0]] * 2
 
@@ -313,14 +391,14 @@ class TestVPaths:
 
     def test_cancellation_locality(self, octahedron):
         f, g = self.octa_compliant(octahedron)
-        crit = g.critical_simplices()
+        crit = critical_simplices(g)
         e = crit[1][0]
         n_paths = count_vpaths(g, 0, e, 5)
         assert n_paths == 1
-        before = {k: set(v) for k, v in g.critical_simplices().items()}
+        before = {k: set(v) for k, v in critical_simplices(g).items()}
         path = extract_vpath(g, 0, e, 5)
         reverse_vpath(g, path)
-        after = {k: set(v) for k, v in g.critical_simplices().items()}
+        after = {k: set(v) for k, v in critical_simplices(g).items()}
         assert before[0] - after[0] == {5}
         assert before[1] - after[1] == {e}
         assert before[2] == after[2]

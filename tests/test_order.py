@@ -3,6 +3,7 @@
 import gc
 import weakref
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from sftopo import (
 )
 from sftopo.checks import run_checks
 from sftopo.critical import link_components
-from sftopo.gradient import _lower_star_gradient
+from sftopo.gradient import _lower_star_gradient, _rank_keys
 from sftopo.order import _pointer_jump
 
 
@@ -44,21 +45,28 @@ class TestOrderField:
         assert list(f.ranks[f.order]) == list(range(40))
 
     def test_less_is_total(self):
+        """Equal values are ordered by offset, here the vertex id."""
         f = OrderField(np.array([2.0, 2.0, 1.0]))
-        assert f.less(2, 0) and f.less(0, 1) and not f.less(1, 0)
-
-    def test_extreme_vertices(self):
-        f = OrderField(np.array([3.0, 1.0, 2.0]))
-        assert f.max_vertex([0, 1, 2]) == 0
-        assert f.min_vertex([0, 1, 2]) == 1
-        assert f.simplex_value([1, 2]) == 2.0
+        assert f.ranks[2] < f.ranks[0] < f.ranks[1]
+        assert f.ranks.tolist() == [1, 2, 0]
 
     def test_simplex_key_face_precedes_coface(self):
+        """On the shared key, ordered by the highest rank and then by
+        ``rest``, every face of a tetrahedron comes before each of its
+        co-faces."""
         rng = np.random.default_rng(1)
         f = OrderField(rng.random(10))
-        verts = [2, 5, 7]
-        for face in ([2, 5], [5, 7], [2, 7]):
-            assert f.simplex_key(face) < f.simplex_key(verts)
+        simplices = [s for k in range(1, 5)
+                     for s in combinations([2, 5, 7, 9], k)]
+        ranks, rest = _rank_keys(f, [np.array([s for s in simplices
+                                               if len(s) == k])
+                                     for k in range(1, 5)])
+        key = dict(zip(simplices, zip(ranks[:, -1].tolist(),
+                                      rest.tolist())))
+        for face in simplices:
+            for coface in simplices:
+                if set(face) < set(coface):
+                    assert key[face] < key[coface]
 
     def test_non_injective_offsets_rejected(self):
         with pytest.raises(ValueError):
