@@ -15,7 +15,8 @@ merge trees nor the diagram they test:
   over minima along the critical edges of the field's stored raw
   gradient, which the suite validates as well;
 - the maximum pairs, ``_maximum_pairs``: a union-find sweep down the
-  vertex order.  The mirror of the D0 step would need the gradient of
+  vertex order.  Both union-finds are ``order._find``, the one the merge
+  trees run on too.  The mirror of the D0 step would need the gradient of
   the negated field, whose build alone costs more than the sweep: on a
   random 32³ grid on a 2-core VM, 0.3-0.4 s against 0.08 s.
 
@@ -39,7 +40,7 @@ from .gradient import (
     pairing_is_valid,
 )
 from .morse import descending_segmentation
-from .order import OrderField
+from .order import OrderField, _find
 from .trees import (
     CLASS_ESSENTIAL,
     CLASS_MIN_SADDLE,
@@ -58,15 +59,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _find(parent, x):
-    """The root of ``x`` in the union-find forest ``parent``, halving
-    the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
 
 
 def _minimum_pairs(tri, field):

@@ -5,7 +5,8 @@ the sub-complexes of its link spanned by vertices that come before
 (resp. after) it in the total order.  Regular vertices have exactly one
 lower and one upper component; minima have an empty lower link, maxima
 an empty upper link, and saddles have more than one component on at
-least one side.
+least one side.  ``extract_critical_points`` applies these rules to
+every vertex at once, as one table of masks over the link counts.
 
 ``link_components`` finds the components of every link in one array
 pass, once per field and kept in the field's store (see
@@ -53,24 +54,6 @@ class PLCriticalPoint:
     multiplicity: int
     value: float
     boundary: bool
-
-
-def _critical_points(d, v, n_lower, n_upper, value, boundary):
-    """The PLCriticalPoints of a vertex with the given link counts."""
-    out = []
-    if n_lower == 0:
-        out.append(PLCriticalPoint(v, 0, 1, value, boundary))
-    elif n_lower >= 2:
-        out.append(PLCriticalPoint(v, 1, n_lower - 1, value, boundary))
-    if n_upper == 0:
-        out.append(PLCriticalPoint(v, d, 1, value, boundary))
-    elif n_upper >= 2 and d == 3:
-        out.append(PLCriticalPoint(v, d - 1, n_upper - 1, value, boundary))
-    elif n_upper >= 2 and d == 2 and n_lower < 2:
-        # in 2D both sides describe the same saddle; report it once,
-        # preferring the lower-link count when both are split
-        out.append(PLCriticalPoint(v, 1, n_upper - 1, value, boundary))
-    return out
 
 
 def _components(n, a, b):
@@ -144,16 +127,29 @@ def _link_counts(tri: Triangulation, field: OrderField):
 def extract_critical_points(tri: Triangulation, field: OrderField):
     """All critical points, sorted by (vertex id, index).
 
-    Built once per field and triangulation, kept in the field's store;
-    each call returns a fresh list."""
+    Every vertex is classified at once from its link counts by one rule
+    table, whose rows are (mask, index, multiplicity): minima (empty
+    lower link), lower-link saddles, maxima (empty upper link) and
+    upper-link saddles.  In 2D a vertex whose lower and upper links are
+    both split is one saddle, which the lower-link row reports.  Built
+    once per field and triangulation, kept in the field's store; each
+    call returns a fresh list."""
     if len(field) != tri.simplex_count(0):
         raise ValueError("field length does not match vertex count")
     n_lower, n_upper = _link_counts(tri, field)
-    crit = np.flatnonzero((n_lower != 1) | (n_upper != 1))
-    out = []
-    for v, lo, up, value, boundary in zip(
-            crit.tolist(), n_lower[crit].tolist(), n_upper[crit].tolist(),
-            field.values[crit].tolist(),
-            tri.boundary_flags()[0][crit].tolist()):
-        out.extend(_critical_points(tri.dim, v, lo, up, value, boundary))
-    return out
+    d, ones = tri.dim, np.ones_like(n_lower)
+    rules = (
+        (n_lower == 0, 0, ones),
+        (n_lower >= 2, 1, n_lower - 1),
+        (n_upper == 0, d, ones),
+        ((n_upper >= 2) & ((d == 3) | (n_lower < 2)), d - 1, n_upper - 1),
+    )
+    picks = [np.flatnonzero(mask) for mask, _, _ in rules]
+    verts = np.concatenate(picks)
+    index = np.repeat([i for _, i, _ in rules], [len(p) for p in picks])
+    mult = np.concatenate([m[p] for (_, _, m), p in zip(rules, picks)])
+    order = np.lexsort((index, verts))
+    verts, index, mult = verts[order], index[order], mult[order]
+    return list(map(PLCriticalPoint, verts.tolist(), index.tolist(),
+                    mult.tolist(), field.values[verts].tolist(),
+                    tri.boundary_flags()[0][verts].tolist()))

@@ -165,9 +165,8 @@ def write_field(path: str, values: np.ndarray, fmt: str = "ascii") -> None:
 
 
 def write_offsets(path: str, offsets: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        for v in offsets:
-            fh.write("%d\n" % v)
+    """One offset per line, by ``write_labels``."""
+    write_labels(path, offsets)
 
 
 @dataclass

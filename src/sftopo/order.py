@@ -6,7 +6,9 @@ offset: ``u < v`` iff ``f(u) < f(v)``, or ``f(u) == f(v)`` and
 rank permutation, so simplifying a field amounts to rewriting values and
 offsets while keeping this interface stable.  The module also holds the
 pointer-doubling step shared by the array passes that follow chains to
-their ends (link components, merge and contour trees, segmentations).
+their ends (link components, merge and contour trees, segmentations),
+and the one scalar union-find ``_find``, which every elder-rule sweep
+(the merge trees and both pair recomputations of ``check``) runs on.
 
 A field cannot change: ``OrderField`` copies its values and offsets and
 marks them, its order and its ranks read-only.  That makes its store
@@ -43,6 +45,15 @@ def _pointer_jump(ptr: np.ndarray) -> np.ndarray:
     if not (step[ptr] == ptr).all():
         raise ValueError("pointer chains close into a cycle")
     return ptr
+
+
+def _find(parent, x):
+    """The root of ``x`` in the union-find forest ``parent``, a list,
+    halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def stored(build):

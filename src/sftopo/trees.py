@@ -55,7 +55,7 @@ from .gradient import (
     _lower_star_gradient,
     _vpath_counts,
 )
-from .order import OrderField, _pointer_jump, stored
+from .order import OrderField, _find, _pointer_jump, stored
 from .triangulation import DomainTopologyError, Triangulation
 
 log = logging.getLogger(__name__)
@@ -129,12 +129,13 @@ def build_merge_tree(
        ``critical.link_components``) gets one representative per
        component, the other end of the component's root half-edge; a
        representative in the vertex's own region is dropped.
-    3. A union-find over regions runs over the representatives, grouped
-       by vertex in sweep order.  A vertex whose own region and
-       representatives meet k >= 2 components is a saddle.  Each
-       component keeps its oldest extremum; at a merge the oldest of
-       them survives and the others pair with the merge vertex, from
-       oldest to youngest.
+    3. A union-find over regions (``order._find``) runs over the
+       representatives, grouped by vertex in sweep order.  A vertex
+       whose own region and representatives meet k >= 2 components is a
+       saddle.  Region ids ascend with age and each merge links under
+       the smallest root, so a component's root is its oldest extremum:
+       that one survives, and the others pair with the merge vertex,
+       from oldest to youngest.
     4. The leaves and saddles form a merge forest.  A vertex's node is
        the highest forest ancestor of its region's leaf that is not
        above the vertex, found by binary lifting; its ``succ`` is the
@@ -181,29 +182,20 @@ def build_merge_tree(
     keep = keep[np.argsort(rank[at[keep]])]
     at, r_at, r_rep = at[keep], r_at[keep], r_rep[keep]
 
-    # union-find over regions; forest nodes are the leaves, then saddles
+    # union-find over regions by age; forest nodes are the leaves, then
+    # saddles
     leaves = leaves.tolist()
     node_vertex = list(leaves)
     parent = list(range(len(leaves)))
     head = list(range(len(leaves)))     # current node of each root
-    oldest = list(range(len(leaves)))   # oldest extremum of each root
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     saddles, pairs, below_node, above_node = [], [], [], []
     ends_group = np.append(at[1:] != at[:-1], True)
     roots = []
     for v, rv, rr, last in zip(at.tolist(), r_at.tolist(), r_rep.tolist(),
                                ends_group.tolist()):
         if not roots:
-            roots.append(find(rv))
-        r = find(rr)
+            roots.append(_find(parent, rv))
+        r = _find(parent, rr)
         if r not in roots:
             roots.append(r)
         if not last:
@@ -212,13 +204,13 @@ def build_merge_tree(
             node = len(node_vertex)
             node_vertex.append(v)
             saddles.append((v, len(roots) - 1))
-            extrema = sorted(oldest[r] for r in roots)
-            pairs.extend((leaves[e], v) for e in extrema[1:])
+            elder, *younger = sorted(roots)
+            pairs.extend((leaves[r], v) for r in younger)
             for r in roots:
                 below_node.append(head[r])
                 above_node.append(node)
-                parent[r] = roots[0]
-            head[roots[0]], oldest[roots[0]] = node, extrema[0]
+                parent[r] = elder
+            head[elder] = node
         roots = []
 
     # component node of every vertex by binary lifting up the forest

@@ -31,10 +31,10 @@ from itertools import combinations
 import numpy as np
 
 from sftopo import ContourTree, DiscreteGradient, DomainTopologyError, \
-    MergeTree, SimplexRef, compliance, extract_critical_points
-from sftopo.critical import _critical_points
-from sftopo.gradient import VPath, _descend_children, _first_vpath, \
-    _vpath_counts, _walk_arrays, _walks, reverse_vpath
+    MergeTree, PLCriticalPoint, SimplexRef, compliance, \
+    extract_critical_points
+from sftopo.gradient import VPath, _descend_children, _vpath_counts, \
+    reverse_vpath
 from sftopo.morse import Separatrix
 from sftopo.trees import _check_simply_connected
 
@@ -159,13 +159,26 @@ def link_component_counts(tri, field, v):
 
 
 def classify_vertex(tri, field, v):
-    """Classify one vertex; return a list of PLCriticalPoint (0-2 items)."""
+    """Classify one vertex; return a list of PLCriticalPoint (0-2 items).
+
+    The lower link decides a minimum (empty) or a saddle of index 1
+    (split); the upper link a maximum (empty) or a saddle of index d-1
+    (split).  In 2D a vertex with both links split is one saddle,
+    counted on the lower side."""
+    d = tri.dim
     n_lower, n_upper = link_component_counts(tri, field, v)
-    if n_lower == 1 and n_upper == 1:
-        return []
-    return _critical_points(tri.dim, v, n_lower, n_upper,
-                            float(field.values[v]),
-                            tri.is_boundary(SimplexRef(0, v)))
+    value = float(field.values[v])
+    boundary = tri.is_boundary(SimplexRef(0, v))
+    out = []
+    if n_lower == 0:
+        out.append(PLCriticalPoint(v, 0, 1, value, boundary))
+    elif n_lower >= 2:
+        out.append(PLCriticalPoint(v, 1, n_lower - 1, value, boundary))
+    if n_upper == 0:
+        out.append(PLCriticalPoint(v, d, 1, value, boundary))
+    elif n_upper >= 2 and (d == 3 or n_lower < 2):
+        out.append(PLCriticalPoint(v, d - 1, n_upper - 1, value, boundary))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -632,40 +645,52 @@ def _polyline(head, odd, even, tail=None):
 
 
 def walk_separatrices(grad):
-    """``extract_separatrices`` root by root: ``gradient._walks`` out of
-    every critical edge and facet, and one ``_first_vpath`` per 3D
-    connector, each polyline cut from barycentres of every simplex."""
-    d = grad.tri.dim
-    points = grad.tri.point_array()
+    """``extract_separatrices`` root by root: the per-simplex walks
+    ``_walks_down`` and ``_walks_up`` out of every critical edge and
+    facet, and in 3D the recursive ``extract_vpath`` from every critical
+    triangle to every critical edge it reaches, each polyline cut from
+    barycentres of every simplex."""
+    tri, d = grad.tri, grad.tri.dim
+    points = tri.point_array()
     center = [points] + [points[rows].mean(axis=1) for rows in grad.verts[1:]]
 
-    def ids(seq):
-        return np.array(seq, dtype=np.int64)
+    def split(pairs):
+        """The two columns of a list of (low, high) pairs."""
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+    def polyline(k, root, m, odd, even, end):
+        """k-simplex ``root``, then m-simplex ``odd[i]`` and k-simplex
+        ``even[i]`` in turn, then m-simplex ``end`` unless it is None."""
+        return _polyline(center[k][root], center[m][odd], center[k][even],
+                         None if end is None else center[m][end])
 
     out = []
-    for kind, k, node_dim in (("min-saddle", 1, 0), ("saddle-max", d - 1, d)):
-        rows, via = _walk_arrays(grad, node_dim == d)
-        for root in grad.critical_ids(k):
-            for nodes in _walks(rows, via, root):
-                end, body = nodes[-1], ids(nodes[:-1])
-                target = tail = None
-                if end >= 0:
-                    target, tail = (node_dim, end), center[node_dim][end]
-                out.append(Separatrix(
-                    kind, (k, root), target,
-                    _polyline(center[k][root], center[node_dim][body],
-                              center[k][via[body]], tail)))
+    for e in grad.critical_ids(1):
+        for path in _walks_down(grad, e):
+            out.append(Separatrix("min-saddle", (1, e), (0, path.lower),
+                                  polyline(1, e, 0, *split(path.pairs),
+                                           path.lower)))
+    for sigma in grad.critical_ids(d - 1):
+        for path in _walks_up(grad, sigma):
+            facets, cells = split(path.pairs[::-1])     # in walk order
+            end = path.upper
+            out.append(Separatrix(
+                "saddle-max", (d - 1, sigma), None if end is None else (d, end),
+                polyline(d - 1, sigma, d, cells, facets, end)))
     if d == 3:
-        targets = set(grad.critical_ids(1))
-        memo = {}
-        for tau in grad.critical_ids(2):
-            for e in sorted(_vpath_counts(grad, 1, tau, targets, memo)):
-                pairs = _first_vpath(grad, 1, tau, e, memo).pairs
-                lows, highs = ids(pairs).reshape(-1, 2).T
-                out.append(Separatrix(
-                    "saddle-saddle", (2, tau), (1, e),
-                    _polyline(center[2][tau], center[1][lows],
-                              center[2][highs], center[1][e])))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 100000))
+        edges = grad.critical_ids(1)
+        try:
+            for tau in grad.critical_ids(2):
+                for e in edges:
+                    path = extract_vpath(grad, 1, tau, e)
+                    if path is not None:
+                        out.append(Separatrix(
+                            "saddle-saddle", (2, tau), (1, e),
+                            polyline(2, tau, 1, *split(path.pairs), e)))
+        finally:
+            sys.setrecursionlimit(limit)
     return out
 
 

@@ -70,8 +70,9 @@ class TestOctahedron:
 def test_matches_per_vertex_classification(octahedron, octahedron_sub1,
                                            octahedron_sub2):
     """The one array pass equals a ``classify_vertex`` loop on tie-heavy
-    fields over both back ends, boundary vertices and 3D vertices whose
-    lower and upper links are both split included."""
+    fields over both back ends, boundary vertices and vertices whose
+    lower and upper links are both split included: in 3D a saddle on
+    each side, in 2D the one saddle that the upper side leaves out."""
     rng = np.random.default_rng(61)
     tris = [octahedron, octahedron_sub1, octahedron_sub2]
     for dims in [(7, 5), (9, 9), (4, 4, 4), (5, 5, 5), (6, 4, 5)]:
@@ -79,7 +80,7 @@ def test_matches_per_vertex_classification(octahedron, octahedron_sub1,
         # a fresh mesh: extract_critical_points requests its own tables
         tris += [g, ExplicitTriangulation(g.point_array(),
                                           g.simplex_array(g.dim))]
-    boundary = both_sides = 0
+    boundary = both_sides = split_2d = 0
     for tri in tris:
         for _ in range(4):
             f = tie_heavy_field(tri, rng)
@@ -91,7 +92,10 @@ def test_matches_per_vertex_classification(octahedron, octahedron_sub1,
             saddle = [(cp.vertex, cp.index) for cp in cps]
             both_sides += sum((v, 2) in saddle
                               for v, i in saddle if i == 1 and tri.dim == 3)
-    assert boundary > 0 and both_sides > 0
+            if tri.dim == 2:
+                split_2d += sum(min(link_component_counts(tri, f, v)) >= 2
+                                for v in range(len(f)))
+    assert boundary > 0 and both_sides > 0 and split_2d > 0
 
 
 def _lone_vertex_sphere():
