@@ -515,7 +515,8 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
             nxt = succ[frontier].ravel()
             nxt = nxt[nxt >= 0]
             np.subtract.at(indeg, nxt, 1)
-            frontier = np.unique(nxt[indeg[nxt] == 0])
+            frontier = np.sort(nxt[indeg[nxt] == 0])
+            frontier = frontier[_first_of_runs(frontier)]
         if peeled < len(rows):
             return False
     return True

@@ -119,7 +119,8 @@ class OrderField:
             offsets = np.array(offsets, dtype=np.int64)
             if offsets.shape != (n,):
                 raise ValueError("offsets must match values in length")
-            if len(np.unique(offsets)) != n:
+            ordered = np.sort(offsets)
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ValueError("offsets must be injective")
         self.offsets = offsets
         self.order = np.lexsort((self.offsets, self.values))

@@ -29,7 +29,9 @@ round prunes every lower (then every upper) leaf at once, extends each
 up its chain of one-child vertices and splices the pruned chains out of
 the other tree, all by pointer doubling.  Zigzag trees lose only their
 two ends per round, so once a round pass prunes too little the rest is
-pruned one leaf at a time from a queue.
+pruned one leaf at a time from a queue.  A vertex that is an extremum
+of one tree and a merge of the other (the shared vertex of a bowtie)
+has no place in a contour tree, which is refused.
 In 3D, saddle-saddle pairs come from the field's stored lower-star
 gradient (``gradient._lower_star_gradient``), which nothing edits, by
 one GF(2) reduction of its Morse complex (Guillou, Vidal & Tierny,
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import link_components
+from .critical import _link_counts, link_components
 from .gradient import (
     DiscreteGradient,
     _critical_by_key,
@@ -82,6 +84,23 @@ def _check_simply_connected(tri: Triangulation) -> None:
         raise DomainTopologyError(
             f"domain is not simply connected (Euler characteristic {chi}); "
             "the contour tree is undefined here"
+        )
+
+
+def _check_link_extrema(tri: Triangulation, field: OrderField) -> None:
+    """Refuse a vertex that is an extremum on one side of its link and a
+    saddle on the other: an empty lower link with a split upper link, or
+    the mirror case.  Its node would be a leaf of one merge tree and a
+    merge of the other, which no contour tree holds.  This cannot happen
+    on a manifold, whose vertex links are connected; on a bowtie it does.
+    """
+    n_lower, n_upper = _link_counts(tri, field)
+    bad = np.flatnonzero(((n_lower == 0) & (n_upper >= 2))
+                         | ((n_upper == 0) & (n_lower >= 2)))
+    if len(bad):
+        raise DomainTopologyError(
+            f"vertex {bad[0]} is both an extremum and a saddle (its link "
+            "is disconnected); the contour tree is undefined here"
         )
 
 
@@ -439,10 +458,12 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
 
     Raises DomainTopologyError when the domain is not simply connected,
     detected through the Euler characteristic (2 for a closed surface,
-    1 for a domain with boundary) or, as a backstop, a pruning stall.
+    1 for a domain with boundary) or, as a backstop, a pruning stall,
+    and when a vertex is both an extremum and a saddle.
     """
     _check_simply_connected(join.tri)
     field = join.field
+    _check_link_extrema(join.tri, field)
     n = len(field)
     ranks = field.ranks
     # index 0 is the join tree (succ points up), 1 the split tree; a

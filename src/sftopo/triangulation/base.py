@@ -35,8 +35,9 @@ class TriangulationError(Exception):
 
 class DomainTopologyError(Exception):
     """The domain's topology does not admit the structure asked for: a
-    contour tree on a domain that is not simply connected, or an
-    ascending walk across a facet with three or more co-facets."""
+    contour tree on a domain that is not simply connected or with a
+    vertex that is both an extremum and a saddle, or an ascending walk
+    across a facet with three or more co-facets."""
 
 
 #: Kinds accepted by :meth:`Triangulation.precondition`, each with the

@@ -68,8 +68,8 @@ class ExplicitTriangulation(Triangulation):
         self.cells = np.sort(cells, axis=1)
         if (self.cells[:, 1:] == self.cells[:, :-1]).any():
             raise TriangulationError("cell with a repeated vertex id")
-        keys = _row_keys(self.cells, len(self.points))
-        if len(np.unique(keys)) != len(keys):
+        keys = np.sort(_row_keys(self.cells, len(self.points)))
+        if (keys[1:] == keys[:-1]).any():
             raise TriangulationError("duplicate cells in input")
         self.dim = cells.shape[1] - 1
 

@@ -8,14 +8,16 @@ vertex), so identifiers are laid out as contiguous per-class blocks in
 row-major anchor order: ``id = start + anchor . strides``.
 
 A query decodes its id (a bisect over the block starts, then divmod by
-the block shape) and evaluates linear formulas of the anchor.  The only
-precomputed data are per-class stencils, built once per grid from the
-dimension and the dims: for each class, the ``(start + delta . strides,
-strides)`` formula of every vertex, face, co-face and link simplex,
-together with the grid borders that rule a co-face out.  Their size does
-not depend on the vertex count; the per-simplex queries need no tables.
-The array queries (``simplex_array`` and those of the base class) are
-generated from the same layout on first use and kept in the store.
+the block shape) and evaluates linear formulas of the anchor.  A grid
+keeps its block layout and the vertex offsets of each class.  The first
+``faces``, ``cofaces``, ``vertex_link`` or ``is_boundary`` call adds
+the per-class stencils: for each class, the ``(start + delta . strides,
+strides)`` formula of every face, co-face and link simplex, together
+with the grid borders that rule a co-face out or put the class on the
+boundary.  Their size does not depend on the vertex count; the
+per-simplex queries need no tables.  The array queries
+(``simplex_array`` and those of the base class) are generated from the
+block layout on first use and kept in the store.
 
 Boundary flags are arithmetic too: a simplex of dimension k < d lies on
 the boundary iff all its vertices share a coordinate 0 or n-1 on one
@@ -28,8 +30,9 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,6 +157,22 @@ def _pad3(t, fill=0):
     return tuple(t) + (fill,) * (3 - len(t))
 
 
+class _Stencils(NamedTuple):
+    """Per-class formulas of the per-simplex queries, in id order.
+
+    ``faces[k][ci][j]`` and ``cofaces[k][ci][l]`` list the faces and
+    co-faces of class ci's k-simplex, ``link`` the link facets of a
+    vertex; co-face and link formulas carry the border bits that rule
+    them out.  ``bnd[k][ci]`` holds the border bits that put a class on
+    the boundary.
+    """
+
+    faces: list
+    cofaces: list
+    link: list
+    bnd: list
+
+
 # --------------------------------------------------------------------------
 
 
@@ -162,7 +181,8 @@ class ImplicitGridTriangulation(Triangulation):
 
     Per-simplex queries need O(1) memory in the vertex count: besides
     the dims, they read only per-class block layouts and stencil
-    formulas, and ``precondition`` builds nothing.  The array queries
+    formulas, which the first of them builds (``_stencils``), and
+    ``precondition`` builds nothing.  The array queries
     keep what they build in the store, linear in the simplex count:
     0.25 MB at 6x6x6 after critical points, compliance, the diagram
     and separatrices, and 22.0 MB at 24x24x24 after the stages of
@@ -210,27 +230,30 @@ class ImplicitGridTriangulation(Triangulation):
              for cls in classes[k]]
             for k in range(d + 1)
         ]
-        # faces[k][ci][j], cofaces[k][ci][l], link: formulas in id order;
-        # co-face and link formulas carry the border bits that rule them out
+
+    @cached_property
+    def _stencils(self):
+        """The per-simplex query formulas, built on the first ``faces``,
+        ``cofaces``, ``vertex_link`` or ``is_boundary`` call."""
+        d, classes = self.dim, self._classes
         incidences = _incidences(d)
-        self._faces = [
+        faces = [
             [[self._formulas(j, incidences[(k, ci, j)]) for j in range(k)]
              for ci in range(len(classes[k]))]
             for k in range(d + 1)
         ]
-        self._cofaces = [
+        cofaces = [
             [{l: self._formulas(l, [(cl, delta, self._forbidden(l, cl, delta))
                                     for cl, delta in incidences[(k, ci, l)]])
               for l in range(k + 1, d + 1)}
              for ci in range(len(classes[k]))]
             for k in range(d)
         ]
-        self._link = self._formulas(d - 1, [
+        link = self._formulas(d - 1, [
             (fc, fdelta, self._forbidden(d, cl, delta))
             for cl, delta, fc, fdelta in _link_stencil(d)
         ])
-        # is_boundary: the border bits that put a class on the boundary
-        self._bnd = []
+        bnd = []
         for k in range(d + 1):
             need = min(k + 1, d)
             masks = []
@@ -243,7 +266,8 @@ class ImplicitGridTriangulation(Triangulation):
                     if len(cls.offsets) - zeros >= need:
                         m |= 1 << (_HI2 + ax)
                 masks.append(m)
-            self._bnd.append(masks)
+            bnd.append(masks)
+        return _Stencils(faces, cofaces, link, bnd)
 
     # -- stencil formulas -----------------------------------------------
 
@@ -335,7 +359,7 @@ class ImplicitGridTriangulation(Triangulation):
             raise TriangulationError(f"bad face dimension {k} for dim {dim}")
         ci, a0, a1, a2 = self._decode(dim, sid)
         return [c + a0 * s0 + a1 * s1 + a2 * s2
-                for c, s0, s1, s2 in self._faces[dim][ci][k]]
+                for c, s0, s1, s2 in self._stencils.faces[dim][ci][k]]
 
     def cofaces(self, s: SimplexRef, l: int) -> list:
         dim, sid = s
@@ -344,14 +368,15 @@ class ImplicitGridTriangulation(Triangulation):
         ci, a0, a1, a2 = self._decode(dim, sid)
         border = self._border(a0, a1, a2)
         return [c + a0 * s0 + a1 * s1 + a2 * s2
-                for c, s0, s1, s2, bad in self._cofaces[dim][ci][l]
+                for c, s0, s1, s2, bad in self._stencils.cofaces[dim][ci][l]
                 if not bad & border]
 
     def vertex_link(self, v: int) -> list:
         _, a0, a1, a2 = self._decode(0, v)
         border = self._border(a0, a1, a2)
         return [c + a0 * s0 + a1 * s1 + a2 * s2
-                for c, s0, s1, s2, bad in self._link if not bad & border]
+                for c, s0, s1, s2, bad in self._stencils.link
+                if not bad & border]
 
     def is_boundary(self, s: SimplexRef) -> bool:
         """Whether ``s`` lies on the grid's boundary, from its anchor alone.
@@ -362,7 +387,8 @@ class ImplicitGridTriangulation(Triangulation):
         """
         dim, sid = s
         ci, a0, a1, a2 = self._decode(dim, sid)
-        return bool(self._border(a0, a1, a2) & self._bnd[dim][ci])
+        return bool(self._border(a0, a1, a2)
+                    & self._stencils.bnd[dim][ci])
 
     @stored
     def simplex_array(self, k: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from oracles import (
     uf_extremum_pairs,
     vpath_graph_acyclic,
 )
+from test_io import OCTA_OFF
 from sftopo import (
     CLASS_ESSENTIAL,
     CLASS_MIN_SADDLE,
@@ -231,8 +232,8 @@ def test_criterion_8_cached_speedup():
     assert time.perf_counter() - start < 120.0
 
 
-def run_cli(args, cwd, **kwargs):
-    """Run the CLI in a subprocess on the same ``sftopo`` tree as this
+def run_python(args, cwd, **kwargs):
+    """Run a fresh interpreter on the same ``sftopo`` tree as this
     process: its source root goes first on an absolute PYTHONPATH, so a
     relative PYTHONPATH or an uninstalled package still resolve from
     ``cwd``.  ``kwargs`` go to ``subprocess.run``."""
@@ -240,9 +241,47 @@ def run_cli(args, cwd, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "sftopo.cli"] + args,
-        cwd=cwd, env=env, capture_output=True, text=True, **kwargs)
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
+def run_cli(args, cwd, **kwargs):
+    """Run the CLI in a subprocess, as ``run_python`` does."""
+    return run_python(["-m", "sftopo.cli"] + args, cwd, **kwargs)
+
+
+SETUP_AND_STAGES = """
+import sys
+import numpy as np
+from sftopo import ImplicitGridTriangulation, OrderField, build_diagram, \
+    io, select_by_persistence, simplify_field
+from sftopo.checks import run_checks
+
+tri, field = io.load(io.DatasetSpec(mesh="octa.off", values="octa.txt",
+                                    offsets="octa.offsets"))
+rng = np.random.default_rng(5)
+grid = ImplicitGridTriangulation((16, 16))
+f = OrderField(rng.random(256))
+simplify_field(grid, f, select_by_persistence(build_diagram(grid, f), 0.2))
+cube = ImplicitGridTriangulation((6, 6, 6))
+f = OrderField(np.round(3 * rng.random(216)), rng.permutation(216))
+assert all(r.ok for r in run_checks(cube, f))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_setup_and_stages_never_import_numpy_ma(tmp_path):
+    """Loading an OFF mesh with offsets, simplifying a grid field,
+    building a field with offsets and running ``check`` on a 6x6x6 grid
+    import no ``numpy.ma``, which a plain ``np.unique`` imports on numpy
+    2.4 (its hash path asks ``np.ma.is_masked``).  The run is a fresh
+    interpreter, so that no other test's imports are counted."""
+    (tmp_path / "octa.off").write_text(OCTA_OFF)
+    (tmp_path / "octa.txt").write_text("0\n1\n2\n3\n4\n5\n")
+    (tmp_path / "octa.offsets").write_text("5\n4\n3\n2\n1\n0\n")
+    got = run_python(["-c", SETUP_AND_STAGES], str(tmp_path), timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == "False\n"
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -123,6 +123,23 @@ class TestExitCodes:
         assert failed == ["[FAIL] pseudo-manifold  (1 facets with >2 cofaces)"]
         assert got.out.count("skipped: facet 0 (vertices [0, 1])") == 2
 
+    def test_bowtie_contour_tree_is_a_data_error(self, tmp_path, capsys):
+        """On two triangles sharing only vertex 0, vertex 0 is both the
+        minimum and a saddle: ``contour-tree`` exits 2, naming it, and
+        ``check`` reports that invariant as skipped and exits 0."""
+        mesh = tmp_path / "bowtie.off"
+        mesh.write_text("OFF\n5 2 0\n0 0 0\n1 0 0\n0 1 0\n-1 0 0\n"
+                        "0 -1 0\n3 0 1 2\n3 0 3 4\n")
+        values = tmp_path / "bowtie.txt"
+        values.write_text("0\n1\n2\n3\n4\n")
+        args = ["--mesh", str(mesh), "--values", str(values)]
+        out = str(tmp_path / "ct.csv")
+        assert main(["contour-tree", "-o", out] + args) == 2
+        assert capsys.readouterr().err.startswith(
+            "sftopo: error: vertex 0 is both an extremum and a saddle")
+        assert main(["check"] + args) == 0
+        assert "skipped: vertex 0 is both" in capsys.readouterr().out
+
     def test_unknown_log_level(self, f0_file, monkeypatch, capsys):
         monkeypatch.setenv("SFTOPO_LOG", "bogus")
         assert main(["info"] + f0_args(f0_file)) == 1

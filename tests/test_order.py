@@ -69,7 +69,7 @@ class TestOrderField:
                     assert key[face] < key[coface]
 
     def test_non_injective_offsets_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^offsets must be injective$"):
             OrderField(np.zeros(3), np.array([0, 0, 1]))
 
     def test_length_mismatch_rejected(self):

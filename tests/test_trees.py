@@ -32,6 +32,7 @@ from sftopo import (
     persistence_curve,
     persistence_pairs_extrema,
 )
+from sftopo.checks import _contour_tree_faults, run_checks
 
 
 class TestMergeTree:
@@ -286,6 +287,44 @@ class TestContourTree:
             assert got == want
             stalled += isinstance(got, str) and "stalled" in got
         assert stalled >= 3
+
+    def test_bowtie_refused(self):
+        """Two triangles sharing only vertex 0, values 0 to 4: vertex 0
+        is the minimum, and its upper link is split in two, so it is a
+        saddle too and no contour tree holds it."""
+        points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+        tri = ExplicitTriangulation(points, [[0, 1, 2], [0, 3, 4]])
+        f = OrderField(np.arange(5.0))
+        join = build_merge_tree(tri, f, "join")
+        split = build_merge_tree(tri, f, "split")
+        with pytest.raises(DomainTopologyError,
+                           match="vertex 0 is both an extremum and a saddle"):
+            combine_contour_tree(join, split)
+
+    def test_tetrahedra_on_one_vertex(self):
+        """Two tetrahedra sharing vertex 0: every other link lies in one
+        tetrahedron, and vertex 0's link is split, so the tree is refused
+        exactly when vertex 0 holds the lowest or the highest of the 7
+        values; every other tree passes ``check``'s tree invariant."""
+        points = np.random.default_rng(0).random((7, 3))
+        tri = ExplicitTriangulation(points, [[0, 1, 2, 3], [0, 4, 5, 6]])
+        refused = []
+        for seed in range(20):
+            values = np.random.default_rng(seed).random(7)
+            f = OrderField(values)
+            join = build_merge_tree(tri, f, "join")
+            split = build_merge_tree(tri, f, "split")
+            try:
+                ct = combine_contour_tree(join, split)
+            except DomainTopologyError as exc:
+                assert str(exc).startswith("vertex 0 is both")
+                refused.append(seed)
+            else:
+                assert _contour_tree_faults(ct, f.ranks) == []
+            assert all(r.ok for r in run_checks(tri, f))
+            assert (seed in refused) == (0 in (values.argmin(),
+                                                values.argmax()))
+        assert refused == [3, 10, 17]
 
     def test_zigzag_strip_not_quadratic(self):
         """A random 9600 x 2 strip has a zigzag contour tree that loses

@@ -301,9 +301,13 @@ class TestExplicit:
                                  cells)
 
     def test_duplicate_cells_rejected(self):
+        """A cell given twice is a duplicate, also when the second copy
+        lists its vertices in another order."""
         p, c = octahedron_mesh()
-        with pytest.raises(TriangulationError):
-            ExplicitTriangulation(p, np.vstack([c, c[:1]]))
+        for dup in (c[0], c[3, ::-1]):
+            with pytest.raises(TriangulationError,
+                               match="^duplicate cells in input$"):
+                ExplicitTriangulation(p, np.vstack([c, dup]))
 
     @pytest.mark.parametrize("cell", [[0, 0, 1], [4, 2, 4], [0, 1, 1, 2]])
     def test_repeated_vertex_rejected(self, cell):
