@@ -4,12 +4,14 @@ Meshes are ASCII OFF.  Scalar fields are one ASCII real per line or raw
 little-endian 32/64-bit floats; offset files hold one ASCII integer per
 line.  A file that breaks its format raises ``DataError``.  Diagrams and
 critical points are written as CSV, separatrices as Wavefront OBJ
-polylines, segmentations as one label per line.
+polylines (one `%` call per separatrix), segmentations as one label per
+line.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +46,21 @@ def read_off(path: str):
 
     Faces may be triangles or tetrahedra (OFF is commonly abused for
     the latter); all faces in one file must have the same arity, and
-    every vertex must lie in some face.
+    every vertex must lie in some face.  The header may be any of
+    ``[ST][C][N]OFF``; the texture, colour and normal fields after a
+    vertex's coordinates and a colour of up to 4 numbers after a face's
+    indices are read past.
     """
     stream = ((ln, body.split()) for ln, body in _lines(path))
     try:
         ln, fields = next(stream)
     except StopIteration:
         raise DataError(f"{path}: empty file")
-    if fields == ["OFF"]:
+    header = re.fullmatch(r"(?:ST)?C?N?(4?n?)OFF", fields[0])
+    if header and len(fields) == 1:
+        if header[1]:
+            raise DataError(f"{path}: line {ln}: {fields[0]} vertices are "
+                            f"not 3D")
         try:
             ln, fields = next(stream)
         except StopIteration:
@@ -89,7 +98,7 @@ def read_off(path: str):
         except StopIteration:
             raise DataError(f"{path}: unexpected end of file in face list")
         try:
-            row = [int(x) for x in fields]
+            row = [int(x) for x in fields[:int(fields[0]) + 1]]
         except ValueError:
             raise DataError(f"{path}: line {ln}: bad face index")
         if not row or len(row) != row[0] + 1:
@@ -97,6 +106,14 @@ def read_off(path: str):
                 f"{path}: line {ln}: face arity header does not match "
                 f"the number of indices"
             )
+        try:
+            colour = [float(x) for x in fields[len(row):]]
+        except ValueError:
+            raise DataError(f"{path}: line {ln}: bad face colour")
+        if len(colour) > 4:
+            raise DataError(f"{path}: line {ln}: {len(colour)} numbers "
+                            f"after the face's indices, a colour has at "
+                            f"most 4")
         if row[0] not in (3, 4):
             raise DataError(
                 f"{path}: line {ln}: only triangle/tetrahedron cells are "
@@ -258,44 +275,19 @@ def write_contour_tree_csv(path: str, tree, field: OrderField) -> None:
                 i, lo, hi, field.values[lo], field.values[hi], sizes[i]))
 
 
-_OBJ_RUN = 1 << 16      # points per formatting call of the OBJ writer
-
-
-def _write_obj_run(fh, seps, first_object, first_point) -> None:
-    """One `%` call formats the `v` records of ``seps``, one their `l`
-    records; each object then writes its slice of both."""
-    sizes = [len(sep.points) for sep in seps]
-    points = np.concatenate([np.asarray(sep.points).reshape(-1, 3)
-                             for sep in seps])
-    v = ("v %.17g %.17g %.17g\n" * len(points)) \
-        % tuple(points.ravel().tolist())
-    ends = np.flatnonzero(np.frombuffer(v.encode(), dtype=np.uint8) == 10)
-    cuts = [0] + (ends[np.cumsum(sizes) - 1] + 1).tolist()
-    lines = ("".join("l" + " %d" * m + "\n" for m in sizes)
-             % tuple(range(first_point + 1, first_point + len(points) + 1))
-             ).splitlines(keepends=True)
-    for i, sep in enumerate(seps):
-        fh.write("o %s_%d\n%s%s" % (
-            sep.kind.replace("-", "_"), first_object + i,
-            v[cuts[i]:cuts[i + 1]], lines[i]))
-
-
 def write_separatrices_obj(path: str, separatrices) -> None:
-    """Polylines as OBJ `v`/`l` records, one object per separatrix.
-
-    The objects are formatted in runs: a run holds the separatrices
-    whose first point falls in one block of ``_OBJ_RUN`` points, so the
-    formatting calls stay few and their arguments small."""
-    seps = list(separatrices)
-    first = np.zeros(len(seps) + 1, dtype=np.int64)
-    np.cumsum([len(sep.points) for sep in seps], dtype=np.int64,
-              out=first[1:])
-    runs = np.flatnonzero(np.diff(first[:-1] // _OBJ_RUN)) + 1
-    cuts = [0] + runs.tolist() + [len(seps)]
+    """Polylines as OBJ `v`/`l` records, one object per separatrix,
+    each formatted by one `%` call."""
+    first = 1
     with open(path, "w") as fh:
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if a < b:
-                _write_obj_run(fh, seps[a:b], a, int(first[a]))
+        for i, sep in enumerate(separatrices):
+            m = len(sep.points)
+            coords = np.asarray(sep.points).ravel().tolist()
+            fh.write(("o %s_%d\n" + "v %.17g %.17g %.17g\n" * m
+                      + "l" + " %d" * m + "\n")
+                     % (sep.kind.replace("-", "_"), i, *coords,
+                        *range(first, first + m)))
+            first += m
 
 
 def write_labels(path: str, labels: np.ndarray) -> None:

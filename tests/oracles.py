@@ -20,7 +20,9 @@ gradient by a per-vertex ProcessLowerStars with two heaps, the
 compliance matching's candidates by per-vertex star queries, and
 compliance by a full rescan and sort of every arc after each
 cancellation, alternating the saddle/maximum and saddle/saddle passes
-until neither cancels anything.
+until neither cancels anything, and the separatrix OBJ bytes by a
+writer that formats the points of many separatrices in one `%` call
+and cuts the text back per object.
 """
 
 import heapq
@@ -1034,3 +1036,43 @@ def alternating_compliance(tri, field, grad):
         more = rescan_facet_cancellation(grad, matching)
         more += rescan_connector_cancellation(grad, matching)
     return compliance._report(matching, cps, cancelled)
+
+
+_OBJ_RUN = 1 << 16      # points per formatting call of the OBJ writer
+
+
+def _write_obj_run(fh, seps, first_object, first_point) -> None:
+    """One `%` call formats the `v` records of ``seps``, one their `l`
+    records; each object then writes its slice of both."""
+    sizes = [len(sep.points) for sep in seps]
+    points = np.concatenate([np.asarray(sep.points).reshape(-1, 3)
+                             for sep in seps])
+    v = ("v %.17g %.17g %.17g\n" * len(points)) \
+        % tuple(points.ravel().tolist())
+    ends = np.flatnonzero(np.frombuffer(v.encode(), dtype=np.uint8) == 10)
+    cuts = [0] + (ends[np.cumsum(sizes) - 1] + 1).tolist()
+    lines = ("".join("l" + " %d" * m + "\n" for m in sizes)
+             % tuple(range(first_point + 1, first_point + len(points) + 1))
+             ).splitlines(keepends=True)
+    for i, sep in enumerate(seps):
+        fh.write("o %s_%d\n%s%s" % (
+            sep.kind.replace("-", "_"), first_object + i,
+            v[cuts[i]:cuts[i + 1]], lines[i]))
+
+
+def write_separatrices_obj(path: str, separatrices) -> None:
+    """Polylines as OBJ `v`/`l` records, one object per separatrix.
+
+    The objects are formatted in runs: a run holds the separatrices
+    whose first point falls in one block of ``_OBJ_RUN`` points, so the
+    formatting calls stay few and their arguments small."""
+    seps = list(separatrices)
+    first = np.zeros(len(seps) + 1, dtype=np.int64)
+    np.cumsum([len(sep.points) for sep in seps], dtype=np.int64,
+              out=first[1:])
+    runs = np.flatnonzero(np.diff(first[:-1] // _OBJ_RUN)) + 1
+    cuts = [0] + runs.tolist() + [len(seps)]
+    with open(path, "w") as fh:
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if a < b:
+                _write_obj_run(fh, seps[a:b], a, int(first[a]))

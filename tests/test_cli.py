@@ -8,7 +8,7 @@ import pytest
 
 from conftest import F0_VALUES
 from test_acceptance import run_cli
-from test_io import OCTA_OFF
+from test_io import OCTA_OFF, coloured
 from test_triangulation import non_manifold_fan
 from sftopo import checks
 from sftopo.cli import main
@@ -215,6 +215,18 @@ class TestInfo:
         assert main(["info", "--mesh", str(off),
                      "--values", str(vals)]) == 0
         assert "boundary facets: 0\n" in capsys.readouterr().out
+
+    def test_coloured_mesh(self, tmp_path, capsys):
+        vals = tmp_path / "octa_vals.txt"
+        vals.write_text("2\n5\n3\n4\n0\n1\n")
+        out = []
+        for name, body in (("octa", OCTA_OFF), ("coff", coloured(OCTA_OFF))):
+            off = tmp_path / f"{name}.off"
+            off.write_text(body)
+            assert main(["info", "--mesh", str(off),
+                         "--values", str(vals)]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1]
 
 
 class TestGoldenOutputs:

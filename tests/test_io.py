@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import octahedron_mesh, F0_VALUES
-from sftopo import DataError, DatasetSpec, load, read_field, read_off, \
+import oracles
+from conftest import F0_VALUES, midpoint_subdivide, octahedron_mesh, \
+    preconditioned, random_field, tie_heavy_field
+from sftopo import DataError, DatasetSpec, ExplicitTriangulation, \
+    ImplicitGridTriangulation, build_gradient, enforce_compliance, \
+    extract_separatrices, load, read_field, read_off, \
     read_offsets
-from sftopo.io import write_field, write_offsets
+from sftopo.io import write_field, write_offsets, write_separatrices_obj
 
 OCTA_OFF = """OFF
 6 8 12
@@ -27,6 +31,18 @@ OCTA_OFF = """OFF
 """
 
 
+def coloured(off):
+    """``off`` as a COFF file: an RGBA colour on every vertex, and on
+    the faces a colour of 0, 1, 3 and 4 numbers in turn."""
+    head, counts, *rest = off.splitlines()
+    nv = int(counts.split()[0])
+    tails = ["", " 7", " 255 0 0", " 0.5 0.5 0.5 1"]
+    return "\n".join(["COFF", counts]
+                     + [v + " 0.25 0.5 0.75 1" for v in rest[:nv]]
+                     + [f + tails[i % 4] for i, f in enumerate(rest[nv:])]
+                     ) + "\n"
+
+
 class TestOff:
     def test_octahedron_roundtrip(self, tmp_path):
         path = tmp_path / "octa.off"
@@ -44,12 +60,27 @@ class TestOff:
         points, cells = read_off(str(path))
         assert len(points) == 3 and len(cells) == 1
 
+    @pytest.mark.parametrize("header", ["COFF", "STCNOFF", "NOFF", "STOFF"])
+    def test_colours_and_header_keywords(self, tmp_path, header):
+        path = tmp_path / "octa.off"
+        path.write_text(coloured(OCTA_OFF).replace("COFF", header, 1))
+        plain = tmp_path / "plain.off"
+        plain.write_text(OCTA_OFF)
+        for got, want in zip(read_off(str(path)), read_off(str(plain))):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("body,needle", [
         ("", "empty"),
         ("OFF\nnope nope nope\n", "line 2"),
         ("OFF\n3 1 0\n0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "line 3"),
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n", "out of range"),
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "arity"),
+        ("COFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "arity"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 1 1 1 1 1\n",
+         "5 numbers after"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 red\n", "colour"),
+        ("4OFF\n3 1 0\n0 0 0 0\n1 0 0 0\n0 1 0 0\n3 0 1 2\n", "not 3D"),
+        ("nOFF\n3\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "not 3D"),
         ("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n4 0 1 2 3\n",
          "mixed"),
         ("OFF\n-1 1 0\n3 0 1 2\n", "negative"),
@@ -169,3 +200,42 @@ class TestLoad:
         vals = self.write_values(tmp_path, F0_VALUES)
         with pytest.raises(DataError):
             load(DatasetSpec(values=vals))
+
+
+def level3_sphere():
+    """The octahedron, midpoint-subdivided three times: 258 vertices."""
+    points, cells = octahedron_mesh()
+    for _ in range(3):
+        points, cells = midpoint_subdivide(points, cells)
+    return preconditioned(ExplicitTriangulation(points, cells))
+
+
+class TestSeparatricesObj:
+    @pytest.mark.parametrize("domain,make", [
+        ((9, 7), random_field),
+        ((9, 7), tie_heavy_field),
+        ((128, 128), random_field),
+        ((20, 20, 20), random_field),
+        ("sphere", random_field),
+        ("empty", None),
+    ], ids=["9x7", "9x7-ties", "128x128", "20x20x20", "sphere", "empty"])
+    def test_bytes_match_run_writer(self, tmp_path, domain, make):
+        """One `%` call per separatrix writes the bytes of the oracle's
+        runs of 65,536 points; 128x128 crosses a run boundary and
+        20x20x20 has saddle-saddle polylines."""
+        seps = []
+        if domain != "empty":
+            tri = level3_sphere() if domain == "sphere" \
+                else ImplicitGridTriangulation(domain)
+            f = make(tri, np.random.default_rng(7))
+            grad = build_gradient(tri, f)
+            enforce_compliance(tri, f, grad)
+            seps = extract_separatrices(grad)
+        if domain == (128, 128):
+            assert sum(len(s.points) for s in seps) > oracles._OBJ_RUN
+        if domain == (20, 20, 20):
+            assert any(s.kind == "saddle-saddle" for s in seps)
+        got, want = tmp_path / "got.obj", tmp_path / "want.obj"
+        write_separatrices_obj(str(got), iter(seps))
+        oracles.write_separatrices_obj(str(want), seps)
+        assert got.read_bytes() == want.read_bytes()
