@@ -51,9 +51,12 @@ The roots to retrace after a cancellation are those whose last trace
 reached the cancelled end.  Their index is built lazily: the first
 fill's ends stay as two arrays, sorted by end at the first cancellation,
 and a lookup takes the first-fill roots found there by binary search
-that were never retraced, plus the retraced roots, whose ends alone go
-into a dict.  So when nothing cancels, the heap and Python see only the
-arcs that qualify, and no Python loop runs over the roots or the
+that were never retraced, plus the retraced roots.  Each later trace is
+recorded once, as ``(root, version)`` entries in a dict under the ends
+it reached, and a lookup keeps the entries of the root's current
+version.  An end is looked up once, when it is cancelled, so its
+entries then go.  So when nothing cancels, the heap and Python see only
+the arcs that qualify, and no Python loop runs over the roots or the
 slots.  Only the trace differs by class:
 
 - Saddle/maximum: a root is a critical (d-1)-simplex, traced by the
@@ -70,8 +73,8 @@ slots.  Only the trace differs by class:
   other co-face ends, which is one link from ``tau``'s class to that
   one.  A trace gathers its roots' two co-facets from ``cofacet_ids``
   and maps them through the union-find in one array pass; "reached
-  once" is the two ends differing, and a cell on the boundary or the
-  walks that leave the domain may not be cancelled.
+  once" is the two ends differing, and neither a cell on the boundary
+  nor -1, where the walks that leave the domain end, may be cancelled.
 - Saddle/saddle (3D): a root is an interior critical triangle, traced
   by counting its descending (1, 2) V-paths to the interior critical
   edges.  After the path ``tau, l1, h1, ..., lr, hr, e`` is reversed,
@@ -95,8 +98,8 @@ cancellation would:
   simplex it cancels; the rest of an augmenting path hands each
   simplex on to a new holder, so a critical simplex, once matched,
   stays matched until it is cancelled.  An arc with both ends matched
-  never qualifies again, so a release holds at most one of its two
-  simplices.
+  never qualifies again, and ``release`` refuses it without a search,
+  so a release that succeeds held at most one of its two simplices.
 - A release that fails never succeeds later.  The matched slots never
   change after the initial matching (a release re-matches the one slot
   it displaces, or changes nothing, since Kuhn's search writes only
@@ -277,7 +280,8 @@ class _Matching:
         the one matched simplex's slot found another simplex.
 
         On False the matching is unchanged.  Two matched simplices give
-        False without a search: the heap never releases such an arc.
+        False without a search, which is how the heap drops an arc whose
+        ends both became matched after it was pushed.
         """
         held = [key for key in dims_sids if self.is_matched(*key)]
         if len(held) != 1:
@@ -381,8 +385,7 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, traces, cancel):
     heapq.heapify(heap)
     by_end = None                 # first_end sorted, and its roots
     version = {}                  # root traced again -> cancellations then
-    ends_of = {}                  # root traced again -> ends it reached
-    reaching = defaultdict(set)   # end -> roots traced again reaching it
+    reaching = defaultdict(list)  # end -> (root, version) of later traces
 
     def roots_reaching(end):
         nonlocal by_end
@@ -391,23 +394,18 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, traces, cancel):
             by_end = first_end[order], first_root[order]
         ends, roots = by_end
         a, b = np.searchsorted(ends, (end, end + 1)).tolist()
-        return {r for r in roots[a:b].tolist() if r not in ends_of} \
-            | reaching[end]
+        return {r for r in roots[a:b].tolist() if r not in version} \
+            | {r for r, v in reaching.pop(end, ()) if version[r] == v}
 
     def retrace(roots, step):
-        for root in roots:
-            for end in ends_of.get(root, ()):
-                reaching[end].discard(root)
-            version[root] = step
-            ends_of[root] = []
+        version.update(dict.fromkeys(roots, step))
         live = [r for r in roots if grad.is_critical(root_dim, r)]
         if not live:
             return
         root, ends, entries = _arcs(grad, matching, lo, root_dim, traces,
                                     np.array(live), step)
         for r, end in zip(root.tolist(), ends.tolist()):
-            ends_of[r].append(end)
-            reaching[end].add(r)
+            reaching[end].append((r, step))
         for entry in entries:
             heapq.heappush(heap, entry)
 
@@ -417,9 +415,6 @@ def _cancel_by_heap(grad, matching, lo, root_dim, roots, traces, cancel):
         root, end = (lower, upper) if root_dim == lo else (upper, lower)
         if ver != version.get(root, 0) or not grad.is_critical(lo, lower) \
                 or not grad.is_critical(lo + 1, upper):
-            continue
-        if matching.is_matched(lo, lower) and \
-                matching.is_matched(lo + 1, upper):
             continue
         if not matching.release([(lo, lower), (lo + 1, upper)]):
             continue            # for good: see the module docstring
@@ -437,19 +432,19 @@ def _cancel_facet_pairs(grad, matching) -> list:
     Roots are the interior critical facets, traced by the current ends
     of their co-faces' ascending walks.  These are union-find roots: the
     ``parent`` of a d-cell starts as its ``ascending_segmentation``
-    label, and one extra node, ``outside``, stands for the walks that
-    leave the domain, which end nowhere.  A cancellation walks the one
-    path it reverses again and links the class of its maximum ``tau``
-    to that of ``sigma``'s other co-face.
+    label, and the walks that leave the domain end at -1, which indexes
+    ``parent``'s extra last slot and is its own class; no arc ends
+    there.  A cancellation walks the one path it reverses again and
+    links the class of its maximum ``tau`` to that of ``sigma``'s other
+    co-face.
     """
     d = grad.tri.dim
     rows, via = _walk_arrays(grad, True)
-    # the ascending segmentation, with the walks that leave the domain
-    # ending at the extra node len(via)
+    # the ascending segmentation over the extra last slot, -1, where
+    # the walks that leave the domain end
     parent = _pointer_jump(_successors(rows, via))
-    outside = len(via)
-    # which classes an arc may end at: not the boundary, not outside
-    may_end = np.zeros(outside + 1, dtype=bool)
+    # which classes an arc may end at: not the boundary, not -1
+    may_end = np.zeros(len(parent), dtype=bool)
     np.logical_not(matching.boundary[d], out=may_end[:-1])
 
     def find(x):
@@ -464,11 +459,9 @@ def _cancel_facet_pairs(grad, matching) -> list:
         return top
 
     def traces(sigmas):
-        cells = rows.take(sigmas, axis=0)
-        cells[cells < 0] = outside
-        ends = find(cells)
+        ends = find(rows.take(sigmas, axis=0))
         once = (ends != ends[:, ::-1]) & may_end[ends]
-        reached = ends != outside
+        reached = ends >= 0
         return sigmas.repeat(2)[reached.ravel()], ends[reached], \
             once[reached]
 

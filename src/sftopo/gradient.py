@@ -42,13 +42,15 @@ V-paths (alternating face/pair sequences) are the discrete integral
 lines; cancelling a pair of critical simplices reverses the unique
 V-path between them.  The descending (0, 1) and ascending (d-1, d)
 walks are deterministic and share one shape, a pair ``(rows, via)``:
-a step from node ``x`` crosses row ``via[x]`` to its other entry.
-``_walks`` follows it from one root, ``_successors`` takes it for
-every node at once, and ``_lockstep_walks`` follows the walks out of
-many roots together, one gather per step.  Other descending walks
-branch; they read the triangulation's ``facet_ids``, each row sorted so
-that children come in ascending id order, so no walk queries the
-triangulation per simplex.
+a step from node ``x`` crosses row ``via[x]`` to its other entry,
+which is -1 where the walk leaves the domain; -1 is the one code for
+that end in every walk table.  ``_walks`` follows it from one root,
+``_successors`` takes it for every node at once, and
+``_lockstep_walks`` follows the walks out of many roots together, one
+gather per step.  Other descending walks branch; they read the
+triangulation's ``facet_ids``, each row sorted so that children come
+in ascending id order, so no walk queries the triangulation per
+simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion; no walk in the package recurses.  Acyclicity
@@ -348,18 +350,18 @@ def _walks(rows, via, root: int) -> list:
 
 
 def _successors(rows, via) -> np.ndarray:
-    """``_walks``' step for every node at once, over one extra slot
-    ``len(via)`` for -1: an end maps to itself.  ``rows`` has two
+    """``_walks``' step for every node at once: an end maps to itself,
+    and a step that leaves the domain to -1.  One extra last slot holds
+    -1, so -1 indexes it and maps to itself too.  ``rows`` has two
     columns.
 
     Rows are gathered with ``take``: on numpy 2.4, ``rows[i]`` on a 2D
     array is several times slower."""
-    n = len(via)
-    nxt = np.arange(n + 1, dtype=np.int64)
+    nxt = np.arange(len(via) + 1, dtype=np.int64)
+    nxt[-1] = -1
     x = (via >= 0).nonzero()[0]
     a, b = rows.take(via[x], axis=0).T
-    other = np.where(a == x, b, a)
-    nxt[x] = np.where(other < 0, n, other)
+    nxt[x] = np.where(a == x, b, a)
     return nxt
 
 
@@ -369,18 +371,17 @@ def _lockstep_walks(rows, via, roots) -> tuple:
     Walk ``i`` starts at an entry of ``rows[roots[owner[i]]]``, in root
     then row order.  Its nodes are ``body[bounds[i]:bounds[i + 1]]``
     followed by ``ends[i]``, -1 where it leaves the domain.  The ends
-    come from pointer doubling, which refuses a closed V-path with
-    ``ValueError``; the bodies then advance in lock-step, one gather
-    per round over the walks still going, and are placed by step.
+    come from pointer doubling over ``_successors``, which holds that -1
+    already and refuses a closed V-path with ``ValueError``; the bodies
+    then advance in lock-step, one gather per round over the walks
+    still going (a walk at -1 has stopped), and are placed by step.
     """
     nxt = _successors(rows, via)
-    n = len(via)
     entries = rows[np.asarray(roots, dtype=np.int64)]
     keep = entries >= 0                 # rows are padded at the end
     owner = np.nonzero(keep)[0]
     cur = entries[keep]
     ends = _pointer_jump(nxt)[cur]
-    ends[ends == n] = -1
     walk = np.arange(len(cur))
     walks, nodes = [], []
     while True:            # ends, since no walk closes into a cycle

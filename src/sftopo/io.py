@@ -256,10 +256,13 @@ def write_curve_csv(path: str, curve) -> None:
 
 
 def write_critical_points_csv(path: str, tri: Triangulation, cps) -> None:
+    """One row per critical point, its coordinates read from one
+    ``point_array`` gather."""
+    vertices = np.array([cp.vertex for cp in cps], dtype=np.int64)
+    points = tri.point_array().take(vertices, axis=0).tolist()
     with open(path, "w") as fh:
         fh.write("vertexId,x,y,z,index,multiplicity,value,isBoundary\n")
-        for cp in cps:
-            x, y, z = tri.vertex_point(cp.vertex)
+        for cp, (x, y, z) in zip(cps, points):
             fh.write("%d,%.17g,%.17g,%.17g,%d,%d,%.17g,%d\n" % (
                 cp.vertex, x, y, z, cp.index, cp.multiplicity, cp.value,
                 int(cp.boundary)))

@@ -32,9 +32,7 @@ from .order import _pointer_jump
 
 def _segmentation(grad, ascending):
     """The end of every node's walk, -1 where it leaves the domain."""
-    ends = _pointer_jump(_successors(*_walk_arrays(grad, ascending)))[:-1]
-    ends[ends == len(ends)] = -1
-    return ends
+    return _pointer_jump(_successors(*_walk_arrays(grad, ascending)))[:-1]
 
 
 def descending_segmentation(grad: DiscreteGradient) -> np.ndarray:

@@ -32,9 +32,10 @@ def _pointer_jump(ptr: np.ndarray) -> np.ndarray:
     """Map every index to the end of its pointer chain by doubling.
 
     ``ptr[i]`` is the next index after ``i``, and ``i`` itself at a
-    chain's end.  ``ptr = ptr[ptr]`` runs until nothing changes, or
-    ``len(ptr).bit_length() + 1`` times; a chain that closes into a
-    cycle then ends on no end, and raises ``ValueError``.
+    chain's end.  An end may also be -1 when the last slot holds -1,
+    since -1 indexes that slot.  ``ptr = ptr[ptr]`` runs until nothing
+    changes, or ``len(ptr).bit_length() + 1`` times; a chain that closes
+    into a cycle then ends on no end, and raises ``ValueError``.
     """
     step = ptr
     for _ in range(len(ptr).bit_length() + 1):

@@ -97,6 +97,14 @@ def tie_heavy_field(tri, rng):
                       rng.permutation(n))
 
 
+def shuffled_copy(grid, rng):
+    """An explicit copy of ``grid`` with its vertex ids permuted."""
+    perm = rng.permutation(grid.simplex_count(0))
+    points = np.empty_like(grid.point_array())
+    points[perm] = grid.point_array()
+    return ExplicitTriangulation(points, perm[grid.simplex_array(grid.dim)])
+
+
 def array_cases(sphere):
     """(triangulation, field) pairs: a random and a tie-heavy field on
     12x9 and 5x4x4 grids, each also on an explicit copy of its grid,

@@ -6,7 +6,8 @@ union-find sweeps, augmented merge trees by a union-find sweep over
 every vertex and neighbour, the contour tree by pruning one leaf at
 a time from a queue, persistent homology by full GF(2)
 boundary-matrix reduction, V-path acyclicity by explicit graph search,
-the first descending V-path by plain recursion,
+V-path counts and the first descending V-path by plain recursion over
+``tri.faces`` queries,
 Morse-Smale segmentations by walking every simplex's V-path,
 separatrices by one walk per critical simplex, the
 deterministic V-paths out of an edge or facet by co-face queries,
@@ -22,7 +23,8 @@ compliance by a full rescan and sort of every arc after each
 cancellation, alternating the saddle/maximum and saddle/saddle passes
 until neither cancels anything, and the separatrix OBJ bytes by a
 writer that formats the points of many separatrices in one `%` call
-and cuts the text back per object.
+and cuts the text back per object, and the critical-points CSV bytes
+by one ``vertex_point`` query per point.
 """
 
 import heapq
@@ -35,8 +37,7 @@ import numpy as np
 from sftopo import ContourTree, DiscreteGradient, DomainTopologyError, \
     MergeTree, PLCriticalPoint, SimplexRef, compliance, \
     extract_critical_points
-from sftopo.gradient import VPath, _descend_children, _vpath_counts, \
-    reverse_vpath
+from sftopo.gradient import VPath, _vpath_counts, reverse_vpath
 from sftopo.morse import Separatrix
 from sftopo.trees import _check_simply_connected
 
@@ -523,21 +524,68 @@ def reduction_vertex_pairs(tri, field, dim_birth):
 # --------------------------------------------------------------------------
 
 
+def _vpath_children(grad, dim, high):
+    """(low, next_high) continuations of a descending (dim, dim+1) walk
+    at ``high``: the dim-faces of ``high`` from one ``tri.faces`` query,
+    ids ascending as its contract gives them, other than the face
+    paired with ``high``, each followed by the simplex paired above it
+    (-1 for none)."""
+    paired = grad.pair_down[dim + 1][high]
+    up = grad.pair_up[dim]
+    return [(low, int(up[low]))
+            for low in grad.tri.faces(SimplexRef(dim + 1, high), dim)
+            if low != paired]
+
+
+def vpath_counts(grad, dim, upper):
+    """``{lower: n}``: the number ``n`` of distinct descending V-paths
+    from ``upper`` ((dim+1)-simplex) to each critical dim-simplex
+    ``lower`` they reach, by memoized recursion over
+    ``_vpath_children``, one frame per pair of the path, under a raised
+    recursion limit that is restored on return.  No guard against a
+    closed V-path."""
+    up, down = grad.pair_up[dim], grad.pair_down[dim]
+    memo = {}
+
+    def counts(high):
+        if high not in memo:
+            total = {}
+            for low, nxt in _vpath_children(grad, dim, high):
+                if nxt >= 0:
+                    reached = counts(nxt)
+                elif up[low] < 0 and down[low] < 0:
+                    reached = {low: 1}
+                else:
+                    reached = {}
+                for end, n in reached.items():
+                    total[end] = total.get(end, 0) + n
+            memo[high] = total
+        return memo[high]
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 100000))
+    try:
+        return counts(upper)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def count_vpaths(grad, dim, upper, lower):
     """Number of distinct descending V-paths from critical ``upper``
-    ((dim+1)-simplex) to critical ``lower`` (dim-simplex)."""
-    return _vpath_counts(grad, dim, upper, {lower}, {}).get(lower, 0)
+    ((dim+1)-simplex) to critical ``lower`` (dim-simplex), read from
+    ``vpath_counts``; the reference for ``gradient._vpath_counts``."""
+    return vpath_counts(grad, dim, upper).get(lower, 0)
 
 
 def extract_vpath(grad, dim, upper, lower):
-    """First descending V-path from ``upper`` to ``lower`` (DFS order),
-    by plain recursion, one frame per pair of the path, and with no
-    guard against a closed V-path; the reference for
-    ``gradient._first_vpath``.  Long paths need a raised recursion
-    limit."""
+    """First descending V-path from ``upper`` to ``lower`` (DFS order
+    over ``_vpath_children``), by plain recursion, one frame per pair
+    of the path, and with no guard against a closed V-path; the
+    reference for ``gradient._first_vpath``.  Long paths need a raised
+    recursion limit."""
 
     def dfs(high, acc):
-        for low, nxt in _descend_children(grad, dim, high):
+        for low, nxt in _vpath_children(grad, dim, high):
             if low == lower:
                 return acc
             if nxt >= 0:
@@ -989,6 +1037,11 @@ def rescan_connector_cancellation(grad, matching):
     whose ends the matching can release, reversing the depth-first path
     of the recursive ``extract_vpath`` above.  Same contract as
     ``sftopo.compliance._cancel_connector_pairs``.
+
+    This is the oracle of the cancellation order, so it counts with the
+    package's ``gradient._vpath_counts``, which ``count_vpaths`` checks
+    on its own: a per-simplex count in every round would multiply the
+    time of the longest rescan tests several times over.
     """
     tri = grad.tri
     cancelled = []
@@ -1076,3 +1129,15 @@ def write_separatrices_obj(path: str, separatrices) -> None:
         for a, b in zip(cuts[:-1], cuts[1:]):
             if a < b:
                 _write_obj_run(fh, seps[a:b], a, int(first[a]))
+
+
+def write_critical_points_csv(path: str, tri, cps) -> None:
+    """Critical points as CSV rows, each point's coordinates from its
+    own ``tri.vertex_point`` query."""
+    with open(path, "w") as fh:
+        fh.write("vertexId,x,y,z,index,multiplicity,value,isBoundary\n")
+        for cp in cps:
+            x, y, z = tri.vertex_point(cp.vertex)
+            fh.write("%d,%.17g,%.17g,%.17g,%d,%d,%.17g,%d\n" % (
+                cp.vertex, x, y, z, cp.index, cp.multiplicity, cp.value,
+                int(cp.boundary)))

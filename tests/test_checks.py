@@ -8,7 +8,8 @@ import numpy as np
 
 import pytest
 
-from conftest import midpoint_subdivide, octahedron_mesh, random_field
+from conftest import midpoint_subdivide, octahedron_mesh, random_field, \
+    shuffled_copy
 from oracles import uf_extremum_pairs
 from sftopo import (
     ExplicitTriangulation,
@@ -26,7 +27,6 @@ from sftopo.checks import (
     run_checks,
 )
 from sftopo.trees import CLASS_MIN_SADDLE, CLASS_SADDLE_MAX
-from test_gradient import shuffled_copy
 
 CONTOUR_CHECK = "contour tree is a tree whose arcs span their vertices"
 PAIRS_CHECK = "diagram extremum pairs match a union-find recomputation"

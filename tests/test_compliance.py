@@ -504,3 +504,46 @@ class TestArrayTraces:
         report = enforce_compliance(tri, f, g)
         assert report.cancelled == [] and roots > 1000
         assert calls == [roots]
+
+    def test_retraces_the_roots_whose_last_trace_reached_the_end(
+            self, monkeypatch, octahedron_sub2):
+        """After a cancellation, the one ``traces`` call takes exactly
+        the roots, still critical, whose last trace reached the
+        cancelled end: none whose older trace alone reached it."""
+        heap = compliance._cancel_by_heap
+        retraced = []
+
+        def spied(grad, matching, lo, root_dim, roots, traces, cancel):
+            last, cancelled = {}, []
+
+            def traced(roots):
+                if cancelled:
+                    end = cancelled.pop()
+                    assert roots.tolist() == sorted(
+                        r for r, ends in last.items() if end in ends
+                        and grad.is_critical(root_dim, r))
+                    retraced.append(len(roots))
+                root, end, once = traces(roots)
+                last.update((r, set()) for r in roots.tolist())
+                for r, e in zip(root.tolist(), end.tolist()):
+                    last[r].add(e)
+                return root, end, once
+
+            def cancelling(root, end):
+                cancel(root, end)
+                cancelled[:] = [end]
+
+            return heap(grad, matching, lo, root_dim, roots, traced,
+                        cancelling)
+
+        monkeypatch.setattr(compliance, "_cancel_by_heap", spied)
+        rng = np.random.default_rng(28)
+        cases = list(array_cases(octahedron_sub2))
+        for dims in ((16, 16), (6, 6, 6)):
+            tri = ImplicitGridTriangulation(dims)
+            cases += [(tri, make(tri, rng))
+                      for make in (random_field, tie_heavy_field)]
+        for tri, f in cases:
+            enforce_compliance(tri, f, oracles.steepest_gradient(tri, f))
+        # 724 retraces of 1,630 roots in all
+        assert len(retraced) > 500 and sum(retraced) > 1000

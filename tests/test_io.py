@@ -5,12 +5,13 @@ import pytest
 
 import oracles
 from conftest import F0_VALUES, midpoint_subdivide, octahedron_mesh, \
-    preconditioned, random_field, tie_heavy_field
+    preconditioned, random_field, shuffled_copy, tie_heavy_field
 from sftopo import DataError, DatasetSpec, ExplicitTriangulation, \
     ImplicitGridTriangulation, build_gradient, enforce_compliance, \
-    extract_separatrices, load, read_field, read_off, \
-    read_offsets
-from sftopo.io import write_field, write_offsets, write_separatrices_obj
+    extract_critical_points, extract_separatrices, load, read_field, \
+    read_off, read_offsets
+from sftopo.io import write_critical_points_csv, write_field, \
+    write_offsets, write_separatrices_obj
 
 OCTA_OFF = """OFF
 6 8 12
@@ -238,4 +239,37 @@ class TestSeparatricesObj:
         got, want = tmp_path / "got.obj", tmp_path / "want.obj"
         write_separatrices_obj(str(got), iter(seps))
         oracles.write_separatrices_obj(str(want), seps)
+        assert got.read_bytes() == want.read_bytes()
+
+
+class TestCriticalPointsCsv:
+    @pytest.mark.parametrize("domain,make", [
+        ((9, 7), random_field),
+        ((48, 48), tie_heavy_field),
+        ((6, 5, 4), random_field),
+        ("shuffled 12x12x12", random_field),
+        ("sphere", random_field),
+        ("empty", None),
+    ], ids=["9x7", "48x48-ties", "6x5x4", "shuffled-12x12x12", "sphere",
+            "empty"])
+    def test_bytes_match_per_point_writer(self, tmp_path, domain, make):
+        """One ``point_array`` gather writes the bytes of the oracle's
+        ``vertex_point`` query per point; the shuffled mesh's vertex ids
+        are not in grid order, and the sphere's coordinates are not
+        whole numbers."""
+        tri, cps = ImplicitGridTriangulation((2, 2)), []
+        if domain == "sphere":
+            tri = level3_sphere()
+        elif domain == "shuffled 12x12x12":
+            tri = shuffled_copy(ImplicitGridTriangulation((12, 12, 12)),
+                                np.random.default_rng(3))
+        elif domain != "empty":
+            tri = ImplicitGridTriangulation(domain)
+        if make is not None:
+            cps = extract_critical_points(
+                tri, make(tri, np.random.default_rng(7)))
+            assert len(cps) > 5
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_critical_points_csv(str(got), tri, cps)
+        oracles.write_critical_points_csv(str(want), tri, cps)
         assert got.read_bytes() == want.read_bytes()

@@ -5,11 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import preconditioned, random_field, tie_heavy_field, \
-    two_bump_field
+from conftest import preconditioned, random_field, shuffled_copy, \
+    tie_heavy_field, two_bump_field
 from oracles import walk_segmentations, walk_separatrices
 from test_compliance import array_cases
-from test_gradient import closed_vpath, edge_id, ring, shuffled_copy
+from test_gradient import closed_vpath, edge_id, ring
 from sftopo import (
     ExplicitTriangulation,
     ImplicitGridTriangulation,
@@ -20,6 +20,8 @@ from sftopo import (
     descending_segmentation,
     extract_separatrices,
 )
+from sftopo.gradient import _successors, _walk_arrays
+from sftopo.order import _pointer_jump
 
 
 def compliant(tri, f):
@@ -61,6 +63,35 @@ def assert_segmentations_match_walks(tri, f):
         assert np.array_equal(descending_segmentation(g), desc)
         assert np.array_equal(ascending_segmentation(g), asc)
     return asc
+
+
+class TestWalksThatLeaveTheDomain:
+    """-1 is the one code for a walk that leaves the domain: the walk
+    table's extra last slot holds it, pointer doubling ends exactly the
+    walks that leave at it, and no segmentation label is the extra
+    slot's index ``len(via)``."""
+
+    @pytest.mark.parametrize("dims", [(12, 9), (5, 4, 4)])
+    def test_grids_and_shuffled_explicit_copies(self, dims):
+        grid = ImplicitGridTriangulation(dims)
+        rng = np.random.default_rng(list(dims))
+        for tri in (grid, shuffled_copy(grid, rng)):
+            for make in (random_field, tie_heavy_field):
+                f = make(tri, rng)
+                for g in (build_gradient(tri, f), compliant(tri, f)):
+                    left = walk_segmentations(tri, g)[1] == -1
+                    assert left.any()
+                    for ascending, labels in (
+                            (False, descending_segmentation(g)),
+                            (True, ascending_segmentation(g))):
+                        rows, via = _walk_arrays(g, ascending)
+                        nxt = _successors(rows, via)
+                        assert nxt[-1] == -1
+                        ends = _pointer_jump(nxt)
+                        assert np.array_equal(
+                            ends[:-1] == -1, left if ascending
+                            else np.zeros(len(via), dtype=bool))
+                        assert not (labels == len(via)).any()
 
 
 class TestSegmentationMatchesWalks:

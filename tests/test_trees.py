@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import midpoint_subdivide, octahedron_mesh, random_field, \
-    tie_heavy_field, torus_mesh, preconditioned
+    shuffled_copy, tie_heavy_field, torus_mesh, preconditioned
 from oracles import level_set_components, prune_contour_tree, \
     reduction_vertex_pairs, sweep_merge_tree, uf_extremum_pairs
-from test_gradient import shuffled_copy
 from test_triangulation import non_manifold_fan
 from sftopo import (
     CLASS_ESSENTIAL,
