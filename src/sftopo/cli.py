@@ -11,6 +11,12 @@ One subcommand per pipeline stage plus an invariant checker::
     sftopo simplify --threshold 3 ... -o simplified.txt
     sftopo check ...
 
+Each subcommand is one entry of ``_COMMANDS``: its help text and its
+run function.  ``main`` parses the arguments, refuses a usage error
+before any file is read, loads the dataset once and calls
+``run(args, tri, field)``, which returns an exit code, or None for
+success.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 invariant
 failure, 4 internal error (a fault in sftopo itself, reported as one
 line on stderr).  Log verbosity via the SFTOPO_LOG environment
@@ -96,17 +102,7 @@ def _build_parser():
     parser = _Parser(prog="sftopo",
                      description="topological analysis of PL scalar fields")
     subs = parser.add_subparsers(dest="command", metavar="subcommand")
-    specs = [
-        ("info", "print dataset summary"),
-        ("critical-points", "classify vertices, write CSV"),
-        ("persistence-diagram", "write the persistence diagram CSV"),
-        ("persistence-curve", "write the persistence curve CSV"),
-        ("contour-tree", "write the contour tree arcs CSV"),
-        ("morse-smale", "write separatrices (OBJ) and segmentations"),
-        ("simplify", "remove low-persistence pairs, write new field"),
-        ("check", "run the cross-module invariant suite"),
-    ]
-    for name, help_text in specs:
+    for name, (help_text, _) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         _add_dataset_args(sub)
         if name not in ("info", "check"):
@@ -139,8 +135,7 @@ def _diagram(tri, field):
     return build_diagram(tri, field, grad)
 
 
-def _cmd_info(args):
-    tri, field = _load(args)
+def _cmd_info(args, tri, field):
     names = ["vertices", "edges", "triangles", "tetrahedra"]
     print(f"dimension: {tri.dim}")
     for k in range(tri.dim + 1):
@@ -148,40 +143,29 @@ def _cmd_info(args):
     print(f"boundary facets: {tri.boundary_facets().sum()}")
     print(f"field range: [{field.values.min():.17g}, "
           f"{field.values.max():.17g}]")
-    return EXIT_OK
 
 
-def _cmd_critical_points(args):
-    tri, field = _load(args)
-    cps = extract_critical_points(tri, field)
-    sfio.write_critical_points_csv(args.output, tri, cps)
-    return EXIT_OK
+def _cmd_critical_points(args, tri, field):
+    sfio.write_critical_points_csv(args.output, tri,
+                                   extract_critical_points(tri, field))
 
 
-def _cmd_persistence_diagram(args):
-    tri, field = _load(args)
+def _cmd_persistence_diagram(args, tri, field):
     sfio.write_diagram_csv(args.output, _diagram(tri, field))
-    return EXIT_OK
 
 
-def _cmd_persistence_curve(args):
-    tri, field = _load(args)
-    curve = persistence_curve(_diagram(tri, field))
-    sfio.write_curve_csv(args.output, curve)
-    return EXIT_OK
+def _cmd_persistence_curve(args, tri, field):
+    sfio.write_curve_csv(args.output, persistence_curve(_diagram(tri, field)))
 
 
-def _cmd_contour_tree(args):
-    tri, field = _load(args)
+def _cmd_contour_tree(args, tri, field):
     join = build_merge_tree(tri, field, "join")
     split = build_merge_tree(tri, field, "split")
-    tree = combine_contour_tree(join, split)
-    sfio.write_contour_tree_csv(args.output, tree, field)
-    return EXIT_OK
+    sfio.write_contour_tree_csv(args.output, combine_contour_tree(join, split),
+                                field)
 
 
-def _cmd_morse_smale(args):
-    tri, field = _load(args)
+def _cmd_morse_smale(args, tri, field):
     grad = build_gradient(tri, field)
     enforce_compliance(tri, field, grad)
     sfio.write_separatrices_obj(args.output, extract_separatrices(grad))
@@ -189,23 +173,16 @@ def _cmd_morse_smale(args):
                       descending_segmentation(grad))
     sfio.write_labels(args.output + ".asc.labels",
                       ascending_segmentation(grad))
-    return EXIT_OK
 
 
-def _cmd_simplify(args):
-    if math.isnan(args.threshold):
-        raise _UsageError("--threshold must be a number, got nan")
-    tri, field = _load(args)
-    req = select_by_persistence(_diagram(tri, field),
-                                args.threshold)
+def _cmd_simplify(args, tri, field):
+    req = select_by_persistence(_diagram(tri, field), args.threshold)
     out = simplify_field(tri, field, req)
     sfio.write_field(args.output, out.values, args.format)
     sfio.write_offsets(args.output + ".offsets", out.offsets)
-    return EXIT_OK
 
 
-def _cmd_check(args):
-    tri, field = _load(args)
+def _cmd_check(args, tri, field):
     results = run_checks(tri, field)
     failed = 0
     for r in results:
@@ -214,18 +191,23 @@ def _cmd_check(args):
         print(f"[{status}] {r.name}{suffix}")
         failed += not r.ok
     print(f"{len(results) - failed}/{len(results)} invariants hold")
-    return EXIT_OK if failed == 0 else EXIT_INVARIANT
+    return EXIT_INVARIANT if failed else None
 
 
+# subcommand -> (help text, run(args, tri, field))
 _COMMANDS = {
-    "info": _cmd_info,
-    "critical-points": _cmd_critical_points,
-    "persistence-diagram": _cmd_persistence_diagram,
-    "persistence-curve": _cmd_persistence_curve,
-    "contour-tree": _cmd_contour_tree,
-    "morse-smale": _cmd_morse_smale,
-    "simplify": _cmd_simplify,
-    "check": _cmd_check,
+    "info": ("print dataset summary", _cmd_info),
+    "critical-points": ("classify vertices, write CSV", _cmd_critical_points),
+    "persistence-diagram": ("write the persistence diagram CSV",
+                            _cmd_persistence_diagram),
+    "persistence-curve": ("write the persistence curve CSV",
+                          _cmd_persistence_curve),
+    "contour-tree": ("write the contour tree arcs CSV", _cmd_contour_tree),
+    "morse-smale": ("write separatrices (OBJ) and segmentations",
+                    _cmd_morse_smale),
+    "simplify": ("remove low-persistence pairs, write new field",
+                 _cmd_simplify),
+    "check": ("run the cross-module invariant suite", _cmd_check),
 }
 
 
@@ -244,7 +226,10 @@ def main(argv=None) -> int:
             raise _UsageError("a subcommand is required")
         if args.threads is not None and args.threads < 1:
             raise _UsageError("--threads must be >= 1")
-        return _COMMANDS[args.command](args)
+        if math.isnan(getattr(args, "threshold", 0.0)):
+            raise _UsageError("--threshold must be a number, got nan")
+        run = _COMMANDS[args.command][1]
+        return run(args, *_load(args)) or EXIT_OK
     except _UsageError as exc:
         print(f"sftopo: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

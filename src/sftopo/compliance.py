@@ -132,13 +132,13 @@ from .gradient import (
     VPath,
     _critical_by_key,
     _first_vpath,
-    _successors,
     _vpath_counts,
     _walk_arrays,
+    _walk_ends,
     _walks,
     reverse_vpath,
 )
-from .order import OrderField, _pointer_jump
+from .order import OrderField
 from .triangulation import Triangulation
 
 
@@ -442,7 +442,7 @@ def _cancel_facet_pairs(grad, matching) -> list:
     rows, via = _walk_arrays(grad, True)
     # the ascending segmentation over the extra last slot, -1, where
     # the walks that leave the domain end
-    parent = _pointer_jump(_successors(rows, via))
+    parent = _walk_ends(grad, True)
     # which classes an arc may end at: not the boundary, not -1
     may_end = np.zeros(len(parent), dtype=bool)
     np.logical_not(matching.boundary[d], out=may_end[:-1])

@@ -102,7 +102,8 @@ def link_components(tri: Triangulation, field: OrderField):
     docstring): ``lower[h]`` says whether ``h`` lies in its vertex's
     lower link.  ``roots`` holds the smallest half-edge of each link
     component, ascending.  Both are read-only; built once per field and
-    triangulation, and kept in the field's store.
+    triangulation, and kept in the field's store, which refuses a field
+    of the wrong length.
     """
     ranks = field.ranks
     ends = tri.simplex_array(1)
@@ -132,10 +133,9 @@ def extract_critical_points(tri: Triangulation, field: OrderField):
     lower link), lower-link saddles, maxima (empty upper link) and
     upper-link saddles.  In 2D a vertex whose lower and upper links are
     both split is one saddle, which the lower-link row reports.  Built
-    once per field and triangulation, kept in the field's store; each
-    call returns a fresh list."""
-    if len(field) != tri.simplex_count(0):
-        raise ValueError("field length does not match vertex count")
+    once per field and triangulation, kept in the field's store, which
+    refuses a field of the wrong length; each call returns a fresh
+    list."""
     n_lower, n_upper = _link_counts(tri, field)
     d, ones = tri.dim, np.ones_like(n_lower)
     rules = (

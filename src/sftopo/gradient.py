@@ -45,7 +45,8 @@ walks are deterministic and share one shape, a pair ``(rows, via)``:
 a step from node ``x`` crosses row ``via[x]`` to its other entry,
 which is -1 where the walk leaves the domain; -1 is the one code for
 that end in every walk table.  ``_walks`` follows it from one root,
-``_successors`` takes it for every node at once, and
+``_successors`` takes it for every node at once, ``_walk_ends``
+doubles that step into the one table of every node's end, and
 ``_lockstep_walks`` follows the walks out of many roots together, one
 gather per step.  Other descending walks branch; they read the
 triangulation's ``facet_ids``, each row sorted so that children come
@@ -55,13 +56,12 @@ Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion; no walk in the package recurses.  Acyclicity
 is checked on the same arrays.  The (0, 1) and (d-1, d) V-path digraphs
-are the two deterministic walks, so pointer doubling over
-``_successors`` finds a closed V-path in either, as it does for the
-segmentations.  Only the 3D (1, 2) digraph, which branches, and a
-(d-1, d) digraph on a facet with three or more co-facets, where the
-ascending walk has no single next step, are peeled from their sources;
-the ascending walk itself refuses such a facet with
-``DomainTopologyError``.
+are the two deterministic walks, so ``_walk_ends`` finds a closed
+V-path in either, as it does for the segmentations.  Only the 3D
+(1, 2) digraph, which branches, and a (d-1, d) digraph on a facet with
+three or more co-facets, where the ascending walk has no single next
+step, are peeled from their sources; the ascending walk itself
+refuses such a facet with ``DomainTopologyError``.
 """
 
 from __future__ import annotations
@@ -226,11 +226,9 @@ def _lower_star_gradient(tri: Triangulation,
     on every lower star at once (see the module docstring).
 
     Built once per field and triangulation and kept in the field's
-    store, with every array read-only; ``build_gradient`` hands out
-    editable copies.
+    store, which refuses a field of the wrong length, with every array
+    read-only; ``build_gradient`` hands out editable copies.
     """
-    if len(field) != tri.simplex_count(0):
-        raise ValueError("field length does not match vertex count")
     grad = DiscreteGradient(tri, field)
     base, order, owner, faces = _lower_star_slots(grad)
     d, n_slots = tri.dim, len(order)
@@ -365,6 +363,14 @@ def _successors(rows, via) -> np.ndarray:
     return nxt
 
 
+def _walk_ends(grad: DiscreteGradient, ascending: bool) -> np.ndarray:
+    """The end of every node's walk, as ``_walk_arrays`` gives the walk,
+    -1 where it leaves the domain, plus the extra last slot, which holds
+    -1: pointer doubling over ``_successors``, which raises
+    ``ValueError`` on a closed V-path."""
+    return _pointer_jump(_successors(*_walk_arrays(grad, ascending)))
+
+
 def _lockstep_walks(rows, via, roots) -> tuple:
     """``_walks`` out of every root at once: ``(owner, ends, bounds, body)``.
 
@@ -490,18 +496,18 @@ def gradient_is_acyclic(grad: DiscreteGradient) -> bool:
     ``pair_down[k+1][h]``.  For k = 0 each node has at most one
     successor, and the digraph is the descending (0, 1) walk; for
     k = d-1, when no facet has more than two co-facets, its reverse is
-    the ascending (d-1, d) walk.  Pointer doubling over the walk's
-    ``_successors`` refuses a closed V-path.  Any other digraph, the
-    3D (1, 2) one or a (d-1, d) one with a fan of three or more
-    co-facets, is peeled by Kahn's algorithm, one frontier of
-    in-degree-0 nodes at a time (in any column order of the facets);
-    it is acyclic iff every node is peeled.
+    the ascending (d-1, d) walk.  The walk's end table, ``_walk_ends``,
+    refuses a closed V-path.  Any other digraph, the 3D (1, 2) one or a
+    (d-1, d) one with a fan of three or more co-facets, is peeled by
+    Kahn's algorithm, one frontier of in-degree-0 nodes at a time (in
+    any column order of the facets); it is acyclic iff every node is
+    peeled.
     """
     d = grad.tri.dim
     for k in range(d):
         if k == 0 or (k == d - 1 and grad.tri.cofacet_ids(k).shape[1] == 2):
             try:
-                _pointer_jump(_successors(*_walk_arrays(grad, k > 0)))
+                _walk_ends(grad, k > 0)
             except ValueError:
                 return False
             continue

@@ -3,8 +3,8 @@
 The descending segmentation labels every vertex with the minimum its
 gradient path reaches; the ascending segmentation labels every d-cell
 with the maximum its inverse path reaches (cells whose walk drains
-through the boundary get label -1).  Both are pointer doubling over the
-gradient module's ``_successors`` step.  Separatrices are emitted as
+through the boundary get label -1).  Both are the gradient module's
+walk-end table, ``_walk_ends``.  Separatrices are emitted as
 barycentric polylines: minimum/saddle and saddle/maximum curves follow
 the walks out of every critical edge and facet, taken for all roots at
 once by ``_lockstep_walks``, and (3D) saddle/saddle connectors the
@@ -23,16 +23,15 @@ from .gradient import (
     DiscreteGradient,
     _first_vpath,
     _lockstep_walks,
-    _successors,
     _vpath_counts,
     _walk_arrays,
+    _walk_ends,
 )
-from .order import _pointer_jump
 
 
 def _segmentation(grad, ascending):
     """The end of every node's walk, -1 where it leaves the domain."""
-    return _pointer_jump(_successors(*_walk_arrays(grad, ascending)))[:-1]
+    return _walk_ends(grad, ascending)[:-1]
 
 
 def descending_segmentation(grad: DiscreteGradient) -> np.ndarray:

@@ -61,9 +61,11 @@ def stored(build):
     """Make ``build(tri, field, *args)`` a structure kept in the field's
     store; the field-side twin of ``triangulation.base.stored``.
 
-    The first call with given arguments builds the result and marks an
-    array (or a tuple of arrays) read-only; a builder that returns
-    another object marks its arrays itself.  Every later call returns the
+    The first call with given arguments checks that the field has one
+    value per vertex of ``tri`` (``ValueError`` if not), which no
+    builder checks again, then builds the result and marks an array (or
+    a tuple of arrays) read-only; a builder that returns another object
+    marks its arrays itself.  Every later call returns the
     same object, or a fresh copy of a list, so that no caller edits what
     the store holds.  The key holds the triangulation object itself: one
     field on a grid and on its explicit copy has one entry for each.
@@ -77,6 +79,8 @@ def stored(build):
         key = (name, tri, *args)
         got = field._store.get(key)
         if got is None:
+            if len(field) != tri.simplex_count(0):
+                raise ValueError("field length does not match vertex count")
             got = query.__wrapped__(tri, field, *args)
             for arr in got if isinstance(got, tuple) else (got,):
                 if isinstance(arr, np.ndarray):

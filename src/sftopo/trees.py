@@ -47,6 +47,7 @@ import logging
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -136,7 +137,8 @@ def build_merge_tree(
     """The join or split tree, from steepest-descent regions.
 
     Built once per field, triangulation and variant, and kept in the
-    field's store; later calls return the same tree.
+    field's store, which refuses a field of the wrong length; later
+    calls return the same tree.
 
     The join tree's leaves are the minima; the split tree is the same
     construction on the reversed order, with leaves at the maxima.
@@ -165,8 +167,6 @@ def build_merge_tree(
     """
     if variant not in ("join", "split"):
         raise ValueError("variant must be 'join' or 'split'")
-    if len(field) != tri.simplex_count(0):
-        raise ValueError("field length does not match vertex count")
     n = len(field)
     join = variant == "join"
     if join:
@@ -611,37 +611,27 @@ def build_diagram(
     for the (1,2) pairs too.  They are read from the field's stored
     lower-star gradient, never from ``grad``'s own pairing, which
     compliance may have cancelled; without ``grad`` the diagram is
-    emitted with ``missing_saddle_pairs`` set.
+    emitted with ``missing_saddle_pairs`` set.  Every class gives
+    (birth vertex, death vertex, class) rows, which become pairs in one
+    place, sorted by class, birth value and birth vertex.
     """
-    join = build_merge_tree(tri, field, "join")
-    split = build_merge_tree(tri, field, "split")
+    join = persistence_pairs_extrema(build_merge_tree(tri, field, "join"))
+    split = persistence_pairs_extrema(build_merge_tree(tri, field, "split"))
+    saddles = (_saddle_saddle_pairs(_lower_star_gradient(tri, field))
+               if tri.dim == 3 and grad is not None else [])
+    # rows are generated, not listed: a list of a tuple per pair slows
+    # a large diagram, mostly in garbage collection
+    rows = chain(((b, d, CLASS_MIN_SADDLE) for b, d in join),
+                 ((b, d, CLASS_SADDLE_MAX) for d, b in split),
+                 [(int(field.order[0]), int(field.order[-1]),
+                   CLASS_ESSENTIAL)],
+                 # a diagonal point, of zero persistence, is left out
+                 ((b, d, CLASS_SADDLE_SADDLE) for b, d in saddles if b != d))
     values = field.values
-    pairs = []
-    for b, d in persistence_pairs_extrema(join):
-        pairs.append(PersistencePair(b, d, float(values[b]),
-                                     float(values[d]), CLASS_MIN_SADDLE))
-    for d, b in persistence_pairs_extrema(split):
-        pairs.append(PersistencePair(b, d, float(values[b]),
-                                     float(values[d]), CLASS_SADDLE_MAX))
-    gmin = int(field.order[0])
-    gmax = int(field.order[-1])
-    pairs.append(PersistencePair(gmin, gmax, float(values[gmin]),
-                                 float(values[gmax]), CLASS_ESSENTIAL))
-    diagram = PersistenceDiagram([], tri.dim)
-    if tri.dim == 3:
-        if grad is None:
-            diagram.missing_saddle_pairs = True
-        else:
-            for b, d in _saddle_saddle_pairs(
-                    _lower_star_gradient(tri, field)):
-                if b == d:
-                    continue        # diagonal point, zero persistence
-                pairs.append(PersistencePair(
-                    b, d, float(values[b]), float(values[d]),
-                    CLASS_SADDLE_SADDLE))
+    pairs = [PersistencePair(b, d, float(values[b]), float(values[d]), cls)
+             for b, d, cls in rows]
     pairs.sort(key=lambda p: (p.cls, p.birth_value, p.birth_vertex))
-    diagram.pairs = pairs
-    return diagram
+    return PersistenceDiagram(pairs, tri.dim, tri.dim == 3 and grad is None)
 
 
 def persistence_curve(diagram: PersistenceDiagram) -> list:

@@ -18,7 +18,8 @@ grid edge classes by decoding edge ids, the steepest co-face gradient
 by a per-simplex co-face scan and by an array kernel (the gradient the
 heavy-cancellation compliance tests start from), the lower-star
 gradient by a per-vertex ProcessLowerStars with two heaps, the
-compliance matching's candidates by per-vertex star queries, and
+compliance matching's candidates by per-vertex star queries, its size
+by Kuhn's search over those stars, and
 compliance by a full rescan and sort of every arc after each
 cancellation, alternating the saddle/maximum and saddle/saddle passes
 until neither cancels anything, and the separatrix OBJ bytes by a
@@ -959,6 +960,35 @@ def star_simplices(tri, field, v, dim):
     star = [v] if dim == 0 else tri.cofaces(SimplexRef(0, v), dim)
     return sorted(star, reverse=True, key=lambda s: simplex_key(
         field, tri.simplex_vertices(SimplexRef(dim, s))))
+
+
+def max_star_matching(tri, grad, critical_points):
+    """Size of a maximum matching of the interior critical points, one
+    slot per unit of multiplicity, to the critical simplices of their
+    index in their vertex's star, from ``tri.cofaces``: Kuhn's
+    augmenting-path search from every slot in turn, by recursion over
+    plain dicts; the reference for the count of
+    ``compliance._Matching``."""
+    stars = []
+    for cp in critical_points:
+        if cp.boundary:
+            continue
+        k, v = cp.index, cp.vertex
+        star = [v] if k == 0 else tri.cofaces(SimplexRef(0, v), k)
+        stars += [[(k, s) for s in star if grad.is_critical(k, s)]] \
+            * cp.multiplicity
+    holder = {}
+
+    def augment(i, seen):
+        for key in stars[i]:
+            if key not in seen:
+                seen.add(key)
+                if key not in holder or augment(holder[key], seen):
+                    holder[key] = i
+                    return True
+        return False
+
+    return sum(augment(i, set()) for i in range(len(stars)))
 
 
 # --------------------------------------------------------------------------

@@ -193,6 +193,42 @@ class TestExitCodes:
         assert main(["info"] + f0_args(f0_file)) == 0
 
 
+SUBCOMMANDS = ["info", "critical-points", "persistence-diagram",
+               "persistence-curve", "contour-tree", "morse-smale",
+               "simplify", "check"]
+
+
+class TestUsage:
+    """Usage errors exit 1 with one ``sftopo: error:`` line; ``--help``
+    exits 0."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["info", "--grid", "4"], "--grid expects WxH or WxHxD, got '4'"),
+        (["info", "--grid", "1x4"], "--grid dims must all be >= 2"),
+        (["info"], "one of --mesh / --grid is required"),
+        (["info", "--grid", "3x3", "--threads", "0"],
+         "--threads must be >= 1"),
+        (["simplify", "--grid", "3x3", "-o", "out", "--threshold", "abc"],
+         "argument --threshold: invalid float value: 'abc'"),
+        (["simplify", "--grid", "3x3", "-o", "out", "--threshold", "nan"],
+         "--threshold must be a number, got nan"),
+    ])
+    def test_usage_error(self, tmp_path, capsys, args, message):
+        """The values path does not exist: each refusal comes before
+        any file is read."""
+        values = ["--values", str(tmp_path / "none.txt")]
+        assert main(args + values) == 1
+        got = capsys.readouterr()
+        assert got.err == f"sftopo: error: {message}\n"
+        assert got.out == ""
+
+    @pytest.mark.parametrize("args", [[]] + [[sub] for sub in SUBCOMMANDS])
+    def test_help(self, capsys, args):
+        assert main(args + ["--help"]) == 0
+        got = capsys.readouterr()
+        assert got.out.startswith("usage: sftopo") and got.err == ""
+
+
 F0_INFO = """dimension: 2
 vertices: 9
 edges: 16

@@ -21,6 +21,7 @@ from sftopo import (
     extract_critical_points,
     gradient_is_acyclic,
     match_critical_simplices,
+    reverse_vpath,
 )
 
 
@@ -50,6 +51,41 @@ class TestMatching:
                 if not cp.boundary:
                     assert star_has_critical(tri, g, cp)
 
+    def test_augmenting_pass_on_rerouted_gradients(self, monkeypatch):
+        """When the owner pass leaves slots over, the augmenting pass at
+        construction runs and the matching is as large as a maximum one:
+        each matched simplex is critical, of its point's index and in its
+        point's star, and the failures are the points with no copy
+        matched."""
+        searches = []
+        augment = compliance._Matching._augment
+
+        def spy(self, i, banned, seen=None):
+            searches.append(seen is None)
+            return augment(self, i, banned, seen)
+
+        monkeypatch.setattr(compliance._Matching, "_augment", spy)
+        cases = 0
+        for dims, seed in (((9, 8), 0), ((6, 6, 6), 0), ((5, 5, 5), 1)):
+            tri = ImplicitGridTriangulation(dims)
+            f = random_field(tri, np.random.default_rng(seed))
+            cps = extract_critical_points(tri, f)
+            for g in rerouted_gradients(tri, f):
+                searches.clear()
+                report = match_critical_simplices(tri, f, g, cps)
+                assert any(searches)
+                assert sum(map(len, report.matched.values())) \
+                    == oracles.max_star_matching(tri, g, cps)
+                for (v, k), sids in report.matched.items():
+                    for s in sids:
+                        assert g.is_critical(k, s)
+                        assert v in tri.simplex_vertices(SimplexRef(k, s))
+                assert report.match_failures == [
+                    cp for cp in cps if not cp.boundary
+                    and not report.matched[(cp.vertex, cp.index)]]
+                cases += 1
+        assert cases == 12
+
     def test_multiplicity_claims_several_simplices(self, octahedron_sub2):
         rng = np.random.default_rng(13)
         for _ in range(5):
@@ -60,6 +96,30 @@ class TestMatching:
                 got = report.matched.get((cp.vertex, cp.index))
                 if got is not None:
                     assert len(got) == cp.multiplicity
+
+
+def rerouted_gradients(tri, f, count=4):
+    """Lower-star gradients of ``f`` with one V-path reversed, for up to
+    ``count`` interior 1-saddles: the first V-path from a critical
+    triangle that is the only one to the first critical edge the saddle
+    owns, so that the saddle loses the edge the owner pass gives it and
+    its slot goes to the augmenting pass."""
+    base = build_gradient(tri, f)
+    out = []
+    for cp in extract_critical_points(tri, f):
+        if cp.boundary or cp.index != 1 or len(out) == count:
+            continue
+        owned = [e for e in base.critical_ids(1) if oracles.top_vertex(
+            f, tri.simplex_vertices(SimplexRef(1, e))) == cp.vertex]
+        if not owned:
+            continue
+        for t in base.critical_ids(2):
+            if oracles.count_vpaths(base, 1, t, owned[0]) == 1:
+                g = build_gradient(tri, f)
+                reverse_vpath(g, oracles.extract_vpath(g, 1, t, owned[0]))
+                out.append(g)
+                break
+    return out
 
 
 class TestEnforcement:

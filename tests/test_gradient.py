@@ -120,6 +120,28 @@ class TestArrayKernel:
         g.pair_down[1][e] = v
         assert not pairing_is_valid(g)
 
+    @pytest.mark.parametrize("edit", ["paired twice", "top paired up",
+                                      "up not back", "down not back"])
+    def test_each_broken_pair_is_invalid(self, octahedron, edit):
+        """On the two-minima octahedron (a critical edge and a critical
+        triangle): a simplex paired both up and down, a triangle with a
+        ``pair_up``, a ``pair_up`` whose ``pair_down`` points at another
+        simplex, and a ``pair_down`` whose ``pair_up`` does."""
+        g = build_gradient(octahedron, OrderField(TWO_MINIMA))
+        assert pairing_is_valid(g)
+        (v, w), (c,), (t,) = (np.flatnonzero(g.pair_up[0] >= 0)[:2],
+                              g.critical_ids(1), g.critical_ids(2))
+        e = g.pair_up[0][v]
+        if edit == "paired twice":
+            g.pair_up[1][e] = t
+        elif edit == "top paired up":
+            g.pair_up[2][t] = 0
+        elif edit == "up not back":
+            g.pair_up[0][v] = g.pair_up[0][w]
+        else:
+            g.pair_down[1][c] = v
+        assert not pairing_is_valid(g)
+
 
 def critical_simplices(grad):
     """dim -> ascending list of critical simplex ids."""

@@ -1,5 +1,7 @@
 """File parsing, serialization, and dataset loading."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sftopo import DataError, DatasetSpec, ExplicitTriangulation, \
     ImplicitGridTriangulation, build_gradient, enforce_compliance, \
     extract_critical_points, extract_separatrices, load, read_field, \
     read_off, read_offsets
+from sftopo.cli import main
 from sftopo.io import write_critical_points_csv, write_field, \
     write_offsets, write_separatrices_obj
 
@@ -201,6 +204,58 @@ class TestLoad:
         vals = self.write_values(tmp_path, F0_VALUES)
         with pytest.raises(DataError):
             load(DatasetSpec(values=vals))
+
+
+TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
+
+
+class TestRefusals:
+    """Each refusal of a malformed file or a bad argument, by its text."""
+
+    @pytest.mark.parametrize("off,offsets,needle", [
+        ("OFF\n", None, "line 1: missing element counts"),
+        ("OFF\n3 1\n", None,
+         "line 2: expected 'nVertices nFaces nEdges', got '3 1'"),
+        ("OFF\n3 1 0\n0 0 0\n", None,
+         "unexpected end of file in vertex list"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n", None,
+         "line 4: bad coordinate"),
+        ("OFF\n3 1 0\n" + TRIANGLE, None,
+         "unexpected end of file in face list"),
+        ("OFF\n3 1 0\n" + TRIANGLE + "3 0 1 x\n", None,
+         "line 6: bad face index"),
+        ("OFF\n5 1 0\n" + TRIANGLE + "1 1 0\n0 0 1\n5 0 1 2 3 4\n", None,
+         "line 8: only triangle/tetrahedron cells are supported "
+         "(got 5 vertices)"),
+        ("OFF\n0 0 0\n", None, "cell list must be non-empty and uniform"),
+        (OCTA_OFF, "0\n1\n2\n3\n4\n",
+         "offsets length 5 does not match vertex count 6"),
+    ])
+    def test_through_cli(self, tmp_path, capsys, off, offsets, needle):
+        """A file the loader refuses is a data error: exit 2, one line."""
+        mesh, values = tmp_path / "m.off", tmp_path / "v.txt"
+        mesh.write_text(off)
+        values.write_text("".join(f"{v}\n" for v in range(6)))
+        args = ["info", "--mesh", str(mesh), "--values", str(values)]
+        if offsets is not None:
+            (tmp_path / "o.txt").write_text(offsets)
+            args += ["--offsets", str(tmp_path / "o.txt")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sftopo: error: ") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize("call,needle", [
+        (lambda path: load(DatasetSpec(grid=(3, 3))),
+         "a scalar field file is required"),
+        (lambda path: read_field(path, "f16"),
+         "unknown field format: 'f16'"),
+        (lambda path: write_field(path, np.zeros(3), "f16"),
+         "unknown field format: 'f16'"),
+    ])
+    def test_api(self, tmp_path, call, needle):
+        with pytest.raises(DataError, match=re.escape(needle)):
+            call(str(tmp_path / "f.bin"))
 
 
 def level3_sphere():

@@ -72,6 +72,12 @@ class TestOrderField:
         with pytest.raises(ValueError, match="^offsets must be injective$"):
             OrderField(np.zeros(3), np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("values", [np.zeros((3, 2)), [[1.0]], 5.0])
+    def test_values_not_one_per_vertex_rejected(self, values):
+        with pytest.raises(ValueError,
+                           match="^values must be one scalar per vertex$"):
+            OrderField(values)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             OrderField(np.zeros(3), np.array([0, 1]))
@@ -116,6 +122,21 @@ ONCE_EACH_WITH_GRADIENT = {**ONCE_EACH, ("_lower_star_gradient",): 1}
 
 
 class TestFieldStore:
+    @pytest.mark.parametrize("build", [
+        link_components, extract_critical_points, build_gradient,
+        lambda tri, f: build_merge_tree(tri, f, "join"),
+    ])
+    def test_short_field_refused(self, build):
+        """A field with a value too few for the grid is refused, and
+        nothing is stored for it."""
+        grid = ImplicitGridTriangulation((3, 3))
+        f = OrderField(F0_VALUES[:-1])
+        with pytest.raises(
+                ValueError,
+                match="^field length does not match vertex count$"):
+            build(grid, f)
+        assert f._store == {}
+
     def test_merge_tree_built_once_with_read_only_arrays(self):
         grid = ImplicitGridTriangulation((3, 3))
         f = OrderField(F0_VALUES)

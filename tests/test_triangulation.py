@@ -1,5 +1,6 @@
 """Triangulation structure: counts, queries, preconditioning, errors."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -315,6 +316,43 @@ class TestExplicit:
         cells = [cell] if len(cell) == 4 else np.vstack([c, [cell]])
         with pytest.raises(TriangulationError, match="repeated vertex"):
             ExplicitTriangulation(p, cells)
+
+    @pytest.mark.parametrize("points,cells,message", [
+        (np.zeros((3, 4)), [[0, 1, 2]], "points must be an (n, 2|3) array"),
+        (np.eye(3), np.zeros((0, 3)),
+         "cell list must be non-empty and uniform"),
+        (np.eye(5, 3), [[0, 1, 2, 3, 4]],
+         "cells must have 3 or 4 vertices, got 5"),
+        (np.eye(3), [[0, 1, 3]], "cell vertex id out of range"),
+    ])
+    def test_refusals(self, points, cells, message):
+        with pytest.raises(TriangulationError,
+                           match=f"^{re.escape(message)}$"):
+            ExplicitTriangulation(points, cells)
+
+    def test_planar_points_get_z_zero(self):
+        """A mesh given (n, 2) points equals the same mesh given its
+        points with z = 0: in ``point_array`` and, after every stage,
+        every precondition kind and every per-simplex query, in every
+        stored array."""
+        g = ImplicitGridTriangulation((5, 4))
+        points, cells = g.point_array(), g.simplex_array(2)
+        assert not points[:, 2].any()
+        field = random_field(g, np.random.default_rng(17))
+        meshes = [ExplicitTriangulation(p, cells)
+                  for p in (points[:, :2], points)]
+        for tri in meshes:
+            stage_outputs(tri, field)
+            every_query(precondition_all(tri))
+        flat, full = meshes
+        assert flat.point_array().shape == (len(points), 3)
+        assert np.array_equal(flat.point_array(), full.point_array())
+        assert flat._store.keys() == full._store.keys()
+        for key, got in flat._store.items():
+            want = arrays(full._store[key])
+            assert len(arrays(got)) == len(want)
+            for a, b in zip(arrays(got), want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_pseudo_manifold_violation(self):
         t = precondition_all(ExplicitTriangulation(*non_manifold_fan()))
