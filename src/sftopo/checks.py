@@ -13,15 +13,18 @@ merge trees nor the diagram they test:
 - the minimum pairs, ``_minimum_pairs``: the D0 step of Discrete Morse
   Sandwich (Guillou, Vidal & Tierny, arXiv:2206.13932), a union-find
   over minima along the critical edges of the field's stored raw
-  gradient, which the suite validates as well;
+  gradient;
 - the maximum pairs, ``_maximum_pairs``: a union-find sweep down the
   vertex order.  Both union-finds are ``order._find``, the one the merge
   trees run on too.  The mirror of the D0 step would need the gradient of
   the negated field, whose build alone costs more than the sweep: on a
   random 32³ grid on a 2-core VM, 0.3-0.4 s against 0.08 s.
 
-Acyclicity (``gradient_is_acyclic``) is exhaustive, and the contour-tree
-faults are array tests.
+The pairing and acyclicity checks run on the gradient that compliance
+leaves, the one ``morse-smale`` writes; where compliance refuses the
+domain, the gradient is left as built.  Acyclicity
+(``gradient_is_acyclic``) is exhaustive, and the contour-tree faults are
+array tests.
 """
 
 from __future__ import annotations
@@ -180,33 +183,36 @@ def run_checks(tri: Triangulation, field: OrderField) -> list:
         "critical points include a minimum and a maximum", ok,
         f"counts per index: {dict(sorted(per_index.items()))}"))
 
+    # the gradient checks read the gradient compliance leaves, but are
+    # listed before compliance's results
     grad = build_gradient(tri, field)
-    results.append(CheckResult("gradient pairing valid",
-                               pairing_is_valid(grad)))
-    results.append(CheckResult("gradient acyclic (exhaustive)",
-                               gradient_is_acyclic(grad)))
-
     matched = "every interior critical point matched to a star simplex"
     spurious = "no spurious interior critical simplices"
     try:
         report = enforce_compliance(tri, field, grad, cps)
     except DomainTopologyError as exc:
         # a facet with three or more co-facets, which the pseudo-manifold
-        # check above already fails
-        results += [CheckResult(name, True, f"skipped: {exc}")
-                    for name in (matched, spurious)]
+        # check above already fails; the gradient is left as built
+        compliance = [CheckResult(name, True, f"skipped: {exc}")
+                      for name in (matched, spurious)]
     else:
-        results.append(CheckResult(
-            matched, not report.match_failures,
-            "" if not report.match_failures
-            else f"{len(report.match_failures)} unmatched"))
         left = sum(len(v) for v in report.spurious.values())
         has_boundary = bool(tri.boundary_facets().any())
-        # the cancellation guarantee is for closed surfaces; elsewhere
-        # the residue is reported but does not fail the suite
-        results.append(CheckResult(
-            spurious, left == 0 or has_boundary or d == 3,
-            f"{left} left (closed domain: {not has_boundary})"))
+        compliance = [
+            CheckResult(matched, not report.match_failures,
+                        "" if not report.match_failures
+                        else f"{len(report.match_failures)} unmatched"),
+            # the cancellation guarantee is for closed surfaces;
+            # elsewhere the residue is reported but does not fail the
+            # suite
+            CheckResult(spurious, left == 0 or has_boundary or d == 3,
+                        f"{left} left (closed domain: {not has_boundary})"),
+        ]
+    results.append(CheckResult("gradient pairing valid",
+                               pairing_is_valid(grad)))
+    results.append(CheckResult("gradient acyclic (exhaustive)",
+                               gradient_is_acyclic(grad)))
+    results += compliance
 
     join = build_merge_tree(tri, field, "join")
     split = build_merge_tree(tri, field, "split")

@@ -64,8 +64,9 @@ slots.  Only the trace differs by class:
   a reversed cell can change, and since the next step of a walk
   depends on its current cell alone, every walk through the reversed
   path ends at the cancelled cell.  So a root's walks stay as traced
-  until it is retraced, and a cancellation walks its one path again
-  (the gradient module's ``_walks``).  The ends themselves are
+  until it is retraced, and a cancellation steps along the one path it
+  reverses, out of the co-face of ``sigma`` in ``tau``'s class, and
+  along no other walk.  The ends themselves are
   union-find classes: every d-cell starts in the class of its
   ``ascending_segmentation`` label, and reversing the path from
   ``sigma`` to ``tau`` sends exactly the cells whose walk ended at
@@ -135,7 +136,6 @@ from .gradient import (
     _vpath_counts,
     _walk_arrays,
     _walk_ends,
-    _walks,
     reverse_vpath,
 )
 from .order import OrderField
@@ -434,9 +434,9 @@ def _cancel_facet_pairs(grad, matching) -> list:
     ``parent`` of a d-cell starts as its ``ascending_segmentation``
     label, and the walks that leave the domain end at -1, which indexes
     ``parent``'s extra last slot and is its own class; no arc ends
-    there.  A cancellation walks the one path it reverses again and
-    links the class of its maximum ``tau`` to that of ``sigma``'s other
-    co-face.
+    there.  A cancellation walks only the path it reverses, out of the
+    co-face of ``sigma`` whose class is its maximum ``tau``, and links
+    ``tau``'s class to that of ``sigma``'s other co-face.
     """
     d = grad.tri.dim
     rows, via = _walk_arrays(grad, True)
@@ -466,13 +466,17 @@ def _cancel_facet_pairs(grad, matching) -> list:
             once[reached]
 
     def cancel(sigma, tau):
-        walks = _walks(rows, via, sigma)
-        path = next(w for w in walks if w[-1] == tau)
-        other = next(w[0] for w in walks if w is not path)
-        cells = path[:-1]
-        pairs = list(zip(via[cells].tolist(), cells))[::-1]
-        reverse_vpath(grad, VPath(d - 1, tau, sigma, pairs))
-        parent[tau] = find(np.array([other]))[0]
+        heads = rows[sigma]
+        ends = find(heads)
+        i = int(ends[1] == tau)
+        pairs, x = [], heads.item(i)
+        while x != tau:
+            f = via.item(x)
+            pairs.append((f, x))
+            a = rows.item(f, 0)
+            x = rows.item(f, 1) if a == x else a
+        reverse_vpath(grad, VPath(d - 1, tau, sigma, pairs[::-1]))
+        parent[tau] = ends[1 - i]
 
     return _cancel_by_heap(grad, matching, d - 1, d - 1,
                            _interior_ids(matching, d - 1), traces, cancel)

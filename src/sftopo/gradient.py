@@ -44,14 +44,14 @@ V-path between them.  The descending (0, 1) and ascending (d-1, d)
 walks are deterministic and share one shape, a pair ``(rows, via)``:
 a step from node ``x`` crosses row ``via[x]`` to its other entry,
 which is -1 where the walk leaves the domain; -1 is the one code for
-that end in every walk table.  ``_walks`` follows it from one root,
-``_successors`` takes it for every node at once, ``_walk_ends``
-doubles that step into the one table of every node's end, and
-``_lockstep_walks`` follows the walks out of many roots together, one
-gather per step.  Other descending walks branch; they read the
-triangulation's ``facet_ids``, each row sorted so that children come
-in ascending id order, so no walk queries the triangulation per
-simplex.
+that end in every walk table.  ``_successors`` takes that step for
+every node at once, ``_walk_ends`` doubles it into the one table of
+every node's end, and ``_lockstep_walks`` follows the walks out of
+many roots together, one gather per step; compliance's saddle/maximum
+cancellation steps along the one walk it reverses.  Other descending
+walks branch; they read the triangulation's ``facet_ids``, each row
+sorted so that children come in ascending id order, so no walk queries
+the triangulation per simplex.
 Descending V-paths are counted by an explicit-stack post-order, and the
 first path to a given end is read from those counts, so walks of any
 length need no recursion; no walk in the package recurses.  Acyclicity
@@ -325,33 +325,12 @@ def _walk_arrays(grad: DiscreteGradient, ascending: bool) -> tuple:
     return grad.verts[1], grad.pair_up[0]
 
 
-def _walks(rows, via, root: int) -> list:
-    """Node lists of the walks out of ``rows[root]``, one per entry.
-
-    A step from node ``x`` crosses row ``via[x]`` to its other entry.
-    A walk ends at a node with ``via < 0``, or at -1 where it leaves
-    the domain through a row with one entry.
-    """
-    out = []
-    for x in rows[root].tolist():
-        if x < 0:
-            break
-        nodes = [x]
-        row = via.item(x)
-        while row >= 0:
-            a = rows.item(row, 0)
-            x = rows.item(row, 1) if a == x else a
-            nodes.append(x)
-            row = via.item(x) if x >= 0 else -1
-        out.append(nodes)
-    return out
-
-
 def _successors(rows, via) -> np.ndarray:
-    """``_walks``' step for every node at once: an end maps to itself,
-    and a step that leaves the domain to -1.  One extra last slot holds
-    -1, so -1 indexes it and maps to itself too.  ``rows`` has two
-    columns.
+    """The walk's step for every node at once: a step from node ``x``
+    crosses row ``via[x]`` to its other entry, -1 where it leaves the
+    domain through a row with one entry, and an end, a node with
+    ``via < 0``, maps to itself.  One extra last slot holds -1, so -1
+    indexes it and maps to itself too.  ``rows`` has two columns.
 
     Rows are gathered with ``take``: on numpy 2.4, ``rows[i]`` on a 2D
     array is several times slower."""
@@ -372,7 +351,8 @@ def _walk_ends(grad: DiscreteGradient, ascending: bool) -> np.ndarray:
 
 
 def _lockstep_walks(rows, via, roots) -> tuple:
-    """``_walks`` out of every root at once: ``(owner, ends, bounds, body)``.
+    """The walks out of every root at once, one root being a list of
+    one: ``(owner, ends, bounds, body)``.
 
     Walk ``i`` starts at an entry of ``rows[roots[owner[i]]]``, in root
     then row order.  Its nodes are ``body[bounds[i]:bounds[i + 1]]``
@@ -426,14 +406,14 @@ def _vpath_counts(grad, dim, high, targets, memo):
     """Descending V-path counts from (dim+1)-simplex ``high`` to each
     dim-simplex in ``targets``; ``memo`` may be shared across roots.
 
+    Each root is counted from scratch: callers pass critical roots, each
+    once per memo, and a critical simplex is never a child, which is a
+    paired ``pair_up`` entry, so no root is in the memo already.
     A post-order over an explicit stack: the counts of a simplex sum
     those of its children in child order, and a walk stops at a target.
     An entry is ``{}`` while its simplex is on the stack, so a walk that
     loops back adds nothing (gradient acyclicity makes this safe).
     """
-    got = memo.get(high)
-    if got is not None:
-        return got
     memo[high] = {}
     stack = [(high, {}, iter(_descend_children(grad, dim, high)))]
     while stack:

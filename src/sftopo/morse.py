@@ -29,14 +29,9 @@ from .gradient import (
 )
 
 
-def _segmentation(grad, ascending):
-    """The end of every node's walk, -1 where it leaves the domain."""
-    return _walk_ends(grad, ascending)[:-1]
-
-
 def descending_segmentation(grad: DiscreteGradient) -> np.ndarray:
     """Per-vertex label: the critical vertex its descending path reaches."""
-    return _segmentation(grad, False)
+    return _walk_ends(grad, False)[:-1]
 
 
 def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
@@ -44,7 +39,7 @@ def ascending_segmentation(grad: DiscreteGradient) -> np.ndarray:
 
     Walks that exit through a boundary facet get label -1.
     """
-    return _segmentation(grad, True)
+    return _walk_ends(grad, True)[:-1]
 
 
 @dataclass

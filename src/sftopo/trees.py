@@ -293,7 +293,7 @@ class ContourTree:
     """
 
     nodes: list
-    node_types: dict             # vertex -> "min"|"max"|"saddle"|"regular"
+    node_types: dict             # vertex -> "min"|"max"|"saddle"
     arcs: list
     vertex_arc: np.ndarray
 

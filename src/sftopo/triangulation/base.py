@@ -3,7 +3,8 @@
 All traversal queries operate on ``SimplexRef`` handles, a ``(dim, id)``
 pair where ``id`` indexes the simplices of that dimension.  Implicit
 grids answer every per-simplex query arithmetically; explicit meshes
-read the answer from a row of an array query.
+read the answer from a row of an array query.  Both check the handle
+first, in ``Triangulation._simplex_id``, so both refuse a bad one alike.
 
 The array queries (``simplex_array``, ``facet_ids``, ``cofacet_ids``,
 ``neighbor_csr``, the boundary flags) depend on the triangulation alone.
@@ -17,6 +18,7 @@ row where they need it ascending.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -130,6 +132,25 @@ class Triangulation:
     # -- counts and identity --------------------------------------------
     def simplex_count(self, dim: int) -> int:
         raise NotImplementedError
+
+    def _simplex_id(self, dim, sid, face=None, coface=None) -> int:
+        """``sid`` as an int, once ``(dim, sid)`` is checked to name a
+        simplex and ``face`` (``coface``), if given, to be a dimension of
+        its faces (co-faces).  Every per-simplex query of both back ends
+        starts here, so both refuse a bad handle with the same
+        ``TriangulationError``."""
+        if not 0 <= dim <= self.dim:
+            raise TriangulationError(f"bad simplex dimension {dim}")
+        sid = operator.index(sid)
+        if not 0 <= sid < self.simplex_count(dim):
+            raise TriangulationError(f"{dim}-simplex id {sid} out of range")
+        if face is not None and not 0 <= face < dim:
+            raise TriangulationError(
+                f"bad face dimension {face} for dim {dim}")
+        if coface is not None and not dim < coface <= self.dim:
+            raise TriangulationError(
+                f"bad co-face dimension {coface} for dim {dim}")
+        return sid
 
     def simplex_array(self, k: int):
         """``(simplex_count(k), k+1)`` read-only int64 array: row ``i``

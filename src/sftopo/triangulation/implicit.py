@@ -7,7 +7,8 @@ of a small set of *classes* (offset patterns anchored at its lowest
 vertex), so identifiers are laid out as contiguous per-class blocks in
 row-major anchor order: ``id = start + anchor . strides``.
 
-A query decodes its id (a bisect over the block starts, then divmod by
+A query checks its handle (``_simplex_id`` of the base class), then
+decodes its id (a bisect over the block starts, then divmod by
 the block shape) and evaluates linear formulas of the anchor.  A grid
 keeps its block layout and the vertex offsets of each class.  The first
 ``faces``, ``cofaces``, ``vertex_link`` or ``is_boundary`` call adds
@@ -308,11 +309,9 @@ class ImplicitGridTriangulation(Triangulation):
     # -- identifier layout ----------------------------------------------
 
     def _decode(self, dim, sid):
-        """(class, a0, a1, a2) of a dim-simplex id, as Python ints."""
-        sid = operator.index(sid)
+        """(class, a0, a1, a2) of a dim-simplex id, a Python int that
+        ``_simplex_id`` has checked, as Python ints."""
         starts = self._starts[dim]
-        if not 0 <= sid < starts[-1]:
-            raise TriangulationError(f"{dim}-simplex id {sid} out of range")
         ci = bisect_right(starts, sid) - 1
         n0, n1, _ = self._shapes[dim][ci]
         rem, a0 = divmod(sid - starts[ci], n0)
@@ -343,36 +342,33 @@ class ImplicitGridTriangulation(Triangulation):
         return tuple(out)
 
     def vertex_point(self, v: int):
-        c = self.vertex_coords(v)
+        c = self.vertex_coords(self._simplex_id(0, v))
         return np.array(c + (0,) * (3 - len(c)), dtype=float)
 
     def simplex_vertices(self, s: SimplexRef) -> tuple:
         dim, sid = s
-        ci, a0, a1, a2 = self._decode(dim, sid)
+        ci, a0, a1, a2 = self._decode(dim, self._simplex_id(dim, sid))
         s0, s1, s2 = self._vstrides
         base = a0 * s0 + a1 * s1 + a2 * s2
         return tuple([base + c for c in self._verts[dim][ci]])
 
     def faces(self, s: SimplexRef, k: int) -> list:
         dim, sid = s
-        if not 0 <= k < dim:
-            raise TriangulationError(f"bad face dimension {k} for dim {dim}")
-        ci, a0, a1, a2 = self._decode(dim, sid)
+        ci, a0, a1, a2 = self._decode(dim, self._simplex_id(dim, sid, face=k))
         return [c + a0 * s0 + a1 * s1 + a2 * s2
                 for c, s0, s1, s2 in self._stencils.faces[dim][ci][k]]
 
     def cofaces(self, s: SimplexRef, l: int) -> list:
         dim, sid = s
-        if not dim < l <= self.dim:
-            raise TriangulationError(f"bad co-face dimension {l} for dim {dim}")
-        ci, a0, a1, a2 = self._decode(dim, sid)
+        ci, a0, a1, a2 = self._decode(dim,
+                                      self._simplex_id(dim, sid, coface=l))
         border = self._border(a0, a1, a2)
         return [c + a0 * s0 + a1 * s1 + a2 * s2
                 for c, s0, s1, s2, bad in self._stencils.cofaces[dim][ci][l]
                 if not bad & border]
 
     def vertex_link(self, v: int) -> list:
-        _, a0, a1, a2 = self._decode(0, v)
+        _, a0, a1, a2 = self._decode(0, self._simplex_id(0, v))
         border = self._border(a0, a1, a2)
         return [c + a0 * s0 + a1 * s1 + a2 * s2
                 for c, s0, s1, s2, bad in self._stencils.link
@@ -386,7 +382,7 @@ class ImplicitGridTriangulation(Triangulation):
         vertices do, i.e. iff it has a boundary facet.
         """
         dim, sid = s
-        ci, a0, a1, a2 = self._decode(dim, sid)
+        ci, a0, a1, a2 = self._decode(dim, self._simplex_id(dim, sid))
         return bool(self._border(a0, a1, a2)
                     & self._stencils.bnd[dim][ci])
 

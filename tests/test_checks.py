@@ -153,3 +153,33 @@ def test_altered_extremum_pair_fails_the_check(monkeypatch, cls):
     monkeypatch.setattr(checks, "build_diagram", lambda *a, **k: bad)
     results = {r.name: r for r in run_checks(tri, f)}
     assert [name for name, r in results.items() if not r.ok] == [PAIRS_CHECK]
+
+
+def test_gradient_checks_read_the_gradient_compliance_leaves(monkeypatch):
+    """The pairing and acyclicity checks run on the gradient that
+    compliance edits, the one morse-smale writes: a compliance that
+    breaks one pair fails the pairing check.  The checks are listed in
+    the same order as ever."""
+    tri = ImplicitGridTriangulation((9, 7))
+    f = random_field(tri, np.random.default_rng(38))
+    real = checks.enforce_compliance
+
+    def breaking(tri, field, grad, *args):
+        report = real(tri, field, grad, *args)
+        e = grad.pair_up[0][grad.pair_up[0] >= 0][0]
+        grad.pair_down[1][e] = -1
+        return report
+
+    names = [r.name for r in run_checks(tri, f)]
+    assert names[:6] == [
+        "pseudo-manifold",
+        "critical points include a minimum and a maximum",
+        "gradient pairing valid",
+        "gradient acyclic (exhaustive)",
+        "every interior critical point matched to a star simplex",
+        "no spurious interior critical simplices",
+    ]
+    monkeypatch.setattr(checks, "enforce_compliance", breaking)
+    results = run_checks(tri, f)
+    assert [r.name for r in results] == names
+    assert [r.name for r in results if not r.ok] == ["gradient pairing valid"]

@@ -299,9 +299,9 @@ class TestSimplexKey:
 
 
 def walks(grad, ascending, root):
-    """Node lists of ``gradient._walks`` out of ``root``."""
-    rows, via = gradient._walk_arrays(grad, ascending)
-    return gradient._walks(rows, via, root)
+    """Node lists of the walks out of ``root``: ``lockstep_walks`` out
+    of that one root."""
+    return lockstep_walks(grad, ascending, [root])[0]
 
 
 def walk_pairs(grad, ascending, root):
@@ -326,8 +326,8 @@ def oracle_pairs(grad, ascending, root):
 
 
 def lockstep_walks(grad, ascending, roots):
-    """``gradient._lockstep_walks`` out of ``roots`` as ``_walks``' node
-    lists, one list of walks per root."""
+    """``gradient._lockstep_walks`` out of ``roots`` as node lists, one
+    list of walks per root, each ending at its end node or -1."""
     rows, via = gradient._walk_arrays(grad, ascending)
     owner, ends, bounds, body = gradient._lockstep_walks(rows, via, roots)
     out = [[] for _ in roots]
@@ -338,10 +338,10 @@ def lockstep_walks(grad, ascending, roots):
 
 
 class TestWalks:
-    """``gradient._walks`` equals the oracles' per-simplex walks out of
-    every edge (descending) and every facet (ascending), and the
-    lock-step walks out of all of them at once equal ``_walks``, on raw
-    and compliant gradients."""
+    """The lock-step walks out of one root at a time equal the oracles'
+    per-simplex walks out of every edge (descending) and every facet
+    (ascending), and the walks out of all of them at once equal those
+    out of one root at a time, on raw and compliant gradients."""
 
     def assert_walks_match(self, tri, f):
         g = build_gradient(tri, f)
@@ -499,6 +499,20 @@ class TestVPaths:
                     assert got == extract_vpath(g, 1, t, e)
                     paths += 1
         assert paths > 20
+
+    def test_no_first_path_to_an_edge_out_of_reach(self):
+        """The first-path read gives None for a critical edge that a
+        triangle's counts do not reach."""
+        tri = ImplicitGridTriangulation((4, 4, 4))
+        g = build_gradient(tri, random_field(tri, np.random.default_rng(6)))
+        edges = set(g.critical_ids(1))
+        memo, misses = {}, 0
+        for t in g.critical_ids(2):
+            reached = gradient._vpath_counts(g, 1, t, edges, memo)
+            for e in sorted(edges - set(reached)):
+                assert gradient._first_vpath(g, 1, t, e, memo) is None
+                misses += 1
+        assert misses > 20
 
 
 def ring(tri, k, s):

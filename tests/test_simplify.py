@@ -18,6 +18,7 @@ from sftopo import (
     select_by_persistence,
     simplify_field,
 )
+from sftopo import simplify
 
 
 def extrema(tri, field):
@@ -124,6 +125,19 @@ class TestErrors:
     def test_no_maximum(self, grid33, f0):
         with pytest.raises(SimplificationError, match="maximum"):
             simplify_field(grid33, f0, SimplificationRequest(frozenset({0})))
+
+    def test_refused_when_the_sweeps_run_out(self, monkeypatch):
+        """A request that removes extrema is refused, naming both
+        extremum sets, when no sweep may run."""
+        tri = ImplicitGridTriangulation((6, 6))
+        f = OrderField(np.random.default_rng(9).random(36))
+        req = select_by_persistence(build_diagram(tri, f), 0.3)
+        assert set(req.preserved) < extrema(tri, f)
+        monkeypatch.setattr(simplify, "_MAX_SWEEPS", 0)
+        with pytest.raises(SimplificationError,
+                           match="^flattening did not stabilize on the "
+                           "preserved extremum set within 0 sweeps"):
+            simplify_field(tri, f, req)
 
     def test_non_extremum(self, grid33, f0):
         with pytest.raises(SimplificationError, match="not extrema"):

@@ -310,6 +310,47 @@ class TestExplicit:
                                match="^duplicate cells in input$"):
                 ExplicitTriangulation(p, np.vstack([c, dup]))
 
+    def test_cells_whose_row_keys_collide_are_distinct(self):
+        """Two cells of a 100,000-point mesh whose base-n row keys wrap
+        to the same int64 are two cells; the same cell twice, listed in
+        another order, is still a duplicate."""
+        cells = np.array([[11493, 13236, 18464, 93203],
+                          [48386, 62050, 92655, 96435]])
+        points = np.zeros((100000, 3))
+        keys = cells[:, 0]
+        for col in cells.T[1:]:
+            keys = keys * len(points) + col     # wraps, silently
+        assert keys[0] == keys[1]
+        tri = ExplicitTriangulation(points, cells)
+        assert [tri.simplex_count(k) for k in range(4)] == [100000, 12, 8, 2]
+        with pytest.raises(TriangulationError,
+                           match="^duplicate cells in input$"):
+            ExplicitTriangulation(points, np.vstack([cells, cells[1, ::-1]]))
+
+    def test_simplex_arrays_are_the_sorted_distinct_faces(
+            self, octahedron_sub2):
+        """Every ``simplex_array(k)`` with 0 < k < d lists the distinct
+        sorted vertex (k+1)-subsets of the cells in lexicographic order,
+        and ``simplex_array(d)`` the sorted cells in input order, on a
+        sphere, shuffled grid meshes in 2D and 3D and a non-manifold
+        fan."""
+        meshes = [(octahedron_sub2.points, octahedron_sub2.cells),
+                  non_manifold_fan()]
+        rng = np.random.default_rng(21)
+        for dims in ((7, 5), (4, 4, 4)):
+            g = ImplicitGridTriangulation(dims)
+            perm = rng.permutation(g.simplex_count(0))
+            meshes.append((g.point_array()[np.argsort(perm)],
+                           perm[g.simplex_array(g.dim)]))
+        for points, cells in meshes:
+            tri = ExplicitTriangulation(points, cells)
+            rows = np.sort(cells, axis=1).tolist()
+            for k in range(1, tri.dim):
+                want = sorted({sub for c in rows
+                               for sub in combinations(c, k + 1)})
+                assert tri.simplex_array(k).tolist() == list(map(list, want))
+            assert tri.simplex_array(tri.dim).tolist() == rows
+
     @pytest.mark.parametrize("cell", [[0, 0, 1], [4, 2, 4], [0, 1, 1, 2]])
     def test_repeated_vertex_rejected(self, cell):
         p, c = octahedron_mesh()
@@ -371,6 +412,57 @@ class TestExplicit:
     def test_pseudo_manifold_ok(self, octahedron):
         precondition_all(octahedron)
         assert validate_pseudo_manifold(octahedron) == []
+
+
+def handle_refusals(d):
+    """(query, args, message) of per-simplex queries on a bad handle of
+    a d-dimensional triangulation with 27 vertices."""
+    return [
+        ("simplex_vertices", (SimplexRef(d + 1, 0),),
+         f"bad simplex dimension {d + 1}"),
+        ("simplex_vertices", (SimplexRef(-1, 0),), "bad simplex dimension -1"),
+        ("faces", (SimplexRef(d + 1, 0), 1), f"bad simplex dimension {d + 1}"),
+        ("cofaces", (SimplexRef(-1, 0), 1), "bad simplex dimension -1"),
+        ("is_boundary", (SimplexRef(d + 1, 0),),
+         f"bad simplex dimension {d + 1}"),
+        ("faces", (SimplexRef(1, -1), 0), "1-simplex id -1 out of range"),
+        ("simplex_vertices", (SimplexRef(2, -1),),
+         "2-simplex id -1 out of range"),
+        ("vertex_link", (-1,), "0-simplex id -1 out of range"),
+        ("vertex_link", (27,), "0-simplex id 27 out of range"),
+        ("vertex_point", (-1,), "0-simplex id -1 out of range"),
+        ("vertex_point", (np.int64(27),), "0-simplex id 27 out of range"),
+        ("is_boundary", (SimplexRef(d, -2),), f"{d}-simplex id -2 out of range"),
+        ("cofaces", (SimplexRef(0, 27), 1), "0-simplex id 27 out of range"),
+        ("faces", (SimplexRef(1, 0), 1), "bad face dimension 1 for dim 1"),
+        ("faces", (SimplexRef(2, 0), -1), "bad face dimension -1 for dim 2"),
+        ("cofaces", (SimplexRef(1, 0), 1), "bad co-face dimension 1 for dim 1"),
+        ("cofaces", (SimplexRef(d, 0), d + 1),
+         f"bad co-face dimension {d + 1} for dim {d}"),
+    ]
+
+
+class TestHandleChecks:
+    @pytest.mark.parametrize("dims", [(3, 9), (3, 3, 3)])
+    def test_both_back_ends_refuse_bad_handles_alike(self, dims):
+        """A handle outside the triangulation, or a face or co-face
+        dimension outside the simplex's, is refused with the same
+        ``TriangulationError`` by a grid and its explicit copy, and the
+        last id of each dimension still answers."""
+        g = ImplicitGridTriangulation(dims)
+        ex = ExplicitTriangulation(g.point_array(), g.simplex_array(g.dim))
+        d = g.dim
+        for tri in (g, precondition_all(ex)):
+            for query, args, message in handle_refusals(d):
+                with pytest.raises(TriangulationError,
+                                   match=f"^{re.escape(message)}$"):
+                    getattr(tri, query)(*args)
+        for tri in (g, ex):
+            for k in range(d + 1):
+                last = SimplexRef(k, tri.simplex_count(k) - 1)
+                assert len(tri.simplex_vertices(last)) == k + 1
+                tri.is_boundary(last)
+            assert tri.vertex_link(26)
 
 
 class TestEquivalence:
