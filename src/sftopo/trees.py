@@ -27,11 +27,14 @@ the two trees by leaf pruning (Carr, Snoeyink & Axen, CGTA 24(2),
 2003) in batched rounds on arrays, after the same LDAV paper: each
 round prunes every lower (then every upper) leaf at once, extends each
 up its chain of one-child vertices and splices the pruned chains out of
-the other tree, all by pointer doubling.  Zigzag trees lose only their
-two ends per round, so once a round pass prunes too little the rest is
-pruned one leaf at a time from a queue.  A vertex that is an extremum
-of one tree and a merge of the other (the shared vertex of a bowtie)
-has no place in a contour tree, which is refused.
+the other tree, all by pointer doubling.  Round pairs run while each
+leaves at most half the tree nodes (vertices with other than one child
+in either tree) it started with, so at most log2(nodes) + 1 of them
+run.  Zigzag trees lose only a few nodes per pair; the first pair that
+does not halve them leaves the rest to be pruned one leaf at a time
+from a queue.  A vertex that is an extremum of one tree and a merge of
+the other (the shared vertex of a bowtie) has no place in a contour
+tree, which is refused.
 In 3D, saddle-saddle pairs come from the field's stored lower-star
 gradient (``gradient._lower_star_gradient``), which nothing edits, by
 one GF(2) reduction of its Morse complex (Guillou, Vidal & Tierny,
@@ -65,23 +68,19 @@ log = logging.getLogger(__name__)
 
 
 def _check_simply_connected(tri: Triangulation) -> None:
-    """Refuse domains whose Euler characteristic betrays a loop.
+    """Refuse domains whose Euler characteristic betrays a loop or a
+    second component.
 
-    A simply connected surface has characteristic 2 (closed) or 1
-    (with boundary); a 3D domain with boundary has characteristic 1.
-    Closed 3-manifolds all have characteristic 0, where this test is
+    A domain with boundary must look like a disc or a ball,
+    characteristic 1; a closed surface like a sphere, 2.  Closed
+    3-manifolds all have characteristic 0, where this test is
     uninformative and the pruning stall acts as the only backstop.
     """
     chi = sum(
         (-1) ** k * tri.simplex_count(k) for k in range(tri.dim + 1)
     )
-    if tri.dim == 2:
-        ok = (1, 2)
-    else:
-        # closed 3-manifolds always have characteristic 0 (test blind);
-        # any 3D domain with boundary must look like a ball
-        ok = (1,) if tri.boundary_facets().any() else (0,)
-    if chi not in ok:
+    ok = 1 if tri.boundary_facets().any() else (2 if tri.dim == 2 else 0)
+    if chi != ok:
         raise DomainTopologyError(
             f"domain is not simply connected (Euler characteristic {chi}); "
             "the contour tree is undefined here"
@@ -298,13 +297,6 @@ class ContourTree:
     vertex_arc: np.ndarray
 
 
-#: A batched round pass that prunes fewer than this many vertices plus
-#: 1/128 of those alive hands the rest to the sequential queue.  Zigzag
-#: trees lose only their two ends per round, and each round scans every
-#: vertex still alive, so this bounds the batched work.
-_BATCH_MIN = 32
-
-
 def _chain_last(first, pos):
     """Pointer doubling along chains through a vertex set.
 
@@ -369,32 +361,30 @@ def _prune_round(a, succ, n_ch, ids, lo, hi, pos):
 def _prune_queue(succ, n_ch, ids, ranks, lo, hi):
     """Prune the vertices ``ids`` left alive one leaf at a time.
 
-    The leaves wait in a queue, in ascending order, and a pruned leaf
-    queues the neighbours it may have turned into leaves.  Each tree
-    keeps per-vertex child counts and child-id sums, so a vertex with
-    one child left names it by its sum.  Runs on Python lists over
-    ``ids`` renumbered from 0.
+    Runs on Python lists over ``ids`` renumbered from 0, so its set-up
+    is O(len(ids)) in Python however large the field.  Every vertex
+    alive waits in a queue, in ascending order; one that is a leaf
+    when it leaves the queue is pruned, and queues the neighbours it
+    may have turned into leaves.  Each tree keeps per-vertex child
+    counts and child-id sums, so a vertex with one child left names it
+    by its sum.
     """
     m = len(ids)
     new = np.full(len(succ[0]), -1, dtype=np.int64)
     new[ids] = np.arange(m)
+    # a root's -1 reads new's spare slot, still -1, and then adds into
+    # the sums' own spare slot
     succ = [new[s[ids]] for s in succ]
-    n_ch = [c[ids] for c in n_ch]
-    leaf = np.zeros(m, dtype=bool)
     ch_sum = []
-    for a in (0, 1):
-        leaf |= (n_ch[a] == 0) & (n_ch[1 - a] <= 1) & (succ[a] >= 0)
-        has = succ[a] >= 0
-        sums = np.zeros(m, dtype=np.int64)
-        np.add.at(sums, succ[a][has], np.flatnonzero(has))
+    for s in succ:
+        sums = np.zeros(m + 1, dtype=np.int64)
+        np.add.at(sums, s, np.arange(m))
         ch_sum.append(sums.tolist())
     succ = [s.tolist() for s in succ]
-    n_ch = [c.tolist() for c in n_ch]
-    order = np.argsort(ranks[ids])
-    queue = deque(order[leaf[order]].tolist())
-    removed = [False] * m
+    n_ch = [c[ids].tolist() for c in n_ch]
+    x_lo, x_hi = [-1] * m, [-1] * m     # the arc of each vertex pruned
+    queue = deque(np.argsort(ranks[ids]).tolist())
     alive = m
-    x_lo, x_hi = [-1] * m, [-1] * m
 
     def leaf_kind(x):
         """0 for a lower leaf, 1 for an upper leaf, else None."""
@@ -405,7 +395,7 @@ def _prune_queue(succ, n_ch, ids, ranks, lo, hi):
 
     while queue and alive > 1:
         x = queue.popleft()
-        a = None if removed[x] else leaf_kind(x)
+        a = None if x_lo[x] >= 0 else leaf_kind(x)
         if a is None:
             continue
         b = 1 - a
@@ -425,10 +415,9 @@ def _prune_queue(succ, n_ch, ids, ranks, lo, hi):
         elif z >= 0:
             n_ch[b][z] -= 1
             ch_sum[b][z] -= x
-        removed[x] = True
         alive -= 1
         for t in (y, z):
-            if t >= 0 and not removed[t] and leaf_kind(t) is not None:
+            if t >= 0 and x_lo[t] < 0 and leaf_kind(t) is not None:
                 queue.append(t)
     if alive > 1:
         raise DomainTopologyError(
@@ -448,10 +437,16 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
     is pruned into an augmented arc to its join-tree successor and
     spliced out of the split tree; an upper leaf is the mirror case.
     Rounds prune every lower leaf at once, then every upper leaf, each
-    by pointer doubling (``_prune_round``).  Once a lower and an upper
-    round together prune fewer than ``_BATCH_MIN`` plus 1/128 of the
-    vertices alive, as on zigzag trees, which lose only their ends per
-    round, the rest is pruned one leaf at a time (``_prune_queue``).
+    by pointer doubling (``_prune_round``).  A tree node is a vertex
+    with other than one child in either tree.  Round pairs run while
+    each leaves at most half the nodes alive before it, so at most
+    log2(nodes) + 1 pairs run, each O(alive).  The first pair that does
+    not halve them, as on zigzag trees, which lose only a few nodes per
+    pair, hands the rest to the one-leaf-at-a-time queue
+    (``_prune_queue``), which also refuses a stall.  The queue stays
+    for those inputs only: zigzag strips, on which rounds alone would
+    scan every vertex alive to prune a few nodes, and domains that
+    stall; the grid and sphere fields tried all finish in the rounds.
     The regular chains of the augmented tree are then reduced to arcs
     between nodes by pointer doubling, and arcs sorted by their (lower,
     upper) ranks.
@@ -474,14 +469,15 @@ def combine_contour_tree(join: MergeTree, split: MergeTree) -> ContourTree:
     hi = np.full(n, -1, dtype=np.int64)
     ids = np.arange(n, dtype=np.int64)      # vertices alive
     pos = np.full(n + 1, -1, dtype=np.int64)
-    rounds = 0
+    rounds, start = 0, np.inf       # tree nodes alive before a pair
     while len(ids) > 1:
-        alive = len(ids)
+        nodes = np.count_nonzero((n_ch[0][ids] != 1) | (n_ch[1][ids] != 1))
+        if 2 * nodes > start:
+            break
+        start = nodes
         for a in (0, 1):
             ids = _prune_round(a, succ, n_ch, ids, lo, hi, pos)
         rounds += 2
-        if alive - len(ids) < _BATCH_MIN + alive // 128:
-            break
     left = len(ids) if len(ids) > 1 else 0
     log.debug("contour tree: %d vertices, %d batched rounds, "
               "%d vertices left to the sequential queue", n, rounds, left)
@@ -606,25 +602,38 @@ def build_diagram(
     """Persistence diagram of the field.
 
     Minimum/saddle pairs come from the join tree, saddle/maximum pairs
-    from the split tree, plus the essential (global minimum, global
-    maximum) pair.  On 3D domains a gradient passed as ``grad`` asks
-    for the (1,2) pairs too.  They are read from the field's stored
-    lower-star gradient, never from ``grad``'s own pairing, which
-    compliance may have cancelled; without ``grad`` the diagram is
-    emitted with ``missing_saddle_pairs`` set.  Every class gives
-    (birth vertex, death vertex, class) rows, which become pairs in one
-    place, sorted by class, birth value and birth vertex.
+    from the split tree, plus one essential (lowest vertex, highest
+    vertex) pair per connected component.  On 3D domains a gradient
+    passed as ``grad`` asks for the (1,2) pairs too.  They are read
+    from the field's stored lower-star gradient, never from ``grad``'s
+    own pairing, which compliance may have cancelled; without ``grad``
+    the diagram is emitted with ``missing_saddle_pairs`` set.  Every
+    class gives (birth vertex, death vertex, class) rows, which become
+    pairs in one place, sorted by class, birth value and birth vertex.
     """
-    join = persistence_pairs_extrema(build_merge_tree(tri, field, "join"))
-    split = persistence_pairs_extrema(build_merge_tree(tri, field, "split"))
+    join_tree = build_merge_tree(tri, field, "join")
+    split_tree = build_merge_tree(tri, field, "split")
+    join = persistence_pairs_extrema(join_tree)
+    split = persistence_pairs_extrema(split_tree)
+    # each component keeps one minimum unpaired, so one join-tree root
+    # means a connected domain, which skips the pointer jump over every
+    # vertex below
+    if len(join_tree.leaves) - len(join) == 1:
+        essential = [(int(field.order[0]), int(field.order[-1]))]
+    else:
+        # a split-tree root is its component's lowest vertex, and the
+        # join-tree root above it the component's highest
+        lows = np.flatnonzero(split_tree.succ < 0)
+        up = np.where(join_tree.succ < 0, np.arange(len(field)),
+                      join_tree.succ)
+        essential = zip(lows.tolist(), _pointer_jump(up)[lows].tolist())
     saddles = (_saddle_saddle_pairs(_lower_star_gradient(tri, field))
                if tri.dim == 3 and grad is not None else [])
     # rows are generated, not listed: a list of a tuple per pair slows
     # a large diagram, mostly in garbage collection
     rows = chain(((b, d, CLASS_MIN_SADDLE) for b, d in join),
                  ((b, d, CLASS_SADDLE_MAX) for d, b in split),
-                 [(int(field.order[0]), int(field.order[-1]),
-                   CLASS_ESSENTIAL)],
+                 ((b, d, CLASS_ESSENTIAL) for b, d in essential),
                  # a diagonal point, of zero persistence, is left out
                  ((b, d, CLASS_SADDLE_SADDLE) for b, d in saddles if b != d))
     values = field.values

@@ -26,10 +26,12 @@ from sftopo.checks import (
     _minimum_pairs,
     run_checks,
 )
-from sftopo.trees import CLASS_MIN_SADDLE, CLASS_SADDLE_MAX
+from sftopo.trees import CLASS_ESSENTIAL, CLASS_MIN_SADDLE, \
+    CLASS_SADDLE_MAX
 
 CONTOUR_CHECK = "contour tree is a tree whose arcs span their vertices"
 PAIRS_CHECK = "diagram extremum pairs match a union-find recomputation"
+ESSENTIAL_CHECK = "essential pair spans the global extrema"
 
 
 def test_acyclicity_runs_on_large_grid():
@@ -153,6 +155,28 @@ def test_altered_extremum_pair_fails_the_check(monkeypatch, cls):
     monkeypatch.setattr(checks, "build_diagram", lambda *a, **k: bad)
     results = {r.name: r for r in run_checks(tri, f)}
     assert [name for name, r in results.items() if not r.ok] == [PAIRS_CHECK]
+
+
+def test_essential_pairs_checked_per_component(monkeypatch):
+    """On two octahedra the essential check passes with one pair per
+    component and fails on a diagram whose only essential pair spans
+    the global extrema."""
+    points, cells = octahedron_mesh()
+    tri = ExplicitTriangulation(np.vstack([points, points + 5.0]),
+                                np.vstack([cells, cells + 6]))
+    f = random_field(tri, np.random.default_rng(3))
+    results = {r.name: r for r in run_checks(tri, f)}
+    assert results[ESSENTIAL_CHECK].ok
+    diagram = build_diagram(tri, f)
+    ess = [p for p in diagram.pairs if p.cls == CLASS_ESSENTIAL]
+    assert len(ess) == 2
+    glob = replace(ess[0], birth_vertex=int(f.order[0]),
+                   death_vertex=int(f.order[-1]))
+    bad = replace(diagram, pairs=[p for p in diagram.pairs
+                                  if p.cls != CLASS_ESSENTIAL] + [glob])
+    monkeypatch.setattr(checks, "build_diagram", lambda *a, **k: bad)
+    results = {r.name: r for r in run_checks(tri, f)}
+    assert not results[ESSENTIAL_CHECK].ok
 
 
 def test_gradient_checks_read_the_gradient_compliance_leaves(monkeypatch):

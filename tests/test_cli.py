@@ -140,6 +140,23 @@ class TestExitCodes:
         assert main(["check"] + args) == 0
         assert "skipped: vertex 0 is both" in capsys.readouterr().out
 
+    def test_two_triangles(self, tmp_path, capsys):
+        """Two disjoint triangles, values 0 to 5, have boundary and
+        Euler characteristic 2: ``contour-tree`` exits 2, and the
+        diagram has one essential row per triangle."""
+        mesh = tmp_path / "two.off"
+        mesh.write_text("OFF\n6 2 0\n0 0 0\n1 0 0\n0 1 0\n5 0 0\n"
+                        "6 0 0\n5 1 0\n3 0 1 2\n3 3 4 5\n")
+        values = tmp_path / "two.txt"
+        values.write_text("".join(f"{v}\n" for v in range(6)))
+        args = ["--mesh", str(mesh), "--values", str(values)]
+        out = tmp_path / "out.csv"
+        assert main(["contour-tree", "-o", str(out)] + args) == 2
+        assert "Euler characteristic 2" in capsys.readouterr().err
+        assert main(["persistence-diagram", "-o", str(out)] + args) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "0,2,0,2,2,essential", "3,5,3,5,2,essential"]
+
     def test_unknown_log_level(self, f0_file, monkeypatch, capsys):
         monkeypatch.setenv("SFTOPO_LOG", "bogus")
         assert main(["info"] + f0_args(f0_file)) == 1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import octahedron_mesh, preconditioned, two_bump_field
+from conftest import octahedron_mesh, preconditioned, random_field, \
+    two_bump_field
 from sftopo import (
     CLASS_ESSENTIAL,
     ExplicitTriangulation,
@@ -111,6 +112,18 @@ class TestSimplify:
         keep = frozenset({0, 5, 6, 11})
         out = simplify_field(tri, f, SimplificationRequest(keep))
         assert extrema(tri, out) == keep
+
+    def test_threshold_zero_on_two_octahedra(self):
+        """Each component's essential pair is preserved, so threshold 0
+        keeps every extremum of two octahedra and edits nothing."""
+        points, cells = octahedron_mesh()
+        tri = preconditioned(ExplicitTriangulation(
+            np.vstack([points, points + 5.0]), np.vstack([cells, cells + 6])))
+        f = random_field(tri, np.random.default_rng(3))
+        req = select_by_persistence(build_diagram(tri, f), 0)
+        out = simplify_field(tri, f, req)
+        assert extrema(tri, out) == extrema(tri, f) == req.preserved
+        assert np.array_equal(out.values, f.values)
 
 
 class TestErrors:

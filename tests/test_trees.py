@@ -184,6 +184,14 @@ def test_merge_tree_matches_vertex_sweep():
             assert 6 in got.leaves and got.succ[6] == -1
 
 
+def _queued(caplog):
+    """The vertices left to the queue, from the last ``sftopo.trees``
+    DEBUG line."""
+    line = [r.getMessage() for r in caplog.records
+            if r.name == "sftopo.trees"][-1]
+    return int(line.split(", ")[2].split()[0])
+
+
 def _contour_or_error(combine, join, split):
     try:
         return combine(join, split)
@@ -325,17 +333,21 @@ class TestContourTree:
                                                 values.argmax()))
         assert refused == [3, 10, 17]
 
-    def test_zigzag_strip_not_quadratic(self):
-        """A random 9600 x 2 strip has a zigzag contour tree that loses
-        only its two ends per round; batched rounds over every vertex
-        left would take several times the queue's time, the sequential
-        tail keeps within 1.5x of it (best of 3, same process)."""
+    def test_zigzag_strip_not_quadratic(self, caplog):
+        """A random 9600 x 2 strip and a 2000 x 2 strip of values
+        (-1)^x x + 1e-6 y have zigzag contour trees that lose only a few
+        nodes per round pair; batched rounds over every vertex left
+        would take several times the queue's time, so the rest goes to
+        the queue, which keeps within 1.5x of the oracle's (best of 3,
+        same process)."""
+        caplog.set_level(logging.DEBUG, logger="sftopo.trees")
         tri = ImplicitGridTriangulation((9600, 2))
-        f = random_field(tri, np.random.default_rng(33))
-        join = build_merge_tree(tri, f, "join")
-        split = build_merge_tree(tri, f, "split")
+        zigzag = ImplicitGridTriangulation((2000, 2))
+        x, y = zigzag.point_array()[:, :2].T
+        cases = [(tri, random_field(tri, np.random.default_rng(33))),
+                 (zigzag, OrderField((-1.0) ** x * x + 1e-6 * y))]
 
-        def best(combine):
+        def best(combine, join, split):
             times = []
             for _ in range(3):
                 start = time.perf_counter()
@@ -343,7 +355,45 @@ class TestContourTree:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        assert best(combine_contour_tree) <= 1.5 * best(prune_contour_tree)
+        for tri, f in cases:
+            trees = (build_merge_tree(tri, f, "join"),
+                     build_merge_tree(tri, f, "split"))
+            caplog.clear()
+            assert best(combine_contour_tree, *trees) \
+                <= 1.5 * best(prune_contour_tree, *trees)
+            assert _queued(caplog) > 0
+
+    def test_halving_rounds_finish_grids_and_spheres(self, caplog):
+        """Round pairs continue while they halve the tree nodes alive,
+        and on grid and sphere fields that lasts to the end: nothing is
+        left to the queue, and the tree is the oracle's.  Random then
+        tie-heavy fields from one generator per seed, 0-5 on the
+        258-vertex sphere and on 6^3, 1 and 4 on 32^3.  A rule on the
+        vertices pruned per round handed 12 to 19,329 vertices of 7 of
+        these fields to the queue."""
+        caplog.set_level(logging.DEBUG, logger="sftopo.trees")
+        points, cells = octahedron_mesh()
+        for _ in range(3):
+            points, cells = midpoint_subdivide(points, cells)
+        cases = [(preconditioned(ExplicitTriangulation(points, cells)),
+                  range(6)),
+                 (ImplicitGridTriangulation((6, 6, 6)), range(6)),
+                 (ImplicitGridTriangulation((32, 32, 32)), (1, 4))]
+        for tri, seeds in cases:
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                for f in (random_field(tri, rng), tie_heavy_field(tri, rng)):
+                    join = build_merge_tree(tri, f, "join")
+                    split = build_merge_tree(tri, f, "split")
+                    caplog.clear()
+                    got = combine_contour_tree(join, split)
+                    where = f"{len(f)} vertices, seed {seed}"
+                    assert _queued(caplog) == 0, where
+                    want = prune_contour_tree(join, split)
+                    assert got.nodes == want.nodes, where
+                    assert got.node_types == want.node_types, where
+                    assert got.arcs == want.arcs, where
+                    assert np.array_equal(got.vertex_arc, want.vertex_arc)
 
     def test_debug_line(self, caplog):
         tri = ImplicitGridTriangulation((128, 128))
@@ -380,6 +430,21 @@ class TestDiagram:
                              for p in d.pairs if p.cls == CLASS_SADDLE_MAX)
             assert got_min == sorted(uf_extremum_pairs(tri, f, True))
             assert got_max == sorted(uf_extremum_pairs(tri, f, False))
+
+    def test_one_essential_pair_per_component(self):
+        """Each connected component gives one essential pair, its lowest
+        and highest vertex; a lone vertex pairs with itself."""
+        components = {"two spheres": [range(6), range(6, 12)],
+                      "sphere and a lone vertex": [range(6), [6]]}
+        for name, tri, f in _identity_cases():
+            if name not in components:
+                continue
+            d = build_diagram(tri, f)
+            got = sorted((p.birth_vertex, p.death_vertex) for p in d.pairs
+                         if p.cls == CLASS_ESSENTIAL)
+            rank = f.ranks.__getitem__
+            assert got == sorted((min(c, key=rank), max(c, key=rank))
+                                 for c in components[name]), name
 
     def test_3d_without_gradient_flags_missing_pairs(self):
         tri = ImplicitGridTriangulation((3, 3, 3))
